@@ -6,9 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "common/stopwatch.h"
 #include "core/column_store.h"
 #include "obs/metrics.h"
@@ -39,9 +41,18 @@ struct BenchEnv {
   std::string dir;
 };
 
+// Bench knobs parse strictly through common/env.h: unset or empty gives
+// `fallback`; a malformed or negative value (PAYG_ROWS=abc) stops the bench
+// instead of running it at some other scale.
 inline uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
+  const char* raw = EnvRaw(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  const long v = EnvLong(name, -1, std::numeric_limits<long>::max(), -1);
+  if (v < 0) {
+    std::fprintf(stderr, "%s=%s is not a non-negative integer\n", name, raw);
+    std::exit(2);
+  }
+  return static_cast<uint64_t>(v);
 }
 
 inline BenchEnv ReadEnv(const std::string& bench_name) {

@@ -6,14 +6,17 @@
 // side, so the scalar-vs-SIMD speedup per bit width is part of the recorded
 // trajectory (scripts/bench_snapshot.sh → BENCH_fig1.json). Benchmark names
 // are <kernel>/<tier>/<bits>; the dispatch-selected tier for normal callers
-// is recorded in the context as "simd_level".
+// is recorded in the context as "simd_level". The page checksum kernel is
+// measured the same way, per implementation, as crc32c/<table|sse42>/<size>.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/random.h"
 #include "encoding/bit_packing.h"
 #include "encoding/codec.h"
@@ -181,7 +184,40 @@ void BM_CodecSearchEq(benchmark::State& state, CodecId id,
   SetRate(state);
 }
 
+// --- page checksum kernel ---------------------------------------------------
+// CRC-32C over one page, per implementation: every page write and every
+// verified page read pays this once. Names are crc32c/<impl>/<page size>;
+// the time per iteration is the per-page cost.
+
+void BM_Crc32c(benchmark::State& state, Crc32cFn fn, size_t bytes) {
+  Random rng(bytes);
+  std::vector<uint8_t> page(bytes);
+  for (auto& b : page) b = static_cast<uint8_t>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fn(page.data(), page.size(), 0));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+}
+
+void RegisterCrc32c() {
+  const std::pair<const char*, Crc32cFn> impls[] = {
+      {"table", &Crc32cTable}, {"sse42", Crc32cHardware()}};
+  const std::pair<const char*, size_t> sizes[] = {
+      {"8K", 8 << 10}, {"32K", 32 << 10}, {"256K", 256 << 10}};
+  for (const auto& [impl, fn] : impls) {
+    if (fn == nullptr) continue;
+    for (const auto& [size_name, bytes] : sizes) {
+      benchmark::RegisterBenchmark(
+          (std::string("crc32c/") + impl + "/" + size_name).c_str(), BM_Crc32c,
+          fn, bytes)
+          ->Unit(benchmark::kMicrosecond);
+    }
+  }
+}
+
 void RegisterAll() {
+  RegisterCrc32c();
   for (SimdLevel level :
        {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
     const PackedKernels* k = KernelsFor(level);
@@ -231,6 +267,8 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::AddCustomContext(
       "simd_level", payg::SimdLevelName(payg::ActiveSimdLevel()));
+  benchmark::AddCustomContext("crc32c",
+                              payg::Crc32cUsesHardware() ? "sse42" : "table");
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -44,6 +44,8 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
+#include "common/env.h"
 #include "core/column_store.h"
 #include "obs/metrics.h"
 #include "server/client.h"
@@ -54,11 +56,7 @@ namespace {
 
 using namespace payg;
 using namespace payg::server;
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
-}
+using payg::bench::EnvU64;
 
 struct PhaseResult {
   uint64_t completed = 0;
@@ -69,8 +67,8 @@ struct PhaseResult {
   double mean_batch = 0;  // server-side batch_size mean (self-host only)
 };
 
-double Percentile(std::vector<uint64_t>& sorted, double q) {
-  if (sorted.empty()) return 0;
+// Nearest-rank percentile of a non-empty sorted sample.
+double Percentile(const std::vector<uint64_t>& sorted, double q) {
   const size_t idx = static_cast<size_t>(
       q * static_cast<double>(sorted.size() - 1) + 0.5);
   return static_cast<double>(sorted[std::min(idx, sorted.size() - 1)]);
@@ -142,13 +140,17 @@ PhaseResult RunPhase(const std::string& socket_path, uint32_t clients,
   std::sort(all.begin(), all.end());
   result.completed = all.size();
   result.qps = secs > 0 ? static_cast<double>(all.size()) / secs : 0;
-  result.p50_us = Percentile(all, 0.50);
-  result.p95_us = Percentile(all, 0.95);
-  result.p99_us = Percentile(all, 0.99);
+  if (!all.empty()) {
+    result.p50_us = Percentile(all, 0.50);
+    result.p95_us = Percentile(all, 0.95);
+    result.p99_us = Percentile(all, 0.99);
+  }
   return result;
 }
 
-void PrintPhase(const char* label, uint32_t clients, const PhaseResult& r) {
+// Prints one phase. A phase that completed no request has no latency to
+// report, so it is an error rather than a row of zeros; returns false then.
+bool ReportPhase(const char* label, uint32_t clients, const PhaseResult& r) {
   std::printf(
       "%-10s clients=%2u qps=%9.0f p50=%7.0fus p95=%7.0fus p99=%7.0fus "
       "completed=%8llu shed=%llu errors=%llu mean_batch=%.2f\n",
@@ -157,6 +159,12 @@ void PrintPhase(const char* label, uint32_t clients, const PhaseResult& r) {
       static_cast<unsigned long long>(r.shed),
       static_cast<unsigned long long>(r.errors), r.mean_batch);
   std::fflush(stdout);
+  if (r.completed == 0) {
+    std::fprintf(stderr, "%s phase at %u clients completed no request\n",
+                 label, clients);
+    return false;
+  }
+  return true;
 }
 
 void JsonArray(std::ofstream& out, const char* key,
@@ -184,7 +192,7 @@ int main() {
 
   std::vector<uint32_t> client_counts;
   {
-    const char* spec = std::getenv("PAYG_BENCH_CLIENTS");
+    const char* spec = EnvRaw("PAYG_BENCH_CLIENTS");
     std::string s = spec != nullptr ? spec : "1,8,16";
     size_t pos = 0;
     while (pos < s.size()) {
@@ -196,8 +204,8 @@ int main() {
     }
   }
 
-  const char* connect_path = std::getenv("PAYG_SERVER_CONNECT");
-  const char* expect_shed = std::getenv("PAYG_EXPECT_SHED");
+  const char* connect_path = EnvRaw("PAYG_SERVER_CONNECT");
+  const char* expect_shed = EnvRaw("PAYG_EXPECT_SHED");
 
   std::vector<double> unbatched_qps, unbatched_p50, unbatched_p95,
       unbatched_p99;
@@ -216,7 +224,7 @@ int main() {
     for (uint32_t clients : client_counts) {
       PhaseResult r =
           RunPhase(connect_path, clients, duration_ms, think_us, key_space);
-      PrintPhase("connect", clients, r);
+      if (!ReportPhase("connect", clients, r)) return 1;
       batched_qps.push_back(r.qps);
       batched_p50.push_back(r.p50_us);
       batched_p95.push_back(r.p95_us);
@@ -279,7 +287,9 @@ int main() {
                                  static_cast<double>(batches)
                            : 0;
         server.Stop();
-        PrintPhase(batched ? "batched" : "unbatched", clients, r);
+        if (!ReportPhase(batched ? "batched" : "unbatched", clients, r)) {
+          return 1;
+        }
         sweep_shed += r.shed;
         if (batched) {
           batched_qps.push_back(r.qps);
@@ -314,11 +324,11 @@ int main() {
                           /*think_us=*/0, key_space);
       server.Stop();
       ran_overload = true;
-      PrintPhase("overload", 16, overload);
+      if (!ReportPhase("overload", 16, overload)) return 1;
     }
   }
 
-  const char* json_path = std::getenv("PAYG_BENCH_JSON");
+  const char* json_path = EnvRaw("PAYG_BENCH_JSON");
   const std::string out_path =
       json_path != nullptr ? json_path : "BENCH_server.json";
   std::ofstream out(out_path);

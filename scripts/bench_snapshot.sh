@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Records the committed benchmark snapshots:
 #   BENCH_fig1.json — packed-kernel primitives, scalar vs SIMD tiers
-#                     (google-benchmark JSON; names are <kernel>/<tier>/<bits>)
+#                     (google-benchmark JSON; names are <kernel>/<tier>/<bits>),
+#                     plus the per-page CRC-32C cost, crc32c/<impl>/<size>
 #   BENCH_fig4.json — cold full-column scan, readahead off vs on at 1 ms
 #                     simulated page latency, plus the io_sweep section:
 #                     the same scan across I/O backend (sync vs io_uring)
@@ -27,9 +28,10 @@ cmake --build "$BUILD" -j --target bench_fig1_primitives bench_fig4_data_vector 
 
 # fig1: the acceptance-relevant kernels (mget + search_eq) on every available
 # tier at every bit width, plus the codec-dispatched variants (S22) per
-# codec at the two representative widths. Widen or drop the filter for full
+# codec at the two representative widths, plus the page checksum per
+# implementation and page size. Widen or drop the filter for full
 # sweeps (search_range / search_in are registered too).
-FILTER="${PAYG_FIG1_FILTER:-^(mget|search_eq|codec_mget|codec_search_eq)/}"
+FILTER="${PAYG_FIG1_FILTER:-^(mget|search_eq|codec_mget|codec_search_eq|crc32c)/}"
 "$BUILD"/bench/bench_fig1_primitives \
   --benchmark_filter="$FILTER" \
   --benchmark_min_time="${PAYG_FIG1_MIN_TIME:-0.2}" \

@@ -6,7 +6,7 @@
 # partition-parallel executor, the lock-free metrics/trace ring, the
 # query-profile capture and slow-query ring, the page cache's asynchronous
 # prefetch pool, and the sharded-cache stress suite), then an ASan+UBSan
-# build of the buffer, cache stress, codec and profile suites.
+# build of the buffer, cache stress, codec, CRC-32C and profile suites.
 # Usage: scripts/check.sh [build-dir-prefix]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -42,12 +42,14 @@ cmake --build "$BUILD-tsan" -j --target buffer_test exec_test obs_test profile_t
 "$BUILD-tsan"/tests/paged_test
 "$BUILD-tsan"/tests/cache_stress_test
 
-echo "== ASan+UBSan build: buffer + cache-stress + codec + profile suites =="
+echo "== ASan+UBSan build: buffer + cache-stress + codec + crc32 + profile suites =="
 cmake -B "$BUILD-asan" -S . -DPAYG_SANITIZE=address+undefined >/dev/null
-cmake --build "$BUILD-asan" -j --target buffer_test cache_stress_test codec_test profile_test
+cmake --build "$BUILD-asan" -j --target buffer_test cache_stress_test codec_test crc32_test profile_test
 "$BUILD-asan"/tests/buffer_test
 "$BUILD-asan"/tests/cache_stress_test
 "$BUILD-asan"/tests/codec_test
+"$BUILD-asan"/tests/crc32_test
+PAYG_FORCE_SCALAR=1 "$BUILD-asan"/tests/crc32_test
 "$BUILD-asan"/tests/profile_test
 
 echo "check.sh: all green"

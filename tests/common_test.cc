@@ -4,7 +4,6 @@
 #include <set>
 
 #include "common/bit_util.h"
-#include "common/crc32.h"
 #include "common/env.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -146,24 +145,6 @@ TEST(RandomTest, CoversTheRange) {
   std::set<uint64_t> seen;
   for (int i = 0; i < 200; ++i) seen.insert(rng.Uniform(8));
   EXPECT_EQ(seen.size(), 8u);
-}
-
-TEST(Crc32Test, KnownVector) {
-  // CRC-32C("123456789") is the classic check value 0xE3069283.
-  const char* data = "123456789";
-  EXPECT_EQ(Crc32c(data, 9), 0xE3069283u);
-}
-
-TEST(Crc32Test, EmptyInputIsZero) { EXPECT_EQ(Crc32c("", 0), 0u); }
-
-TEST(Crc32Test, SensitiveToEveryByte) {
-  std::string a(128, 'a');
-  uint32_t base = Crc32c(a.data(), a.size());
-  for (size_t i = 0; i < a.size(); i += 17) {
-    std::string b = a;
-    b[i] ^= 1;
-    EXPECT_NE(Crc32c(b.data(), b.size()), base) << "byte " << i;
-  }
 }
 
 // Scoped setenv/unsetenv so env tests cannot leak into each other.
