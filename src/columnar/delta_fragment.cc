@@ -31,23 +31,6 @@ void DeltaFragment::FindRows(const Value& value,
   }
 }
 
-void DeltaFragment::FindRowsInRange(const Value& lo, const Value& hi,
-                                    std::vector<RowPos>* out) const {
-  std::vector<bool> qualifies(dict_values_.size(), false);
-  bool any = false;
-  for (ValueId v = 0; v < dict_values_.size(); ++v) {
-    const Value& val = dict_values_[v];
-    if (val.Compare(lo) >= 0 && val.Compare(hi) <= 0) {
-      qualifies[v] = true;
-      any = true;
-    }
-  }
-  if (!any) return;
-  for (RowPos r = 0; r < vids_.size(); ++r) {
-    if (qualifies[vids_[r]]) out->push_back(r);
-  }
-}
-
 void DeltaFragment::FindRowsMatching(
     const std::function<bool(const Value&)>& pred,
     std::vector<RowPos>* out) const {

@@ -53,14 +53,10 @@ class DeltaFragment {
   // Row positions (within the delta) whose value equals `value`.
   void FindRows(const Value& value, std::vector<RowPos>* out) const;
 
-  // Row positions whose value v satisfies lo <= v <= hi. Because the delta
-  // dictionary is unsorted, qualifying vids are first collected by a
-  // dictionary scan, then the vid vector is scanned.
-  void FindRowsInRange(const Value& lo, const Value& hi,
-                       std::vector<RowPos>* out) const;
-
-  // Row positions whose value satisfies an arbitrary predicate (IN-lists,
-  // prefix matches). One dictionary scan, then one vid-vector scan.
+  // Row positions whose value satisfies an arbitrary predicate (ranges,
+  // IN-lists, prefix matches). The dictionary is unsorted, so qualifying
+  // vids are first collected by one dictionary scan, then the vid vector is
+  // scanned once.
   void FindRowsMatching(const std::function<bool(const Value&)>& pred,
                         std::vector<RowPos>* out) const;
 

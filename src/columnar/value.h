@@ -23,7 +23,8 @@ std::string_view ValueTypeName(ValueType t);
 // A typed scalar value. Comparison is only defined between values of the
 // same type (column type mismatches are programming errors, enforced by
 // assertion, matching the paper's setting where queries are typed by the
-// schema).
+// schema; Table::CheckPredicate rejects mistyped query operands before
+// any compare sees them).
 class Value {
  public:
   Value() : v_(int64_t{0}) {}

@@ -168,10 +168,6 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
   return PageRef(std::move(page), std::move(pin), lpn);
 }
 
-void PageCache::Prefetch(LogicalPageNo lpn, ExecContext* ctx) {
-  PrefetchRange(lpn, 1, ctx);
-}
-
 void PageCache::PrefetchRange(LogicalPageNo first, uint32_t count,
                               ExecContext* ctx) {
   if (count == 0) return;
@@ -363,6 +359,24 @@ uint32_t DefaultReadaheadWindow() {
     return w;
   }();
   return window;
+}
+
+void ReadaheadWindow::Advance(PageCache* cache, LogicalPageNo lpn,
+                              LogicalPageNo prev_lpn, LogicalPageNo last_page,
+                              ExecContext* ctx) {
+  if (pages_ == 0) return;
+  if (frontier_ <= lpn || lpn < prev_lpn || prev_lpn == kInvalidPageNo) {
+    // Fresh cursor, or it jumped (backward or past the frontier): restart
+    // the window at this page.
+    frontier_ = lpn + 1;
+  }
+  if ((frontier_ - lpn - 1) * 2 > pages_) return;
+  const LogicalPageNo want_hi = std::min<LogicalPageNo>(lpn + pages_,
+                                                        last_page);
+  if (want_hi < frontier_) return;
+  cache->PrefetchRange(frontier_,
+                       static_cast<uint32_t>(want_hi - frontier_ + 1), ctx);
+  frontier_ = want_hi + 1;
 }
 
 uint32_t DefaultCacheShards() {

@@ -73,24 +73,19 @@ class PageCache {
   // query and its deadline is checked before touching the page.
   Result<PageRef> GetPage(LogicalPageNo lpn, ExecContext* ctx = nullptr);
 
-  // Non-blocking readahead: schedules a load of `lpn` on the shared
-  // background I/O pool and returns immediately. No-op when the page is
-  // already resident or a prefetch of it is in flight. The loaded page
-  // enters the cache unpinned, with the normal weighted-LRU disposition —
-  // the resource manager may evict it before it is ever touched (counted as
-  // wasted). `ctx` attributes the *issue* to a query; the physical read
-  // happens after this call returns and is accounted to the cache only,
-  // because the background task may outlive the query.
-  void Prefetch(LogicalPageNo lpn, ExecContext* ctx = nullptr);
-
-  // Batched readahead: one submission for `count` consecutive pages
-  // starting at `first` (clamped to the chain, already-resident and
-  // already-in-flight pages filtered out). The surviving pages go to the
-  // I/O pool as ONE task whose batched read (PageFile::ReadPages) publishes
-  // each page into its shard as that page's bytes complete — a concurrent
-  // GetPage waiting on the in-flight entry wakes when its page lands, not
-  // when the whole batch does. Counts one query.io_batches on `ctx` when
-  // any page is actually issued; per-page accounting matches Prefetch.
+  // Non-blocking batched readahead: one submission for `count` consecutive
+  // pages starting at `first` (clamped to the chain, already-resident and
+  // already-in-flight pages filtered out), returning immediately. The
+  // surviving pages go to the shared background I/O pool as ONE task whose
+  // batched read (PageFile::ReadPages) publishes each page into its shard
+  // as that page's bytes complete — a concurrent GetPage waiting on the
+  // in-flight entry wakes when its page lands, not when the whole batch
+  // does. A loaded page enters the cache unpinned, with the normal
+  // weighted-LRU disposition — the resource manager may evict it before it
+  // is ever touched (counted as wasted). `ctx` is charged the *issue* (one
+  // query.io_batches when any page is issued, plus one prefetch per page);
+  // the physical read happens after this call returns and is accounted to
+  // the cache only, because the background task may outlive the query.
   void PrefetchRange(LogicalPageNo first, uint32_t count,
                      ExecContext* ctx = nullptr);
 
@@ -158,9 +153,9 @@ class PageCache {
     // resource id for Unregister.
     ResourceHandle handle;
     uint64_t generation = 0;
-    // Loaded by Prefetch and not yet served to any GetPage call. The first
-    // pin clears the flag (a prefetch hit); leaving the cache with the flag
-    // still set means the readahead was wasted.
+    // Loaded by PrefetchRange and not yet served to any GetPage call. The
+    // first pin clears the flag (a prefetch hit); leaving the cache with the
+    // flag still set means the readahead was wasted.
     bool prefetched = false;
   };
 
@@ -251,6 +246,30 @@ class PageCache {
 // to the default. The effective value is published once as the
 // "cache.readahead" gauge.
 uint32_t DefaultReadaheadWindow();
+
+// Readahead state of one forward-moving page cursor (the paged data-vector
+// and inverted-index iterators): the window size and the frontier, the
+// first page no issued readahead covers yet. Remembering the frontier lets
+// a refill wait until the window ahead of the cursor has fallen to half and
+// then top it up with one multi-page PrefetchRange — batches the I/O backend
+// can turn into vectored reads — instead of re-asking for the whole window
+// at every page, which the cache's in-flight dedup would shrink to one page
+// per step.
+class ReadaheadWindow {
+ public:
+  uint32_t pages() const { return pages_; }
+  void set_pages(uint32_t pages) { pages_ = pages; }
+
+  // Called before the cursor pins `lpn`, coming from `prev_lpn`
+  // (kInvalidPageNo for a fresh cursor). `last_page` is the last page the
+  // cursor can still need; readahead never reaches past it.
+  void Advance(PageCache* cache, LogicalPageNo lpn, LogicalPageNo prev_lpn,
+               LogicalPageNo last_page, ExecContext* ctx);
+
+ private:
+  uint32_t pages_ = DefaultReadaheadWindow();
+  LogicalPageNo frontier_ = 0;
+};
 
 // Default shard count for new PageCaches: PAYG_CACHE_SHARDS, rounded up to
 // a power of two and clamped to [1, 256]; defaults to a power of two near

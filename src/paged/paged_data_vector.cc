@@ -382,28 +382,11 @@ Status PagedDataVectorIterator::Reposition(RowPos rpos, bool sequential) {
   if (lpn == current_lpn_ && current_.valid()) return Status::OK();
   // On a forward scan, keep the readahead window topped up before pinning
   // this page: the background loads then overlap with both this page's
-  // (possible) synchronous load and its decode. The frontier remembers how
-  // far readahead has already been issued, so instead of re-asking for the
-  // whole window at every page (which the cache's in-flight dedup would
-  // shrink to one page per reposition) the window is refilled in batches of
-  // ~readahead_/2 pages — multi-page PrefetchRange submissions the I/O
-  // backend can turn into vectored reads.
-  if (sequential && readahead_ > 0) {
-    if (ra_frontier_ <= lpn || lpn < current_lpn_ || current_lpn_ == kInvalidPageNo) {
-      // Fresh scan, or the cursor jumped (backward or past the frontier):
-      // restart the window at this page.
-      ra_frontier_ = lpn + 1;
-    }
-    if ((ra_frontier_ - lpn - 1) * 2 <= readahead_) {
-      LogicalPageNo want_hi = lpn + readahead_;
-      if (want_hi > dv_->data_pages_) want_hi = dv_->data_pages_;
-      if (want_hi >= ra_frontier_) {  // data pages are 1..data_pages_
-        dv_->cache_->PrefetchRange(
-            ra_frontier_, static_cast<uint32_t>(want_hi - ra_frontier_ + 1),
-            ctx_);
-        ra_frontier_ = want_hi + 1;
-      }
-    }
+  // (possible) synchronous load and its decode. Data pages are
+  // 1..data_pages_.
+  if (sequential) {
+    readahead_.Advance(dv_->cache_.get(), lpn, current_lpn_, dv_->data_pages_,
+                       ctx_);
   }
   // Pin the new page after releasing the handle to the previous page
   // (§3.1.2 "page reposition").

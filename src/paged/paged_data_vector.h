@@ -185,8 +185,8 @@ class PagedDataVectorIterator {
   // Pages to prefetch ahead of the cursor during sequential access (mget
   // and the range/set searches). Defaults to DefaultReadaheadWindow()
   // (PAYG_READAHEAD); 0 disables readahead for this iterator.
-  void set_readahead(uint32_t pages) { readahead_ = pages; }
-  uint32_t readahead() const { return readahead_; }
+  void set_readahead(uint32_t pages) { readahead_.set_pages(pages); }
+  uint32_t readahead() const { return readahead_.pages(); }
 
  private:
   // Pins the page holding `rpos` (releasing any previously pinned page) and
@@ -216,10 +216,7 @@ class PagedDataVectorIterator {
   CodecStats codec_stats_;      // native/fallback tallies + decode scratch
   uint64_t pages_touched_ = 0;
   uint64_t pages_pruned_ = 0;
-  uint32_t readahead_ = DefaultReadaheadWindow();
-  // First data page not yet covered by an issued readahead; maintained by
-  // sequential Reposition so window refills arrive as multi-page batches.
-  LogicalPageNo ra_frontier_ = 0;
+  ReadaheadWindow readahead_;  // advanced by sequential Reposition
   bool use_summary_ = true;
   bool summary_checked_ = false;
   std::shared_ptr<PageSummary> summary_;

@@ -280,40 +280,15 @@ Result<RowPos> PagedIndexIterator::ReadPosting(uint64_t j) {
   }
   if (lpn != pl_lpn_ || !pl_page_.valid()) {
     // The walk over the current vid's postings is strictly forward; keep a
-    // window over the pages it will still need (postinglist pages and
-    // possibly the mixed page, never the directory) topped up before the
-    // synchronous pin below. The frontier remembers how far readahead has
-    // been issued so refills arrive as multi-page PrefetchRange batches
-    // instead of one deduplicated page per reposition.
-    if (readahead_ > 0) {
-      if (ra_frontier_ <= lpn || lpn < pl_lpn_ || pl_lpn_ == kInvalidPageNo) {
-        ra_frontier_ = lpn + 1;
-      }
-      if ((ra_frontier_ - lpn - 1) * 2 <= readahead_) {
-        // Furthest eligible page of the window (pages are consecutive, so
-        // everything in [ra_frontier_, want_hi] is eligible too).
-        LogicalPageNo want_hi = lpn;
-        for (uint32_t w = 1; w <= readahead_; ++w) {
-          const LogicalPageNo next = lpn + w;
-          uint64_t first_j;  // first posting offset stored on `next`
-          if (next <= index_->pl_pages_) {
-            first_j = (next - 1) * index_->pl_per_page_;
-          } else if (next == index_->mixed_lpn_) {
-            first_j = pure_capacity;
-          } else {
-            break;
-          }
-          if (first_j >= end_) break;  // this vid's postings end before it
-          want_hi = next;
-        }
-        if (want_hi >= ra_frontier_) {
-          index_->cache_->PrefetchRange(
-              ra_frontier_,
-              static_cast<uint32_t>(want_hi - ra_frontier_ + 1), ctx_);
-          ra_frontier_ = want_hi + 1;
-        }
-      }
-    }
+    // window over the pages it will still need topped up before the
+    // synchronous pin below. Those are the postinglist pages up to the one
+    // holding the vid's last posting — the mixed page directly follows the
+    // full postinglist pages — and never the directory.
+    const uint64_t last = end_ - 1;
+    readahead_.Advance(index_->cache_.get(), lpn, pl_lpn_,
+                       last < pure_capacity ? 1 + last / index_->pl_per_page_
+                                            : index_->mixed_lpn_,
+                       ctx_);
     pl_page_.Release();
     pl_lpn_ = kInvalidPageNo;
     auto ref = index_->cache_->GetPage(lpn, ctx_);

@@ -101,8 +101,8 @@ class PagedIndexIterator {
   // crosses page boundaries (capped by where the current vid's postings
   // end). Defaults to DefaultReadaheadWindow() (PAYG_READAHEAD); 0
   // disables readahead for this iterator.
-  void set_readahead(uint32_t pages) { readahead_ = pages; }
-  uint32_t readahead() const { return readahead_; }
+  void set_readahead(uint32_t pages) { readahead_.set_pages(pages); }
+  uint32_t readahead() const { return readahead_.pages(); }
 
  private:
   // Directory entry k (k ∈ [0, dict_size]); entry dict_size is the end
@@ -120,10 +120,7 @@ class PagedIndexIterator {
   uint64_t cursor_ = 0;  // next posting offset to read
   uint64_t end_ = 0;     // one past the last posting of the current vid
   uint64_t pages_touched_ = 0;
-  uint32_t readahead_ = DefaultReadaheadWindow();
-  // First postinglist page not yet covered by an issued readahead; lets the
-  // forward posting walk refill its window as multi-page batches.
-  LogicalPageNo ra_frontier_ = 0;
+  ReadaheadWindow readahead_;  // advanced by the forward posting walk
 };
 
 }  // namespace payg

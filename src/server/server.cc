@@ -26,84 +26,12 @@ uint64_t ElapsedUs(Clock::time_point from, Clock::time_point to) {
           .count());
 }
 
-// The engine's typed compares assert on type mismatches (schema-typed
-// queries); the wire is untrusted, so every filter operand is validated
-// against the schema here, before the request can reach a kernel.
-Status CheckOperandType(const TableSchema& schema, const std::string& column,
-                        const Value& v) {
-  const int col = schema.ColumnIndex(column);
-  if (col < 0) {
-    return Status::NotFound("no column named '" + column + "'");
-  }
-  if (schema.columns[col].type != v.type()) {
-    return Status::InvalidArgument("operand type mismatch on column '" +
-                                   column + "'");
-  }
+// Moves a query's result into its response field, or passes the error on.
+template <typename T>
+Status Take(Result<T> result, T* field) {
+  if (!result.ok()) return result.status();
+  *field = std::move(*result);
   return Status::OK();
-}
-
-Status CheckStringColumn(const TableSchema& schema,
-                         const std::string& column) {
-  const int col = schema.ColumnIndex(column);
-  if (col < 0) {
-    return Status::NotFound("no column named '" + column + "'");
-  }
-  if (schema.columns[col].type != ValueType::kString) {
-    return Status::InvalidArgument("prefix filter on non-string column '" +
-                                   column + "'");
-  }
-  return Status::OK();
-}
-
-// Type-validates every filter operand of `req` against `schema`.
-Status ValidateRequest(const TableSchema& schema, const wire::Request& req) {
-  using wire::Op;
-  switch (req.op) {
-    case Op::kPing:
-    case Op::kDumpStats:
-      return Status::OK();
-    case Op::kSelectByValue:
-    case Op::kCountByValue:
-    case Op::kRowIdsByValue:
-      return CheckOperandType(schema, req.column, req.value);
-    case Op::kSelectRange:
-    case Op::kSumRange:
-      PAYG_RETURN_IF_ERROR(CheckOperandType(schema, req.column, req.lo));
-      return CheckOperandType(schema, req.column, req.hi);
-    case Op::kSelectIn:
-    case Op::kCountIn:
-      for (const Value& v : req.values) {
-        PAYG_RETURN_IF_ERROR(CheckOperandType(schema, req.column, v));
-      }
-      return Status::OK();
-    case Op::kSelectPrefix:
-    case Op::kCountPrefix:
-      return CheckStringColumn(schema, req.column);
-    case Op::kSelectWhere:
-    case Op::kCountWhere:
-      for (const Predicate& p : req.predicates) {
-        switch (p.op) {
-          case Predicate::Op::kEq:
-            PAYG_RETURN_IF_ERROR(
-                CheckOperandType(schema, p.column, p.value));
-            break;
-          case Predicate::Op::kBetween:
-            PAYG_RETURN_IF_ERROR(CheckOperandType(schema, p.column, p.lo));
-            PAYG_RETURN_IF_ERROR(CheckOperandType(schema, p.column, p.hi));
-            break;
-          case Predicate::Op::kIn:
-            for (const Value& v : p.values) {
-              PAYG_RETURN_IF_ERROR(CheckOperandType(schema, p.column, v));
-            }
-            break;
-          case Predicate::Op::kPrefix:
-            PAYG_RETURN_IF_ERROR(CheckStringColumn(schema, p.column));
-            break;
-        }
-      }
-      return Status::OK();
-  }
-  return Status::InvalidArgument("unknown opcode");
 }
 
 wire::Response ErrorResponse(const Status& status, uint64_t query_id) {
@@ -529,13 +457,16 @@ void Server::ExecuteBatch(std::vector<Pending*>& batch) {
   if (deadline != Clock::time_point::max()) ctx.deadline = deadline;
 
   // Invalid members (e.g. mistyped probe value) fail alone without
-  // poisoning the merged probe set.
+  // poisoning the merged probe set: each is checked as the conjunct it
+  // would have run as on its own.
   std::vector<Pending*> valid;
   std::vector<Value> probes;
   valid.reserve(batch.size());
   probes.reserve(batch.size());
   for (Pending* p : batch) {
-    Status ok = ValidateRequest(table->schema(), p->req);
+    Status ok =
+        table->CheckPredicate(Predicate::Eq(p->req.column, p->req.value))
+            .status();
     if (!ok.ok()) {
       Complete(p, ErrorResponse(ok, ctx.query_id));
     } else {
@@ -583,8 +514,6 @@ wire::Response Server::ExecuteSingle(const wire::Request& req,
     return ErrorResponse(table_result.status(), 0);
   }
   Table* table = *table_result;
-  Status valid = ValidateRequest(table->schema(), req);
-  if (!valid.ok()) return ErrorResponse(valid, 0);
 
   ExecContext ctx;
   // The remaining budget (absolute, anchored at receipt — queue wait has
@@ -594,85 +523,32 @@ wire::Response Server::ExecuteSingle(const wire::Request& req,
   obs::TraceSpan span("server", "request", ctx.query_id);
   obs::TraceTaskScope task(ctx.query_id);
 
+  // Every query op is its conjuncts plus a result shape; the table checks
+  // the conjuncts' operands against the schema before running them.
+  const std::vector<Predicate> conjuncts = wire::Conjuncts(req);
   wire::Response resp;
   resp.query_id = ctx.query_id;
-  switch (req.op) {
-    case wire::Op::kSelectByValue: {
-      auto r = table->SelectByValue(req.column, req.value,
-                                    req.select_columns, &ctx);
-      if (!r.ok()) return ErrorResponse(r.status(), ctx.query_id);
-      resp.result = std::move(*r);
-      return resp;
-    }
-    case wire::Op::kCountByValue: {
-      auto r = table->CountByValue(req.column, req.value, &ctx);
-      if (!r.ok()) return ErrorResponse(r.status(), ctx.query_id);
-      resp.count = *r;
-      return resp;
-    }
-    case wire::Op::kRowIdsByValue: {
-      auto r = table->RowIdsByValue(req.column, req.value, &ctx);
-      if (!r.ok()) return ErrorResponse(r.status(), ctx.query_id);
-      resp.row_ids = std::move(*r);
-      return resp;
-    }
-    case wire::Op::kSelectRange: {
-      auto r = table->SelectRange(req.column, req.lo, req.hi,
-                                  req.select_columns, &ctx);
-      if (!r.ok()) return ErrorResponse(r.status(), ctx.query_id);
-      resp.result = std::move(*r);
-      return resp;
-    }
-    case wire::Op::kSumRange: {
-      auto r = table->SumRange(req.column, req.lo, req.hi, req.sum_column,
-                               &ctx);
-      if (!r.ok()) return ErrorResponse(r.status(), ctx.query_id);
-      resp.sum = *r;
-      return resp;
-    }
-    case wire::Op::kSelectIn: {
-      auto r = table->SelectIn(req.column, req.values, req.select_columns,
-                               &ctx);
-      if (!r.ok()) return ErrorResponse(r.status(), ctx.query_id);
-      resp.result = std::move(*r);
-      return resp;
-    }
-    case wire::Op::kCountIn: {
-      auto r = table->CountIn(req.column, req.values, &ctx);
-      if (!r.ok()) return ErrorResponse(r.status(), ctx.query_id);
-      resp.count = *r;
-      return resp;
-    }
-    case wire::Op::kSelectPrefix: {
-      auto r = table->SelectPrefix(req.column, req.prefix,
-                                   req.select_columns, &ctx);
-      if (!r.ok()) return ErrorResponse(r.status(), ctx.query_id);
-      resp.result = std::move(*r);
-      return resp;
-    }
-    case wire::Op::kCountPrefix: {
-      auto r = table->CountPrefix(req.column, req.prefix, &ctx);
-      if (!r.ok()) return ErrorResponse(r.status(), ctx.query_id);
-      resp.count = *r;
-      return resp;
-    }
-    case wire::Op::kSelectWhere: {
-      auto r = table->SelectWhere(req.predicates, req.select_columns, &ctx);
-      if (!r.ok()) return ErrorResponse(r.status(), ctx.query_id);
-      resp.result = std::move(*r);
-      return resp;
-    }
-    case wire::Op::kCountWhere: {
-      auto r = table->CountWhere(req.predicates, &ctx);
-      if (!r.ok()) return ErrorResponse(r.status(), ctx.query_id);
-      resp.count = *r;
-      return resp;
-    }
-    case wire::Op::kPing:
-    case wire::Op::kDumpStats:
-      break;  // handled in Dispatch
+  Status s;
+  switch (wire::SpecOf(req.op).shape) {
+    case wire::Shape::kRows:
+      s = Take(table->SelectWhere(conjuncts, req.select_columns, &ctx),
+               &resp.result);
+      break;
+    case wire::Shape::kCount:
+      s = Take(table->CountWhere(conjuncts, &ctx), &resp.count);
+      break;
+    case wire::Shape::kSum:
+      s = Take(table->SumWhere(conjuncts, req.sum_column, &ctx), &resp.sum);
+      break;
+    case wire::Shape::kRowIds:
+      s = Take(table->RowIdsWhere(conjuncts, &ctx), &resp.row_ids);
+      break;
+    case wire::Shape::kNone:  // admin ops are answered in Dispatch
+      s = Status::Internal("unreachable opcode");
+      break;
   }
-  return ErrorResponse(Status::Internal("unreachable opcode"), 0);
+  if (!s.ok()) return ErrorResponse(s, ctx.query_id);
+  return resp;
 }
 
 }  // namespace payg::server

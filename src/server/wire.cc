@@ -6,6 +6,7 @@
 #include <bit>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 
 namespace payg::server::wire {
 
@@ -248,67 +249,78 @@ Code CodeFromStatus(const Status& status) {
   return static_cast<Code>(static_cast<int>(status.code()));
 }
 
+OpSpec SpecOf(Op op) {
+  static constexpr OpSpec kSpecs[] = {
+      {Filter::kNone, Shape::kNone},       // kPing
+      {Filter::kEq, Shape::kRows},         // kSelectByValue
+      {Filter::kEq, Shape::kCount},        // kCountByValue
+      {Filter::kEq, Shape::kRowIds},       // kRowIdsByValue
+      {Filter::kBetween, Shape::kRows},    // kSelectRange
+      {Filter::kBetween, Shape::kSum},     // kSumRange
+      {Filter::kIn, Shape::kRows},         // kSelectIn
+      {Filter::kIn, Shape::kCount},        // kCountIn
+      {Filter::kPrefix, Shape::kRows},     // kSelectPrefix
+      {Filter::kPrefix, Shape::kCount},    // kCountPrefix
+      {Filter::kWhere, Shape::kRows},      // kSelectWhere
+      {Filter::kWhere, Shape::kCount},     // kCountWhere
+      {Filter::kNone, Shape::kNone},       // kDumpStats
+  };
+  const auto i = static_cast<size_t>(op);
+  if (i >= std::size(kSpecs)) return OpSpec{Filter::kNone, Shape::kNone};
+  return kSpecs[i];
+}
+
+std::vector<Predicate> Conjuncts(const Request& req) {
+  switch (SpecOf(req.op).filter) {
+    case Filter::kNone:
+      break;
+    case Filter::kEq:
+      return {Predicate::Eq(req.column, req.value)};
+    case Filter::kBetween:
+      return {Predicate::Between(req.column, req.lo, req.hi)};
+    case Filter::kIn:
+      return {Predicate::In(req.column, req.values)};
+    case Filter::kPrefix:
+      return {Predicate::Prefix(req.column, req.prefix)};
+    case Filter::kWhere:
+      return req.predicates;
+  }
+  return {};
+}
+
 std::string EncodeRequest(const Request& req) {
   std::string out;
   PutU8(&out, static_cast<uint8_t>(req.op));
   PutU64(&out, req.deadline_us);
   PutString(&out, req.table);
-  switch (req.op) {
-    case Op::kPing:
-    case Op::kDumpStats:
+  const OpSpec spec = SpecOf(req.op);
+  switch (spec.filter) {
+    case Filter::kNone:
       break;
-    case Op::kSelectByValue:
-      PutString(&out, req.column);
-      PutValue(&out, req.value);
-      PutStringList(&out, req.select_columns);
-      break;
-    case Op::kCountByValue:
-    case Op::kRowIdsByValue:
+    case Filter::kEq:
       PutString(&out, req.column);
       PutValue(&out, req.value);
       break;
-    case Op::kSelectRange:
+    case Filter::kBetween:
       PutString(&out, req.column);
       PutValue(&out, req.lo);
       PutValue(&out, req.hi);
-      PutStringList(&out, req.select_columns);
       break;
-    case Op::kSumRange:
-      PutString(&out, req.column);
-      PutValue(&out, req.lo);
-      PutValue(&out, req.hi);
-      PutString(&out, req.sum_column);
-      break;
-    case Op::kSelectIn:
-      PutString(&out, req.column);
-      PutValues(&out, req.values);
-      PutStringList(&out, req.select_columns);
-      break;
-    case Op::kCountIn:
+    case Filter::kIn:
       PutString(&out, req.column);
       PutValues(&out, req.values);
       break;
-    case Op::kSelectPrefix:
-      PutString(&out, req.column);
-      PutString(&out, req.prefix);
-      PutStringList(&out, req.select_columns);
-      break;
-    case Op::kCountPrefix:
+    case Filter::kPrefix:
       PutString(&out, req.column);
       PutString(&out, req.prefix);
       break;
-    case Op::kSelectWhere: {
-      PutU32(&out, static_cast<uint32_t>(req.predicates.size()));
-      for (const Predicate& p : req.predicates) PutPredicate(&out, p);
-      PutStringList(&out, req.select_columns);
-      break;
-    }
-    case Op::kCountWhere: {
+    case Filter::kWhere:
       PutU32(&out, static_cast<uint32_t>(req.predicates.size()));
       for (const Predicate& p : req.predicates) PutPredicate(&out, p);
       break;
-    }
   }
+  if (spec.shape == Shape::kRows) PutStringList(&out, req.select_columns);
+  if (spec.shape == Shape::kSum) PutString(&out, req.sum_column);
   return out;
 }
 
@@ -322,43 +334,25 @@ Status DecodeRequest(std::string_view payload, Request* out) {
   if (!c.GetU64(&out->deadline_us) || !c.GetString(&out->table)) {
     return Truncated();
   }
+  const OpSpec spec = SpecOf(out->op);
   bool ok = true;
-  switch (out->op) {
-    case Op::kPing:
-    case Op::kDumpStats:
+  switch (spec.filter) {
+    case Filter::kNone:
       break;
-    case Op::kSelectByValue:
-      ok = c.GetString(&out->column) && c.GetValue(&out->value) &&
-           GetStringList(&c, &out->select_columns);
-      break;
-    case Op::kCountByValue:
-    case Op::kRowIdsByValue:
+    case Filter::kEq:
       ok = c.GetString(&out->column) && c.GetValue(&out->value);
       break;
-    case Op::kSelectRange:
+    case Filter::kBetween:
       ok = c.GetString(&out->column) && c.GetValue(&out->lo) &&
-           c.GetValue(&out->hi) && GetStringList(&c, &out->select_columns);
+           c.GetValue(&out->hi);
       break;
-    case Op::kSumRange:
-      ok = c.GetString(&out->column) && c.GetValue(&out->lo) &&
-           c.GetValue(&out->hi) && c.GetString(&out->sum_column);
-      break;
-    case Op::kSelectIn:
-      ok = c.GetString(&out->column) && GetValues(&c, &out->values) &&
-           GetStringList(&c, &out->select_columns);
-      break;
-    case Op::kCountIn:
+    case Filter::kIn:
       ok = c.GetString(&out->column) && GetValues(&c, &out->values);
       break;
-    case Op::kSelectPrefix:
-      ok = c.GetString(&out->column) && c.GetString(&out->prefix) &&
-           GetStringList(&c, &out->select_columns);
-      break;
-    case Op::kCountPrefix:
+    case Filter::kPrefix:
       ok = c.GetString(&out->column) && c.GetString(&out->prefix);
       break;
-    case Op::kSelectWhere:
-    case Op::kCountWhere: {
+    case Filter::kWhere: {
       uint32_t n = 0;
       // Bound against the bytes actually left in the frame, not the frame
       // size: a payload whose table string eats the frame could otherwise
@@ -376,12 +370,13 @@ Status DecodeRequest(std::string_view payload, Request* out) {
           }
         }
       }
-      if (ok && out->op == Op::kSelectWhere) {
-        ok = GetStringList(&c, &out->select_columns);
-      }
       break;
     }
   }
+  if (ok && spec.shape == Shape::kRows) {
+    ok = GetStringList(&c, &out->select_columns);
+  }
+  if (ok && spec.shape == Shape::kSum) ok = c.GetString(&out->sum_column);
   if (!ok) return Truncated();
   return Status::OK();
 }
@@ -394,27 +389,19 @@ std::string EncodeResponse(Op op, const Response& resp) {
     PutString(&out, resp.message);
     return out;
   }
-  switch (op) {
-    case Op::kPing:
-    case Op::kDumpStats:
+  switch (SpecOf(op).shape) {
+    case Shape::kNone:
       break;
-    case Op::kSelectByValue:
-    case Op::kSelectRange:
-    case Op::kSelectIn:
-    case Op::kSelectPrefix:
-    case Op::kSelectWhere:
+    case Shape::kRows:
       PutQueryResult(&out, resp.result);
       break;
-    case Op::kCountByValue:
-    case Op::kCountIn:
-    case Op::kCountPrefix:
-    case Op::kCountWhere:
+    case Shape::kCount:
       PutU64(&out, resp.count);
       break;
-    case Op::kSumRange:
+    case Shape::kSum:
       PutU64(&out, std::bit_cast<uint64_t>(resp.sum));
       break;
-    case Op::kRowIdsByValue:
+    case Shape::kRowIds:
       PutU32(&out, static_cast<uint32_t>(resp.row_ids.size()));
       for (const RowId& id : resp.row_ids) {
         PutU32(&out, id.partition);
@@ -435,30 +422,22 @@ Status DecodeResponse(Op op, std::string_view payload, Response* out) {
     return Status::OK();
   }
   bool ok = true;
-  switch (op) {
-    case Op::kPing:
-    case Op::kDumpStats:
+  switch (SpecOf(op).shape) {
+    case Shape::kNone:
       break;
-    case Op::kSelectByValue:
-    case Op::kSelectRange:
-    case Op::kSelectIn:
-    case Op::kSelectPrefix:
-    case Op::kSelectWhere:
+    case Shape::kRows:
       ok = GetQueryResult(&c, &out->result);
       break;
-    case Op::kCountByValue:
-    case Op::kCountIn:
-    case Op::kCountPrefix:
-    case Op::kCountWhere:
+    case Shape::kCount:
       ok = c.GetU64(&out->count);
       break;
-    case Op::kSumRange: {
+    case Shape::kSum: {
       uint64_t raw = 0;
       ok = c.GetU64(&raw);
       if (ok) out->sum = std::bit_cast<double>(raw);
       break;
     }
-    case Op::kRowIdsByValue: {
+    case Shape::kRowIds: {
       uint32_t n = 0;
       ok = c.GetU32(&n) &&
            static_cast<size_t>(n) * 8 <= c.data.size() - c.pos;

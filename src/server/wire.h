@@ -60,6 +60,23 @@ inline bool IsBatchable(Op op) {
   return op == Op::kSelectByValue || op == Op::kCountByValue;
 }
 
+// The filter operands a request carries: a single-column conjunct of one
+// Predicate kind (column + value / lo, hi / values / prefix), a WHERE list,
+// or nothing (admin ops).
+enum class Filter : uint8_t { kNone, kEq, kBetween, kIn, kPrefix, kWhere };
+
+// The result a response carries, and so which Response field holds it.
+// kRows requests also carry a select list, kSum requests a sum column.
+enum class Shape : uint8_t { kNone, kRows, kCount, kSum, kRowIds };
+
+// Per-op layout, read from one table by the request and response codecs
+// and by the server's dispatch.
+struct OpSpec {
+  Filter filter;
+  Shape shape;
+};
+OpSpec SpecOf(Op op);
+
 // Response status. Values < 100 mirror payg::StatusCode one to one; values
 // >= 100 are produced by the server shell itself, never by the engine —
 // clients distinguish "the query failed" from "the server refused to run
@@ -106,7 +123,7 @@ struct Request {
 };
 
 // Response for any opcode; which result field is meaningful follows from
-// the request's opcode.
+// the request opcode's Shape.
 struct Response {
   Code code = Code::kOk;
   uint64_t query_id = 0;
@@ -116,6 +133,9 @@ struct Response {
   double sum = 0;               // kSumRange
   std::vector<RowId> row_ids;   // kRowIdsByValue
 };
+
+// The request's filter as WHERE conjuncts (one for the single-column ops).
+std::vector<Predicate> Conjuncts(const Request& req);
 
 std::string EncodeRequest(const Request& req);
 Status DecodeRequest(std::string_view payload, Request* out);

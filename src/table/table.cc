@@ -2,10 +2,328 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <unordered_map>
 
 namespace payg {
+
+namespace {
+
+// One conjunct translated into a main fragment's vid space through its
+// order-preserving dictionary (§3.1.2). Values absent from the dictionary
+// drop out; a conjunct nothing in the fragment can satisfy is kNone.
+struct VidPredicate {
+  enum class Kind { kNone, kEq, kRange, kSet };
+  Kind kind = Kind::kNone;
+  ValueId lo = 0, hi = 0;     // kEq (lo == hi) and kRange, inclusive
+  std::vector<ValueId> set;   // kSet: ascending, unique
+  // kSet: for set[k], the indices of the IN values that map to it.
+  std::vector<std::vector<uint32_t>> set_values;
+};
+
+// The one dictionary translation: equality → one vid, BETWEEN and LIKE
+// 'p%' → a vid range, IN → a sorted vid set.
+Result<VidPredicate> CompilePredicate(FragmentReader* reader,
+                                      uint64_t dict_size,
+                                      const Predicate& pred) {
+  VidPredicate vp;
+  ValueId lo = 0, hi_excl = 0;
+  switch (pred.op) {
+    case Predicate::Op::kEq: {
+      PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->FindValueId(pred.value));
+      if (vid != kInvalidValueId) {
+        vp.kind = VidPredicate::Kind::kEq;
+        vp.lo = vp.hi = vid;
+      }
+      return vp;
+    }
+    case Predicate::Op::kIn: {
+      std::vector<std::pair<ValueId, uint32_t>> hits;
+      for (uint32_t j = 0; j < pred.values.size(); ++j) {
+        PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->FindValueId(pred.values[j]));
+        if (vid != kInvalidValueId) hits.emplace_back(vid, j);
+      }
+      std::sort(hits.begin(), hits.end());
+      for (const auto& [vid, j] : hits) {
+        if (vp.set.empty() || vp.set.back() != vid) {
+          vp.set.push_back(vid);
+          vp.set_values.emplace_back();
+        }
+        vp.set_values.back().push_back(j);
+      }
+      if (!vp.set.empty()) vp.kind = VidPredicate::Kind::kSet;
+      return vp;
+    }
+    case Predicate::Op::kBetween: {
+      PAYG_ASSIGN_OR_RETURN(lo, reader->LowerBoundVid(pred.lo));
+      PAYG_ASSIGN_OR_RETURN(hi_excl, reader->UpperBoundVid(pred.hi));
+      break;
+    }
+    case Predicate::Op::kPrefix: {
+      // [LowerBound(prefix), LowerBound(successor)) is exactly the vid range
+      // of strings starting with `prefix`. The successor is the prefix with
+      // its last byte bumped after dropping trailing 0xFF bytes; a prefix of
+      // only 0xFF bytes (or the empty prefix) has none, and everything from
+      // LowerBound(prefix) on matches.
+      PAYG_ASSIGN_OR_RETURN(lo, reader->LowerBoundVid(Value(pred.prefix)));
+      std::string successor = pred.prefix;
+      while (!successor.empty() &&
+             static_cast<unsigned char>(successor.back()) == 0xFF) {
+        successor.pop_back();
+      }
+      hi_excl = static_cast<ValueId>(dict_size);
+      if (!successor.empty()) {
+        ++successor.back();
+        PAYG_ASSIGN_OR_RETURN(hi_excl, reader->LowerBoundVid(Value(successor)));
+      }
+      break;
+    }
+  }
+  if (lo < hi_excl) {
+    vp.kind = VidPredicate::Kind::kRange;
+    vp.lo = lo;
+    vp.hi = hi_excl - 1;
+  }
+  return vp;
+}
+
+// Value-space test of one conjunct: the delta side, whose dictionary is
+// unordered and so has no vid space to compile into.
+bool EvalPredicate(const Predicate& pred, const Value& v) {
+  switch (pred.op) {
+    case Predicate::Op::kEq:
+      return v == pred.value;
+    case Predicate::Op::kBetween:
+      return v.Compare(pred.lo) >= 0 && v.Compare(pred.hi) <= 0;
+    case Predicate::Op::kIn:
+      return std::find(pred.values.begin(), pred.values.end(), v) !=
+             pred.values.end();
+    case Predicate::Op::kPrefix: {
+      const std::string& s = v.AsString();
+      return s.size() >= pred.prefix.size() &&
+             s.compare(0, pred.prefix.size(), pred.prefix) == 0;
+    }
+  }
+  return false;
+}
+
+// Main rows [0, row_count) whose vid satisfies `vp`. Equality goes through
+// FindRows (the inverted index when present, Alg. 5; else Alg. 1), ranges
+// through SearchVidRange. Sets go through SearchVidSet in chunks of the
+// size the SIMD tiers evaluate exactly (one cmpeq per probe); beyond that
+// the kernels degrade to a band prefilter plus a scalar membership check
+// per candidate, which for a wide band costs more than another pass over
+// the (now hot) pages.
+Status SearchMain(FragmentReader* reader, const VidPredicate& vp,
+                  RowPos row_count, std::vector<RowPos>* out) {
+  constexpr size_t kProbeChunk = 16;
+  switch (vp.kind) {
+    case VidPredicate::Kind::kNone:
+      return Status::OK();
+    case VidPredicate::Kind::kEq:
+      return reader->FindRows(vp.lo, out);
+    case VidPredicate::Kind::kRange:
+      return reader->SearchVidRange(0, row_count, vp.lo, vp.hi, out);
+    case VidPredicate::Kind::kSet:
+      if (vp.set.size() <= kProbeChunk) {
+        return reader->SearchVidSet(0, row_count, vp.set, out);
+      }
+      for (size_t c = 0; c < vp.set.size(); c += kProbeChunk) {
+        const auto first = vp.set.begin() + static_cast<ptrdiff_t>(c);
+        const std::vector<ValueId> chunk(
+            first, first + static_cast<ptrdiff_t>(
+                               std::min(kProbeChunk, vp.set.size() - c)));
+        PAYG_RETURN_IF_ERROR(reader->SearchVidSet(0, row_count, chunk, out));
+      }
+      // Chunks interleave in row space; restore ascending row order.
+      std::sort(out->begin(), out->end());
+      return Status::OK();
+  }
+  return Status::Internal("unknown vid predicate");
+}
+
+// Keeps the candidate rows (ascending) that also satisfy `pred`: main rows
+// through the compiled predicate — the search variety over a row list
+// (§3.1.2) or set membership — and delta rows by value.
+Status Narrow(Partition* part, const Predicate& pred, int col,
+              ExecContext* ctx, std::vector<RowPos>* rows) {
+  const RowPos base = static_cast<RowPos>(part->main_row_count());
+  std::vector<RowPos> main_rows, kept;
+  for (RowPos r : *rows) {
+    if (r < base) main_rows.push_back(r);
+  }
+  if (!main_rows.empty()) {
+    PAYG_ASSIGN_OR_RETURN(auto reader, part->main(col)->NewReader(ctx));
+    PAYG_ASSIGN_OR_RETURN(
+        VidPredicate vp,
+        CompilePredicate(reader.get(), part->main(col)->dict_size(), pred));
+    switch (vp.kind) {
+      case VidPredicate::Kind::kNone:
+        break;
+      case VidPredicate::Kind::kEq:
+      case VidPredicate::Kind::kRange:
+        PAYG_RETURN_IF_ERROR(
+            reader->FilterRows(main_rows, vp.lo, vp.hi, &kept));
+        break;
+      case VidPredicate::Kind::kSet:
+        for (RowPos r : main_rows) {
+          PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->GetVid(r));
+          if (std::binary_search(vp.set.begin(), vp.set.end(), vid)) {
+            kept.push_back(r);
+          }
+        }
+        CountRowsScanned(ctx, main_rows.size());
+        break;
+    }
+  }
+  DeltaFragment* delta = part->delta(col);
+  for (size_t i = main_rows.size(); i < rows->size(); ++i) {
+    const RowPos r = (*rows)[i];
+    if (EvalPredicate(pred, delta->GetValue(delta->GetVid(r - base)))) {
+      kept.push_back(r);
+    }
+  }
+  CountRowsScanned(ctx, rows->size() - main_rows.size());
+  *rows = std::move(kept);
+  return Status::OK();
+}
+
+// The visible rows of `part` matching every conjunct (`cols` holds their
+// checked column indices), ascending. conjuncts[0] drives: compiled
+// through the dictionary and searched on the main fragment, looked up or
+// tested on the delta. The rest narrow the visible candidates.
+//
+// With `row_values`, conjuncts[0] is an IN list and each matched row also
+// gets the indices of the IN values it equals: main rows through the
+// compiled set's vid→value map and the driver's live reader (the search
+// left their pages hot), delta rows by value.
+Status MatchPartition(Partition* part, const std::vector<Predicate>& conjuncts,
+                      const std::vector<int>& cols, ExecContext* ctx,
+                      std::vector<RowPos>* out,
+                      std::vector<std::vector<uint32_t>>* row_values) {
+  const Predicate& first = conjuncts[0];
+  const RowPos base = static_cast<RowPos>(part->main_row_count());
+  std::vector<RowPos> rows;
+  std::unique_ptr<FragmentReader> reader;
+  VidPredicate driver;
+  if (part->main(cols[0]) != nullptr && base > 0) {
+    PAYG_ASSIGN_OR_RETURN(reader, part->main(cols[0])->NewReader(ctx));
+    PAYG_ASSIGN_OR_RETURN(
+        driver, CompilePredicate(reader.get(),
+                                 part->main(cols[0])->dict_size(), first));
+    PAYG_RETURN_IF_ERROR(SearchMain(reader.get(), driver, base, &rows));
+  }
+  // The delta: equality keeps the hash/postings lookup, the other ops test
+  // each distinct delta value once.
+  DeltaFragment* delta = part->delta(cols[0]);
+  std::vector<RowPos> delta_rows;
+  if (first.op == Predicate::Op::kEq) {
+    delta->FindRows(first.value, &delta_rows);
+  } else {
+    delta->FindRowsMatching(
+        [&first](const Value& v) { return EvalPredicate(first, v); },
+        &delta_rows);
+  }
+  CountRowsScanned(ctx, delta->row_count());
+  for (RowPos r : delta_rows) rows.push_back(base + r);
+  rows.erase(std::remove_if(rows.begin(), rows.end(),
+                            [part](RowPos r) { return !part->IsVisible(r); }),
+             rows.end());
+  for (size_t i = 1; i < conjuncts.size() && !rows.empty(); ++i) {
+    PAYG_RETURN_IF_ERROR(Narrow(part, conjuncts[i], cols[i], ctx, &rows));
+  }
+
+  if (row_values != nullptr) {
+    std::unordered_map<ValueId, std::vector<uint32_t>> delta_values;
+    for (RowPos r : rows) {
+      if (r < base) {
+        PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->GetVid(r));
+        const auto it =
+            std::lower_bound(driver.set.begin(), driver.set.end(), vid);
+        PAYG_ASSERT(it != driver.set.end() && *it == vid);
+        row_values->push_back(driver.set_values[it - driver.set.begin()]);
+        continue;
+      }
+      const ValueId dvid = delta->GetVid(r - base);
+      auto [it, fresh] = delta_values.try_emplace(dvid);
+      if (fresh) {
+        const Value& v = delta->GetValue(dvid);
+        for (uint32_t j = 0; j < first.values.size(); ++j) {
+          if (first.values[j] == v) it->second.push_back(j);
+        }
+      }
+      row_values->push_back(it->second);
+    }
+  }
+  *out = std::move(rows);
+  return Status::OK();
+}
+
+// Calls fn(i, as(value)) with column `col`'s value of rows[i], in order.
+// Main rows decode each distinct vid through the dictionary and `as` once;
+// the memo holds what `as` returns.
+template <typename As, typename Fn>
+Status VisitColumn(Partition* part, int col, const std::vector<RowPos>& rows,
+                   ExecContext* ctx, As as, Fn fn) {
+  const RowPos base = static_cast<RowPos>(part->main_row_count());
+  DeltaFragment* delta = part->delta(col);
+  std::unique_ptr<FragmentReader> reader;
+  std::unordered_map<ValueId, decltype(as(Value()))> memo;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i] >= base) {
+      fn(i, as(delta->GetValue(delta->GetVid(rows[i] - base))));
+      continue;
+    }
+    if (reader == nullptr) {
+      PAYG_ASSIGN_OR_RETURN(reader, part->main(col)->NewReader(ctx));
+    }
+    PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->GetVid(rows[i]));
+    auto it = memo.find(vid);
+    if (it == memo.end()) {
+      PAYG_ASSIGN_OR_RETURN(Value v, reader->GetValueForVid(vid));
+      it = memo.emplace(vid, as(std::move(v))).first;
+    }
+    fn(i, it->second);
+  }
+  return Status::OK();
+}
+
+// Late materialization (§1): one column at a time, so each column's
+// dictionary pages are touched once per query, not once per row.
+Status Materialize(Partition* part, const std::vector<RowPos>& rows,
+                   const std::vector<int>& cols, ExecContext* ctx,
+                   QueryResult* result) {
+  result->rows.resize(rows.size());
+  for (auto& row : result->rows) row.reserve(cols.size());
+  for (int col : cols) {
+    PAYG_RETURN_IF_ERROR(VisitColumn(
+        part, col, rows, ctx, [](Value v) { return v; },
+        [result](size_t i, Value v) {
+          result->rows[i].push_back(std::move(v));
+        }));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+// What a query collects from its matched rows. The per-probe kinds
+// attribute rows to the values of the query's single IN conjunct.
+struct Table::Sink {
+  enum class Kind { kRows, kCount, kSum, kRowIds, kProbeRows, kProbeCounts };
+  Kind kind;
+  std::vector<int> cols;  // kRows/kProbeRows: select list; kSum: summed col
+};
+
+// One partition's (and, merged, the query's) sink output; only the fields
+// of the sink's kind are filled.
+struct Table::SinkOutput {
+  QueryResult rows;
+  uint64_t count = 0;
+  double sum = 0;
+  std::vector<RowId> row_ids;
+  std::vector<QueryResult> probe_rows;  // one per IN value
+  std::vector<uint64_t> probe_counts;   // one per IN value
+};
 
 Table::Table(TableSchema schema, StorageManager* storage, ResourceManager* rm,
              const ExecOptions& exec_options)
@@ -75,18 +393,21 @@ Result<uint64_t> Table::AgeRows(const Value& threshold) {
   }
   Partition* hot_part = partitions_[0].get();
   Partition* cold_part = partitions_.back().get();
-  const int temp_col = schema_.temperature_column;
+  const ColumnSchema& temp = schema_.columns[schema_.temperature_column];
 
   // Find hot rows whose temperature is <= threshold.
-  std::vector<RowPos> victims;
-  PAYG_RETURN_IF_ERROR(FindMatchesRange(
-      hot_part, temp_col,
-      schema_.columns[temp_col].type == ValueType::kInt64
+  const std::vector<Predicate> aged = {Predicate::Between(
+      temp.name,
+      temp.type == ValueType::kInt64
           ? Value(std::numeric_limits<int64_t>::min())
-          : (schema_.columns[temp_col].type == ValueType::kDouble
+          : (temp.type == ValueType::kDouble
                  ? Value(-std::numeric_limits<double>::infinity())
                  : Value(std::string())),
-      threshold, /*ctx=*/nullptr, &victims));
+      threshold)};
+  PAYG_ASSIGN_OR_RETURN(int temp_col, CheckPredicate(aged[0]));
+  std::vector<RowPos> victims;
+  PAYG_RETURN_IF_ERROR(MatchPartition(hot_part, aged, {temp_col},
+                                      /*ctx=*/nullptr, &victims, nullptr));
 
   // The move is ordinary DML (§4.2): insert into the cold delta, delete
   // from hot. No reorganisation of existing data happens here.
@@ -135,779 +456,241 @@ Result<std::vector<int>> Table::ResolveColumns(
   return cols;
 }
 
-// ---------------------------------------------------------------------------
-// Fan-out/merge drivers. Every query template reduces to one of these; the
-// executor runs `matcher` per partition (inline when worker_threads = 0) and
-// task i writes only slot i of the partials vector, so the merge below —
-// always in partition-id order — reproduces the serial loop's output exactly.
-// ---------------------------------------------------------------------------
-
-Result<QueryResult> Table::ExecuteSelect(const PartitionMatcher& matcher,
-                                         const std::vector<int>& select_cols,
-                                         ExecContext* ctx) {
-  const size_t n = partitions_.size();
-  std::vector<QueryResult> partials(n);
-  PAYG_RETURN_IF_ERROR(
-      executor_->ForEach(ctx, n, [&](size_t i) -> Status {
-        Partition* part = partitions_[i].get();
-        CountPartitionVisited(ctx);
-        std::vector<RowPos> rows;
-        PAYG_RETURN_IF_ERROR(matcher(part, ctx, &rows));
-        return MaterializeRows(part, rows, select_cols, ctx, &partials[i]);
-      }));
-  QueryResult result;
-  size_t total = 0;
-  for (const QueryResult& p : partials) total += p.rows.size();
-  result.rows.reserve(total);
-  for (QueryResult& p : partials) {
-    for (auto& row : p.rows) result.rows.push_back(std::move(row));
-  }
-  return result;
-}
-
-Result<uint64_t> Table::ExecuteCount(const PartitionMatcher& matcher,
-                                     ExecContext* ctx) {
-  const size_t n = partitions_.size();
-  std::vector<uint64_t> partials(n, 0);
-  PAYG_RETURN_IF_ERROR(
-      executor_->ForEach(ctx, n, [&](size_t i) -> Status {
-        Partition* part = partitions_[i].get();
-        CountPartitionVisited(ctx);
-        std::vector<RowPos> rows;
-        PAYG_RETURN_IF_ERROR(matcher(part, ctx, &rows));
-        partials[i] = rows.size();
-        return Status::OK();
-      }));
-  uint64_t count = 0;
-  for (uint64_t c : partials) count += c;
-  return count;
-}
-
-Result<std::vector<RowId>> Table::ExecuteRowIds(const PartitionMatcher& matcher,
-                                                ExecContext* ctx) {
-  const size_t n = partitions_.size();
-  std::vector<std::vector<RowId>> partials(n);
-  PAYG_RETURN_IF_ERROR(
-      executor_->ForEach(ctx, n, [&](size_t i) -> Status {
-        Partition* part = partitions_[i].get();
-        CountPartitionVisited(ctx);
-        std::vector<RowPos> rows;
-        PAYG_RETURN_IF_ERROR(matcher(part, ctx, &rows));
-        partials[i].reserve(rows.size());
-        for (RowPos r : rows) partials[i].push_back(RowId{part->id(), r});
-        return Status::OK();
-      }));
-  std::vector<RowId> ids;
-  size_t total = 0;
-  for (const auto& p : partials) total += p.size();
-  ids.reserve(total);
-  for (auto& p : partials) ids.insert(ids.end(), p.begin(), p.end());
-  return ids;
-}
-
-Result<double> Table::ExecuteSum(const PartitionMatcher& matcher, int sum_col,
-                                 ExecContext* ctx) {
-  const ValueType stype = schema_.columns[sum_col].type;
-  const size_t n = partitions_.size();
-  // Per-partition partial sums merged in partition order: floating-point
-  // addition is not associative, so both serial and parallel mode use this
-  // exact grouping to make the results bit-identical.
-  std::vector<double> partials(n, 0.0);
-  PAYG_RETURN_IF_ERROR(
-      executor_->ForEach(ctx, n, [&](size_t i) -> Status {
-        Partition* part = partitions_[i].get();
-        CountPartitionVisited(ctx);
-        std::vector<RowPos> rows;
-        PAYG_RETURN_IF_ERROR(matcher(part, ctx, &rows));
-        if (rows.empty()) return Status::OK();
-        const RowPos base = static_cast<RowPos>(part->main_row_count());
-        std::unique_ptr<FragmentReader> reader;
-        std::unordered_map<ValueId, double> memo;
-        double sum = 0;
-        for (RowPos r : rows) {
-          double v;
-          if (r < base) {
-            if (reader == nullptr) {
-              PAYG_ASSIGN_OR_RETURN(reader,
-                                    part->main(sum_col)->NewReader(ctx));
-            }
-            PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->GetVid(r));
-            auto it = memo.find(vid);
-            if (it == memo.end()) {
-              PAYG_ASSIGN_OR_RETURN(Value mv, reader->GetValueForVid(vid));
-              double d = stype == ValueType::kInt64
-                             ? static_cast<double>(mv.AsInt64())
-                             : mv.AsDouble();
-              it = memo.emplace(vid, d).first;
-            }
-            v = it->second;
-          } else {
-            DeltaFragment* delta = part->delta(sum_col);
-            const Value& mv = delta->GetValue(delta->GetVid(r - base));
-            v = stype == ValueType::kInt64 ? static_cast<double>(mv.AsInt64())
-                                           : mv.AsDouble();
-          }
-          sum += v;
-        }
-        partials[i] = sum;
-        return Status::OK();
-      }));
-  double sum = 0;
-  for (double p : partials) sum += p;
-  return sum;
-}
-
-Status Table::FindMatches(Partition* part, int col, const Value& value,
-                          ExecContext* ctx, std::vector<RowPos>* out) {
-  std::vector<RowPos> rows;
-  // Main fragment: dictionary probe, then inverted index (Alg. 5) or data
-  // vector scan (Alg. 1).
-  if (part->main(col) != nullptr && part->main_row_count() > 0) {
-    PAYG_ASSIGN_OR_RETURN(auto reader, part->main(col)->NewReader(ctx));
-    PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->FindValueId(value));
-    if (vid != kInvalidValueId) {
-      PAYG_RETURN_IF_ERROR(reader->FindRows(vid, &rows));
-    }
-  }
-  // Delta fragment (always a full value-space scan of the delta).
-  std::vector<RowPos> delta_rows;
-  part->delta(col)->FindRows(value, &delta_rows);
-  CountRowsScanned(ctx, part->delta(col)->row_count());
-  const RowPos base = static_cast<RowPos>(part->main_row_count());
-  for (RowPos r : delta_rows) rows.push_back(base + r);
-  // Visibility.
-  for (RowPos r : rows) {
-    if (part->IsVisible(r)) out->push_back(r);
-  }
-  return Status::OK();
-}
-
-Status Table::MultiFindMatches(Partition* part, int col,
-                               const std::vector<Value>& probes,
-                               ExecContext* ctx, std::vector<RowPos>* rows,
-                               std::vector<std::vector<uint32_t>>* row_probes) {
-  // Probe the dictionary once per distinct probe and remember which probe
-  // indices each vid answers (duplicate probes share a vid; absent probes
-  // drop out here and keep empty result slots).
-  std::map<ValueId, std::vector<uint32_t>> vid_probes;
-  if (part->main(col) != nullptr && part->main_row_count() > 0) {
-    PAYG_ASSIGN_OR_RETURN(auto reader, part->main(col)->NewReader(ctx));
-    for (uint32_t j = 0; j < probes.size(); ++j) {
-      PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->FindValueId(probes[j]));
-      if (vid != kInvalidValueId) vid_probes[vid].push_back(j);
-    }
-    if (!vid_probes.empty()) {
-      std::vector<ValueId> vids;
-      vids.reserve(vid_probes.size());
-      for (const auto& [vid, unused] : vid_probes) vids.push_back(vid);
-      // search_in dispatches over the merged sorted probe set — the scan
-      // every probe of this batch shares. Probe sets are chunked to the
-      // size the SIMD tiers evaluate exactly (one cmpeq per probe); beyond
-      // that the kernels degrade to a band prefilter + scalar membership
-      // check per candidate, which for a wide probe band costs more than a
-      // second pass over the (now hot) pages.
-      constexpr size_t kProbeChunk = 16;
-      std::vector<RowPos> matched;
-      for (size_t c = 0; c < vids.size(); c += kProbeChunk) {
-        std::vector<ValueId> chunk(
-            vids.begin() + static_cast<ptrdiff_t>(c),
-            vids.begin() +
-                static_cast<ptrdiff_t>(std::min(c + kProbeChunk, vids.size())));
-        PAYG_RETURN_IF_ERROR(reader->SearchVidSet(
-            0, static_cast<RowPos>(part->main_row_count()), chunk, &matched));
+Result<int> Table::CheckPredicate(const Predicate& pred) const {
+  const int col = schema_.ColumnIndex(pred.column);
+  if (col < 0) return Status::NotFound("no such column: " + pred.column);
+  const ValueType type = schema_.columns[col].type;
+  auto mistyped = [type](const Value& v) { return v.type() != type; };
+  bool bad = false;
+  switch (pred.op) {
+    case Predicate::Op::kEq:
+      bad = mistyped(pred.value);
+      break;
+    case Predicate::Op::kBetween:
+      bad = mistyped(pred.lo) || mistyped(pred.hi);
+      break;
+    case Predicate::Op::kIn:
+      bad = std::any_of(pred.values.begin(), pred.values.end(), mistyped);
+      break;
+    case Predicate::Op::kPrefix:
+      if (type != ValueType::kString) {
+        return Status::InvalidArgument(
+            "prefix predicate on non-string column " + pred.column);
       }
-      // Chunks interleave in row space; restore ascending row order so the
-      // per-probe results match what individual lookups would return.
-      std::sort(matched.begin(), matched.end());
-      for (RowPos r : matched) {
-        if (!part->IsVisible(r)) continue;
-        // Attribute the row to its probes. The row's pages are pinned hot
-        // from the search, so re-decoding the vid is cheap.
-        PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->GetVid(r));
-        auto it = vid_probes.find(vid);
-        PAYG_ASSERT(it != vid_probes.end());
-        rows->push_back(r);
-        row_probes->push_back(it->second);
-      }
-    }
+      break;
   }
-  // Delta: one value-space pass over the delta rows for the whole batch
-  // (individual lookups scan it once per probe).
-  std::map<std::string, std::vector<uint32_t>> key_probes;
-  for (uint32_t j = 0; j < probes.size(); ++j) {
-    key_probes[probes[j].EncodeKey()].push_back(j);
+  if (bad) {
+    return Status::InvalidArgument("operand type does not match column " +
+                                   pred.column);
   }
-  DeltaFragment* delta = part->delta(col);
-  const RowPos base = static_cast<RowPos>(part->main_row_count());
-  const uint64_t delta_rows = delta->row_count();
-  for (uint64_t r = 0; r < delta_rows; ++r) {
-    const Value& v = delta->GetValue(delta->GetVid(static_cast<RowPos>(r)));
-    auto it = key_probes.find(v.EncodeKey());
-    if (it == key_probes.end()) continue;
-    const RowPos pos = base + static_cast<RowPos>(r);
-    if (!part->IsVisible(pos)) continue;
-    rows->push_back(pos);
-    row_probes->push_back(it->second);
-  }
-  CountRowsScanned(ctx, delta_rows);
-  return Status::OK();
+  return col;
 }
 
-Status Table::FindMatchesRange(Partition* part, int col, const Value& lo,
-                               const Value& hi, ExecContext* ctx,
-                               std::vector<RowPos>* out) {
-  std::vector<RowPos> rows;
-  if (part->main(col) != nullptr && part->main_row_count() > 0) {
-    PAYG_ASSIGN_OR_RETURN(auto reader, part->main(col)->NewReader(ctx));
-    PAYG_ASSIGN_OR_RETURN(ValueId vlo, reader->LowerBoundVid(lo));
-    PAYG_ASSIGN_OR_RETURN(ValueId vhi_excl, reader->UpperBoundVid(hi));
-    if (vlo < vhi_excl) {
-      PAYG_RETURN_IF_ERROR(reader->SearchVidRange(
-          0, static_cast<RowPos>(part->main_row_count()), vlo, vhi_excl - 1,
-          &rows));
-    }
+Result<Table::SinkOutput> Table::Run(const std::vector<Predicate>& conjuncts,
+                                     const Sink& sink, ExecContext* ctx) {
+  if (conjuncts.empty()) {
+    return Status::InvalidArgument("a query needs at least one conjunct");
   }
-  std::vector<RowPos> delta_rows;
-  part->delta(col)->FindRowsInRange(lo, hi, &delta_rows);
-  CountRowsScanned(ctx, part->delta(col)->row_count());
-  const RowPos base = static_cast<RowPos>(part->main_row_count());
-  for (RowPos r : delta_rows) rows.push_back(base + r);
-  for (RowPos r : rows) {
-    if (part->IsVisible(r)) out->push_back(r);
+  std::vector<int> cols;
+  for (const Predicate& pred : conjuncts) {
+    PAYG_ASSIGN_OR_RETURN(int col, CheckPredicate(pred));
+    cols.push_back(col);
   }
-  return Status::OK();
-}
+  const bool per_probe = sink.kind == Sink::Kind::kProbeRows ||
+                         sink.kind == Sink::Kind::kProbeCounts;
+  const size_t probes = conjuncts[0].values.size();
 
-Status Table::FindMatchesIn(Partition* part, int col,
-                            const std::vector<Value>& values, ExecContext* ctx,
-                            std::vector<RowPos>* out) {
-  std::vector<RowPos> rows;
-  if (part->main(col) != nullptr && part->main_row_count() > 0) {
-    PAYG_ASSIGN_OR_RETURN(auto reader, part->main(col)->NewReader(ctx));
-    // Translate the IN-list into a sorted vid set through the dictionary;
-    // absent values simply drop out.
-    std::vector<ValueId> vids;
-    for (const Value& v : values) {
-      PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->FindValueId(v));
-      if (vid != kInvalidValueId) vids.push_back(vid);
-    }
-    std::sort(vids.begin(), vids.end());
-    vids.erase(std::unique(vids.begin(), vids.end()), vids.end());
-    if (!vids.empty()) {
-      PAYG_RETURN_IF_ERROR(reader->SearchVidSet(
-          0, static_cast<RowPos>(part->main_row_count()), vids, &rows));
-    }
-  }
-  std::vector<RowPos> delta_rows;
-  part->delta(col)->FindRowsMatching(
-      [&values](const Value& v) {
-        for (const Value& probe : values) {
-          if (v == probe) return true;
-        }
-        return false;
-      },
-      &delta_rows);
-  CountRowsScanned(ctx, part->delta(col)->row_count());
-  const RowPos base = static_cast<RowPos>(part->main_row_count());
-  for (RowPos r : delta_rows) rows.push_back(base + r);
-  for (RowPos r : rows) {
-    if (part->IsVisible(r)) out->push_back(r);
-  }
-  return Status::OK();
-}
-
-Status Table::FindMatchesPrefix(Partition* part, int col,
-                                const std::string& prefix, ExecContext* ctx,
-                                std::vector<RowPos>* out) {
-  std::vector<RowPos> rows;
-  if (part->main(col) != nullptr && part->main_row_count() > 0) {
-    PAYG_ASSIGN_OR_RETURN(auto reader, part->main(col)->NewReader(ctx));
-    // [LowerBound(prefix), LowerBound(successor)) is exactly the vid range
-    // of strings starting with `prefix` — the dictionary is order
-    // preserving. The successor is the prefix with its last byte bumped
-    // (dropping trailing 0xFF bytes).
-    PAYG_ASSIGN_OR_RETURN(ValueId vlo,
-                          reader->LowerBoundVid(Value(prefix)));
-    std::string successor = prefix;
-    while (!successor.empty() &&
-           static_cast<unsigned char>(successor.back()) == 0xFF) {
-      successor.pop_back();
-    }
-    ValueId vhi_excl;
-    if (successor.empty()) {
-      // Prefix of all-0xFF bytes: everything >= prefix matches.
-      vhi_excl = static_cast<ValueId>(part->main(col)->dict_size());
-    } else {
-      ++successor.back();
-      PAYG_ASSIGN_OR_RETURN(vhi_excl,
-                            reader->LowerBoundVid(Value(successor)));
-    }
-    if (vlo < vhi_excl) {
-      PAYG_RETURN_IF_ERROR(reader->SearchVidRange(
-          0, static_cast<RowPos>(part->main_row_count()), vlo, vhi_excl - 1,
-          &rows));
-    }
-  }
-  std::vector<RowPos> delta_rows;
-  part->delta(col)->FindRowsMatching(
-      [&prefix](const Value& v) {
-        const std::string& s = v.AsString();
-        return s.size() >= prefix.size() &&
-               s.compare(0, prefix.size(), prefix) == 0;
-      },
-      &delta_rows);
-  CountRowsScanned(ctx, part->delta(col)->row_count());
-  const RowPos base = static_cast<RowPos>(part->main_row_count());
-  for (RowPos r : delta_rows) rows.push_back(base + r);
-  for (RowPos r : rows) {
-    if (part->IsVisible(r)) out->push_back(r);
-  }
-  return Status::OK();
-}
-
-Status Table::MaterializeRows(Partition* part, const std::vector<RowPos>& rows,
-                              const std::vector<int>& select_cols,
-                              ExecContext* ctx, QueryResult* result) {
-  if (rows.empty()) return Status::OK();
-  const size_t first_out = result->rows.size();
-  result->rows.resize(first_out + rows.size());
-  for (auto& row : result->rows) row.reserve(select_cols.size());
-
-  const RowPos base = static_cast<RowPos>(part->main_row_count());
-  // Late materialization (§1): one column at a time, so each column's
-  // dictionary pages are touched once per query, not once per row.
-  for (int col : select_cols) {
-    std::unique_ptr<FragmentReader> reader;
-    std::unordered_map<ValueId, Value> memo;  // materialize each distinct vid once
-    for (size_t i = 0; i < rows.size(); ++i) {
-      Value v;
-      if (rows[i] < base) {
-        if (reader == nullptr) {
-          PAYG_ASSIGN_OR_RETURN(reader, part->main(col)->NewReader(ctx));
-        }
-        PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->GetVid(rows[i]));
-        auto it = memo.find(vid);
-        if (it == memo.end()) {
-          PAYG_ASSIGN_OR_RETURN(Value mv, reader->GetValueForVid(vid));
-          it = memo.emplace(vid, std::move(mv)).first;
-        }
-        v = it->second;
-      } else {
-        DeltaFragment* delta = part->delta(col);
-        v = delta->GetValue(delta->GetVid(rows[i] - base));
-      }
-      result->rows[first_out + i].push_back(std::move(v));
-    }
-  }
-  return Status::OK();
-}
-
-Result<QueryResult> Table::SelectByValue(
-    const std::string& filter_column, const Value& value,
-    const std::vector<std::string>& select_columns, ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  PAYG_ASSIGN_OR_RETURN(std::vector<int> select_cols,
-                        ResolveColumns(select_columns));
-  return ExecuteSelect(
-      [this, col, &value](Partition* part, ExecContext* c,
-                          std::vector<RowPos>* rows) {
-        return FindMatches(part, col, value, c, rows);
-      },
-      select_cols, ctx);
-}
-
-Result<uint64_t> Table::CountByValue(const std::string& filter_column,
-                                     const Value& value, ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  return ExecuteCount(
-      [this, col, &value](Partition* part, ExecContext* c,
-                          std::vector<RowPos>* rows) {
-        return FindMatches(part, col, value, c, rows);
-      },
-      ctx);
-}
-
-Result<std::vector<RowId>> Table::RowIdsByValue(
-    const std::string& filter_column, const Value& value, ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  return ExecuteRowIds(
-      [this, col, &value](Partition* part, ExecContext* c,
-                          std::vector<RowPos>* rows) {
-        return FindMatches(part, col, value, c, rows);
-      },
-      ctx);
-}
-
-namespace {
-
-// Shared probe validation for the multi-lookup entry points: a mistyped
-// probe would hit the dictionary's typed-compare assertion deep in the
-// engine, so reject it at the API boundary (the server forwards untrusted
-// client values here).
-Status CheckProbeTypes(const TableSchema& schema, int col,
-                       const std::vector<Value>& probes) {
-  for (const Value& p : probes) {
-    if (p.type() != schema.columns[col].type) {
-      return Status::InvalidArgument(
-          "probe type does not match column " + schema.columns[col].name);
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<std::vector<QueryResult>> Table::MultiSelectByValue(
-    const std::string& filter_column, const std::vector<Value>& probes,
-    const std::vector<std::string>& select_columns, ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  PAYG_RETURN_IF_ERROR(CheckProbeTypes(schema_, col, probes));
-  PAYG_ASSIGN_OR_RETURN(std::vector<int> select_cols,
-                        ResolveColumns(select_columns));
-  if (probes.empty()) return std::vector<QueryResult>{};
+  // The executor runs this per partition (inline when worker_threads = 0),
+  // possibly concurrently: a task touches only its partition, its own
+  // readers, the atomic ctx counters and slot i of `partials`.
   const size_t n = partitions_.size();
-  // partials[i][j] = probe j's rows from partition i; task i writes slot i.
-  std::vector<std::vector<QueryResult>> partials(n);
+  std::vector<SinkOutput> partials(n);
   PAYG_RETURN_IF_ERROR(executor_->ForEach(ctx, n, [&](size_t i) -> Status {
     Partition* part = partitions_[i].get();
     CountPartitionVisited(ctx);
     std::vector<RowPos> rows;
-    std::vector<std::vector<uint32_t>> row_probes;
-    PAYG_RETURN_IF_ERROR(
-        MultiFindMatches(part, col, probes, ctx, &rows, &row_probes));
-    // One materialization pass over the union of matched rows: each
-    // column's pages and dictionary entries are touched once for the whole
-    // batch, then the rows fan back out to their probes.
-    QueryResult united;
-    PAYG_RETURN_IF_ERROR(
-        MaterializeRows(part, rows, select_cols, ctx, &united));
-    partials[i].resize(probes.size());
-    for (size_t k = 0; k < rows.size(); ++k) {
-      for (uint32_t j : row_probes[k]) {
-        partials[i][j].rows.push_back(united.rows[k]);
+    std::vector<std::vector<uint32_t>> row_values;
+    PAYG_RETURN_IF_ERROR(MatchPartition(part, conjuncts, cols, ctx, &rows,
+                                        per_probe ? &row_values : nullptr));
+    SinkOutput& out = partials[i];
+    switch (sink.kind) {
+      case Sink::Kind::kRows:
+        return Materialize(part, rows, sink.cols, ctx, &out.rows);
+      case Sink::Kind::kCount:
+        out.count = rows.size();
+        return Status::OK();
+      case Sink::Kind::kRowIds:
+        out.row_ids.reserve(rows.size());
+        for (RowPos r : rows) out.row_ids.push_back(RowId{part->id(), r});
+        return Status::OK();
+      case Sink::Kind::kSum: {
+        // A per-partition partial, merged below in partition order:
+        // floating-point addition is not associative, so serial and
+        // parallel runs share this exact grouping and agree bit for bit.
+        const bool ints =
+            schema_.columns[sink.cols[0]].type == ValueType::kInt64;
+        return VisitColumn(
+            part, sink.cols[0], rows, ctx,
+            [ints](const Value& v) {
+              return ints ? static_cast<double>(v.AsInt64()) : v.AsDouble();
+            },
+            [&out](size_t, double v) { out.sum += v; });
+      }
+      case Sink::Kind::kProbeCounts:
+        out.probe_counts.assign(probes, 0);
+        for (const auto& js : row_values) {
+          for (uint32_t j : js) ++out.probe_counts[j];
+        }
+        return Status::OK();
+      case Sink::Kind::kProbeRows: {
+        // One materialization pass over the union of matched rows: each
+        // column's pages and dictionary entries are touched once for the
+        // whole batch, then the rows fan back out to their probes.
+        QueryResult united;
+        PAYG_RETURN_IF_ERROR(Materialize(part, rows, sink.cols, ctx, &united));
+        out.probe_rows.resize(probes);
+        for (size_t k = 0; k < rows.size(); ++k) {
+          for (uint32_t j : row_values[k]) {
+            out.probe_rows[j].rows.push_back(united.rows[k]);
+          }
+        }
+        return Status::OK();
       }
     }
-    return Status::OK();
+    return Status::Internal("unknown sink");
   }));
-  std::vector<QueryResult> out(probes.size());
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < probes.size(); ++j) {
-      for (auto& row : partials[i][j].rows) {
-        out[j].rows.push_back(std::move(row));
+
+  SinkOutput out = std::move(partials[0]);
+  for (size_t i = 1; i < n; ++i) {
+    SinkOutput& p = partials[i];
+    for (auto& row : p.rows.rows) out.rows.rows.push_back(std::move(row));
+    out.count += p.count;
+    out.sum += p.sum;
+    out.row_ids.insert(out.row_ids.end(), p.row_ids.begin(), p.row_ids.end());
+    for (size_t j = 0; j < p.probe_rows.size(); ++j) {
+      for (auto& row : p.probe_rows[j].rows) {
+        out.probe_rows[j].rows.push_back(std::move(row));
       }
+    }
+    for (size_t j = 0; j < p.probe_counts.size(); ++j) {
+      out.probe_counts[j] += p.probe_counts[j];
     }
   }
   return out;
+}
+
+Result<QueryResult> Table::SelectWhere(
+    const std::vector<Predicate>& conjuncts,
+    const std::vector<std::string>& select_columns, ExecContext* ctx) {
+  PAYG_ASSIGN_OR_RETURN(std::vector<int> cols, ResolveColumns(select_columns));
+  PAYG_ASSIGN_OR_RETURN(
+      SinkOutput out,
+      Run(conjuncts, Sink{Sink::Kind::kRows, std::move(cols)}, ctx));
+  return std::move(out.rows);
+}
+
+Result<uint64_t> Table::CountWhere(const std::vector<Predicate>& conjuncts,
+                                   ExecContext* ctx) {
+  PAYG_ASSIGN_OR_RETURN(SinkOutput out,
+                        Run(conjuncts, Sink{Sink::Kind::kCount, {}}, ctx));
+  return out.count;
+}
+
+Result<double> Table::SumWhere(const std::vector<Predicate>& conjuncts,
+                               const std::string& sum_column,
+                               ExecContext* ctx) {
+  PAYG_ASSIGN_OR_RETURN(std::vector<int> cols, ResolveColumns({sum_column}));
+  if (schema_.columns[cols[0]].type == ValueType::kString) {
+    return Status::InvalidArgument("SUM over a string column");
+  }
+  PAYG_ASSIGN_OR_RETURN(
+      SinkOutput out,
+      Run(conjuncts, Sink{Sink::Kind::kSum, std::move(cols)}, ctx));
+  return out.sum;
+}
+
+Result<std::vector<RowId>> Table::RowIdsWhere(
+    const std::vector<Predicate>& conjuncts, ExecContext* ctx) {
+  PAYG_ASSIGN_OR_RETURN(SinkOutput out,
+                        Run(conjuncts, Sink{Sink::Kind::kRowIds, {}}, ctx));
+  return std::move(out.row_ids);
+}
+
+Result<std::vector<QueryResult>> Table::MultiSelectByValue(
+    const std::string& filter_column, const std::vector<Value>& probes,
+    const std::vector<std::string>& select_columns, ExecContext* ctx) {
+  PAYG_ASSIGN_OR_RETURN(std::vector<int> cols, ResolveColumns(select_columns));
+  PAYG_ASSIGN_OR_RETURN(
+      SinkOutput out, Run({Predicate::In(filter_column, probes)},
+                          Sink{Sink::Kind::kProbeRows, std::move(cols)}, ctx));
+  return std::move(out.probe_rows);
 }
 
 Result<std::vector<uint64_t>> Table::MultiCountByValue(
     const std::string& filter_column, const std::vector<Value>& probes,
     ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  PAYG_RETURN_IF_ERROR(CheckProbeTypes(schema_, col, probes));
-  if (probes.empty()) return std::vector<uint64_t>{};
-  const size_t n = partitions_.size();
-  std::vector<std::vector<uint64_t>> partials(n);
-  PAYG_RETURN_IF_ERROR(executor_->ForEach(ctx, n, [&](size_t i) -> Status {
-    Partition* part = partitions_[i].get();
-    CountPartitionVisited(ctx);
-    std::vector<RowPos> rows;
-    std::vector<std::vector<uint32_t>> row_probes;
-    PAYG_RETURN_IF_ERROR(
-        MultiFindMatches(part, col, probes, ctx, &rows, &row_probes));
-    partials[i].assign(probes.size(), 0);
-    for (const auto& js : row_probes) {
-      for (uint32_t j : js) ++partials[i][j];
-    }
-    return Status::OK();
-  }));
-  std::vector<uint64_t> out(probes.size(), 0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < probes.size(); ++j) out[j] += partials[i][j];
-  }
-  return out;
+  PAYG_ASSIGN_OR_RETURN(SinkOutput out,
+                        Run({Predicate::In(filter_column, probes)},
+                            Sink{Sink::Kind::kProbeCounts, {}}, ctx));
+  return std::move(out.probe_counts);
+}
+
+Result<QueryResult> Table::SelectByValue(
+    const std::string& filter_column, const Value& value,
+    const std::vector<std::string>& select_columns, ExecContext* ctx) {
+  return SelectWhere({Predicate::Eq(filter_column, value)}, select_columns,
+                     ctx);
+}
+
+Result<uint64_t> Table::CountByValue(const std::string& filter_column,
+                                     const Value& value, ExecContext* ctx) {
+  return CountWhere({Predicate::Eq(filter_column, value)}, ctx);
+}
+
+Result<std::vector<RowId>> Table::RowIdsByValue(
+    const std::string& filter_column, const Value& value, ExecContext* ctx) {
+  return RowIdsWhere({Predicate::Eq(filter_column, value)}, ctx);
 }
 
 Result<QueryResult> Table::SelectRange(
     const std::string& filter_column, const Value& lo, const Value& hi,
     const std::vector<std::string>& select_columns, ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  PAYG_ASSIGN_OR_RETURN(std::vector<int> select_cols,
-                        ResolveColumns(select_columns));
-  return ExecuteSelect(
-      [this, col, &lo, &hi](Partition* part, ExecContext* c,
-                            std::vector<RowPos>* rows) {
-        return FindMatchesRange(part, col, lo, hi, c, rows);
-      },
-      select_cols, ctx);
+  return SelectWhere({Predicate::Between(filter_column, lo, hi)},
+                     select_columns, ctx);
 }
 
 Result<double> Table::SumRange(const std::string& filter_column,
                                const Value& lo, const Value& hi,
                                const std::string& sum_column,
                                ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  int scol = schema_.ColumnIndex(sum_column);
-  if (scol < 0) return Status::NotFound("no such column: " + sum_column);
-  if (schema_.columns[scol].type == ValueType::kString) {
-    return Status::InvalidArgument("SUM over a string column");
-  }
-  return ExecuteSum(
-      [this, col, &lo, &hi](Partition* part, ExecContext* c,
-                            std::vector<RowPos>* rows) {
-        return FindMatchesRange(part, col, lo, hi, c, rows);
-      },
-      scol, ctx);
-}
-
-namespace {
-
-// Value-space evaluation of a predicate (delta rows and IN narrowing).
-bool EvalPredicate(const Predicate& pred, const Value& v) {
-  switch (pred.op) {
-    case Predicate::Op::kEq:
-      return v == pred.value;
-    case Predicate::Op::kBetween:
-      return v.Compare(pred.lo) >= 0 && v.Compare(pred.hi) <= 0;
-    case Predicate::Op::kIn:
-      for (const Value& probe : pred.values) {
-        if (v == probe) return true;
-      }
-      return false;
-    case Predicate::Op::kPrefix: {
-      const std::string& s = v.AsString();
-      return s.size() >= pred.prefix.size() &&
-             s.compare(0, pred.prefix.size(), pred.prefix) == 0;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-Status Table::FindByPredicate(Partition* part, const Predicate& pred,
-                              ExecContext* ctx, std::vector<RowPos>* out) {
-  int col = schema_.ColumnIndex(pred.column);
-  if (col < 0) return Status::NotFound("no such column: " + pred.column);
-  switch (pred.op) {
-    case Predicate::Op::kEq:
-      return FindMatches(part, col, pred.value, ctx, out);
-    case Predicate::Op::kBetween:
-      return FindMatchesRange(part, col, pred.lo, pred.hi, ctx, out);
-    case Predicate::Op::kIn:
-      return FindMatchesIn(part, col, pred.values, ctx, out);
-    case Predicate::Op::kPrefix:
-      if (schema_.columns[col].type != ValueType::kString) {
-        return Status::InvalidArgument("prefix predicate on non-string "
-                                       "column");
-      }
-      return FindMatchesPrefix(part, col, pred.prefix, ctx, out);
-  }
-  return Status::Internal("unknown predicate op");
-}
-
-Status Table::NarrowByPredicate(Partition* part, const Predicate& pred,
-                                const std::vector<RowPos>& in,
-                                ExecContext* ctx, std::vector<RowPos>* out) {
-  int col = schema_.ColumnIndex(pred.column);
-  if (col < 0) return Status::NotFound("no such column: " + pred.column);
-
-  // Split candidates into main rows (narrowed via vid-space row-list
-  // search) and delta rows (narrowed in value space).
-  const RowPos base = static_cast<RowPos>(part->main_row_count());
-  std::vector<RowPos> main_rows, delta_rows;
-  for (RowPos r : in) {
-    (r < base ? main_rows : delta_rows).push_back(r);
-  }
-
-  std::vector<RowPos> kept;
-  if (!main_rows.empty()) {
-    PAYG_ASSIGN_OR_RETURN(auto reader, part->main(col)->NewReader(ctx));
-    switch (pred.op) {
-      case Predicate::Op::kEq: {
-        PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->FindValueId(pred.value));
-        if (vid != kInvalidValueId) {
-          PAYG_RETURN_IF_ERROR(reader->FilterRows(main_rows, vid, vid, &kept));
-        }
-        break;
-      }
-      case Predicate::Op::kBetween: {
-        PAYG_ASSIGN_OR_RETURN(ValueId vlo, reader->LowerBoundVid(pred.lo));
-        PAYG_ASSIGN_OR_RETURN(ValueId vhi_excl, reader->UpperBoundVid(pred.hi));
-        if (vlo < vhi_excl) {
-          PAYG_RETURN_IF_ERROR(
-              reader->FilterRows(main_rows, vlo, vhi_excl - 1, &kept));
-        }
-        break;
-      }
-      case Predicate::Op::kIn: {
-        std::vector<ValueId> vids;
-        for (const Value& v : pred.values) {
-          PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->FindValueId(v));
-          if (vid != kInvalidValueId) vids.push_back(vid);
-        }
-        std::sort(vids.begin(), vids.end());
-        for (RowPos r : main_rows) {
-          PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->GetVid(r));
-          if (std::binary_search(vids.begin(), vids.end(), vid)) {
-            kept.push_back(r);
-          }
-        }
-        CountRowsScanned(ctx, main_rows.size());
-        break;
-      }
-      case Predicate::Op::kPrefix: {
-        if (schema_.columns[col].type != ValueType::kString) {
-          return Status::InvalidArgument("prefix predicate on non-string "
-                                         "column");
-        }
-        PAYG_ASSIGN_OR_RETURN(ValueId vlo,
-                              reader->LowerBoundVid(Value(pred.prefix)));
-        std::string successor = pred.prefix;
-        while (!successor.empty() &&
-               static_cast<unsigned char>(successor.back()) == 0xFF) {
-          successor.pop_back();
-        }
-        ValueId vhi_excl;
-        if (successor.empty()) {
-          vhi_excl = static_cast<ValueId>(part->main(col)->dict_size());
-        } else {
-          ++successor.back();
-          PAYG_ASSIGN_OR_RETURN(vhi_excl,
-                                reader->LowerBoundVid(Value(successor)));
-        }
-        if (vlo < vhi_excl) {
-          PAYG_RETURN_IF_ERROR(
-              reader->FilterRows(main_rows, vlo, vhi_excl - 1, &kept));
-        }
-        break;
-      }
-    }
-  }
-  DeltaFragment* delta = part->delta(col);
-  for (RowPos r : delta_rows) {
-    if (EvalPredicate(pred, delta->GetValue(delta->GetVid(r - base)))) {
-      kept.push_back(r);
-    }
-  }
-  CountRowsScanned(ctx, delta_rows.size());
-  std::sort(kept.begin(), kept.end());
-  out->insert(out->end(), kept.begin(), kept.end());
-  return Status::OK();
-}
-
-Status Table::FindMatchesWhere(Partition* part,
-                               const std::vector<Predicate>& conjuncts,
-                               ExecContext* ctx, std::vector<RowPos>* out) {
-  PAYG_ASSERT(!conjuncts.empty());
-  std::vector<RowPos> candidates;
-  PAYG_RETURN_IF_ERROR(FindByPredicate(part, conjuncts[0], ctx, &candidates));
-  for (size_t i = 1; i < conjuncts.size() && !candidates.empty(); ++i) {
-    std::vector<RowPos> next;
-    PAYG_RETURN_IF_ERROR(
-        NarrowByPredicate(part, conjuncts[i], candidates, ctx, &next));
-    candidates = std::move(next);
-  }
-  out->insert(out->end(), candidates.begin(), candidates.end());
-  return Status::OK();
-}
-
-Result<QueryResult> Table::SelectWhere(
-    const std::vector<Predicate>& conjuncts,
-    const std::vector<std::string>& select_columns, ExecContext* ctx) {
-  if (conjuncts.empty()) {
-    return Status::InvalidArgument("SelectWhere needs at least one conjunct");
-  }
-  PAYG_ASSIGN_OR_RETURN(std::vector<int> select_cols,
-                        ResolveColumns(select_columns));
-  return ExecuteSelect(
-      [this, &conjuncts](Partition* part, ExecContext* c,
-                         std::vector<RowPos>* rows) {
-        return FindMatchesWhere(part, conjuncts, c, rows);
-      },
-      select_cols, ctx);
-}
-
-Result<uint64_t> Table::CountWhere(const std::vector<Predicate>& conjuncts,
-                                   ExecContext* ctx) {
-  if (conjuncts.empty()) {
-    return Status::InvalidArgument("CountWhere needs at least one conjunct");
-  }
-  return ExecuteCount(
-      [this, &conjuncts](Partition* part, ExecContext* c,
-                         std::vector<RowPos>* rows) {
-        return FindMatchesWhere(part, conjuncts, c, rows);
-      },
-      ctx);
+  return SumWhere({Predicate::Between(filter_column, lo, hi)}, sum_column,
+                  ctx);
 }
 
 Result<QueryResult> Table::SelectIn(
     const std::string& filter_column, const std::vector<Value>& values,
     const std::vector<std::string>& select_columns, ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  PAYG_ASSIGN_OR_RETURN(std::vector<int> select_cols,
-                        ResolveColumns(select_columns));
-  return ExecuteSelect(
-      [this, col, &values](Partition* part, ExecContext* c,
-                           std::vector<RowPos>* rows) {
-        return FindMatchesIn(part, col, values, c, rows);
-      },
-      select_cols, ctx);
+  return SelectWhere({Predicate::In(filter_column, values)}, select_columns,
+                     ctx);
 }
 
 Result<uint64_t> Table::CountIn(const std::string& filter_column,
                                 const std::vector<Value>& values,
                                 ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  return ExecuteCount(
-      [this, col, &values](Partition* part, ExecContext* c,
-                           std::vector<RowPos>* rows) {
-        return FindMatchesIn(part, col, values, c, rows);
-      },
-      ctx);
+  return CountWhere({Predicate::In(filter_column, values)}, ctx);
 }
 
 Result<QueryResult> Table::SelectPrefix(
     const std::string& filter_column, const std::string& prefix,
     const std::vector<std::string>& select_columns, ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  if (schema_.columns[col].type != ValueType::kString) {
-    return Status::InvalidArgument("prefix predicate on non-string column");
-  }
-  PAYG_ASSIGN_OR_RETURN(std::vector<int> select_cols,
-                        ResolveColumns(select_columns));
-  return ExecuteSelect(
-      [this, col, &prefix](Partition* part, ExecContext* c,
-                           std::vector<RowPos>* rows) {
-        return FindMatchesPrefix(part, col, prefix, c, rows);
-      },
-      select_cols, ctx);
+  return SelectWhere({Predicate::Prefix(filter_column, prefix)},
+                     select_columns, ctx);
 }
 
 Result<uint64_t> Table::CountPrefix(const std::string& filter_column,
                                     const std::string& prefix,
                                     ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  if (schema_.columns[col].type != ValueType::kString) {
-    return Status::InvalidArgument("prefix predicate on non-string column");
-  }
-  return ExecuteCount(
-      [this, col, &prefix](Partition* part, ExecContext* c,
-                           std::vector<RowPos>* rows) {
-        return FindMatchesPrefix(part, col, prefix, c, rows);
-      },
-      ctx);
+  return CountWhere({Predicate::Prefix(filter_column, prefix)}, ctx);
 }
 
 void Table::UnloadAll() {

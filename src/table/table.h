@@ -1,7 +1,6 @@
 #ifndef PAYG_TABLE_TABLE_H_
 #define PAYG_TABLE_TABLE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -138,11 +137,21 @@ class Table {
 
   // --- queries (the §6 workload templates) ---------------------------------
   //
-  // Every template fans its per-partition work out through the shared
-  // QueryExecutor and merges partition results in partition-id order, so
-  // serial (worker_threads = 0) and parallel runs return identical results.
-  // The optional ExecContext collects per-query counters and carries the
-  // query deadline; null means "no accounting".
+  // Every template is a list of conjuncts plus a result sink. The conjuncts
+  // are checked against the schema once (CheckPredicate), then each
+  // partition compiles them through its own dictionary, matches its rows,
+  // and feeds them to the sink. Partitions run through the shared
+  // QueryExecutor and merge in partition-id order, so serial
+  // (worker_threads = 0) and parallel runs return identical results. The
+  // optional ExecContext collects per-query counters and carries the query
+  // deadline; null means "no accounting".
+
+  // Checks one conjunct against the schema: the column exists (NotFound),
+  // every operand has the column's type and a prefix applies only to a
+  // string column (InvalidArgument). Returns the column index. Every query
+  // runs each conjunct through this before any partition sees it, so
+  // untrusted operands are bounded here and nowhere else.
+  Result<int> CheckPredicate(const Predicate& pred) const;
 
   // SELECT <select_columns> FROM T WHERE <filter_column> = <value>
   Result<QueryResult> SelectByValue(const std::string& filter_column,
@@ -158,11 +167,13 @@ class Table {
 
   // --- batched point lookups (S25) ----------------------------------------
   //
-  // Evaluates many `filter_column = probe` lookups in one pass. Per
-  // partition this costs one reader (one pin pass over the column's pages)
-  // and one merged search_in kernel dispatch over the sorted probe-vid set,
-  // instead of one full lookup per probe — the engine-side primitive behind
-  // the server's same-partition request batching. Element i of the result
+  // Evaluates many `filter_column = probe` lookups in one pass: an IN
+  // conjunct over the probes plus a sink that attributes each matched row
+  // to the probes it equals. Per partition this costs one reader (one pin
+  // pass over the column's pages) and merged search_in kernel dispatches
+  // over the sorted probe-vid set, instead of one full lookup per probe —
+  // the engine-side primitive behind the server's same-partition request
+  // batching. Element i of the result
   // is identical to SelectByValue(filter_column, probes[i], select_columns)
   // (same rows, same order); probes may repeat and may be absent from the
   // table (their slot is simply empty).
@@ -232,6 +243,15 @@ class Table {
   Result<uint64_t> CountWhere(const std::vector<Predicate>& conjuncts,
                               ExecContext* ctx = nullptr);
 
+  // SELECT SUM(<sum_column>) FROM T WHERE <p1> AND <p2> AND ...
+  Result<double> SumWhere(const std::vector<Predicate>& conjuncts,
+                          const std::string& sum_column,
+                          ExecContext* ctx = nullptr);
+
+  // SELECT ROWID() FROM T WHERE <p1> AND <p2> AND ...
+  Result<std::vector<RowId>> RowIdsWhere(
+      const std::vector<Predicate>& conjuncts, ExecContext* ctx = nullptr);
+
   // --- memory control -------------------------------------------------------
   void UnloadAll();
   uint64_t ResidentBytes() const;
@@ -259,64 +279,15 @@ class Table {
   std::vector<ColumnStats> CollectColumnStats() const;
 
  private:
-  // Finds matching rows of one partition. Invoked once per partition by the
-  // executor drivers — possibly concurrently, so implementations touch only
-  // the given partition, per-call readers, and the (atomic) ctx counters.
-  using PartitionMatcher =
-      std::function<Status(Partition*, ExecContext*, std::vector<RowPos>*)>;
+  // The result sink a query feeds and what it collects (table.cc).
+  struct Sink;
+  struct SinkOutput;
 
-  // The shared fan-out/merge drivers behind every query template. Each runs
-  // `matcher` on every partition via the executor (task i writes slot i of a
-  // partials vector) and merges the slots in partition-id order.
-  Result<QueryResult> ExecuteSelect(const PartitionMatcher& matcher,
-                                    const std::vector<int>& select_cols,
-                                    ExecContext* ctx);
-  Result<uint64_t> ExecuteCount(const PartitionMatcher& matcher,
-                                ExecContext* ctx);
-  Result<std::vector<RowId>> ExecuteRowIds(const PartitionMatcher& matcher,
-                                           ExecContext* ctx);
-  Result<double> ExecuteSum(const PartitionMatcher& matcher, int sum_col,
-                            ExecContext* ctx);
-
-  // Row positions in `part` whose `col` equals `value`, visible rows only.
-  Status FindMatches(Partition* part, int col, const Value& value,
-                     ExecContext* ctx, std::vector<RowPos>* out);
-  // Multi-probe variant of FindMatches: one dictionary pass + one merged
-  // SearchVidSet over the union of probe vids. Appends the matched visible
-  // rows (main matches in row order, then delta matches in row order) to
-  // *rows and, aligned with it, the indices of the probes each row matched
-  // to *row_probes (a row matches every probe equal to its value, so
-  // duplicate probes share rows).
-  Status MultiFindMatches(Partition* part, int col,
-                          const std::vector<Value>& probes, ExecContext* ctx,
-                          std::vector<RowPos>* rows,
-                          std::vector<std::vector<uint32_t>>* row_probes);
-  // Row positions in `part` whose `col` is within [lo, hi], visible only.
-  Status FindMatchesRange(Partition* part, int col, const Value& lo,
-                          const Value& hi, ExecContext* ctx,
-                          std::vector<RowPos>* out);
-  // Row positions in `part` whose `col` is in `values`, visible only.
-  Status FindMatchesIn(Partition* part, int col,
-                       const std::vector<Value>& values, ExecContext* ctx,
-                       std::vector<RowPos>* out);
-  // Row positions in `part` whose string `col` starts with `prefix`.
-  Status FindMatchesPrefix(Partition* part, int col, const std::string& prefix,
-                           ExecContext* ctx, std::vector<RowPos>* out);
-  // Dispatches one predicate to the matcher above (the "driving" conjunct).
-  Status FindByPredicate(Partition* part, const Predicate& pred,
-                         ExecContext* ctx, std::vector<RowPos>* out);
-  // Narrows candidate rows of `part` by an additional conjunct.
-  Status NarrowByPredicate(Partition* part, const Predicate& pred,
-                           const std::vector<RowPos>& in, ExecContext* ctx,
-                           std::vector<RowPos>* out);
-  // Row positions matching every conjunct, per partition.
-  Status FindMatchesWhere(Partition* part,
-                          const std::vector<Predicate>& conjuncts,
-                          ExecContext* ctx, std::vector<RowPos>* out);
-  // Materializes `select_columns` of the given rows of one partition.
-  Status MaterializeRows(Partition* part, const std::vector<RowPos>& rows,
-                         const std::vector<int>& select_cols, ExecContext* ctx,
-                         QueryResult* result);
+  // The one fan-out driver behind every query: checks the conjuncts, then
+  // per partition (task i writes slot i) matches the rows and feeds them to
+  // `sink`; the slots merge in partition-id order.
+  Result<SinkOutput> Run(const std::vector<Predicate>& conjuncts,
+                         const Sink& sink, ExecContext* ctx);
   Result<std::vector<int>> ResolveColumns(
       const std::vector<std::string>& names) const;
 

@@ -1,5 +1,5 @@
 // Concurrency stress for the sharded PageCache + lock-free pin path: many
-// readers hammer GetPage/Prefetch on overlapping page ranges while the
+// readers hammer GetPage/PrefetchRange on overlapping page ranges while the
 // resource manager applies constant eviction pressure. The suite is part of
 // the TSan and ASan+UBSan legs of scripts/check.sh and CI, where the
 // "TryPin/Unpin take no mutex" claim is actually checked.
@@ -112,7 +112,7 @@ TEST_F(CacheStressTest, ConcurrentReadersUnderEvictionPressure) {
         } else if (dice < 90) {
           const uint64_t window = rng.UniformRange(1, 3);
           for (uint64_t w = 0; w < window; ++w) {
-            cache.Prefetch((lpn + w) % kPages);
+            cache.PrefetchRange((lpn + w) % kPages, 1);
           }
         } else {
           // Racy stat probes must stay safe against concurrent mutation.
@@ -169,7 +169,7 @@ TEST_P(CacheDropAllRaceTest, DropAllDoesNotDeadlockWithPrefetchPublish) {
   std::thread publisher([&] {
     Random rng(0xd06);
     for (int i = 0; i < 2000; ++i) {
-      cache.Prefetch(rng.Uniform(kPages));
+      cache.PrefetchRange(rng.Uniform(kPages), 1);
     }
   });
   for (int round = 0; round < 50; ++round) {

@@ -153,7 +153,12 @@ TEST(DeltaFragmentTest, FindRowsAndRangeScan) {
   delta.FindRows(Value(int64_t{99}), &rows);
   EXPECT_TRUE(rows.empty());
   rows.clear();
-  delta.FindRowsInRange(Value(int64_t{6}), Value(int64_t{12}), &rows);
+  delta.FindRowsMatching(
+      [](const Value& v) {
+        return v.Compare(Value(int64_t{6})) >= 0 &&
+               v.Compare(Value(int64_t{12})) <= 0;
+      },
+      &rows);
   EXPECT_EQ(rows, (std::vector<RowPos>{1, 3, 4}));
 }
 

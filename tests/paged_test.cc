@@ -1195,7 +1195,7 @@ TEST_F(PagedTest, PrefetchedPageCountsAsHitOnFirstTouch) {
   ASSERT_TRUE(dv.ok());
   PageCache* cache = (*dv)->cache();
 
-  cache->Prefetch(1);
+  cache->PrefetchRange(1, 1);
   cache->WaitForPrefetchIdle();
   EXPECT_TRUE(cache->IsLoaded(1));
   EXPECT_EQ(cache->prefetch_issued_count(), 1u);
@@ -1213,7 +1213,7 @@ TEST_F(PagedTest, PrefetchedPageCountsAsHitOnFirstTouch) {
   again->Release();
 
   // Re-prefetching a resident page is a no-op.
-  cache->Prefetch(1);
+  cache->PrefetchRange(1, 1);
   EXPECT_EQ(cache->prefetch_issued_count(), 1u);
 }
 
@@ -1224,8 +1224,8 @@ TEST_F(PagedTest, UntouchedPrefetchCountsAsWastedOnDrop) {
   ASSERT_TRUE(dv.ok());
   PageCache* cache = (*dv)->cache();
 
-  cache->Prefetch(1);
-  cache->Prefetch(2);
+  cache->PrefetchRange(1, 1);
+  cache->PrefetchRange(2, 1);
   cache->WaitForPrefetchIdle();
   (*dv)->Unload();
   EXPECT_EQ(cache->prefetch_issued_count(), 2u);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
+#include <string>
+#include <string_view>
 
 #include "buffer/resource_manager.h"
 #include "common/random.h"
@@ -565,6 +568,389 @@ TEST_F(TableTest, MultiSelectByValueMatchesIndividualLookups) {
   auto empty = table->MultiCountByValue("status", {});
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
+}
+
+// Every entry point checks its operands against the schema and fails with
+// InvalidArgument instead of reaching the engine's typed compares.
+TEST_F(TableTest, MistypedOperandsAreRejected) {
+  auto table = MakeOrders(false, 50);
+  ASSERT_TRUE(table->MergeAll().ok());
+  const Value one(int64_t{1});
+  const Value seven(std::string("seven"));  // "amount" is an int column
+  const Predicate s1 = Predicate::Eq("status", Value(std::string("S1")));
+  auto code = [](const auto& result) { return result.status().code(); };
+  constexpr StatusCode kInvalid = StatusCode::kInvalidArgument;
+
+  EXPECT_EQ(code(table->SelectByValue("amount", seven, {})), kInvalid);
+  EXPECT_EQ(code(table->CountByValue("amount", seven)), kInvalid);
+  EXPECT_EQ(code(table->RowIdsByValue("amount", seven)), kInvalid);
+  EXPECT_EQ(code(table->SelectRange("amount", one, seven, {})), kInvalid);
+  EXPECT_EQ(code(table->SumRange("amount", seven, one, "amount")), kInvalid);
+  EXPECT_EQ(code(table->SelectIn("amount", {one, seven}, {})), kInvalid);
+  EXPECT_EQ(code(table->CountIn("amount", {seven})), kInvalid);
+  EXPECT_EQ(code(table->SelectPrefix("amount", "1", {})), kInvalid);
+  EXPECT_EQ(code(table->CountPrefix("amount", "1")), kInvalid);
+  EXPECT_EQ(code(table->MultiSelectByValue("amount", {one, seven}, {})),
+            kInvalid);
+  EXPECT_EQ(code(table->MultiCountByValue("amount", {seven})), kInvalid);
+  EXPECT_EQ(code(table->SelectWhere(
+                {s1, Predicate::Between("amount", one, seven)}, {})),
+            kInvalid);
+  EXPECT_EQ(code(table->CountWhere({s1, Predicate::In("id", {one})})),
+            kInvalid);
+  EXPECT_EQ(code(table->CountWhere({Predicate::Eq("id", one)})), kInvalid);
+  // Aging compares the threshold with the int temperature column.
+  ASSERT_TRUE(table->AddColdPartition().ok());
+  EXPECT_EQ(code(table->AgeRows(seven)), kInvalid);
+}
+
+// A conjunct is checked before any row is, so the outcome cannot depend on
+// which rows the earlier conjuncts left (or whether any are left).
+TEST_F(TableTest, ConjunctChecksDoNotDependOnData) {
+  auto table = MakeOrders(false, 20);
+  for (bool merged : {false, true}) {
+    SCOPED_TRACE(merged ? "main rows" : "delta rows");
+    if (merged) {
+      ASSERT_TRUE(table->MergeAll().ok());
+    }
+    auto prefix = table->CountWhere(
+        {Predicate::Eq("status", Value(std::string("S1"))),
+         Predicate::Prefix("amount", "1")});
+    EXPECT_EQ(prefix.status().code(), StatusCode::kInvalidArgument);
+    // "S1" leaves candidates for the second conjunct, "S9" leaves none.
+    for (const char* status : {"S1", "S9"}) {
+      auto unknown = table->CountWhere(
+          {Predicate::Eq("status", Value(std::string(status))),
+           Predicate::Eq("nope", Value(int64_t{1}))});
+      EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound) << status;
+    }
+  }
+}
+
+// --- differential oracle ----------------------------------------------------
+//
+// Every query entry point, plus random 1–3-conjunct WHERE clauses, against
+// a brute-force scan of Partition::GetRow over the visible rows. The table
+// has a merged main, an unmerged delta, deleted rows and an aged cold
+// partition, resident and paged, and runs at 0 and 2 executor workers.
+
+// A unique indexed key, an indexed int with duplicates, a string column
+// over the bytes {a, b, 0xFE, 0xFF} (prefix successors carry and vanish),
+// a double and the int temperature column.
+TableSchema OracleSchema(const std::string& name, bool paged) {
+  TableSchema schema;
+  schema.name = name;
+  schema.columns = {{"id", ValueType::kString, paged, true, true},
+                    {"k", ValueType::kInt64, paged, true, false},
+                    {"s", ValueType::kString, paged, false, false},
+                    {"d", ValueType::kDouble, paged, false, false},
+                    {"t", ValueType::kInt64, paged, false, false}};
+  schema.temperature_column = 4;
+  return schema;
+}
+
+std::string RandomBytes(Random* rng, uint64_t max_len) {
+  static constexpr char kAlphabet[] = {'a', 'b', '\xfe', '\xff'};
+  std::string s(rng->Uniform(max_len + 1), 'a');
+  for (char& c : s) c = kAlphabet[rng->Uniform(4)];
+  return s;
+}
+
+Value OracleKey(uint64_t id) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "R%05llu",
+                static_cast<unsigned long long>(id));
+  return Value(std::string(buf));
+}
+
+std::vector<Value> OracleInsertRow(Random* rng, uint64_t id) {
+  return {OracleKey(id), Value(static_cast<int64_t>(rng->Uniform(60))),
+          Value(RandomBytes(rng, 3)), Value(0.5 * rng->Uniform(40)),
+          Value(static_cast<int64_t>(rng->Uniform(1000)))};
+}
+
+// An operand for column `col`: mostly values the table holds, sometimes
+// absent ones (past the key space, odd quarters, four-byte strings).
+Value OracleOperand(Random* rng, int col, uint64_t ids) {
+  switch (col) {
+    case 0:
+      return OracleKey(rng->Uniform(ids + 20));
+    case 1:
+      return Value(static_cast<int64_t>(rng->Uniform(70)) - 5);
+    case 2:
+      return Value(RandomBytes(rng, 4));
+    case 3:
+      return Value(0.25 * rng->Uniform(90));
+    default:
+      return Value(static_cast<int64_t>(rng->Uniform(1100)));
+  }
+}
+
+Predicate RandomConjunct(Random* rng, const TableSchema& schema,
+                         uint64_t ids) {
+  const int col = static_cast<int>(rng->Uniform(schema.columns.size()));
+  const std::string& name = schema.columns[col].name;
+  const bool text = schema.columns[col].type == ValueType::kString;
+  switch (rng->Uniform(text ? 4 : 3)) {
+    case 0:
+      return Predicate::Eq(name, OracleOperand(rng, col, ids));
+    case 1:  // lo > hi about half the time
+      return Predicate::Between(name, OracleOperand(rng, col, ids),
+                                OracleOperand(rng, col, ids));
+    case 2: {
+      // Up to 39 values: lists past 16 take the chunked set search.
+      std::vector<Value> values(rng->Uniform(40));
+      for (Value& v : values) v = OracleOperand(rng, col, ids);
+      return Predicate::In(name, std::move(values));
+    }
+    default: {
+      // Includes "", prefixes ending in 0xFF and all-0xFF prefixes.
+      std::string prefix = col == 0 ? OracleKey(rng->Uniform(ids)).AsString()
+                                    : RandomBytes(rng, 3);
+      prefix.resize(rng->Uniform(prefix.size() + 1));
+      return Predicate::Prefix(name, std::move(prefix));
+    }
+  }
+}
+
+struct OracleRow {
+  RowId id;
+  std::vector<Value> values;
+};
+
+bool OracleMatches(const Predicate& p, const Value& v) {
+  switch (p.op) {
+    case Predicate::Op::kEq:
+      return v == p.value;
+    case Predicate::Op::kBetween:
+      return !(v < p.lo) && !(p.hi < v);
+    case Predicate::Op::kIn:
+      for (const Value& x : p.values) {
+        if (v == x) return true;
+      }
+      return false;
+    case Predicate::Op::kPrefix:
+      return std::string_view(v.AsString()).starts_with(p.prefix);
+  }
+  return false;
+}
+
+class OracleTest : public TableTest {
+ protected:
+  // Visible rows of every partition in (partition, row) order.
+  std::vector<OracleRow> Scan(Table* table) {
+    std::vector<OracleRow> rows;
+    for (uint32_t p = 0; p < table->partition_count(); ++p) {
+      Partition* part = table->partition(p);
+      for (RowPos r = 0; r < part->row_count(); ++r) {
+        if (!part->IsVisible(r)) continue;
+        auto values = part->GetRow(r);
+        EXPECT_TRUE(values.ok()) << values.status().ToString();
+        rows.push_back({RowId{p, r}, std::move(*values)});
+      }
+    }
+    return rows;
+  }
+
+  std::vector<const OracleRow*> Filter(
+      const std::vector<Predicate>& conjuncts) const {
+    std::vector<const OracleRow*> out;
+    for (const OracleRow& row : rows_) {
+      bool keep = true;
+      for (const Predicate& p : conjuncts) {
+        keep = keep && OracleMatches(p, row.values[schema_->ColumnIndex(
+                                                p.column)]);
+      }
+      if (keep) out.push_back(&row);
+    }
+    return out;
+  }
+
+  QueryResult Select(const std::vector<Predicate>& conjuncts,
+                     const std::vector<std::string>& names) const {
+    QueryResult result;
+    for (const OracleRow* row : Filter(conjuncts)) {
+      std::vector<Value> out;
+      if (names.empty()) out = row->values;
+      for (const std::string& name : names) {
+        out.push_back(row->values[schema_->ColumnIndex(name)]);
+      }
+      result.rows.push_back(std::move(out));
+    }
+    return result;
+  }
+
+  std::vector<RowId> Ids(const std::vector<Predicate>& conjuncts) const {
+    std::vector<RowId> ids;
+    for (const OracleRow* row : Filter(conjuncts)) ids.push_back(row->id);
+    return ids;
+  }
+
+  // Per-partition partials merged in partition order, like the engine.
+  double Sum(const std::vector<Predicate>& conjuncts,
+             const std::string& column) const {
+    const int col = schema_->ColumnIndex(column);
+    double total = 0, partial = 0;
+    uint32_t partition = 0;
+    for (const OracleRow* row : Filter(conjuncts)) {
+      if (row->id.partition != partition) {
+        total += partial;
+        partial = 0;
+        partition = row->id.partition;
+      }
+      const Value& v = row->values[col];
+      partial += v.type() == ValueType::kInt64
+                     ? static_cast<double>(v.AsInt64())
+                     : v.AsDouble();
+    }
+    return total + partial;
+  }
+
+  // AgeRows must move exactly the visible hot rows at or below `threshold`.
+  void AgeAndCheck(Table* table, int64_t threshold) {
+    rows_ = Scan(table);
+    uint64_t expected = 0;
+    for (const OracleRow* row : Filter({Predicate::Between(
+             "t", Value(std::numeric_limits<int64_t>::min()),
+             Value(threshold))})) {
+      if (row->id.partition == 0) ++expected;
+    }
+    auto moved = table->AgeRows(Value(threshold));
+    ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+    EXPECT_EQ(*moved, expected);
+  }
+
+  // Runs `conjuncts` through the WHERE entry points and, for a single
+  // conjunct, through every entry point of its shape.
+  void Check(Table* table, const std::vector<Predicate>& conjuncts,
+             Random* rng) {
+    std::vector<std::string> names;
+    for (uint64_t n = rng->Uniform(4); n > 0; --n) {
+      names.push_back(schema_->columns[rng->Uniform(5)].name);
+    }
+    const std::string sum_col = rng->OneIn(2) ? "d" : "k";
+
+    const QueryResult rows = Select(conjuncts, names);
+    const uint64_t count = rows.rows.size();
+    EXPECT_EQ(Ok(table->SelectWhere(conjuncts, names)), rows);
+    EXPECT_EQ(Ok(table->CountWhere(conjuncts)), count);
+    EXPECT_EQ(Ok(table->RowIdsWhere(conjuncts)), Ids(conjuncts));
+    EXPECT_EQ(Ok(table->SumWhere(conjuncts, sum_col)),
+              Sum(conjuncts, sum_col));
+    if (conjuncts.size() != 1) return;
+
+    const Predicate& p = conjuncts[0];
+    switch (p.op) {
+      case Predicate::Op::kEq:
+        EXPECT_EQ(Ok(table->SelectByValue(p.column, p.value, names)), rows);
+        EXPECT_EQ(Ok(table->CountByValue(p.column, p.value)), count);
+        EXPECT_EQ(Ok(table->RowIdsByValue(p.column, p.value)),
+                  Ids(conjuncts));
+        break;
+      case Predicate::Op::kBetween:
+        EXPECT_EQ(Ok(table->SelectRange(p.column, p.lo, p.hi, names)), rows);
+        EXPECT_EQ(Ok(table->SumRange(p.column, p.lo, p.hi, sum_col)),
+                  Sum(conjuncts, sum_col));
+        break;
+      case Predicate::Op::kIn: {
+        EXPECT_EQ(Ok(table->SelectIn(p.column, p.values, names)), rows);
+        EXPECT_EQ(Ok(table->CountIn(p.column, p.values)), count);
+        // The batched lookups answer each IN value as its own equality.
+        const auto multi =
+            Ok(table->MultiSelectByValue(p.column, p.values, names));
+        const auto counts = Ok(table->MultiCountByValue(p.column, p.values));
+        ASSERT_EQ(multi.size(), p.values.size());
+        ASSERT_EQ(counts.size(), p.values.size());
+        for (size_t j = 0; j < p.values.size(); ++j) {
+          const std::vector<Predicate> eq = {
+              Predicate::Eq(p.column, p.values[j])};
+          EXPECT_EQ(multi[j], Select(eq, names)) << "value " << j;
+          EXPECT_EQ(counts[j], Ids(eq).size()) << "value " << j;
+        }
+        break;
+      }
+      case Predicate::Op::kPrefix:
+        EXPECT_EQ(Ok(table->SelectPrefix(p.column, p.prefix, names)), rows);
+        EXPECT_EQ(Ok(table->CountPrefix(p.column, p.prefix)), count);
+        break;
+    }
+  }
+
+  // The value of a query that must succeed; a failure is recorded and
+  // compared as an empty result.
+  template <typename T>
+  static T Ok(Result<T> result) {
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? std::move(*result) : T{};
+  }
+
+  const TableSchema* schema_ = nullptr;
+  std::vector<OracleRow> rows_;
+};
+
+TEST_F(OracleTest, EveryEntryPointMatchesBruteForceScan) {
+  for (bool paged : {false, true}) {
+    SCOPED_TRACE(paged ? "paged" : "resident");
+    Random rng(paged ? 11 : 7);
+    auto table = std::make_unique<Table>(
+        OracleSchema(paged ? "oracle_p" : "oracle_r", paged), storage_.get(),
+        rm_.get());
+    schema_ = &table->schema();
+    uint64_t ids = 0;
+    auto insert = [&](int n) {
+      for (int i = 0; i < n; ++i) {
+        ASSERT_TRUE(table->Insert(OracleInsertRow(&rng, ids++)).ok());
+      }
+    };
+    insert(600);
+    ASSERT_TRUE(table->MergeAll().ok());
+    ASSERT_TRUE(table->AddColdPartition().ok());
+    AgeAndCheck(table.get(), 200);
+    ASSERT_TRUE(table->MergeAll().ok());  // cold main, compacted hot main
+    insert(300);                          // unmerged hot delta
+    AgeAndCheck(table.get(), 350);        // hot main + delta → cold delta
+    for (int i = 0; i < 40; ++i) {
+      Partition* part = table->partition(static_cast<uint32_t>(rng.Uniform(2)));
+      ASSERT_TRUE(part->MarkDeleted(
+                          static_cast<RowPos>(rng.Uniform(part->row_count())))
+                      .ok());
+    }
+    ASSERT_GT(table->hot()->main_row_count(), 0u);
+    ASSERT_GT(table->hot()->delta_row_count(), 0u);
+    ASSERT_GT(table->partition(1)->main_row_count(), 0u);
+    ASSERT_GT(table->partition(1)->delta_row_count(), 0u);
+    rows_ = Scan(table.get());
+
+    // Fixed edge cases, then random WHERE clauses, at both worker counts.
+    const std::vector<std::vector<Predicate>> edges = {
+        {Predicate::Prefix("s", "")},
+        {Predicate::Prefix("s", "\xff")},
+        {Predicate::Prefix("s", "\xff\xff")},
+        {Predicate::Prefix("s", "a\xff")},
+        {Predicate::Prefix("s", "\xfe\xff")},
+        {Predicate::Prefix("id", "")},
+        {Predicate::Between("k", Value(int64_t{40}), Value(int64_t{10}))},
+        {Predicate::Eq("k", Value(int64_t{999}))},
+        {Predicate::In("k", {})},
+        {Predicate::Between("t", Value(int64_t{0}), Value(int64_t{999})),
+         Predicate::Prefix("s", "\xff")},
+    };
+    for (uint32_t workers : {0u, 2u}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      table->set_exec_options(ExecOptions{workers});
+      Random queries(workers + 100);
+      for (const auto& conjuncts : edges) {
+        Check(table.get(), conjuncts, &queries);
+      }
+      for (int q = 0; q < 150; ++q) {
+        std::vector<Predicate> conjuncts;
+        for (uint64_t n = queries.UniformRange(1, 3); n > 0; --n) {
+          conjuncts.push_back(RandomConjunct(&queries, *schema_, ids));
+        }
+        Check(table.get(), conjuncts, &queries);
+      }
+    }
+  }
 }
 
 }  // namespace
