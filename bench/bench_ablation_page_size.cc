@@ -36,7 +36,9 @@ int main() {
     auto populate = PopulateErpTable(*table, config);
     if (!populate.ok()) std::abort();
     (*table)->UnloadAll();
-    (*store)->storage().io_stats().Reset();
+    obs::Counter* pages_read =
+        obs::MetricsRegistry::Global().counter("storage.read.pages");
+    const uint64_t pages_read0 = pages_read->value();
 
     ErpWorkload w(config, 1201);
     Stopwatch timer;
@@ -52,8 +54,8 @@ int main() {
                 options.storage.dict_page_size / 1024, avg_us,
                 static_cast<double>((*store)->MemoryFootprint()) /
                     (1024.0 * 1024.0),
-                static_cast<unsigned long long>(
-                    (*store)->storage().io_stats().pages_read.load()));
+                static_cast<unsigned long long>(pages_read->value() -
+                                                pages_read0));
   }
   std::filesystem::remove_all(env.dir);
   return 0;

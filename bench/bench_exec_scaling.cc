@@ -155,7 +155,7 @@ int main() {
 
   StorageOptions opts;
   opts.page_size = page_size;
-  auto file = PageFile::Create(dir + "/chain", page_size, opts, nullptr);
+  auto file = PageFile::Create(dir + "/chain", page_size, opts);
   BENCH_CHECK_OK(file);
   for (uint64_t i = 0; i < pages; ++i) {
     Page page(page_size);
@@ -190,8 +190,7 @@ int main() {
     StorageOptions cold_opts;
     cold_opts.page_size = page_size;
     cold_opts.simulated_read_latency_us = latency_us;
-    auto cold_file =
-        PageFile::Open(dir + "/chain", page_size, cold_opts, nullptr);
+    auto cold_file = PageFile::Open(dir + "/chain", page_size, cold_opts);
     BENCH_CHECK_OK(cold_file);
     ResourceManager rm;
     rm.SetGlobalBudget(pages / 8 * page_size);

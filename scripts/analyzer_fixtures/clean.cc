@@ -25,6 +25,11 @@ class CleanServer {
     return Status::OK();
   }
 
+  // Registry name that follows the §6 scheme and has an inventory row.
+  void RegisterMetrics(Registry* reg) {
+    touches_ = reg->counter("cache.fixture_touches");
+  }
+
   // Pin used strictly inside its scope; a non-pin pointer is returned.
   const char* Name(PageCache* cache) {
     PageRef ref = cache->GetPage(9).value();
@@ -35,10 +40,11 @@ class CleanServer {
 
  private:
   Mutex queue_mu_;
-  Mutex sessions_mu_;
+  mutable Mutex sessions_mu_;
   CondVar cv_;
-  bool busy_ = false;
-  int count_ = 0;
+  bool busy_ GUARDED_BY(queue_mu_) = false;
+  int count_ GUARDED_BY(sessions_mu_) = 0;
+  Counter* touches_ = nullptr;
   uint64_t last_rows_ = 0;
   const char* name_ = "clean";
 };

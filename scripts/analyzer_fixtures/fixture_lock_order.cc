@@ -8,6 +8,7 @@ namespace payg {
 
 struct Stripe {
   Mutex mu;
+  int pending GUARDED_BY(mu) = 0;
 };
 
 class BadManager {
@@ -30,6 +31,7 @@ class BadManager {
  private:
   void Use() {}
   Mutex mu_;
+  int used_ GUARDED_BY(mu_) = 0;
 };
 
 class BadCache {
@@ -84,9 +86,10 @@ class BadServer {
 
  private:
   void Touch() {}
-  Request req_;
+  Request req_ GUARDED_BY(queue_mu_);
   Mutex queue_mu_;
   Mutex sessions_mu_;
+  int sessions_ GUARDED_BY(sessions_mu_) = 0;
 };
 
 }  // namespace payg

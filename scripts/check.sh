@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full verification: project lint gate first (cheapest signal), then the
+# Full verification: the static checker first (cheapest signal), then the
 # regular build + complete test suite, then a
 # ThreadSanitizer build running the concurrency-sensitive suites (the
 # resource manager's lock-free pin path and striped touch buffers, the
@@ -14,9 +14,9 @@ cd "$(dirname "$0")/.."
 
 BUILD="${1:-build}"
 
-echo "== project lint (scripts/lint.py) =="
-python3 scripts/lint.py
-python3 scripts/lint.py --self-test
+echo "== static checker (scripts/payg_analyzer.py) =="
+python3 scripts/payg_analyzer.py
+python3 scripts/payg_analyzer.py --self-test
 
 echo "== regular build + full test suite =="
 cmake -B "$BUILD" -S . >/dev/null

@@ -1,10 +1,43 @@
 #!/usr/bin/env python3
-"""payg-analyzer: semantic invariant checks over function bodies (DESIGN.md
-§14). Where scripts/lint.py matches single lines, this analyzer reasons
-about whole function definitions — lock scopes, pointer lifetimes, and
-statement structure — so it catches the bugs that need context.
+"""payg-analyzer: the project's one static checker (DESIGN.md §9, §14).
+Line rules match single source lines over src/**/*.{h,cc}; function rules
+reason about whole function definitions in src/**/*.cc — lock scopes,
+pointer lifetimes, and statement structure — so they catch the bugs that
+need context.
 
-Rules:
+Line rules:
+
+  raw-sync         std::mutex / std::condition_variable / std::lock_guard /
+                   std::unique_lock / std::scoped_lock / std::shared_mutex are
+                   banned outside common/thread_annotations.h. The shim types
+                   (payg::Mutex, MutexLock, UniqueLock, CondVar) carry the
+                   thread-safety capability attributes; a raw std primitive is
+                   invisible to the analysis.
+
+  unguarded-mutex  Every declared payg::Mutex must be referenced by at least
+                   one thread-safety annotation (GUARDED_BY / PT_GUARDED_BY /
+                   REQUIRES / ACQUIRE / RELEASE / EXCLUDES) or a CondVar
+                   Wait/WaitFor call in the same file. A mutex nothing is
+                   annotated against protects nothing the analysis can check.
+
+  raw-getenv       getenv is banned; every knob goes through the strict
+                   EnvLong/EnvFlag/EnvRaw helpers of common/env.h, whose three
+                   getenv calls carry the rule's allow marker.
+
+  metric-name      String literals passed to counter("...") / gauge("...") /
+                   histogram("...") must follow the DESIGN.md §6 scheme
+                   "<layer>.<metric>" (a literal that is a prefix of a
+                   concatenated name is checked as a prefix). The per-query
+                   counter list, the PAYG_QUERY_COUNTERS X-macro, expands to
+                   the "query.<name>" counters; no other site may register a
+                   query.* name. The check is two-way against the fenced §6
+                   metric inventory: every registered (name, kind) and every
+                   list entry must appear there, and every inventory row must
+                   still be registered or listed — so the table can neither
+                   lag the code nor outlive it. Dynamic names use a <k>
+                   placeholder in the table.
+
+Function rules:
 
   lock-order       Simulates RAII lock scopes (MutexLock / UniqueLock /
                    ShardLock, plus UniqueLock::Lock/Unlock) through each
@@ -55,6 +88,7 @@ Usage:
   scripts/payg_analyzer.py                analyze src/ (exit 1 on findings)
   scripts/payg_analyzer.py --self-test    run over scripts/analyzer_fixtures/
                                           and verify every seeded violation
+                                          (and nothing else) is flagged
   scripts/payg_analyzer.py --engine=token|cindex|auto
 """
 
@@ -67,10 +101,31 @@ SRC = REPO / "src"
 FIXTURES = Path(__file__).resolve().parent / "analyzer_fixtures"
 
 ALLOW_RE = re.compile(r"analyzer:allow\(([a-z\-]+)\)")
-# lint.py's dropped-status suppression documents the same judgment call the
-# status-swallow rule makes; honor it so a justified drop needs one marker,
-# not two.
-LINT_DROP_RE = re.compile(r"lint:allow\(dropped-status\)")
+
+# ---------------------------------------------------------------------------
+# Line-rule patterns.
+# ---------------------------------------------------------------------------
+
+RAW_SYNC_RE = re.compile(
+    r"std::(mutex|condition_variable(_any)?|lock_guard|unique_lock|"
+    r"scoped_lock|shared_mutex|shared_lock)\b")
+MUTEX_DECL_RE = re.compile(r"^\s*(?:mutable\s+)?Mutex\s+(\w+)\s*;", re.M)
+GETENV_RE = re.compile(r"\bgetenv\s*\(")
+
+METRIC_LAYERS = ("storage", "cache", "rm", "exec", "query", "io", "buffer",
+                 "obs", "codec", "profile", "server")
+METRIC_NAME_RE = re.compile(r"(?:%s)\.[a-z0-9_.]+" % "|".join(METRIC_LAYERS))
+# The trailing group tells a whole name (")"), a concatenated prefix ("+")
+# and the per-query list's stringized expansion ("query." #name) apart.
+METRIC_RE = re.compile(
+    r"\b(counter|gauge|histogram)\s*\(\s*\"([^\"]*)\"\s*([+)#]?)")
+INVENTORY_ROW_RE = re.compile(
+    r"^\|\s*`([^`]+)`\s*\|\s*(counter|gauge|histogram)\s*\|", re.M)
+INVENTORY_BEGIN = "<!-- metric-inventory:begin -->"
+INVENTORY_END = "<!-- metric-inventory:end -->"
+QUERY_PREFIX = "query."
+QUERY_LIST_DEFINE = "#define PAYG_QUERY_COUNTERS(X)"
+QUERY_ENTRY_RE = re.compile(r"\bX\((\w+),")
 
 # ---------------------------------------------------------------------------
 # Lock-order manifest. Lock classes are keyed by (file basename, acquisition
@@ -455,14 +510,119 @@ def collect_allows(text):
         for rule in ALLOW_RE.findall(line):
             allows.setdefault(lineno, set()).add(rule)
             allows.setdefault(lineno + 1, set()).add(rule)
-        if LINT_DROP_RE.search(line):
-            allows.setdefault(lineno, set()).add("status-swallow")
-            allows.setdefault(lineno + 1, set()).add("status-swallow")
     return allows
 
 
 def is_allowed(allows, line, rule):
     return rule in allows.get(line, ())
+
+
+# ---------------------------------------------------------------------------
+# Line rules: raw-sync, raw-getenv, unguarded-mutex, and the collection half
+# of metric-name (judged over the whole tree by check_metrics).
+# ---------------------------------------------------------------------------
+
+def check_lines(path, text, allows, findings, registrations, query_list):
+    lines = text.split("\n")
+    is_shim = path.name == "thread_annotations.h"
+    for lineno, line in enumerate(lines, 1):
+        if not is_shim and RAW_SYNC_RE.search(line):
+            findings.append((path, lineno, "raw-sync",
+                             "raw std synchronization primitive; use the "
+                             "payg shims from common/thread_annotations.h"))
+        if GETENV_RE.search(line):
+            findings.append((path, lineno, "raw-getenv",
+                             "raw getenv; use EnvLong/EnvFlag/EnvRaw from "
+                             "common/env.h"))
+        if is_allowed(allows, lineno, "metric-name"):
+            continue
+        for kind, name, trail in METRIC_RE.findall(line):
+            registrations.append((path, lineno, kind, name, trail))
+        if line.lstrip().startswith(QUERY_LIST_DEFINE):
+            # The list's entries sit on the macro's continuation lines.
+            i = lineno - 1
+            while lines[i].rstrip().endswith("\\"):
+                i += 1
+                query_list.extend((path, i + 1, name)
+                                  for name in QUERY_ENTRY_RE.findall(lines[i]))
+
+    if is_shim:
+        return
+    for m in MUTEX_DECL_RE.finditer(text):
+        name = m.group(1)
+        evidence = re.compile(
+            r"(GUARDED_BY|PT_GUARDED_BY|REQUIRES|ACQUIRE|RELEASE|"
+            r"EXCLUDES)\s*\(\s*[\w.\->]*\b%s\b|Wait(For)?\s*\(\s*%s\b"
+            % (re.escape(name), re.escape(name)))
+        if not evidence.search(text):
+            findings.append((path, text.count("\n", 0, m.start(1)) + 1,
+                             "unguarded-mutex",
+                             f"Mutex {name} has no GUARDED_BY/REQUIRES/"
+                             "ACQUIRE annotation (or CondVar wait) anywhere "
+                             "in this file"))
+
+
+def parse_metric_inventory(path):
+    """name -> (kind, lineno) from the fenced metric inventory table."""
+    text = path.read_text()
+    begin = text.index(INVENTORY_BEGIN)
+    end = text.index(INVENTORY_END)
+    inventory = {}
+    for m in INVENTORY_ROW_RE.finditer(text, begin, end):
+        lineno = text.count("\n", 0, m.start()) + 1
+        inventory[m.group(1)] = (m.group(2), lineno)
+    return inventory
+
+
+def check_metrics(registrations, query_list, inventory_path, findings):
+    """metric-name: the scheme at each registration, then both directions
+    against the inventory. The per-query list stands in for the
+    "query." #name registrations it expands to."""
+    inventory = parse_metric_inventory(inventory_path)
+    used = []  # (name, is_prefix)
+    for path, line, kind, name, trail in registrations:
+        if trail == "#" and name == QUERY_PREFIX:
+            continue  # the list's fold: its entries stand in, below
+        if not METRIC_NAME_RE.fullmatch(name):
+            findings.append((path, line, "metric-name",
+                             f'metric name "{name}" does not follow the '
+                             "DESIGN.md §6 <layer>.<metric> scheme"))
+            continue
+        if name.startswith(QUERY_PREFIX):
+            findings.append((path, line, "metric-name",
+                             f'{kind} "{name}" registered outside the '
+                             "per-query counter list; add a "
+                             "PAYG_QUERY_COUNTERS entry instead"))
+            continue
+        # A concatenated name ("cache.shard" + ...) covers the rows it
+        # prefixes (e.g. `cache.shard<k>.pages`).
+        is_prefix = trail == "+"
+        used.append((name, is_prefix))
+        if is_prefix:
+            listed = any(iname.startswith(name) and ikind == kind
+                         for iname, (ikind, _) in inventory.items())
+        else:
+            listed = inventory.get(name, (None,))[0] == kind
+        if not listed:
+            findings.append((path, line, "metric-name",
+                             f'{kind} "{name}" is missing from the metric '
+                             "inventory (or is listed with a different "
+                             "kind)"))
+    for path, line, name in query_list:
+        used.append((QUERY_PREFIX + name, False))
+        if inventory.get(QUERY_PREFIX + name, (None,))[0] != "counter":
+            findings.append((path, line, "metric-name",
+                             f'per-query counter "{name}" has no '
+                             f"`{QUERY_PREFIX}{name}` counter row in the "
+                             "metric inventory"))
+    for iname, (ikind, line) in sorted(inventory.items()):
+        if not any(iname == u or (dyn and iname.startswith(u))
+                   for u, dyn in used):
+            findings.append((inventory_path, line, "metric-name",
+                             f'inventory row "{iname}" ({ikind}) is neither '
+                             "registered nor in the per-query list under "
+                             "the scanned tree — remove the row or restore "
+                             "the metric"))
 
 
 # ---------------------------------------------------------------------------
@@ -745,62 +905,74 @@ def check_status_swallow(unit, status_fns, findings):
 # Driver.
 # ---------------------------------------------------------------------------
 
-RULES = ("lock-order", "pin-escape", "wire-bounds", "status-swallow")
-
-
-def analyze(root, engine, status_fns):
+def analyze(root, engine, status_fns, inventory_path):
     findings = []
+    registrations, query_list = [], []
     for path in sorted(root.rglob("*")):
-        if path.suffix != ".cc" or not path.is_file():
+        if path.suffix not in (".h", ".cc") or not path.is_file():
             continue
         text = path.read_text()
         allows = collect_allows(text)
-        try:
-            units = engine.functions(path, text)
-        except Exception as e:
-            if engine.name == "cindex":
+        raw = []
+        check_lines(path, text, allows, raw, registrations, query_list)
+        units = []
+        if path.suffix == ".cc":
+            try:
+                units = engine.functions(path, text)
+            except Exception as e:
+                if engine.name != "cindex":
+                    raise
                 units = TokenEngine().functions(path, text)
                 print(f"payg_analyzer: cindex failed on {path.name} ({e}); "
                       "token engine used for this file", file=sys.stderr)
-            else:
-                raise
-        raw = []
         for unit in units:
             check_lock_order(unit, raw)
             check_pin_escape(unit, raw)
             check_wire_bounds(unit, raw)
             check_status_swallow(unit, status_fns, raw)
-        for path_, line, rule, msg in raw:
-            if not is_allowed(allows, line, rule):
-                findings.append((path_.relative_to(REPO), line, rule, msg))
+        findings.extend((path_.relative_to(REPO), line, rule, msg)
+                        for path_, line, rule, msg in raw
+                        if not is_allowed(allows, line, rule))
+    raw = []
+    check_metrics(registrations, query_list, inventory_path, raw)
+    findings.extend((path_.relative_to(REPO), line, rule, msg)
+                    for path_, line, rule, msg in raw)
     return findings
 
 
+# Seeded violations per (fixture, rule). The self-test demands exactly these
+# counts, so a rule that stops firing, fires twice, or fires on a clean shape
+# (clean.cc, or a fixture seeded for another rule) fails it.
+SELF_TEST_EXPECTED = {
+    ("fixture_lock_order.cc", "lock-order"): 6,
+    ("fixture_pin_escape.cc", "pin-escape"): 2,
+    ("fixture_wire_bounds.cc", "wire-bounds"): 2,
+    ("fixture_status_swallow.cc", "status-swallow"): 4,
+    ("fixture_sync.h", "raw-sync"): 1,
+    ("fixture_sync.h", "unguarded-mutex"): 1,
+    ("fixture_getenv.cc", "raw-getenv"): 1,
+    ("fixture_metric_name.cc", "metric-name"): 2,
+    # The list/inventory mismatch both ways: a list entry without a row
+    # here, a query.* row without a list entry (plus a stale row) below.
+    ("fixture_query_counters.h", "metric-name"): 1,
+    ("fixture_inventory.md", "metric-name"): 2,
+}
+
+
 def self_test(engine):
-    status_fns = harvest_status_functions(FIXTURES)
-    # Every seeded (file, rule) pair must be flagged; clean.cc must stay
-    # clean; no rule may fire on a fixture seeded for a different rule.
-    expected = {
-        ("fixture_lock_order.cc", "lock-order"),
-        ("fixture_pin_escape.cc", "pin-escape"),
-        ("fixture_wire_bounds.cc", "wire-bounds"),
-        ("fixture_status_swallow.cc", "status-swallow"),
-    }
-    findings = analyze(FIXTURES, engine, status_fns)
-    got = {(f[0].name, f[2]) for f in findings}
-    missing = expected - got
-    unexpected = {g for g in got if g not in expected and g[0] != "clean.cc"}
-    clean_hits = [f for f in findings if f[0].name == "clean.cc"]
+    findings = analyze(FIXTURES, engine, harvest_status_functions(FIXTURES),
+                       FIXTURES / "fixture_inventory.md")
     for rel, line, rule, msg in findings:
         print(f"{rel}:{line}: [{rule}] {msg}")
-    ok = not missing and not unexpected and not clean_hits
-    if missing:
-        print(f"self-test FAILED: seeded violations not flagged: "
-              f"{sorted(missing)}")
-    if unexpected:
-        print(f"self-test FAILED: unexpected findings: {sorted(unexpected)}")
-    if clean_hits:
-        print("self-test FAILED: clean.cc was flagged")
+    got = {}
+    for rel, _, rule, _ in findings:
+        got[(rel.name, rule)] = got.get((rel.name, rule), 0) + 1
+    for key in sorted(set(got) | set(SELF_TEST_EXPECTED)):
+        if got.get(key, 0) != SELF_TEST_EXPECTED.get(key, 0):
+            print(f"self-test FAILED: {key[0]} [{key[1]}]: expected "
+                  f"{SELF_TEST_EXPECTED.get(key, 0)} finding(s), got "
+                  f"{got.get(key, 0)}")
+    ok = got == SELF_TEST_EXPECTED
     print(f"self-test ({engine.name} engine) " + ("OK" if ok else "FAILED"))
     return 0 if ok else 1
 
@@ -815,8 +987,8 @@ def main():
     if "--self-test" in sys.argv:
         return self_test(engine)
 
-    status_fns = harvest_status_functions(SRC)
-    findings = analyze(SRC, engine, status_fns)
+    findings = analyze(SRC, engine, harvest_status_functions(SRC),
+                       REPO / "DESIGN.md")
     for rel, line, rule, msg in findings:
         print(f"{rel}:{line}: [{rule}] {msg}")
     if findings:

@@ -59,7 +59,7 @@ class ResidentReader : public FragmentReader {
       PackedSearchRange(frag_->data_.words(), frag_->data_.bits(), from, to,
                         lo, hi, from, out);
     }
-    CountRowsScanned(ctx_, to - from);
+    Bump(ctx_, &QueryStats::rows_scanned, to - from);
     return Status::OK();
   }
 
@@ -75,7 +75,7 @@ class ResidentReader : public FragmentReader {
       PackedSearchIn(frag_->data_.words(), frag_->data_.bits(), from, to,
                      sorted_vids, from, out);
     }
-    CountRowsScanned(ctx_, to - from);
+    Bump(ctx_, &QueryStats::rows_scanned, to - from);
     return Status::OK();
   }
 
@@ -85,7 +85,7 @@ class ResidentReader : public FragmentReader {
       if (r >= frag_->row_count_) return Status::OutOfRange("row position");
       uint64_t v = sparse() ? frag_->sparse_.Get(r) : frag_->data_.Get(r);
       if (v - lo <= static_cast<uint64_t>(hi) - lo) out->push_back(r);
-      CountRowsScanned(ctx_, 1);
+      Bump(ctx_, &QueryStats::rows_scanned);
     }
     return Status::OK();
   }
@@ -93,19 +93,19 @@ class ResidentReader : public FragmentReader {
   Status FindRows(ValueId vid, std::vector<RowPos>* out) override {
     if (vid >= frag_->dict_size_) return Status::OutOfRange("value id");
     if (frag_->has_index_) {
-      CountIndexLookup(ctx_);
+      Bump(ctx_, &QueryStats::index_lookups);
       auto span = frag_->index_.Lookup(vid);
       out->insert(out->end(), span.begin(), span.end());
       return Status::OK();
     }
-    CountVectorScan(ctx_);
+    Bump(ctx_, &QueryStats::vector_scans);
     if (sparse()) {
       frag_->sparse_.SearchEq(0, frag_->row_count_, vid, 0, out);
     } else {
       PackedSearchEq(frag_->data_.words(), frag_->data_.bits(), 0,
                      frag_->row_count_, vid, 0, out);
     }
-    CountRowsScanned(ctx_, frag_->row_count_);
+    Bump(ctx_, &QueryStats::rows_scanned, frag_->row_count_);
     return Status::OK();
   }
 
@@ -392,7 +392,7 @@ Result<std::unique_ptr<FragmentReader>> FullyResidentFragment::NewReader(
                                        " cannot stay resident under budget");
     }
   }
-  CountPagePinned(ctx);
+  Bump(ctx, &QueryStats::pages_pinned);
   return std::unique_ptr<FragmentReader>(
       new ResidentReader(this, ctx, std::move(pin)));
 }

@@ -7,7 +7,7 @@
 namespace payg {
 
 long EnvLong(const char* name, long min, long max, long fallback) {
-  // lint:allow(raw-getenv) — this is the sanctioned doorway.
+  // analyzer:allow(raw-getenv) — this is the sanctioned doorway.
   const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') return fallback;
   char* end = nullptr;
@@ -18,13 +18,13 @@ long EnvLong(const char* name, long min, long max, long fallback) {
 }
 
 bool EnvFlag(const char* name) {
-  // lint:allow(raw-getenv) — this is the sanctioned doorway.
+  // analyzer:allow(raw-getenv) — this is the sanctioned doorway.
   const char* env = std::getenv(name);
   return env != nullptr && env[0] == '1';
 }
 
 const char* EnvRaw(const char* name) {
-  // lint:allow(raw-getenv) — this is the sanctioned doorway.
+  // analyzer:allow(raw-getenv) — this is the sanctioned doorway.
   return std::getenv(name);
 }
 

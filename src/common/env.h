@@ -5,7 +5,7 @@
 // PAYG_* knob goes through these helpers so parsing is uniformly strict:
 // unset, empty, or malformed values (trailing garbage, no digits, overflow)
 // fall back to the documented default instead of silently half-parsing.
-// scripts/lint.py bans raw `getenv` anywhere else under src/.
+// scripts/payg_analyzer.py bans raw `getenv` anywhere else under src/.
 
 namespace payg {
 

@@ -33,7 +33,8 @@ SparseVector SparseVector::Encode(const std::vector<ValueId>& vids) {
   sv.size_ = vids.size();
   // Only the dominant vid (out-param) matters here; the returned fraction
   // already decided ShouldUseSparse at the call site above this one.
-  (void)DominantFraction(vids, &sv.dominant_);  // lint:allow(dropped-status)
+  // analyzer:allow(status-swallow)
+  (void)DominantFraction(vids, &sv.dominant_);
 
   ValueId max_exception = 0;
   for (ValueId v : vids) {

@@ -6,121 +6,37 @@
 #include <cstdint>
 
 #include "common/status.h"
-#include "obs/metrics.h"
+#include "obs/query_counters.h"
 #include "obs/query_profile.h"
 
 namespace payg {
 
-// Per-query counter set — an IoStats scoped to one query instead of the
-// whole store. One query's partition workers share the context, so the
-// counters are atomic; relaxed ordering is enough (they are statistics, not
-// synchronization).
+// Per-query counter set: one atomic per entry of the PAYG_QUERY_COUNTERS
+// list (obs/query_counters.h). One query's partition workers share the
+// context, so the counters are atomic; relaxed ordering is enough (they are
+// statistics, not synchronization). Atomics hold raw units — ns for the two
+// page waits — and snapshot() reports every counter in its listed unit.
+//
+// Page-wait decomposition, counted by PageCache::GetPage: a cold access
+// paid a physical load (page_cold_count tracks pages_read one-for-one, at a
+// different code site — profile_test cross-checks them), a hit pinned a
+// resident page. Time is the full GetPage call, so cold time includes the
+// simulated device latency plus any in-flight-prefetch wait.
 struct QueryStats {
-  std::atomic<uint64_t> pages_pinned{0};   // page-cache pins handed out
-  std::atomic<uint64_t> pages_read{0};     // physical page loads
-  std::atomic<uint64_t> bytes_read{0};     // bytes of those loads
-  std::atomic<uint64_t> rows_scanned{0};   // rows examined by search/filter
-  std::atomic<uint64_t> index_lookups{0};  // FindRows served by an index
-  std::atomic<uint64_t> vector_scans{0};   // FindRows/search via vid scan
-  std::atomic<uint64_t> partitions_visited{0};
-  std::atomic<uint64_t> prefetch_issued{0};  // readahead loads this query asked for
-  std::atomic<uint64_t> prefetch_hits{0};    // pins served by a prefetched page
-  std::atomic<uint64_t> io_batches{0};       // batched read submissions issued
-  std::atomic<uint64_t> codec_native{0};     // kernels run on compressed form
-  std::atomic<uint64_t> codec_fallback{0};   // kernels via decode-into-scratch
-  // Page-wait decomposition, counted by PageCache::GetPage: a cold access
-  // paid a physical load (page_cold_count tracks pages_read one-for-one, at
-  // a different code site — profile_test cross-checks them), a hit pinned a
-  // resident page. Time is the full GetPage call, so cold time includes the
-  // simulated device latency plus any in-flight-prefetch wait.
-  std::atomic<uint64_t> page_cold_count{0};
-  std::atomic<uint64_t> page_cold_us{0};
-  std::atomic<uint64_t> page_hit_count{0};
-  std::atomic<uint64_t> page_hit_us{0};
+#define PAYG_QUERY_ATOMIC(name, scale) std::atomic<uint64_t> name = 0;
+  PAYG_QUERY_COUNTERS(PAYG_QUERY_ATOMIC)
+#undef PAYG_QUERY_ATOMIC
 
   // Plain-integer copy for reporting (benchmarks, logs, tests).
-  struct Snapshot {
-    uint64_t pages_pinned = 0;
-    uint64_t pages_read = 0;
-    uint64_t bytes_read = 0;
-    uint64_t rows_scanned = 0;
-    uint64_t index_lookups = 0;
-    uint64_t vector_scans = 0;
-    uint64_t partitions_visited = 0;
-    uint64_t prefetch_issued = 0;
-    uint64_t prefetch_hits = 0;
-    uint64_t io_batches = 0;
-    uint64_t codec_native = 0;
-    uint64_t codec_fallback = 0;
-    uint64_t page_cold_count = 0;
-    uint64_t page_cold_us = 0;
-    uint64_t page_hit_count = 0;
-    uint64_t page_hit_us = 0;
-  };
+  using Snapshot = obs::QueryCounters;
 
   Snapshot snapshot() const {
     Snapshot s;
-    s.pages_pinned = pages_pinned.load(std::memory_order_relaxed);
-    s.pages_read = pages_read.load(std::memory_order_relaxed);
-    s.bytes_read = bytes_read.load(std::memory_order_relaxed);
-    s.rows_scanned = rows_scanned.load(std::memory_order_relaxed);
-    s.index_lookups = index_lookups.load(std::memory_order_relaxed);
-    s.vector_scans = vector_scans.load(std::memory_order_relaxed);
-    s.partitions_visited = partitions_visited.load(std::memory_order_relaxed);
-    s.prefetch_issued = prefetch_issued.load(std::memory_order_relaxed);
-    s.prefetch_hits = prefetch_hits.load(std::memory_order_relaxed);
-    s.io_batches = io_batches.load(std::memory_order_relaxed);
-    s.codec_native = codec_native.load(std::memory_order_relaxed);
-    s.codec_fallback = codec_fallback.load(std::memory_order_relaxed);
-    s.page_cold_count = page_cold_count.load(std::memory_order_relaxed);
-    s.page_cold_us = page_cold_us.load(std::memory_order_relaxed);
-    s.page_hit_count = page_hit_count.load(std::memory_order_relaxed);
-    s.page_hit_us = page_hit_us.load(std::memory_order_relaxed);
+#define PAYG_QUERY_LOAD(name, scale) \
+  s.name = this->name.load(std::memory_order_relaxed) / (scale);
+    PAYG_QUERY_COUNTERS(PAYG_QUERY_LOAD)
+#undef PAYG_QUERY_LOAD
     return s;
-  }
-
-  // Adds the snapshot to the process-wide "query.*" counters, so per-query
-  // accounting also shows up in the one registry dump. The registry
-  // pointers are resolved once per process (the registry never invalidates
-  // them, even across ResetAll).
-  static void FoldIntoRegistry(const Snapshot& s) {
-    auto& reg = obs::MetricsRegistry::Global();
-    static obs::Counter* pages_pinned = reg.counter("query.pages_pinned");
-    static obs::Counter* pages_read = reg.counter("query.pages_read");
-    static obs::Counter* bytes_read = reg.counter("query.bytes_read");
-    static obs::Counter* rows_scanned = reg.counter("query.rows_scanned");
-    static obs::Counter* index_lookups = reg.counter("query.index_lookups");
-    static obs::Counter* vector_scans = reg.counter("query.vector_scans");
-    static obs::Counter* partitions_visited =
-        reg.counter("query.partitions_visited");
-    static obs::Counter* prefetch_issued =
-        reg.counter("query.prefetch_issued");
-    static obs::Counter* prefetch_hits = reg.counter("query.prefetch_hits");
-    static obs::Counter* io_batches = reg.counter("query.io_batches");
-    static obs::Counter* codec_native = reg.counter("query.codec_native");
-    static obs::Counter* codec_fallback =
-        reg.counter("query.codec_fallback");
-    static obs::Counter* page_cold_count =
-        reg.counter("query.page_cold_count");
-    static obs::Counter* page_cold_us = reg.counter("query.page_cold_us");
-    static obs::Counter* page_hit_count = reg.counter("query.page_hit_count");
-    static obs::Counter* page_hit_us = reg.counter("query.page_hit_us");
-    pages_pinned->Add(s.pages_pinned);
-    pages_read->Add(s.pages_read);
-    bytes_read->Add(s.bytes_read);
-    rows_scanned->Add(s.rows_scanned);
-    index_lookups->Add(s.index_lookups);
-    vector_scans->Add(s.vector_scans);
-    partitions_visited->Add(s.partitions_visited);
-    prefetch_issued->Add(s.prefetch_issued);
-    prefetch_hits->Add(s.prefetch_hits);
-    io_batches->Add(s.io_batches);
-    codec_native->Add(s.codec_native);
-    codec_fallback->Add(s.codec_fallback);
-    page_cold_count->Add(s.page_cold_count);
-    page_cold_us->Add(s.page_cold_us);
-    page_hit_count->Add(s.page_hit_count);
-    page_hit_us->Add(s.page_hit_us);
   }
 };
 
@@ -148,7 +64,7 @@ struct ExecContext {
 
   // Query end: whatever this query (or query stream — benchmarks reuse one
   // context) accounted folds into the registry exactly once.
-  ~ExecContext() { QueryStats::FoldIntoRegistry(stats.snapshot()); }
+  ~ExecContext() { stats.snapshot().FoldIntoRegistry(); }
 
   QueryStats stats;
 
@@ -183,70 +99,21 @@ struct ExecContext {
   }
 };
 
-// Counter bump helpers tolerating the no-context case.
-inline void CountPagePinned(ExecContext* ctx) {
+// Adds `n` to one per-query counter, e.g.
+//   Bump(ctx, &QueryStats::rows_scanned, rows);
+// A null context (no accounting requested) is a no-op.
+inline void Bump(ExecContext* ctx, std::atomic<uint64_t> QueryStats::*counter,
+                 uint64_t n = 1) {
   if (ctx != nullptr) {
-    ctx->stats.pages_pinned.fetch_add(1, std::memory_order_relaxed);
+    (ctx->stats.*counter).fetch_add(n, std::memory_order_relaxed);
   }
 }
-inline void CountPageRead(ExecContext* ctx, uint64_t bytes) {
-  if (ctx != nullptr) {
-    ctx->stats.pages_read.fetch_add(1, std::memory_order_relaxed);
-    ctx->stats.bytes_read.fetch_add(bytes, std::memory_order_relaxed);
-  }
-}
-inline void CountRowsScanned(ExecContext* ctx, uint64_t rows) {
-  if (ctx != nullptr) {
-    ctx->stats.rows_scanned.fetch_add(rows, std::memory_order_relaxed);
-  }
-}
-inline void CountIndexLookup(ExecContext* ctx) {
-  if (ctx != nullptr) {
-    ctx->stats.index_lookups.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-inline void CountVectorScan(ExecContext* ctx) {
-  if (ctx != nullptr) {
-    ctx->stats.vector_scans.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-inline void CountPartitionVisited(ExecContext* ctx) {
-  if (ctx != nullptr) {
-    ctx->stats.partitions_visited.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-inline void CountPrefetchIssued(ExecContext* ctx) {
-  if (ctx != nullptr) {
-    ctx->stats.prefetch_issued.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-inline void CountPrefetchHit(ExecContext* ctx) {
-  if (ctx != nullptr) {
-    ctx->stats.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-inline void CountIoBatch(ExecContext* ctx) {
-  if (ctx != nullptr) {
-    ctx->stats.io_batches.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-inline void CountCodecKernels(ExecContext* ctx, uint64_t native,
-                              uint64_t fallback) {
-  if (ctx != nullptr) {
-    ctx->stats.codec_native.fetch_add(native, std::memory_order_relaxed);
-    ctx->stats.codec_fallback.fetch_add(fallback, std::memory_order_relaxed);
-  }
-}
-inline void CountPageAccess(ExecContext* ctx, bool cold, uint64_t micros) {
-  if (ctx != nullptr) {
-    if (cold) {
-      ctx->stats.page_cold_count.fetch_add(1, std::memory_order_relaxed);
-      ctx->stats.page_cold_us.fetch_add(micros, std::memory_order_relaxed);
-    } else {
-      ctx->stats.page_hit_count.fetch_add(1, std::memory_order_relaxed);
-      ctx->stats.page_hit_us.fetch_add(micros, std::memory_order_relaxed);
-    }
-  }
+
+// One GetPage call of `nanos`: cold (paid a physical load) or a hit.
+inline void CountPageAccess(ExecContext* ctx, bool cold, uint64_t nanos) {
+  Bump(ctx, cold ? &QueryStats::page_cold_count : &QueryStats::page_hit_count);
+  Bump(ctx, cold ? &QueryStats::page_cold_us : &QueryStats::page_hit_us,
+       nanos);
 }
 
 }  // namespace payg

@@ -150,7 +150,7 @@ std::string MetricsRegistry::JsonDump() const {
 namespace {
 
 // "cache.shard0.pages" -> "payg_cache_shard0_pages". Registry names are
-// lowercase dotted paths (lint-enforced), so dots-to-underscores already
+// lowercase dotted paths (analyzer-enforced), so dots-to-underscores already
 // yields a legal Prometheus metric name.
 std::string PromName(const std::string& name) {
   std::string out = "payg_";

@@ -44,18 +44,13 @@ std::string QueryProfile::ToJson() const {
   Append(&out,
          "{\"query_id\":%" PRIu64 ",\"wall_us\":%" PRIu64
          ",\"queue_wait_us\":%" PRIu64 ",\"scan_us\":%" PRIu64
-         ",\"partitions\":%" PRIu64 ",\"page_cold_count\":%" PRIu64
-         ",\"page_cold_us\":%" PRIu64 ",\"page_hit_count\":%" PRIu64
-         ",\"page_hit_us\":%" PRIu64 ",\"bytes_read\":%" PRIu64
-         ",\"rows_scanned\":%" PRIu64 ",\"index_lookups\":%" PRIu64
-         ",\"vector_scans\":%" PRIu64 ",\"codec_native\":%" PRIu64
-         ",\"codec_fallback\":%" PRIu64 ",\"prefetch_issued\":%" PRIu64
-         ",\"prefetch_hits\":%" PRIu64 ",\"deadline_exceeded\":%s"
-         ",\"partition_us\":[",
-         query_id, wall_us, queue_wait_us, scan_us, partitions,
-         page_cold_count, page_cold_us, page_hit_count, page_hit_us,
-         bytes_read, rows_scanned, index_lookups, vector_scans, codec_native,
-         codec_fallback, prefetch_issued, prefetch_hits,
+         ",\"partitions\":%" PRIu64,
+         query_id, wall_us, queue_wait_us, scan_us, partitions);
+#define PAYG_QUERY_JSON(name, scale) \
+  Append(&out, ",\"" #name "\":%" PRIu64, name);
+  PAYG_QUERY_COUNTERS(PAYG_QUERY_JSON)
+#undef PAYG_QUERY_JSON
+  Append(&out, ",\"deadline_exceeded\":%s,\"partition_us\":[",
          deadline_exceeded ? "true" : "false");
   for (size_t i = 0; i < partition_us.size(); ++i) {
     Append(&out, "%s%" PRIu64, i == 0 ? "" : ",", partition_us[i]);

@@ -5,19 +5,22 @@
 #include <string>
 #include <vector>
 
+#include "obs/query_counters.h"
+
 namespace payg::obs {
 
 // Per-query stage breakdown — EXPLAIN ANALYZE for the Table-2 query shapes.
 // Filled by QueryExecutor at query completion from the ExecContext counter
-// deltas and the executor's own timers; pure data so it can live in obs
-// (below exec in the dependency order) and flow through the slow-query ring
-// and the stats dumper without dragging executor types along.
+// deltas (every per-query counter, inherited from QueryCounters) and the
+// executor's own timers; pure data so it can live in obs (below exec in the
+// dependency order) and flow through the slow-query ring and the stats
+// dumper without dragging executor types along.
 //
 // Stage accounting identity (asserted by profile_test): for a query that
 // runs serially, queue_wait_us + scan_us ≈ wall_us; page_cold_us +
 // page_hit_us is contained in scan_us (page waits happen inside partition
 // tasks, they are a decomposition, not an addend).
-struct QueryProfile {
+struct QueryProfile : QueryCounters {
   uint64_t query_id = 0;
 
   // --- timing (microseconds) ---
@@ -26,28 +29,14 @@ struct QueryProfile {
   uint64_t scan_us = 0;        // sum over tasks: partition task duration
   std::vector<uint64_t> partition_us;  // slot i = partition i's task time
 
-  // --- page reads, split cold (physical load) vs hit (resident pin) ---
-  uint64_t page_cold_count = 0;
-  uint64_t page_cold_us = 0;
-  uint64_t page_hit_count = 0;
-  uint64_t page_hit_us = 0;
-  uint64_t bytes_read = 0;
-
-  // --- work shape ---
-  uint64_t rows_scanned = 0;
-  uint64_t index_lookups = 0;  // partitions answered via inverted index
-  uint64_t vector_scans = 0;   // partitions answered via data-vector scan
-  uint64_t codec_native = 0;   // kernels run on the compressed image
-  uint64_t codec_fallback = 0; // kernels via decode-into-scratch
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t partitions = 0;
+  uint64_t partitions = 0;  // tasks in the fan-out
   bool deadline_exceeded = false;
 
   // One line, key=value, for logs:
   //   qid=7 wall_us=1234 queue_us=2 scan_us=1200 cold=5/1100us hit=12/3us ...
   std::string ToText() const;
-  // Structured form with the same fields plus the per-partition vector.
+  // Structured form: the stages, every per-query counter, and the
+  // per-partition vector.
   std::string ToJson() const;
 };
 

@@ -88,7 +88,8 @@ void StatsDumper::Stop() {
   }
   // Final export after the join: the files always end up reflecting the
   // last state of the process, even when no periodic dump ever fired.
-  (void)DumpOnce(dir);  // lint:allow(dropped-status) best-effort at shutdown
+  // Best effort at shutdown: analyzer:allow(status-swallow)
+  (void)DumpOnce(dir);
 }
 
 bool StatsDumper::running() const {

@@ -46,7 +46,7 @@ void DropFragmentChains(StorageManager* storage, const std::string& name) {
   for (const char* suffix : kSuffixes) {
     // Best-effort cleanup: a fragment never creates every chain kind, so
     // NotFound is the common case and nothing actionable hides in the rest.
-    (void)storage->DropChain(name + suffix);  // lint:allow(dropped-status)
+    (void)storage->DropChain(name + suffix);  // analyzer:allow(status-swallow)
   }
 }
 

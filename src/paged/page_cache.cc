@@ -88,12 +88,12 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
           it->second.prefetched = false;
           prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
           m_prefetch_hits_->Inc();
-          CountPrefetchHit(ctx);
+          Bump(ctx, &QueryStats::prefetch_hits);
         }
-        CountPagePinned(ctx);
+        Bump(ctx, &QueryStats::pages_pinned);
         if (ctx != nullptr) {
           CountPageAccess(ctx, /*cold=*/false,
-                          (MonotonicNanos() - access_start_ns) / 1000);
+                          MonotonicNanos() - access_start_ns);
         }
         hits_.fetch_add(1, std::memory_order_relaxed);
         m_hits_->Inc();
@@ -117,7 +117,7 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
   loads_.fetch_add(1, std::memory_order_relaxed);
   misses_.fetch_add(1, std::memory_order_relaxed);
   m_misses_->Inc();
-  CountPagePinned(ctx);
+  Bump(ctx, &QueryStats::pages_pinned);
 
   const uint64_t gen = next_generation_.fetch_add(1);
   ResourceHandle handle;
@@ -140,7 +140,7 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
           it->second.prefetched = false;
           prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
           m_prefetch_hits_->Inc();
-          CountPrefetchHit(ctx);
+          Bump(ctx, &QueryStats::prefetch_hits);
         }
         pin_waits_.fetch_add(1, std::memory_order_relaxed);
         m_pin_waits_->Inc();
@@ -150,7 +150,7 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
         // (counted in pages_read), so the profile's cold count must match.
         if (ctx != nullptr) {
           CountPageAccess(ctx, /*cold=*/true,
-                          (MonotonicNanos() - access_start_ns) / 1000);
+                          MonotonicNanos() - access_start_ns);
         }
         return PageRef(it->second.page, std::move(theirs), lpn);
       }
@@ -162,8 +162,7 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
     shard.occupancy->Add(1);
   }
   if (ctx != nullptr) {
-    CountPageAccess(ctx, /*cold=*/true,
-                    (MonotonicNanos() - access_start_ns) / 1000);
+    CountPageAccess(ctx, /*cold=*/true, MonotonicNanos() - access_start_ns);
   }
   return PageRef(std::move(page), std::move(pin), lpn);
 }
@@ -193,8 +192,8 @@ void PageCache::PrefetchRange(LogicalPageNo first, uint32_t count,
 
   prefetch_issued_.fetch_add(lpns.size(), std::memory_order_relaxed);
   m_prefetch_issued_->Add(lpns.size());
-  for (size_t i = 0; i < lpns.size(); ++i) CountPrefetchIssued(ctx);
-  CountIoBatch(ctx);
+  Bump(ctx, &QueryStats::prefetch_issued, lpns.size());
+  Bump(ctx, &QueryStats::io_batches);
   // Note: the task must not touch `ctx` — it may outlive the query.
   SharedIoPool()->Submit(
       [this, lpns = std::move(lpns)] { DoBatchRead(lpns); });

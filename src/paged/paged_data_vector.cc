@@ -343,7 +343,8 @@ PagedDataVectorIterator::~PagedDataVectorIterator() {
     static obs::Counter* m_fallback = reg.counter("codec.kernel_fallback");
     m_native->Add(native);
     m_fallback->Add(fallback);
-    CountCodecKernels(ctx_, native, fallback);
+    Bump(ctx_, &QueryStats::codec_native, native);
+    Bump(ctx_, &QueryStats::codec_fallback, fallback);
   }
 }
 
@@ -440,7 +441,7 @@ Status PagedDataVectorIterator::MGet(RowPos from, RowPos to,
     out->resize(old + (stop - r));
     CodecMGet(dv_->codec_.id, view_, r - page_first_row_,
               stop - page_first_row_, out->data() + old, &codec_stats_);
-    CountRowsScanned(ctx_, stop - r);
+    Bump(ctx_, &QueryStats::rows_scanned, stop - r);
     r = stop;
   }
   return Status::OK();
@@ -467,7 +468,7 @@ Status PagedDataVectorIterator::SearchRange(RowPos from, RowPos to, ValueId lo,
     RowPos stop = std::min(to, page_end);
     CodecSearchRange(dv_->codec_.id, view_, r - page_first_row_,
                      stop - page_first_row_, lo, hi, r, out, &codec_stats_);
-    CountRowsScanned(ctx_, stop - r);
+    Bump(ctx_, &QueryStats::rows_scanned, stop - r);
     r = stop;
   }
   return Status::OK();
@@ -490,7 +491,7 @@ Status PagedDataVectorIterator::SearchEq(RowPos from, RowPos to, ValueId vid,
     RowPos stop = std::min(to, page_end);
     CodecSearchEq(dv_->codec_.id, view_, r - page_first_row_,
                   stop - page_first_row_, vid, r, out, &codec_stats_);
-    CountRowsScanned(ctx_, stop - r);
+    Bump(ctx_, &QueryStats::rows_scanned, stop - r);
     r = stop;
   }
   return Status::OK();
@@ -516,7 +517,7 @@ Status PagedDataVectorIterator::SearchIn(
     CodecSearchIn(dv_->codec_.id, view_, r - page_first_row_,
                   stop - page_first_row_, sorted_vids, r, out,
                   &codec_stats_);
-    CountRowsScanned(ctx_, stop - r);
+    Bump(ctx_, &QueryStats::rows_scanned, stop - r);
     r = stop;
   }
   return Status::OK();
@@ -530,7 +531,7 @@ Status PagedDataVectorIterator::SearchRowsRange(const std::vector<RowPos>& rows,
     if (!vid.ok()) return vid.status();
     uint64_t v = *vid;
     if (v - lo <= static_cast<uint64_t>(hi) - lo) out->push_back(r);
-    CountRowsScanned(ctx_, 1);
+    Bump(ctx_, &QueryStats::rows_scanned);
   }
   return Status::OK();
 }

@@ -64,11 +64,11 @@ class PagedReader : public FragmentReader {
     }
     if (idx_it_ != nullptr) {
       // Alg. 5: use the paged inverted index when it exists.
-      CountIndexLookup(ctx_);
+      Bump(ctx_, &QueryStats::index_lookups);
       return idx_it_->Lookup(vid, out);
     }
     // Alg. 1: sequential scan of the paged data vector.
-    CountVectorScan(ctx_);
+    Bump(ctx_, &QueryStats::vector_scans);
     return dv_it_.FindByValueId(vid, out);
   }
 

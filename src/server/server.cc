@@ -230,7 +230,7 @@ void Server::AcceptLoop() {
       resp.code = wire::Code::kOverloaded;
       resp.message = "session limit reached";
       // Best effort: the peer may not even read it before the close.
-      (void)wire::WriteFrame(  // lint:allow(dropped-status) courtesy frame
+      (void)wire::WriteFrame(  // analyzer:allow(status-swallow) courtesy frame
           fd, wire::EncodeResponse(wire::Op::kPing, resp));
       ::close(fd);
       continue;
@@ -397,9 +397,6 @@ void Server::WorkerLoop() {
       if (now > head->deadline) {
         shed_->Inc();
         shed_deadline_->Inc();
-        obs::MetricsRegistry::Global()
-            .counter("query.deadline_exceeded")
-            ->Inc();
         wire::Response resp;
         resp.code = wire::Code::kShedDeadline;
         resp.message = "deadline expired in admission queue";
@@ -419,9 +416,6 @@ void Server::WorkerLoop() {
       if (now > p->deadline) {
         shed_->Inc();
         shed_deadline_->Inc();
-        obs::MetricsRegistry::Global()
-            .counter("query.deadline_exceeded")
-            ->Inc();
         wire::Response resp;
         resp.code = wire::Code::kShedDeadline;
         resp.message = "deadline expired in admission queue";

@@ -25,14 +25,12 @@ std::string Errno(const std::string& what, const std::string& path) {
 }  // namespace
 
 PageFile::PageFile(std::string path, int fd, uint32_t page_size,
-                   uint64_t page_count, const StorageOptions& opts,
-                   IoStats* stats)
+                   uint64_t page_count, const StorageOptions& opts)
     : path_(std::move(path)),
       fd_(fd),
       page_size_(page_size),
       page_count_(page_count),
-      opts_(opts),
-      stats_(stats) {
+      opts_(opts) {
   auto& reg = obs::MetricsRegistry::Global();
   m_pages_read_ = reg.counter("storage.read.pages");
   m_bytes_read_ = reg.counter("storage.read.bytes");
@@ -59,21 +57,19 @@ PageFile::~PageFile() {
 
 Result<std::unique_ptr<PageFile>> PageFile::Create(const std::string& path,
                                                    uint32_t page_size,
-                                                   const StorageOptions& opts,
-                                                   IoStats* stats) {
+                                                   const StorageOptions& opts) {
   if (page_size <= sizeof(PageHeader)) {
     return Status::InvalidArgument("page size too small");
   }
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return Status::IOError(Errno("create", path));
   return std::unique_ptr<PageFile>(
-      new PageFile(path, fd, page_size, 0, opts, stats));
+      new PageFile(path, fd, page_size, 0, opts));
 }
 
 Result<std::unique_ptr<PageFile>> PageFile::Open(const std::string& path,
                                                  uint32_t page_size,
-                                                 const StorageOptions& opts,
-                                                 IoStats* stats) {
+                                                 const StorageOptions& opts) {
   int fd = ::open(path.c_str(), O_RDWR);
   if (fd < 0) return Status::IOError(Errno("open", path));
   struct stat st;
@@ -88,7 +84,7 @@ Result<std::unique_ptr<PageFile>> PageFile::Open(const std::string& path,
   }
   uint64_t count = static_cast<uint64_t>(st.st_size) / page_size;
   return std::unique_ptr<PageFile>(
-      new PageFile(path, fd, page_size, count, opts, stats));
+      new PageFile(path, fd, page_size, count, opts));
 }
 
 Result<LogicalPageNo> PageFile::AppendPage(Page* page) {
@@ -111,10 +107,6 @@ Status PageFile::WritePage(LogicalPageNo lpn, Page* page) {
   m_write_latency_us_->Record(static_cast<uint64_t>(timer.ElapsedMicros()));
   m_pages_written_->Inc();
   m_bytes_written_->Add(page_size_);
-  if (stats_ != nullptr) {
-    stats_->pages_written.fetch_add(1, std::memory_order_relaxed);
-    stats_->bytes_written.fetch_add(page_size_, std::memory_order_relaxed);
-  }
   return Status::OK();
 }
 
@@ -171,11 +163,8 @@ Status PageFile::VerifyLoadedPage(LogicalPageNo lpn, Page* page,
   }
   m_pages_read_->Inc();
   m_bytes_read_->Add(page_size_);
-  if (stats_ != nullptr) {
-    stats_->pages_read.fetch_add(1, std::memory_order_relaxed);
-    stats_->bytes_read.fetch_add(page_size_, std::memory_order_relaxed);
-  }
-  CountPageRead(ctx, page_size_);
+  Bump(ctx, &QueryStats::pages_read);
+  Bump(ctx, &QueryStats::bytes_read, page_size_);
   return Status::OK();
 }
 

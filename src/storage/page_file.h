@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "storage/io_backend.h"
-#include "storage/io_stats.h"
 #include "storage/page.h"
 #include "storage/storage_options.h"
 
@@ -34,15 +33,13 @@ class PageFile {
   // Creates a new (empty) page file, truncating any existing file at `path`.
   static Result<std::unique_ptr<PageFile>> Create(const std::string& path,
                                                   uint32_t page_size,
-                                                  const StorageOptions& opts,
-                                                  IoStats* stats);
+                                                  const StorageOptions& opts);
 
   // Opens an existing page file; the on-disk size must be a multiple of
   // `page_size`.
   static Result<std::unique_ptr<PageFile>> Open(const std::string& path,
                                                 uint32_t page_size,
-                                                const StorageOptions& opts,
-                                                IoStats* stats);
+                                                const StorageOptions& opts);
 
   // Appends `page` to the end of the chain and returns its logical page
   // number. Stamps the header's logical_page_no and checksum.
@@ -53,8 +50,7 @@ class PageFile {
 
   // Reads the page at `lpn` into `page` (whose size must match), verifying
   // magic and checksum, and applying the configured simulated read latency.
-  // When a query's ExecContext is given, the read is attributed to it in
-  // addition to the store-wide IoStats.
+  // When a query's ExecContext is given, the read is also attributed to it.
   Status ReadPage(LogicalPageNo lpn, Page* page,
                   ExecContext* ctx = nullptr) const;
 
@@ -82,7 +78,7 @@ class PageFile {
 
  private:
   PageFile(std::string path, int fd, uint32_t page_size, uint64_t page_count,
-           const StorageOptions& opts, IoStats* stats);
+           const StorageOptions& opts);
 
   // Shared verification + accounting tail of both read paths: magic, page
   // number, checksum (counting "io.checksum_fail"), then the read counters.
@@ -94,7 +90,6 @@ class PageFile {
   uint32_t page_size_;
   std::atomic<uint64_t> page_count_;
   StorageOptions opts_;
-  IoStats* stats_;  // not owned; may be null
 
   // Batched reads in flight. The destructor spins until this drains so a
   // ReadPages still finalizing pages never touches a dead PageFile — owners
@@ -102,9 +97,9 @@ class PageFile {
   // this closes the last window in between.
   mutable std::atomic<uint64_t> inflight_batches_{0};
 
-  // Process-wide mirrors of the IoStats bumps plus the physical-IO latency
-  // histograms ("storage.read.latency_us" / "storage.write.latency_us").
-  // Resolved once here so the read path pays no registry lookup.
+  // Process-wide page traffic ("storage.read.*" / "storage.write.*") and
+  // the physical-IO latency histograms. Resolved once here so the read path
+  // pays no registry lookup.
   obs::Counter* m_pages_read_;
   obs::Counter* m_bytes_read_;
   obs::Counter* m_pages_written_;

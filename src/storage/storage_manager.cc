@@ -43,12 +43,12 @@ std::string StorageManager::PathFor(const std::string& name) const {
 
 Result<std::unique_ptr<PageFile>> StorageManager::CreateChain(
     const std::string& name, uint32_t page_size) {
-  return PageFile::Create(PathFor(name), page_size, opts_, &io_stats_);
+  return PageFile::Create(PathFor(name), page_size, opts_);
 }
 
 Result<std::unique_ptr<PageFile>> StorageManager::OpenChain(
     const std::string& name, uint32_t page_size) {
-  return PageFile::Open(PathFor(name), page_size, opts_, &io_stats_);
+  return PageFile::Open(PathFor(name), page_size, opts_);
 }
 
 Result<std::unique_ptr<PageFile>> StorageManager::CreateNonCriticalChain(
@@ -57,7 +57,7 @@ Result<std::unique_ptr<PageFile>> StorageManager::CreateNonCriticalChain(
   if (opts.scm_for_noncritical) {
     opts.simulated_read_latency_us = opts.scm_read_latency_us;
   }
-  return PageFile::Create(PathFor(name), page_size, opts, &io_stats_);
+  return PageFile::Create(PathFor(name), page_size, opts);
 }
 
 Result<std::unique_ptr<PageFile>> StorageManager::OpenNonCriticalChain(
@@ -66,7 +66,7 @@ Result<std::unique_ptr<PageFile>> StorageManager::OpenNonCriticalChain(
   if (opts.scm_for_noncritical) {
     opts.simulated_read_latency_us = opts.scm_read_latency_us;
   }
-  return PageFile::Open(PathFor(name), page_size, opts, &io_stats_);
+  return PageFile::Open(PathFor(name), page_size, opts);
 }
 
 Status StorageManager::DropChain(const std::string& name) {

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/result.h"
-#include "storage/io_stats.h"
 #include "storage/page_file.h"
 #include "storage/storage_options.h"
 
@@ -13,8 +12,8 @@ namespace payg {
 
 // Owns the on-disk home of a column store: a directory under which every
 // persisted structure (data vector, dictionary, helper index, inverted
-// index) gets its own page chain file. Aggregates I/O statistics across all
-// chains.
+// index) gets its own page chain file. Page traffic is counted process-wide
+// in the metrics registry ("storage.read.*" / "storage.write.*").
 class StorageManager {
  public:
   // Creates the directory if needed.
@@ -43,7 +42,6 @@ class StorageManager {
 
   const StorageOptions& options() const { return opts_; }
   const std::string& directory() const { return directory_; }
-  IoStats& io_stats() { return io_stats_; }
 
   // Adjust the simulated read latency for chains created/opened after this
   // call (benchmarks flip this between cold and hot phases).
@@ -59,7 +57,6 @@ class StorageManager {
 
   std::string directory_;
   StorageOptions opts_;
-  IoStats io_stats_;
 };
 
 }  // namespace payg

@@ -171,7 +171,7 @@ Status Narrow(Partition* part, const Predicate& pred, int col,
             kept.push_back(r);
           }
         }
-        CountRowsScanned(ctx, main_rows.size());
+        Bump(ctx, &QueryStats::rows_scanned, main_rows.size());
         break;
     }
   }
@@ -182,7 +182,7 @@ Status Narrow(Partition* part, const Predicate& pred, int col,
       kept.push_back(r);
     }
   }
-  CountRowsScanned(ctx, rows->size() - main_rows.size());
+  Bump(ctx, &QueryStats::rows_scanned, rows->size() - main_rows.size());
   *rows = std::move(kept);
   return Status::OK();
 }
@@ -223,7 +223,7 @@ Status MatchPartition(Partition* part, const std::vector<Predicate>& conjuncts,
         [&first](const Value& v) { return EvalPredicate(first, v); },
         &delta_rows);
   }
-  CountRowsScanned(ctx, delta->row_count());
+  Bump(ctx, &QueryStats::rows_scanned, delta->row_count());
   for (RowPos r : delta_rows) rows.push_back(base + r);
   rows.erase(std::remove_if(rows.begin(), rows.end(),
                             [part](RowPos r) { return !part->IsVisible(r); }),
@@ -507,7 +507,7 @@ Result<Table::SinkOutput> Table::Run(const std::vector<Predicate>& conjuncts,
   std::vector<SinkOutput> partials(n);
   PAYG_RETURN_IF_ERROR(executor_->ForEach(ctx, n, [&](size_t i) -> Status {
     Partition* part = partitions_[i].get();
-    CountPartitionVisited(ctx);
+    Bump(ctx, &QueryStats::partitions_visited);
     std::vector<RowPos> rows;
     std::vector<std::vector<uint32_t>> row_values;
     PAYG_RETURN_IF_ERROR(MatchPartition(part, conjuncts, cols, ctx, &rows,

@@ -45,7 +45,7 @@ class CacheStressTest : public ::testing::Test {
     StorageOptions opts;
     opts.page_size = kPageSize;
     opts.simulated_read_latency_us = read_latency_us;
-    auto file = PageFile::Create(dir_ + "/chain", kPageSize, opts, nullptr);
+    auto file = PageFile::Create(dir_ + "/chain", kPageSize, opts);
     ASSERT_TRUE(file.ok()) << file.status().ToString();
     file_ = std::move(*file);
     for (uint64_t i = 0; i < kPages; ++i) {

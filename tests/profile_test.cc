@@ -619,6 +619,61 @@ TEST(QueryProfileTest, TextAndJsonCarryEveryStage) {
       << json;
 }
 
+TEST(QueryProfileTest, JsonCarriesEveryListCounter) {
+  obs::QueryProfile p;
+  uint64_t v = 100;
+#define PAYG_QUERY_SET(name, scale) p.name = v++;
+  PAYG_QUERY_COUNTERS(PAYG_QUERY_SET)
+#undef PAYG_QUERY_SET
+
+  const std::string json = p.ToJson();
+  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  v = 100;
+#define PAYG_QUERY_KEY(name, scale)                                  \
+  EXPECT_NE(json.find("\"" #name "\":" + std::to_string(v++) + ","), \
+            std::string::npos)                                       \
+      << #name << " in " << json;
+  PAYG_QUERY_COUNTERS(PAYG_QUERY_KEY)
+#undef PAYG_QUERY_KEY
+}
+
+// ---------------------------------------------------------------------------
+// The per-query counter list: every entry folds into its registry counter,
+// and page waits accumulate ns until they are read.
+// ---------------------------------------------------------------------------
+
+TEST(QueryCountersTest, ExecContextFoldsEveryListCounter) {
+  auto& reg = obs::MetricsRegistry::Global();
+  std::vector<std::string> names;
+  std::vector<uint64_t> before;
+  {
+    ExecContext ctx;
+    uint64_t v = 1;
+#define PAYG_QUERY_BUMP(name, scale)                       \
+  names.push_back("query." #name);                         \
+  before.push_back(reg.counter(names.back())->value());    \
+  Bump(&ctx, &QueryStats::name, v++ * (scale));
+    PAYG_QUERY_COUNTERS(PAYG_QUERY_BUMP)
+#undef PAYG_QUERY_BUMP
+  }
+  // Counter i was bumped by i + 1 in its reported unit: distinct values,
+  // so a fold into the wrong registry counter cannot pass.
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(reg.counter(names[i])->value() - before[i], i + 1) << names[i];
+  }
+}
+
+TEST(QueryCountersTest, PageWaitsAccumulateNanosBeforeConverting) {
+  ExecContext ctx;
+  for (int i = 0; i < 10; ++i) CountPageAccess(&ctx, /*cold=*/false, 400);
+  const QueryStats::Snapshot s = ctx.stats.snapshot();
+  EXPECT_EQ(s.page_hit_count, 10u);
+  // 10 x 400 ns = 4 µs; truncating each hit to whole µs would give 0.
+  EXPECT_EQ(s.page_hit_us, 4u);
+  EXPECT_EQ(s.page_cold_count, 0u);
+  EXPECT_EQ(s.page_cold_us, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Slow-query ring admission protocol.
 // ---------------------------------------------------------------------------

@@ -178,15 +178,22 @@ TEST_F(StorageTest, MismatchedPageSizeOnOpenFails) {
 }
 
 TEST_F(StorageTest, IoStatsCountTraffic) {
+  auto& reg = obs::MetricsRegistry::Global();
+  obs::Counter* pages_written = reg.counter("storage.write.pages");
+  obs::Counter* pages_read = reg.counter("storage.read.pages");
+  obs::Counter* bytes_written = reg.counter("storage.write.bytes");
+  const uint64_t pages_written0 = pages_written->value();
+  const uint64_t pages_read0 = pages_read->value();
+  const uint64_t bytes_written0 = bytes_written->value();
   auto file = storage_->CreateChain("stats", 4096);
   ASSERT_TRUE(file.ok());
   Page p(4096);
   ASSERT_TRUE((*file)->AppendPage(&p).ok());
   ASSERT_TRUE((*file)->AppendPage(&p).ok());
   ASSERT_TRUE((*file)->ReadPage(1, &p).ok());
-  EXPECT_EQ(storage_->io_stats().pages_written.load(), 2u);
-  EXPECT_EQ(storage_->io_stats().pages_read.load(), 1u);
-  EXPECT_EQ(storage_->io_stats().bytes_written.load(), 2u * 4096u);
+  EXPECT_EQ(pages_written->value() - pages_written0, 2u);
+  EXPECT_EQ(pages_read->value() - pages_read0, 1u);
+  EXPECT_EQ(bytes_written->value() - bytes_written0, 2u * 4096u);
 }
 
 TEST_F(StorageTest, DropChainRemovesFile) {
