@@ -2,8 +2,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "buffer/resource_manager.h"
@@ -54,6 +58,45 @@ TEST(QueryExecutorTest, ParallelModeRunsEveryTask) {
                            })
                   .ok());
   EXPECT_EQ(sum.load(), 64u * 65u / 2);
+}
+
+// Scribbles over the stack below the caller, where the frame of the
+// ForEach that just returned lived.
+[[gnu::noinline]] void ClobberStack() {
+  volatile unsigned char junk[4096];
+  for (size_t i = 0; i < sizeof(junk); ++i) junk[i] = 0xff;
+}
+
+// Tasks that finish before the caller waits: the last one must be done
+// with the join state (ForEach stack locals) by the time ForEach returns.
+// A task that still touches it finds a clobbered mutex and blocks forever,
+// so a watchdog turns that hang into a failure.
+TEST(QueryExecutorTest, ForEachReturnsOnlyAfterTheLastTaskLetsGo) {
+  std::promise<void> finished;
+  std::thread watchdog([done = finished.get_future()] {
+    if (done.wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+      std::fprintf(stderr, "ForEach join hung: a task outlived ForEach\n");
+      std::abort();
+    }
+  });
+  QueryExecutor exec(ExecOptions{/*worker_threads=*/2});
+  std::atomic<uint64_t> ran{0};
+  bool ok = true;
+  for (int q = 0; q < 20000; ++q) {
+    ok = exec.ForEach(nullptr, 2,
+                      [&ran](size_t) {
+                        ran.fetch_add(1, std::memory_order_relaxed);
+                        return Status::OK();
+                      })
+             .ok() &&
+         ok;
+    ClobberStack();
+  }
+  finished.set_value();
+  watchdog.join();
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(ran.load(), 40000u);
 }
 
 TEST(QueryExecutorTest, ReportsFirstErrorInIndexOrder) {
