@@ -26,6 +26,10 @@ int main() {
       options.paged_pool_limits = {upper_mb * 1024 * 1024 / 2,
                                    upper_mb * 1024 * 1024};
     }
+    // Proactive evictions of this store, from its open on.
+    obs::Counter* proactive =
+        obs::MetricsRegistry::Global().counter("rm.evictions.proactive");
+    const uint64_t proactive0 = proactive->value();
     auto store = ColumnStore::Open(options);
     BENCH_CHECK_OK(store);
     ErpConfig config = MakeConfig(env, TableVariant::kPagedAll, false);
@@ -49,7 +53,6 @@ int main() {
     }
     double avg_us = timer.ElapsedMicros() / static_cast<double>(queries);
     (*store)->resource_manager().SweepNow();
-    auto stats = (*store)->resource_manager().stats();
     std::printf("ablation_eviction,%llu,%llu,%.1f,%.2f,%llu,%llu\n",
                 static_cast<unsigned long long>(upper_mb),
                 static_cast<unsigned long long>(
@@ -59,7 +62,8 @@ int main() {
                     (*store)->resource_manager().pool_bytes(
                         PoolId::kPagedPool)) /
                     (1024.0 * 1024.0),
-                static_cast<unsigned long long>(stats.proactive_evictions),
+                static_cast<unsigned long long>(proactive->value() -
+                                                proactive0),
                 static_cast<unsigned long long>(pages_read->value() -
                                                 pages_read0));
   }

@@ -38,6 +38,13 @@ struct ScanStats {
 };
 
 ScanStats ColdScan(PagedDataVector* dv, uint32_t readahead, int reps) {
+  auto& reg = obs::MetricsRegistry::Global();
+  obs::Counter* issued = reg.counter("cache.prefetch_issued");
+  obs::Counter* hits = reg.counter("cache.prefetch_hits");
+  obs::Counter* wasted = reg.counter("cache.prefetch_wasted");
+  const uint64_t issued0 = issued->value();
+  const uint64_t hits0 = hits->value();
+  const uint64_t wasted0 = wasted->value();
   ScanStats st;
   const RowPos rows = static_cast<RowPos>(dv->row_count());
   for (int r = 0; r < reps; ++r) {
@@ -57,9 +64,9 @@ ScanStats ColdScan(PagedDataVector* dv, uint32_t readahead, int reps) {
   }
   dv->cache()->WaitForPrefetchIdle();
   st.mean_ms = Summarize(st.ms).mean;
-  st.prefetch_issued = dv->cache()->prefetch_issued_count();
-  st.prefetch_hits = dv->cache()->prefetch_hit_count();
-  st.prefetch_wasted = dv->cache()->prefetch_wasted_count();
+  st.prefetch_issued = issued->value() - issued0;
+  st.prefetch_hits = hits->value() - hits0;
+  st.prefetch_wasted = wasted->value() - wasted0;
   return st;
 }
 

@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "core/column_store.h"
+#include "obs/metrics.h"
 #include "workload/erp.h"
 
 using namespace payg;
@@ -19,8 +20,15 @@ int main(int argc, char** argv) {
   options.memory_budget = 16 << 20;          // 16 MiB for everything
   options.paged_pool_limits = {1 << 20, 3 << 20};  // lower=1MiB upper=3MiB
 
+  // Eviction counts of this store, from its open on.
+  auto& reg = obs::MetricsRegistry::Global();
+  obs::Counter* reactive = reg.counter("rm.evictions.reactive");
+  obs::Counter* proactive = reg.counter("rm.evictions.proactive");
+  const uint64_t reactive0 = reactive->value();
+  const uint64_t proactive0 = proactive->value();
   auto store = ColumnStore::Open(options);
   if (!store.ok()) return 1;
+  const ResourceManager& rm = (*store)->resource_manager();
 
   // An ERP-like table (≈30 columns here) with every non-pk column page
   // loadable.
@@ -58,23 +66,22 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    auto stats = (*store)->resource_manager().stats();
     std::printf("%d, %.2f, %.2f, %llu, %llu\n", batch,
-                static_cast<double>(stats.total_bytes) / 1048576.0,
-                static_cast<double>(
-                    stats.pool_bytes[static_cast<int>(PoolId::kPagedPool)]) /
+                static_cast<double>(rm.total_bytes()) / 1048576.0,
+                static_cast<double>(rm.pool_bytes(PoolId::kPagedPool)) /
                     1048576.0,
-                static_cast<unsigned long long>(stats.reactive_evictions),
-                static_cast<unsigned long long>(stats.proactive_evictions));
+                static_cast<unsigned long long>(reactive->value() - reactive0),
+                static_cast<unsigned long long>(proactive->value() -
+                                                proactive0));
   }
 
   // Despite sweeping far more data than the budget, the footprint stayed
   // bounded: pages were evicted LRU-first, and whole resident columns (the
   // pk) were only evicted when the paged pools alone could not satisfy the
   // budget.
-  auto final_stats = (*store)->resource_manager().stats();
+  const uint64_t footprint = rm.total_bytes();
   std::printf("final footprint: %.2f MB (budget %.0f MB)\n",
-              static_cast<double>(final_stats.total_bytes) / 1048576.0,
+              static_cast<double>(footprint) / 1048576.0,
               options.memory_budget / 1048576.0);
-  return final_stats.total_bytes <= options.memory_budget * 2 ? 0 : 1;
+  return footprint <= options.memory_budget * 2 ? 0 : 1;
 }

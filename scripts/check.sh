@@ -2,12 +2,13 @@
 # Full verification: the static checker first (cheapest signal), then the
 # regular build + complete test suite, then a
 # ThreadSanitizer build running the concurrency-sensitive suites (the
-# resource manager's lock-free pin path and striped touch buffers, the
+# resource manager's lock-free pin path and recency stamps, the
 # partition-parallel executor, the lock-free metrics/trace ring, the
 # query-profile capture and slow-query ring, the page cache's asynchronous
-# prefetch pool, the sharded-cache stress suite and the server), then an
-# ASan+UBSan build of the buffer, cache stress, codec, CRC-32C, profile,
-# server, table, exec and integration suites.
+# prefetch pool, the sharded-cache stress suite, the resident column load
+# path, budget eviction through the store and the server), then an
+# ASan+UBSan build of the buffer, cache stress, columnar, core, codec,
+# CRC-32C, profile, server, table, exec and integration suites.
 # Usage: scripts/check.sh [build-dir-prefix]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,23 +34,28 @@ for backend in sync uring; do
     --output-on-failure -j "$(nproc)" -R "Storage|Cache|Paged|Prefetch|Exec"
 done
 
-echo "== TSan build: buffer + exec + obs + profile + paged + cache-stress + server suites =="
+echo "== TSan build: buffer + exec + obs + profile + paged + cache-stress + columnar + core + server suites =="
 cmake -B "$BUILD-tsan" -S . -DPAYG_SANITIZE=thread >/dev/null
-cmake --build "$BUILD-tsan" -j --target buffer_test exec_test obs_test profile_test paged_test cache_stress_test server_test
+cmake --build "$BUILD-tsan" -j --target buffer_test exec_test obs_test profile_test paged_test cache_stress_test \
+  columnar_test core_test server_test
 "$BUILD-tsan"/tests/buffer_test
 "$BUILD-tsan"/tests/exec_test
 "$BUILD-tsan"/tests/obs_test
 "$BUILD-tsan"/tests/profile_test
 "$BUILD-tsan"/tests/paged_test
 "$BUILD-tsan"/tests/cache_stress_test
+"$BUILD-tsan"/tests/columnar_test
+"$BUILD-tsan"/tests/core_test
 "$BUILD-tsan"/tests/server_test
 
-echo "== ASan+UBSan build: buffer + cache-stress + codec + crc32 + profile + server + table + exec + integration suites =="
+echo "== ASan+UBSan build: buffer + cache-stress + columnar + core + codec + crc32 + profile + server + table + exec + integration suites =="
 cmake -B "$BUILD-asan" -S . -DPAYG_SANITIZE=address+undefined >/dev/null
-cmake --build "$BUILD-asan" -j --target buffer_test cache_stress_test codec_test crc32_test profile_test \
-  server_test table_test exec_test integration_test
+cmake --build "$BUILD-asan" -j --target buffer_test cache_stress_test columnar_test core_test codec_test crc32_test \
+  profile_test server_test table_test exec_test integration_test
 "$BUILD-asan"/tests/buffer_test
 "$BUILD-asan"/tests/cache_stress_test
+"$BUILD-asan"/tests/columnar_test
+"$BUILD-asan"/tests/core_test
 "$BUILD-asan"/tests/codec_test
 "$BUILD-asan"/tests/crc32_test
 PAYG_FORCE_SCALAR=1 "$BUILD-asan"/tests/crc32_test

@@ -3,12 +3,23 @@
 #include <algorithm>
 
 #include "common/macros.h"
-#include "common/stopwatch.h"
 #include "obs/trace.h"
 
 namespace payg {
 
 using buffer_detail::kDeadFlag;
+
+namespace {
+
+constexpr PoolId kPagedPools[] = {PoolId::kPagedPool, PoolId::kColdPagedPool};
+
+void RunCallbacks(const std::vector<EvictCallback>& callbacks) {
+  for (const EvictCallback& cb : callbacks) {
+    if (cb) cb();
+  }
+}
+
+}  // namespace
 
 ResourceManager::ResourceManager() {
   for (auto& pb : pool_bytes_) pb.store(0, std::memory_order_relaxed);
@@ -95,9 +106,9 @@ ResourceId ResourceManager::RegisterInternal(ResourceHandle entry,
                                              uint32_t initial_pins,
                                              ResourceHandle* out_handle) {
   const ResourceId id = next_id_.fetch_add(1);
-  const uint64_t stamp = clock_.fetch_add(1);
   entry->id = id;
-  entry->last_touch = stamp;
+  entry->last_touch.store(clock_.fetch_add(1, std::memory_order_relaxed),
+                          std::memory_order_relaxed);
   entry->pin_state.store(initial_pins, std::memory_order_relaxed);
   const uint64_t bytes = entry->bytes;
   const auto pool_idx = static_cast<int>(entry->pool);
@@ -112,22 +123,10 @@ ResourceId ResourceManager::RegisterInternal(ResourceHandle entry,
   const uint64_t total =
       total_bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   resource_count_.fetch_add(1, std::memory_order_relaxed);
-  // The deferred LRU insert: the entry reaches its pool's list at the next
-  // flush, which every victim pass performs first.
-  RecordTouch(id, stamp);
   UpdateGauges();
 
   const uint64_t budget = global_budget_.load(std::memory_order_relaxed);
-  if (budget != 0 && total > budget) {
-    std::vector<EvictCallback> callbacks;
-    {
-      MutexLock lock(mu_);
-      ReactiveEvictLocked(&callbacks);
-    }
-    for (auto& cb : callbacks) {
-      if (cb) cb();
-    }
-  }
+  if (budget != 0 && total > budget) ReactiveEvict();
   // The proactive sweep is asynchronous by design: loading new pages is
   // never blocked on it (§5), so the pool may transiently exceed the upper
   // limit.
@@ -148,37 +147,33 @@ bool ResourceManager::Unregister(ResourceId id) {
   const uint64_t prev =
       e->pin_state.fetch_or(kDeadFlag, std::memory_order_acq_rel);
   if (prev & kDeadFlag) return false;  // eviction got there first
-  EraseFromTable(id);
-  pool_bytes_[static_cast<int>(e->pool)].fetch_sub(e->bytes,
-                                                   std::memory_order_relaxed);
-  total_bytes_.fetch_sub(e->bytes, std::memory_order_relaxed);
-  resource_count_.fetch_sub(1, std::memory_order_relaxed);
-  // The LRU node (if the entry ever reached the list) stays behind; list
-  // surgery needs mu_ and this path must not take it. Victim walks skip and
-  // erase stale nodes; the sweeper prunes if they pile up without eviction
-  // pressure.
-  dead_lru_nodes_.fetch_add(1, std::memory_order_relaxed);
-  UpdateGauges();
+  Forget(*e);
   return true;
 }
 
+void ResourceManager::Forget(const Entry& e) {
+  EraseFromTable(e.id);
+  pool_bytes_[static_cast<int>(e.pool)].fetch_sub(e.bytes,
+                                                  std::memory_order_relaxed);
+  total_bytes_.fetch_sub(e.bytes, std::memory_order_relaxed);
+  resource_count_.fetch_sub(1, std::memory_order_relaxed);
+  UpdateGauges();
+}
+
 void ResourceManager::Touch(ResourceId id) {
-  // Hot path: no main-mutex acquisition. The LRU splice happens lazily in
-  // FlushTouchesLocked before the next victim selection.
-  RecordTouch(id, clock_.fetch_add(1));
+  ResourceHandle e = Find(id);
+  if (e != nullptr) Touch(e);
 }
 
 void ResourceManager::Touch(const ResourceHandle& handle) {
-  RecordTouch(handle->id, clock_.fetch_add(1));
+  handle->last_touch.store(clock_.fetch_add(1, std::memory_order_relaxed),
+                           std::memory_order_relaxed);
 }
 
 bool ResourceManager::Pin(ResourceId id) {
   ResourceHandle e = Find(id);
-  if (e == nullptr) return false;
-  if (!TryPinHandle(e)) return false;
-  // The recency splice is deferred like Touch, keeping the pin path free of
-  // the main mutex.
-  RecordTouch(id, clock_.fetch_add(1));
+  if (e == nullptr || !TryPinHandle(e)) return false;
+  Touch(e);
   return true;
 }
 
@@ -188,251 +183,129 @@ void ResourceManager::Unpin(ResourceId id) {
   UnpinHandle(e);
 }
 
-void ResourceManager::RecordTouch(ResourceId id, uint64_t stamp) {
-  TouchStripe& stripe = touch_stripes_[id % kTouchStripes];
-  MutexLock lock(stripe.mu);
-  uint64_t& slot = stripe.pending[id];
-  if (stamp > slot) slot = stamp;
-}
-
-void ResourceManager::FlushTouchesLocked() {
-  std::vector<std::pair<ResourceId, uint64_t>> pending;
-  for (TouchStripe& stripe : touch_stripes_) {
-    MutexLock lock(stripe.mu);
-    pending.insert(pending.end(), stripe.pending.begin(),
-                   stripe.pending.end());
-    stripe.pending.clear();
-  }
-  if (pending.empty()) return;
-  // Apply in stamp order so the lists end up exactly as if every Touch/Pin
-  // had spliced under mu_ at the moment it happened (only the latest touch
-  // of an id affects its final position, and the buffer keeps exactly
-  // that).
-  std::sort(pending.begin(), pending.end(),
-            [](const std::pair<ResourceId, uint64_t>& a,
-               const std::pair<ResourceId, uint64_t>& b) {
-              return a.second < b.second;
-            });
-  for (const auto& [id, stamp] : pending) {
-    ResourceHandle e = Find(id);  // mu_ → table stripe: allowed order
-    if (e == nullptr) continue;  // removed meanwhile; ids never reused
-    if (stamp > e->last_touch) e->last_touch = stamp;
-    auto pool_idx = static_cast<int>(e->pool);
-    if (e->in_lru) {
-      lru_[pool_idx].erase(e->lru_it);
-    }
-    lru_[pool_idx].push_back(id);
-    e->lru_it = std::prev(lru_[pool_idx].end());
-    e->in_lru = true;
-  }
-}
-
 void ResourceManager::SetGlobalBudget(uint64_t bytes) {
   global_budget_.store(bytes, std::memory_order_relaxed);
-  std::vector<EvictCallback> callbacks;
-  {
-    MutexLock lock(mu_);
-    ReactiveEvictLocked(&callbacks);
-  }
-  for (auto& cb : callbacks) {
-    if (cb) cb();
-  }
+  ReactiveEvict();
 }
 
 void ResourceManager::SetPoolLimits(PoolId pool, Limits limits) {
+  PAYG_ASSERT(pool != PoolId::kGeneral);
   auto& lim = pool_limits_[static_cast<int>(pool)];
   lim.lower.store(limits.lower, std::memory_order_relaxed);
   lim.upper.store(limits.upper, std::memory_order_relaxed);
   sweeper_cv_.NotifyOne();
 }
 
-void ResourceManager::SweepNow() {
-  obs::TraceSpan span("buffer", "sweep");
-  Stopwatch timer;
-  std::vector<EvictCallback> callbacks;
-  {
-    MutexLock lock(mu_);
-    FlushTouchesLocked();
-    PruneDeadLruNodesLocked();
-    for (int p = 0; p < kNumPools; ++p) {
-      const uint64_t upper =
-          pool_limits_[p].upper.load(std::memory_order_relaxed);
-      if (upper != 0 &&
-          pool_bytes_[p].load(std::memory_order_relaxed) > upper) {
-        CollectPagedVictimsLocked(
-            static_cast<PoolId>(p),
-            pool_limits_[p].lower.load(std::memory_order_relaxed),
-            /*proactive=*/true, &callbacks);
-      }
-    }
-  }
-  for (auto& cb : callbacks) {
-    if (cb) cb();
-  }
-  m_sweep_duration_us_->Record(static_cast<uint64_t>(timer.ElapsedMicros()));
-}
+void ResourceManager::EvictLocked(PoolId pool, uint64_t target, bool proactive,
+                                  std::vector<EvictCallback>* callbacks) {
+  const bool paged = pool != PoolId::kGeneral;
+  const std::atomic<uint64_t>& level =
+      paged ? pool_bytes_[static_cast<int>(pool)] : total_bytes_;
+  if (level.load(std::memory_order_relaxed) <= target) return;
 
-ResourceManagerStats ResourceManager::stats() const {
-  ResourceManagerStats s;
-  {
-    MutexLock lock(mu_);
-    s = counters_;
-  }
-  s.total_bytes = total_bytes_.load(std::memory_order_relaxed);
-  for (int p = 0; p < kNumPools; ++p) {
-    s.pool_bytes[p] = pool_bytes_[p].load(std::memory_order_relaxed);
-  }
-  s.resource_count = resource_count_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void ResourceManager::FinishRemovalLocked(const ResourceHandle& e,
-                                          bool count_as_eviction,
-                                          bool proactive) {
-  auto pool_idx = static_cast<int>(e->pool);
-  if (e->in_lru) {
-    lru_[pool_idx].erase(e->lru_it);
-    e->in_lru = false;
-  }
-  EraseFromTable(e->id);  // mu_ → table stripe: allowed order
-  pool_bytes_[pool_idx].fetch_sub(e->bytes, std::memory_order_relaxed);
-  total_bytes_.fetch_sub(e->bytes, std::memory_order_relaxed);
-  resource_count_.fetch_sub(1, std::memory_order_relaxed);
-  if (count_as_eviction) {
-    counters_.evicted_bytes += e->bytes;
-    m_evicted_bytes_->Add(e->bytes);
-    if (proactive) {
-      ++counters_.proactive_evictions;
-      m_evict_proactive_->Inc();
-    } else {
-      ++counters_.reactive_evictions;
-      m_evict_reactive_->Inc();
-    }
-  }
-  UpdateGauges();
-}
-
-void ResourceManager::CollectPagedVictimsLocked(
-    PoolId pool, uint64_t target, bool proactive,
-    std::vector<EvictCallback>* callbacks) {
-  auto pool_idx = static_cast<int>(pool);
-  // Plain LRU front-to-back; disposition weight deliberately plays no role
-  // for paged-attribute resources (§5).
-  auto it = lru_[pool_idx].begin();
-  while (it != lru_[pool_idx].end() &&
-         pool_bytes_[pool_idx].load(std::memory_order_relaxed) > target) {
-    const ResourceId id = *it;
-    ResourceHandle e = Find(id);
-    if (e == nullptr) {  // unregistered; the node outlived the entry
-      it = lru_[pool_idx].erase(it);
-      continue;
-    }
-    if (e->disposition == Disposition::kNonSwappable) {
-      ++it;
-      continue;
-    }
-    // Only an unpinned, live entry may become a victim, and winning the
-    // dead flag is what makes us the victim's sole remover: a concurrent
-    // TryPin fails against the flag, a concurrent pin beats our CAS.
-    uint64_t expected = 0;
-    if (!e->pin_state.compare_exchange_strong(expected, kDeadFlag,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
-      ++it;  // pinned right now (or racing Unregister won)
-      continue;
-    }
-    callbacks->push_back(std::move(e->on_evict));
-    ++it;  // advance before FinishRemovalLocked erases the node
-    FinishRemovalLocked(e, /*count_as_eviction=*/true, proactive);
-  }
-}
-
-void ResourceManager::CollectWeightedVictimsLocked(
-    uint64_t target, std::vector<EvictCallback>* callbacks) {
-  // Rank unpinned, swappable general-pool resources by descending t/w.
   struct Candidate {
-    double score;
+    double score;  // t/w
+    uint64_t stamp;
     ResourceHandle entry;
   };
-  const uint64_t now = clock_.load();
+  const uint64_t now = clock_.load(std::memory_order_relaxed);
   std::vector<Candidate> candidates;
-  auto& lru = lru_[static_cast<int>(PoolId::kGeneral)];
-  for (auto it = lru.begin(); it != lru.end();) {
-    ResourceHandle e = Find(*it);
-    if (e == nullptr) {
-      it = lru.erase(it);
-      continue;
+  for (const TableStripe& stripe : table_stripes_) {
+    MutexLock lock(stripe.mu);  // mu_ → table stripe: allowed order
+    for (const auto& [id, e] : stripe.map) {
+      if (e->pool != pool || e->disposition == Disposition::kNonSwappable ||
+          e->pin_state.load(std::memory_order_acquire) != 0) {
+        continue;
+      }
+      // A touch that landed after `now` was read is fresh, not the oldest
+      // entry by unsigned wrap-around.
+      const uint64_t stamp = e->last_touch.load(std::memory_order_relaxed);
+      const double t = static_cast<double>(now > stamp ? now - stamp : 0);
+      candidates.push_back(
+          {paged ? t : t / DispositionWeight(e->disposition), stamp, e});
     }
-    const uint64_t state = e->pin_state.load(std::memory_order_acquire);
-    if (state == 0 && e->disposition != Disposition::kNonSwappable) {
-      double t = static_cast<double>(now - e->last_touch);
-      candidates.push_back({t / DispositionWeight(e->disposition),
-                            std::move(e)});
-    }
-    ++it;
   }
+  // Equal scores go oldest first, so a paged pool evicts in stamp order.
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
-              return a.score > b.score;
+              return a.score != b.score ? a.score > b.score
+                                        : a.stamp < b.stamp;
             });
   for (Candidate& c : candidates) {
-    if (total_bytes_.load(std::memory_order_relaxed) <= target) break;
+    if (level.load(std::memory_order_relaxed) <= target) break;
+    // Winning the dead flag makes this pass the victim's sole remover: a
+    // concurrent TryPin fails against the flag, and a pin taken since the
+    // walk (or a racing Unregister) makes the CAS fail.
     uint64_t expected = 0;
     if (!c.entry->pin_state.compare_exchange_strong(
             expected, kDeadFlag, std::memory_order_acq_rel,
             std::memory_order_acquire)) {
-      continue;  // pinned (or removed) since the scan above
+      continue;
     }
     callbacks->push_back(std::move(c.entry->on_evict));
-    FinishRemovalLocked(c.entry, /*count_as_eviction=*/true,
-                        /*proactive=*/false);
+    Forget(*c.entry);
+    m_evicted_bytes_->Add(c.entry->bytes);
+    (proactive ? m_evict_proactive_ : m_evict_reactive_)->Inc();
   }
 }
 
-void ResourceManager::ReactiveEvictLocked(
-    std::vector<EvictCallback>* callbacks) {
+void ResourceManager::ReactiveEvict() {
   const uint64_t budget = global_budget_.load(std::memory_order_relaxed);
-  if (budget == 0 || total_bytes_.load(std::memory_order_relaxed) <= budget) {
-    return;
-  }
-  // Deferred touches must land before picking victims or the LRU order
-  // would ignore recent activity.
-  FlushTouchesLocked();
-  // Low-memory situation: paged-attribute resources are unloaded first, down
-  // to each pool's lower limit, before touching anything else (§5).
-  for (int p = 0; p < kNumPools; ++p) {
-    if (total_bytes_.load(std::memory_order_relaxed) <= budget) break;
-    if (p == static_cast<int>(PoolId::kGeneral)) continue;
+  if (budget == 0) return;
+  std::vector<EvictCallback> callbacks;
+  {
+    MutexLock lock(mu_);
+    // Low-memory situation: paged-attribute resources are unloaded first,
+    // down to each pool's lower limit, before touching anything else (§5).
     // These count as reactive, not proactive: budget pressure, not sweeper.
-    CollectPagedVictimsLocked(
-        static_cast<PoolId>(p),
-        pool_limits_[p].lower.load(std::memory_order_relaxed),
-        /*proactive=*/false, callbacks);
+    for (PoolId pool : kPagedPools) {
+      if (total_bytes_.load(std::memory_order_relaxed) <= budget) break;
+      EvictLocked(pool,
+                  pool_limits_[static_cast<int>(pool)].lower.load(
+                      std::memory_order_relaxed),
+                  /*proactive=*/false, &callbacks);
+    }
+    EvictLocked(PoolId::kGeneral, budget, /*proactive=*/false, &callbacks);
   }
-  if (total_bytes_.load(std::memory_order_relaxed) > budget) {
-    CollectWeightedVictimsLocked(budget, callbacks);
-  }
+  RunCallbacks(callbacks);
 }
 
-void ResourceManager::PruneDeadLruNodesLocked() {
-  // dead_lru_nodes_ counts unregisters since the last prune — an upper
-  // bound on stale nodes (some never reached a list, eviction walks erase
-  // others in passing), so the reset below can only make pruning *less*
-  // frequent, never let stale nodes grow unboundedly.
-  if (dead_lru_nodes_.load(std::memory_order_relaxed) <
-      kDeadLruPruneThreshold) {
-    return;
-  }
-  dead_lru_nodes_.store(0, std::memory_order_relaxed);
-  for (auto& lru : lru_) {
-    for (auto it = lru.begin(); it != lru.end();) {
-      if (Find(*it) == nullptr) {
-        it = lru.erase(it);
-      } else {
-        ++it;
-      }
+void ResourceManager::SweepLocked(std::vector<EvictCallback>* callbacks) {
+  for (PoolId pool : kPagedPools) {
+    const AtomicLimits& lim = pool_limits_[static_cast<int>(pool)];
+    const uint64_t upper = lim.upper.load(std::memory_order_relaxed);
+    if (upper != 0 && pool_bytes(pool) > upper) {
+      EvictLocked(pool, lim.lower.load(std::memory_order_relaxed),
+                  /*proactive=*/true, callbacks);
     }
   }
+}
+
+void ResourceManager::FinishSweep(
+    std::chrono::steady_clock::time_point start,
+    const std::vector<EvictCallback>& callbacks) {
+  // Only sweeps that actually evicted register a duration/span — the idle
+  // 20ms ticks would otherwise drown the histogram in zeros.
+  if (callbacks.empty()) return;
+  RunCallbacks(callbacks);
+  m_sweep_duration_us_->Record(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
+  if (obs::Tracer::enabled()) {
+    obs::Tracer::Global().RecordSpan("buffer", "sweep", start,
+                                     callbacks.size());
+  }
+}
+
+void ResourceManager::SweepNow() {
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<EvictCallback> callbacks;
+  {
+    MutexLock lock(mu_);
+    SweepLocked(&callbacks);
+  }
+  FinishSweep(start, callbacks);
 }
 
 void ResourceManager::BackgroundSweeper() {
@@ -442,39 +315,14 @@ void ResourceManager::BackgroundSweeper() {
     // tick, on limit changes, and on over-limit registrations alike.
     (void)sweeper_cv_.WaitFor(mu_, std::chrono::milliseconds(20));
     if (shutting_down_) break;
-    const auto sweep_start = std::chrono::steady_clock::now();
+    const auto start = std::chrono::steady_clock::now();
     std::vector<EvictCallback> callbacks;
-    FlushTouchesLocked();
-    PruneDeadLruNodesLocked();
-    for (int p = 0; p < kNumPools; ++p) {
-      const uint64_t upper =
-          pool_limits_[p].upper.load(std::memory_order_relaxed);
-      if (upper != 0 &&
-          pool_bytes_[p].load(std::memory_order_relaxed) > upper) {
-        CollectPagedVictimsLocked(
-            static_cast<PoolId>(p),
-            pool_limits_[p].lower.load(std::memory_order_relaxed),
-            /*proactive=*/true, &callbacks);
-      }
-    }
-    if (!callbacks.empty()) {
-      // Callbacks run outside mu_ (they may call back into the manager).
-      lock.Unlock();
-      for (auto& cb : callbacks) {
-        if (cb) cb();
-      }
-      // Only sweeps that actually evicted register a duration/span — the
-      // idle 20ms ticks would otherwise drown the histogram in zeros.
-      m_sweep_duration_us_->Record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - sweep_start)
-              .count()));
-      if (obs::Tracer::enabled()) {
-        obs::Tracer::Global().RecordSpan("buffer", "sweep", sweep_start,
-                                         callbacks.size());
-      }
-      lock.Lock();
-    }
+    SweepLocked(&callbacks);
+    if (callbacks.empty()) continue;
+    // Callbacks run outside mu_ (they may call back into the manager).
+    lock.Unlock();
+    FinishSweep(start, callbacks);
+    lock.Lock();
   }
 }
 

@@ -2,9 +2,9 @@
 #define PAYG_BUFFER_RESOURCE_MANAGER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,7 +26,10 @@ inline constexpr ResourceId kInvalidResourceId = 0;
 // Called when the manager evicts a resource. Runs *outside* the manager's
 // lock; by the time it runs the registration is already gone, so the owner
 // must only release its own memory and must not call back into the manager
-// for this id.
+// for this id. Reactive eviction runs it on the thread whose Register* or
+// SetGlobalBudget pushed the total over budget, so an owner registers
+// pinned: an unpinned registration made under the owner's lock could pick
+// itself as the victim and run its callback against that same lock.
 using EvictCallback = std::function<void()>;
 
 namespace buffer_detail {
@@ -41,11 +44,11 @@ inline constexpr uint64_t kPinCountMask = kDeadFlag - 1;
 // released (atomically, without any lock) even after the registration is
 // gone.
 //
-// Field protection: `pin_state` is the lock-free pin/liveness word.
-// `last_touch`, `lru_it` and `in_lru` are guarded by the manager's main
-// mutex. Everything else is written once before the entry is published and
-// read-only afterwards, except `on_evict`, which only the dead-flag winner
-// moves out.
+// Field protection: `pin_state` is the lock-free pin/liveness word and
+// `last_touch` the recency stamp (a unique tick of the manager's clock,
+// stored relaxed on every touch). Everything else is written once before
+// the entry is published and read-only afterwards, except `on_evict`, which
+// only the dead-flag winner moves out.
 struct Entry {
   ResourceId id = kInvalidResourceId;
   std::string label;  // plain registrations
@@ -57,10 +60,8 @@ struct Entry {
   Disposition disposition = Disposition::kTemporary;
   PoolId pool = PoolId::kGeneral;
   std::atomic<uint64_t> pin_state{0};
-  uint64_t last_touch = 0;
+  std::atomic<uint64_t> last_touch{0};
   EvictCallback on_evict;
-  std::list<ResourceId>::iterator lru_it;
-  bool in_lru = false;
 };
 
 }  // namespace buffer_detail
@@ -69,16 +70,6 @@ struct Entry {
 // pure CAS loop on the entry's pin word — no mutex, no hash lookup — which
 // is what lets the page-cache hit path scale with threads.
 using ResourceHandle = std::shared_ptr<buffer_detail::Entry>;
-
-// Snapshot of accounting counters.
-struct ResourceManagerStats {
-  uint64_t total_bytes = 0;
-  uint64_t pool_bytes[kNumPools] = {0, 0, 0};
-  uint64_t resource_count = 0;
-  uint64_t reactive_evictions = 0;
-  uint64_t proactive_evictions = 0;
-  uint64_t evicted_bytes = 0;
-};
 
 // SAP HANA-style memory manager (§5): tracks *logical resources* — a fully
 // resident column registers as one resource, each loaded page of a page
@@ -94,23 +85,23 @@ struct ResourceManagerStats {
 //    available. It runs asynchronously and never blocks new loads.
 //
 // Pinned resources (pin_count > 0) and kNonSwappable resources are never
-// evicted.
+// evicted. Evictions are counted once, in the registry counters
+// "rm.evictions.reactive|proactive" and "rm.evicted.bytes".
 //
 // Concurrency layout (hot to cold):
 //  * Pin/unpin through a ResourceHandle: lock-free CAS on the entry's pin
 //    word. An entry is removed by CAS-ing the word from 0 to the dead flag,
 //    so TryPin fails cleanly against a concurrently-chosen victim and a
 //    victim is never chosen while pinned.
+//  * Touch: one relaxed store of a fresh clock tick into the entry's stamp.
 //  * Register/Unregister: the id→entry table is striped; registration and
 //    voluntary release take one stripe mutex plus atomic byte counters —
 //    never the main mutex (unless registration pushes the budget over and
 //    has to run reactive eviction).
-//  * Touch: recorded in striped pending buffers (latest stamp per id) and
-//    applied to the LRU lists under the main mutex only right before victim
-//    selection.
-//  * Victim selection, LRU lists, eviction counters: main mutex.
-// Lock order: mu_ → table stripe; mu_ → touch stripe. No path holds a
-// stripe mutex while acquiring mu_.
+//  * Victim selection: main mutex. A pass walks the table stripes once,
+//    sorts one pool's candidates by their stamps and evicts from the front.
+// Lock order: mu_ → table stripe. No path holds a stripe mutex while
+// acquiring mu_.
 class ResourceManager {
  public:
   struct Limits {
@@ -155,10 +146,8 @@ class ResourceManager {
   // entry's table stripe, never the main mutex.
   bool Unregister(ResourceId id);
 
-  // Marks the resource recently used. No-op if already evicted. The LRU
-  // reordering is deferred: the touch is recorded in a striped pending
-  // buffer (latest stamp per id, no contention on the main mutex) and
-  // applied — in timestamp order — before any victim selection.
+  // Marks the resource recently used: stores a fresh clock tick into its
+  // stamp, taking no lock. No-op if already evicted.
   void Touch(ResourceId id);
   void Touch(const ResourceHandle& handle);
 
@@ -202,14 +191,17 @@ class ResourceManager {
   void SetGlobalBudget(uint64_t bytes);
 
   // Lower/upper limits of a paged pool (§5). upper == 0 disables the
-  // proactive sweep for that pool.
+  // proactive sweep for that pool. The general pool has no limits: only
+  // the global budget bounds it.
   void SetPoolLimits(PoolId pool, Limits limits);
 
   // Runs one synchronous proactive sweep (tests use this to avoid timing
   // dependence on the background thread).
   void SweepNow();
 
-  ResourceManagerStats stats() const;
+  uint64_t resource_count() const {
+    return resource_count_.load(std::memory_order_relaxed);
+  }
   uint64_t total_bytes() const {
     return total_bytes_.load(std::memory_order_relaxed);
   }
@@ -228,16 +220,6 @@ class ResourceManager {
     std::unordered_map<ResourceId, ResourceHandle> map GUARDED_BY(mu);
   };
 
-  // Hot-path touch buffering. Only the latest stamp per id matters for the
-  // final LRU order (every touch moves the id to the back), so the buffer
-  // is a per-stripe map and its size is bounded by the number of live ids.
-  static constexpr int kTouchStripes = 16;
-  struct TouchStripe {
-    Mutex mu;
-    // id → latest stamp
-    std::unordered_map<ResourceId, uint64_t> pending GUARDED_BY(mu);
-  };
-
   ResourceHandle Find(ResourceId id) const {
     const TableStripe& stripe = table_stripes_[id % kTableStripes];
     MutexLock lock(stripe.mu);
@@ -251,38 +233,31 @@ class ResourceManager {
   }
 
   // Publishes a fully-populated entry (label fields set by the caller):
-  // assigns the id, inserts into the table stripe, records the deferred LRU
-  // insert, and runs reactive eviction if the new bytes push the total over
-  // budget.
+  // assigns the id and the first stamp, inserts into the table stripe, and
+  // runs reactive eviction if the new bytes push the total over budget.
   ResourceId RegisterInternal(ResourceHandle entry, uint32_t initial_pins,
                               ResourceHandle* out_handle);
-  // Appends one (id, stamp) touch to a stripe. Never takes the main mutex.
-  void RecordTouch(ResourceId id, uint64_t stamp);
-  // Drains every stripe and applies the touches in stamp order (so the LRU
-  // lists end up exactly as if each Touch had spliced immediately). Also
-  // performs the deferred *insertion* of newly registered entries into
-  // their LRU list. Must run before any victim selection; stale ids
-  // (already removed) are skipped — resource ids are never reused.
-  void FlushTouchesLocked() REQUIRES(mu_);
-  // Removes a dead-flagged entry's accounting (bytes, table, LRU node if
-  // still linked) and bumps eviction counters when asked. The caller has
-  // already won the dead flag.
-  void FinishRemovalLocked(const ResourceHandle& e, bool count_as_eviction,
-                           bool proactive) REQUIRES(mu_);
-  // Collects victims (under lock) until pool usage <= target, plain LRU.
-  // `proactive` only labels the eviction counters (sweeper vs. budget
-  // pressure).
-  void CollectPagedVictimsLocked(PoolId pool, uint64_t target, bool proactive,
-                                 std::vector<EvictCallback>* callbacks)
-      REQUIRES(mu_);
-  // Collects general-pool victims by descending t/w until total <= target.
-  void CollectWeightedVictimsLocked(uint64_t target,
-                                    std::vector<EvictCallback>* callbacks)
-      REQUIRES(mu_);
-  void ReactiveEvictLocked(std::vector<EvictCallback>* callbacks)
-      REQUIRES(mu_);
-  // Drops LRU nodes whose entry is gone (Unregister defers this cleanup).
-  void PruneDeadLruNodesLocked() REQUIRES(mu_);
+  // Drops a removed entry's accounting: table slot, bytes, count, gauges.
+  // The caller has already won the dead flag.
+  void Forget(const Entry& e);
+  // The one victim collector. Walks the table stripes, ranks the unpinned,
+  // swappable entries of `pool` by descending t/w (w = 1 inside a paged
+  // pool, so plain LRU there, §5) and CASes them dead until the pool level
+  // (paged pool) or the total (general pool) is at most `target`.
+  // `proactive` only labels the eviction counter (sweeper vs. budget).
+  void EvictLocked(PoolId pool, uint64_t target, bool proactive,
+                   std::vector<EvictCallback>* callbacks) REQUIRES(mu_);
+  // Over budget: shrinks the paged pools to their lower limits, then evicts
+  // general resources until the total fits, and runs the callbacks on the
+  // calling thread after releasing mu_.
+  void ReactiveEvict();
+  // Proactive pass: every paged pool over its upper limit, down to its
+  // lower limit.
+  void SweepLocked(std::vector<EvictCallback>* callbacks) REQUIRES(mu_);
+  // Runs a sweep's callbacks outside mu_ and records the sweep (DESIGN.md
+  // §6: only sweeps that evicted).
+  void FinishSweep(std::chrono::steady_clock::time_point start,
+                   const std::vector<EvictCallback>& callbacks);
   void BackgroundSweeper();
   // Pushes total/pool byte levels and the resource count into the registry
   // gauges ("rm.bytes.*", "rm.resources"). Gauges are statistics: written
@@ -290,7 +265,6 @@ class ResourceManager {
   void UpdateGauges();
 
   TableStripe table_stripes_[kTableStripes];
-  TouchStripe touch_stripes_[kTouchStripes];
 
   // Byte/count accounting: atomics, so the register/unregister path needs
   // no lock and the budget check is one relaxed load.
@@ -303,30 +277,17 @@ class ResourceManager {
     std::atomic<uint64_t> upper{0};
   };
   AtomicLimits pool_limits_[kNumPools];
-  // Unregister leaves its LRU node behind (list surgery needs mu_).
-  // Counts unregisters since the last prune — an upper bound on stale
-  // nodes; the sweeper prunes once enough accumulate.
-  std::atomic<uint64_t> dead_lru_nodes_{0};
-  static constexpr uint64_t kDeadLruPruneThreshold = 1024;
 
-  // Lock order (DESIGN.md §8): mu_ → table stripe, mu_ → touch stripe; no
-  // path acquires mu_ while holding a stripe. Entry's mu_-guarded fields
-  // (last_touch, lru_it, in_lru) cannot carry GUARDED_BY — Entry has no
-  // back-pointer to its manager — see DESIGN.md S21.
-  mutable Mutex mu_;
+  // Serializes victim passes. Lock order (DESIGN.md §8): mu_ → table
+  // stripe; no path acquires mu_ while holding a stripe.
+  Mutex mu_;
   CondVar sweeper_cv_;
-  // Per-pool LRU lists; front = least recently used. Membership lags
-  // registration (applied at flush) and removal (stale nodes pruned during
-  // walks); victim passes always flush first, so every live entry is
-  // visible to eviction.
-  std::list<ResourceId> lru_[kNumPools] GUARDED_BY(mu_);
-  ResourceManagerStats counters_ GUARDED_BY(mu_);  // eviction counters
   std::atomic<ResourceId> next_id_{1};
   std::atomic<uint64_t> clock_{1};
   bool shutting_down_ GUARDED_BY(mu_) = false;
   std::thread sweeper_;
 
-  // Registry mirrors (resolved once; see DESIGN.md for the name scheme).
+  // Registry metrics (resolved once; see DESIGN.md §6 for the name scheme).
   obs::Counter* m_evict_reactive_;
   obs::Counter* m_evict_proactive_;
   obs::Counter* m_evicted_bytes_;

@@ -20,18 +20,23 @@ std::string ChainName(const std::string& name) { return name + ".full"; }
 
 }  // namespace
 
-// Reader over a loaded fragment; holds a pin so the column cannot be
-// unloaded while a query is running.
+// Reader over a loaded fragment; holds the payload and a pin on its
+// registration, so the column cannot be evicted while a query is running.
 class ResidentReader : public FragmentReader {
  public:
-  ResidentReader(FullyResidentFragment* frag, ExecContext* ctx,
-                 PinnedResource pin)
-      : frag_(frag), ctx_(ctx), pin_(std::move(pin)) {}
+  using Payload = FullyResidentFragment::Payload;
+
+  ResidentReader(const FullyResidentFragment* frag, ExecContext* ctx,
+                 std::shared_ptr<const Payload> payload, PinnedResource pin)
+      : frag_(frag),
+        ctx_(ctx),
+        payload_(std::move(payload)),
+        pin_(std::move(pin)) {}
 
   Result<ValueId> GetVid(RowPos rpos) override {
     if (rpos >= frag_->row_count_) return Status::OutOfRange("row position");
-    if (sparse()) return frag_->sparse_.Get(rpos);
-    return static_cast<ValueId>(frag_->data_.Get(rpos));
+    if (sparse()) return payload_->sparse.Get(rpos);
+    return static_cast<ValueId>(payload_->data.Get(rpos));
   }
 
   Status MGetVids(RowPos from, RowPos to, std::vector<ValueId>* out) override {
@@ -41,9 +46,9 @@ class ResidentReader : public FragmentReader {
     size_t old = out->size();
     out->resize(old + (to - from));
     if (sparse()) {
-      frag_->sparse_.MGet(from, to, out->data() + old);
+      payload_->sparse.MGet(from, to, out->data() + old);
     } else {
-      frag_->data_.MGet(from, to, out->data() + old);
+      payload_->data.MGet(from, to, out->data() + old);
     }
     return Status::OK();
   }
@@ -54,9 +59,9 @@ class ResidentReader : public FragmentReader {
       return Status::OutOfRange("row range");
     }
     if (sparse()) {
-      frag_->sparse_.SearchRange(from, to, lo, hi, from, out);
+      payload_->sparse.SearchRange(from, to, lo, hi, from, out);
     } else {
-      PackedSearchRange(frag_->data_.words(), frag_->data_.bits(), from, to,
+      PackedSearchRange(payload_->data.words(), payload_->data.bits(), from, to,
                         lo, hi, from, out);
     }
     Bump(ctx_, &QueryStats::rows_scanned, to - from);
@@ -70,9 +75,9 @@ class ResidentReader : public FragmentReader {
       return Status::OutOfRange("row range");
     }
     if (sparse()) {
-      frag_->sparse_.SearchIn(from, to, sorted_vids, from, out);
+      payload_->sparse.SearchIn(from, to, sorted_vids, from, out);
     } else {
-      PackedSearchIn(frag_->data_.words(), frag_->data_.bits(), from, to,
+      PackedSearchIn(payload_->data.words(), payload_->data.bits(), from, to,
                      sorted_vids, from, out);
     }
     Bump(ctx_, &QueryStats::rows_scanned, to - from);
@@ -83,7 +88,7 @@ class ResidentReader : public FragmentReader {
                     std::vector<RowPos>* out) override {
     for (RowPos r : rows) {
       if (r >= frag_->row_count_) return Status::OutOfRange("row position");
-      uint64_t v = sparse() ? frag_->sparse_.Get(r) : frag_->data_.Get(r);
+      uint64_t v = sparse() ? payload_->sparse.Get(r) : payload_->data.Get(r);
       if (v - lo <= static_cast<uint64_t>(hi) - lo) out->push_back(r);
       Bump(ctx_, &QueryStats::rows_scanned);
     }
@@ -94,15 +99,15 @@ class ResidentReader : public FragmentReader {
     if (vid >= frag_->dict_size_) return Status::OutOfRange("value id");
     if (frag_->has_index_) {
       Bump(ctx_, &QueryStats::index_lookups);
-      auto span = frag_->index_.Lookup(vid);
+      auto span = payload_->index.Lookup(vid);
       out->insert(out->end(), span.begin(), span.end());
       return Status::OK();
     }
     Bump(ctx_, &QueryStats::vector_scans);
     if (sparse()) {
-      frag_->sparse_.SearchEq(0, frag_->row_count_, vid, 0, out);
+      payload_->sparse.SearchEq(0, frag_->row_count_, vid, 0, out);
     } else {
-      PackedSearchEq(frag_->data_.words(), frag_->data_.bits(), 0,
+      PackedSearchEq(payload_->data.words(), payload_->data.bits(), 0,
                      frag_->row_count_, vid, 0, out);
     }
     Bump(ctx_, &QueryStats::rows_scanned, frag_->row_count_);
@@ -111,20 +116,20 @@ class ResidentReader : public FragmentReader {
 
   Result<Value> GetValueForVid(ValueId vid) override {
     if (vid >= frag_->dict_size_) return Status::OutOfRange("value id");
-    return frag_->dict_.GetValue(vid);
+    return payload_->dict.GetValue(vid);
   }
 
   Result<ValueId> FindValueId(const Value& value) override {
-    auto v = frag_->dict_.FindValueId(value);
+    auto v = payload_->dict.FindValueId(value);
     return v.has_value() ? *v : kInvalidValueId;
   }
 
   Result<ValueId> LowerBoundVid(const Value& value) override {
-    return frag_->dict_.LowerBound(value);
+    return payload_->dict.LowerBound(value);
   }
 
   Result<ValueId> UpperBoundVid(const Value& value) override {
-    return frag_->dict_.UpperBound(value);
+    return payload_->dict.UpperBound(value);
   }
 
  private:
@@ -132,8 +137,9 @@ class ResidentReader : public FragmentReader {
     return frag_->codec_ == FullyResidentFragment::Codec::kSparse;
   }
 
-  FullyResidentFragment* frag_;
+  const FullyResidentFragment* frag_;
   ExecContext* ctx_;
+  std::shared_ptr<const Payload> payload_;
   PinnedResource pin_;
 };
 
@@ -238,17 +244,8 @@ Result<std::unique_ptr<FullyResidentFragment>> FullyResidentFragment::Open(
   return frag;
 }
 
-FullyResidentFragment::~FullyResidentFragment() {
-  MutexLock lock(mu_);
-  if (loaded_ && resource_id_ != kInvalidResourceId) {
-    rm_->Unregister(resource_id_);
-  }
-}
-
-Result<ResourceId> FullyResidentFragment::EnsureLoaded() {
-  MutexLock lock(mu_);
-  if (loaded_) return resource_id_;
-
+Result<std::shared_ptr<FullyResidentFragment::Payload>>
+FullyResidentFragment::LoadPayload() {
   Stopwatch timer;
   PAYG_ASSIGN_OR_RETURN(
       auto file,
@@ -288,7 +285,8 @@ Result<ResourceId> FullyResidentFragment::EnsureLoaded() {
       }
     }
   }
-  dict_ = Dictionary::FromSorted(type, std::move(values));
+  auto payload = std::make_shared<Payload>();
+  payload->dict = Dictionary::FromSorted(type, std::move(values));
 
   if (codec_ == Codec::kSparse) {
     PAYG_ASSIGN_OR_RETURN(uint32_t dominant, r.GetU32());
@@ -304,7 +302,7 @@ Result<ResourceId> FullyResidentFragment::EnsureLoaded() {
     std::vector<uint64_t> ex_words(ewords);
     PAYG_RETURN_IF_ERROR(
         r.GetBytes(ex_words.data(), ewords * sizeof(uint64_t)));
-    sparse_ = SparseVector::FromParts(
+    payload->sparse = SparseVector::FromParts(
         row_count_, dominant, ebits, std::move(bitmap),
         PackedVector::FromWords(ebits, exception_count,
                                 std::move(ex_words)));
@@ -314,7 +312,8 @@ Result<ResourceId> FullyResidentFragment::EnsureLoaded() {
     std::vector<uint64_t> words(word_count);
     PAYG_RETURN_IF_ERROR(
         r.GetBytes(words.data(), word_count * sizeof(uint64_t)));
-    data_ = PackedVector::FromWords(bits_, row_count_, std::move(words));
+    payload->data =
+        PackedVector::FromWords(bits_, row_count_, std::move(words));
   }
 
   if (has_index_) {
@@ -332,47 +331,24 @@ Result<ResourceId> FullyResidentFragment::EnsureLoaded() {
       PAYG_RETURN_IF_ERROR(
           r.GetBytes(directory.data(), dirsize * sizeof(uint64_t)));
     }
-    index_ = InvertedIndex::FromParts(dict_size_, unique != 0,
-                                      std::move(postinglist),
-                                      std::move(directory));
+    payload->index = InvertedIndex::FromParts(dict_size_, unique != 0,
+                                              std::move(postinglist),
+                                              std::move(directory));
   }
 
-  resident_bytes_ = dict_.MemoryBytes() +
-                    (codec_ == Codec::kSparse ? sparse_.MemoryBytes()
-                                              : data_.MemoryBytes()) +
-                    (has_index_ ? index_.MemoryBytes() : 0);
-  last_load_nanos_ = timer.ElapsedNanos();
-  ++load_count_;
-  loaded_ = true;
-  resource_id_ = rm_->Register(
-      name_, resident_bytes_, Disposition::kMidTerm, PoolId::kGeneral,
-      [this] {
-        MutexLock lk(mu_);
-        UnloadLocked();
-      });
-  return resource_id_;
+  payload->bytes = payload->dict.MemoryBytes() +
+                   (codec_ == Codec::kSparse ? payload->sparse.MemoryBytes()
+                                             : payload->data.MemoryBytes()) +
+                   (has_index_ ? payload->index.MemoryBytes() : 0);
+  last_load_nanos_.store(timer.ElapsedNanos(), std::memory_order_relaxed);
+  return payload;
 }
 
-void FullyResidentFragment::UnloadLocked() {
-  dict_ = Dictionary(type_);
-  data_ = PackedVector(bits_);
-  sparse_ = SparseVector();
-  index_ = InvertedIndex();
-  loaded_ = false;
-  resident_bytes_ = 0;
-  resource_id_ = kInvalidResourceId;
-}
-
-void FullyResidentFragment::Unload() {
-  MutexLock lock(mu_);
-  if (!loaded_) return;
-  rm_->Unregister(resource_id_);
-  UnloadLocked();
-}
+void FullyResidentFragment::Unload() { payload_.Unload(); }
 
 uint64_t FullyResidentFragment::ResidentBytes() const {
-  MutexLock lock(mu_);
-  return loaded_ ? resident_bytes_ : 0;
+  std::shared_ptr<Payload> payload = payload_.resident();
+  return payload != nullptr ? payload->bytes : 0;
 }
 
 Result<std::unique_ptr<FragmentReader>> FullyResidentFragment::NewReader(
@@ -380,21 +356,12 @@ Result<std::unique_ptr<FragmentReader>> FullyResidentFragment::NewReader(
   if (ctx != nullptr) {
     PAYG_RETURN_IF_ERROR(ctx->CheckDeadline());
   }
-  PAYG_ASSIGN_OR_RETURN(ResourceId id, EnsureLoaded());
-  PinnedResource pin = PinnedResource::TryPin(rm_, id);
-  if (!pin.valid()) {
-    // Evicted between load and pin (possible under heavy pressure): retry
-    // once; a second failure indicates the budget cannot hold this column.
-    PAYG_ASSIGN_OR_RETURN(id, EnsureLoaded());
-    pin = PinnedResource::TryPin(rm_, id);
-    if (!pin.valid()) {
-      return Status::ResourceExhausted("column " + name_ +
-                                       " cannot stay resident under budget");
-    }
-  }
+  PinnedResource pin;
+  PAYG_ASSIGN_OR_RETURN(std::shared_ptr<Payload> payload,
+                        payload_.Pin(&pin, [this] { return LoadPayload(); }));
   Bump(ctx, &QueryStats::pages_pinned);
   return std::unique_ptr<FragmentReader>(
-      new ResidentReader(this, ctx, std::move(pin)));
+      new ResidentReader(this, ctx, std::move(payload), std::move(pin)));
 }
 
 }  // namespace payg

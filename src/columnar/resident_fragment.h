@@ -1,15 +1,16 @@
 #ifndef PAYG_COLUMNAR_RESIDENT_FRAGMENT_H_
 #define PAYG_COLUMNAR_RESIDENT_FRAGMENT_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "buffer/lazy_resource.h"
 #include "buffer/resource_manager.h"
 #include "columnar/dictionary.h"
 #include "columnar/fragment.h"
 #include "columnar/inverted_index.h"
-#include "common/thread_annotations.h"
 #include "encoding/bit_packing.h"
 #include "encoding/sparse_vector.h"
 #include "storage/storage_manager.h"
@@ -47,8 +48,6 @@ class FullyResidentFragment : public MainFragment {
   static Result<std::unique_ptr<FullyResidentFragment>> Open(
       StorageManager* storage, ResourceManager* rm, const std::string& name);
 
-  ~FullyResidentFragment() override;
-
   uint64_t row_count() const override { return row_count_; }
   uint64_t dict_size() const override { return dict_size_; }
   ValueType type() const override { return type_; }
@@ -64,29 +63,36 @@ class FullyResidentFragment : public MainFragment {
   // Nanoseconds spent in the most recent full load (0 if never loaded).
   // Benchmarks report this against per-page load cost of paged columns.
   uint64_t last_load_nanos() const {
-    MutexLock lock(mu_);
-    return last_load_nanos_;
+    return last_load_nanos_.load(std::memory_order_relaxed);
   }
-  uint64_t load_count() const {
-    MutexLock lock(mu_);
-    return load_count_;
-  }
+  uint64_t load_count() const { return payload_.load_count(); }
   Codec codec() const { return codec_; }
 
  private:
   friend class ResidentReader;
 
+  // The loaded column, registered as one resource. The data vector the
+  // codec does not use stays empty, as does the index of a column without
+  // one.
+  struct Payload {
+    Dictionary dict;
+    PackedVector data;    // codec_ == kPacked
+    SparseVector sparse;  // codec_ == kSparse
+    InvertedIndex index;
+    uint64_t bytes = 0;
+    uint64_t MemoryBytes() const { return bytes; }
+  };
+
   FullyResidentFragment(StorageManager* storage, ResourceManager* rm,
                         std::string name)
-      : storage_(storage), rm_(rm), name_(std::move(name)) {}
+      : storage_(storage),
+        name_(std::move(name)),
+        payload_(rm, name_, Disposition::kMidTerm, PoolId::kGeneral) {}
 
-  // Loads the fragment from disk if not resident. Returns the resource id
-  // to pin.
-  Result<ResourceId> EnsureLoaded();
-  void UnloadLocked() REQUIRES(mu_);
+  // Reads the whole chain into a fresh payload.
+  Result<std::shared_ptr<Payload>> LoadPayload();
 
   StorageManager* storage_;
-  ResourceManager* rm_;
   std::string name_;
 
   ValueType type_ = ValueType::kInt64;
@@ -97,22 +103,8 @@ class FullyResidentFragment : public MainFragment {
 
   Codec codec_ = Codec::kPacked;
 
-  // mu_ guards the load/unload state machine. The payload structures
-  // (dict_, data_, sparse_, index_) are deliberately NOT annotated: they are
-  // written under mu_ inside EnsureLoaded before the resource is published,
-  // then read lock-free by ResidentReader, which holds a pin — the pin (not
-  // the mutex) is what keeps eviction away from them. That protocol is not
-  // expressible to the thread-safety analysis; see DESIGN.md S21.
-  mutable Mutex mu_;
-  bool loaded_ GUARDED_BY(mu_) = false;
-  ResourceId resource_id_ GUARDED_BY(mu_) = kInvalidResourceId;
-  Dictionary dict_;
-  PackedVector data_;     // codec_ == kPacked
-  SparseVector sparse_;   // codec_ == kSparse
-  InvertedIndex index_;
-  uint64_t resident_bytes_ GUARDED_BY(mu_) = 0;
-  uint64_t last_load_nanos_ GUARDED_BY(mu_) = 0;
-  uint64_t load_count_ GUARDED_BY(mu_) = 0;
+  std::atomic<uint64_t> last_load_nanos_{0};
+  LazyResource<Payload> payload_;
 };
 
 }  // namespace payg

@@ -35,6 +35,18 @@ PageCache::PageCache(PageFile* file, ResourceManager* rm, PoolId pool,
   shard_mask_ = shards - 1;
   shards_ = std::make_unique<Shard[]>(shards);
   auto& reg = obs::MetricsRegistry::Global();
+  // Every GetPage call is exactly one hit (served from a resident slot:
+  // successful pin, no I/O) or one miss (went through a physical load, even
+  // when a concurrent loader won and our page was thrown away). pin_waits
+  // counts the contention inside those calls: a resident slot whose pin
+  // raced eviction, or a duplicate concurrent load.
+  //
+  // Prefetch accounting invariant, at any quiesce point:
+  //   issued == hits + wasted + inflight.
+  // Every issued prefetch ends in exactly one bucket: its first GetPage
+  // touch (hit), or a failed read / superseded load / eviction or drop
+  // before any touch (wasted), or it is still loading (inflight, see
+  // prefetch_inflight_count()).
   m_hits_ = reg.counter("cache.hits");
   m_misses_ = reg.counter("cache.misses");
   m_pin_waits_ = reg.counter("cache.pin_waits");
@@ -81,12 +93,9 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
     if (it != shard.slots.end()) {
       PinnedResource pin = PinnedResource::TryPin(it->second.handle);
       if (pin.valid()) {
-        // Recency touch goes to a striped pending buffer; holding the shard
-        // mutex over it is safe (no path locks a touch stripe first).
         rm_->Touch(it->second.handle);
         if (it->second.prefetched) {
           it->second.prefetched = false;
-          prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
           m_prefetch_hits_->Inc();
           Bump(ctx, &QueryStats::prefetch_hits);
         }
@@ -95,14 +104,12 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
           CountPageAccess(ctx, /*cold=*/false,
                           MonotonicNanos() - access_start_ns);
         }
-        hits_.fetch_add(1, std::memory_order_relaxed);
         m_hits_->Inc();
         return PageRef(it->second.page, std::move(pin), lpn);
       }
       // The resource manager chose this page as a victim and its callback
       // has not reached us yet; treat as a miss (the callback erases only
       // its own generation, so reloading below is safe).
-      pin_waits_.fetch_add(1, std::memory_order_relaxed);
       m_pin_waits_->Inc();
       CountWastedLocked(shard, it->second);
       shard.occupancy->Add(-1);
@@ -115,7 +122,6 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
   auto page = std::make_shared<Page>(file_->page_size());
   PAYG_RETURN_IF_ERROR(file_->ReadPage(lpn, page.get(), ctx));
   loads_.fetch_add(1, std::memory_order_relaxed);
-  misses_.fetch_add(1, std::memory_order_relaxed);
   m_misses_->Inc();
   Bump(ctx, &QueryStats::pages_pinned);
 
@@ -138,11 +144,9 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
         rm_->Touch(it->second.handle);
         if (it->second.prefetched) {
           it->second.prefetched = false;
-          prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
           m_prefetch_hits_->Inc();
           Bump(ctx, &QueryStats::prefetch_hits);
         }
-        pin_waits_.fetch_add(1, std::memory_order_relaxed);
         m_pin_waits_->Inc();
         pin.Release();
         rm_->Unregister(handle->id);
@@ -190,7 +194,6 @@ void PageCache::PrefetchRange(LogicalPageNo first, uint32_t count,
   }
   if (lpns.empty()) return;
 
-  prefetch_issued_.fetch_add(lpns.size(), std::memory_order_relaxed);
   m_prefetch_issued_->Add(lpns.size());
   Bump(ctx, &QueryStats::prefetch_issued, lpns.size());
   Bump(ctx, &QueryStats::io_batches);
@@ -232,7 +235,6 @@ void PageCache::PublishPrefetched(LogicalPageNo lpn,
   Shard& shard = ShardFor(lpn);
   if (!st.ok()) {
     ShardLock lock(*this, shard);
-    prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
     m_prefetch_wasted_->Inc();
     shard.inflight.erase(lpn);
     shard.inflight_cv.NotifyAll();
@@ -255,7 +257,6 @@ void PageCache::PublishPrefetched(LogicalPageNo lpn,
       // A synchronous load slipped in (the slot was evicted and reloaded
       // while we were reading). Keep theirs, discard ours.
       superseded = true;
-      prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
       m_prefetch_wasted_->Inc();
     } else {
       shard.slots[lpn] = Slot{std::move(page), handle, gen,
@@ -277,7 +278,6 @@ void PageCache::PublishPrefetched(LogicalPageNo lpn,
 
 void PageCache::CountWastedLocked(const Shard&, const Slot& slot) {
   if (slot.prefetched) {
-    prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
     m_prefetch_wasted_->Inc();
   }
 }

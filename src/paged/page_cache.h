@@ -109,38 +109,8 @@ class PageCache {
 
   uint32_t shard_count() const { return static_cast<uint32_t>(shard_mask_) + 1; }
 
-  // Hit/miss accounting: every GetPage call is exactly one of the two. A
-  // hit is served from a resident slot (successful pin, no IO); a miss went
-  // through a physical load — including the rare case where a concurrent
-  // loader won the race and our freshly read page was thrown away.
-  // pin_wait_count tallies the contention events inside those calls: a
-  // resident slot whose pin raced with eviction, or a duplicate concurrent
-  // load. The same three counters aggregate process-wide in the registry as
-  // "cache.hits" / "cache.misses" / "cache.pin_waits".
-  uint64_t hit_count() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t miss_count() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  uint64_t pin_wait_count() const {
-    return pin_waits_.load(std::memory_order_relaxed);
-  }
-
-  // Prefetch accounting invariant: at any quiesce point,
-  //   issued == hits + wasted + inflight.
-  // Every issued prefetch ends in exactly one bucket: its first GetPage
-  // touch (hit), or a failed read / superseded load / eviction or drop
-  // before any touch (wasted), or it is still loading (inflight).
-  uint64_t prefetch_issued_count() const {
-    return prefetch_issued_.load(std::memory_order_relaxed);
-  }
-  uint64_t prefetch_hit_count() const {
-    return prefetch_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t prefetch_wasted_count() const {
-    return prefetch_wasted_.load(std::memory_order_relaxed);
-  }
+  // Prefetches issued whose page has not landed yet (see the accounting
+  // invariant where the registry counters are resolved, page_cache.cc).
   uint64_t prefetch_inflight_count() const;
 
   PageFile* file() const { return file_; }
@@ -225,12 +195,6 @@ class PageCache {
   uint64_t shard_mask_ = 0;
   std::atomic<uint64_t> loads_{0};
   std::atomic<uint64_t> next_generation_{1};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> pin_waits_{0};
-  std::atomic<uint64_t> prefetch_issued_{0};
-  std::atomic<uint64_t> prefetch_hits_{0};
-  std::atomic<uint64_t> prefetch_wasted_{0};
   obs::Counter* m_hits_;
   obs::Counter* m_misses_;
   obs::Counter* m_pin_waits_;

@@ -213,8 +213,6 @@ Result<std::unique_ptr<PagedDataVector>> PagedDataVector::Build(
   auto dv = std::unique_ptr<PagedDataVector>(new PagedDataVector());
   dv->name_ = name;
   dv->storage_ = storage;
-  dv->rm_ = rm;
-  dv->pool_ = pool;
   dv->row_count_ = vids.size();
   dv->codec_ = choice;
   dv->values_per_page_ = values_per_page;
@@ -222,6 +220,8 @@ Result<std::unique_ptr<PagedDataVector>> PagedDataVector::Build(
   dv->file_ = std::move(file);
   dv->cache_ = std::make_unique<PageCache>(dv->file_.get(), rm, pool,
                                            name + ".dv");
+  dv->summary_ = std::make_unique<LazyResource<PageSummary>>(
+      rm, name + ".dvsum", Disposition::kPagedAttribute, pool);
   return dv;
 }
 
@@ -239,8 +239,6 @@ Result<std::unique_ptr<PagedDataVector>> PagedDataVector::Open(
   auto dv = std::unique_ptr<PagedDataVector>(new PagedDataVector());
   dv->name_ = name;
   dv->storage_ = storage;
-  dv->rm_ = rm;
-  dv->pool_ = pool;
   DataVectorMeta parsed;
   PAYG_RETURN_IF_ERROR(
       ParseDataVectorMeta(meta.payload(), meta.payload_size(), &parsed));
@@ -251,25 +249,17 @@ Result<std::unique_ptr<PagedDataVector>> PagedDataVector::Open(
   dv->file_ = std::move(file);
   dv->cache_ = std::make_unique<PageCache>(dv->file_.get(), rm, pool,
                                            name + ".dv");
+  dv->summary_ = std::make_unique<LazyResource<PageSummary>>(
+      rm, name + ".dvsum", Disposition::kPagedAttribute, pool);
   return dv;
 }
 
 Result<std::shared_ptr<PageSummary>> PagedDataVector::PinSummary(
     PinnedResource* pin) {
-  {
-    MutexLock lock(summary_mu_);
-    if (summary_ != nullptr) {
-      PinnedResource p = PinnedResource::TryPin(rm_, summary_rid_);
-      if (p.valid()) {
-        *pin = std::move(p);
-        return summary_;
-      }
-      rm_->Unregister(summary_rid_);
-      summary_ = nullptr;
-      summary_rid_ = kInvalidResourceId;
-    }
-  }
+  return summary_->Pin(pin, [this] { return LoadSummary(); });
+}
 
+Result<std::shared_ptr<PageSummary>> PagedDataVector::LoadSummary() const {
   PAYG_ASSIGN_OR_RETURN(
       auto sfile, storage_->OpenNonCriticalChain(SummaryChainName(name_),
                                       file_->page_size()));
@@ -295,40 +285,11 @@ Result<std::shared_ptr<PageSummary>> PagedDataVector::PinSummary(
     s->min_vid.push_back(mn);
     s->max_vid.push_back(mx);
   }
-
-  MutexLock lock(summary_mu_);
-  if (summary_ != nullptr) {
-    PinnedResource p = PinnedResource::TryPin(rm_, summary_rid_);
-    if (p.valid()) {
-      *pin = std::move(p);
-      return summary_;
-    }
-    rm_->Unregister(summary_rid_);
-  }
-  const uint64_t gen = ++summary_gen_;
-  summary_ = std::move(s);
-  summary_rid_ = rm_->RegisterPinned(
-      name_ + ".dvsum", summary_->MemoryBytes(), Disposition::kPagedAttribute,
-      pool_, [this, gen] {
-        MutexLock lk(summary_mu_);
-        if (summary_gen_ == gen) {
-          summary_ = nullptr;
-          summary_rid_ = kInvalidResourceId;
-        }
-      });
-  *pin = PinnedResource::Adopt(rm_, summary_rid_);
-  return summary_;
+  return s;
 }
 
 void PagedDataVector::Unload() {
-  {
-    MutexLock lock(summary_mu_);
-    if (summary_ != nullptr) {
-      rm_->Unregister(summary_rid_);
-      summary_ = nullptr;
-      summary_rid_ = kInvalidResourceId;
-    }
-  }
+  if (summary_ != nullptr) summary_->Unload();
   if (cache_ != nullptr) cache_->DropAll();
 }
 

@@ -5,8 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_annotations.h"
-
+#include "buffer/lazy_resource.h"
 #include "buffer/resource_manager.h"
 #include "common/result.h"
 #include "encoding/bit_packing.h"
@@ -99,23 +98,18 @@ class PagedDataVector {
 
   PagedDataVector() = default;
 
+  // Reads the whole page summary chain.
+  Result<std::shared_ptr<PageSummary>> LoadSummary() const;
+
   std::string name_;
   StorageManager* storage_ = nullptr;
-  ResourceManager* rm_ = nullptr;
-  PoolId pool_ = PoolId::kPagedPool;
   uint64_t row_count_ = 0;
   CodecChoice codec_;
   uint64_t values_per_page_ = 0;
   uint64_t data_pages_ = 0;
   std::unique_ptr<PageFile> file_;
   std::unique_ptr<PageCache> cache_;
-
-  // Double-checked load state of the page summary; the generation detects
-  // eviction between unlock and re-lock.
-  mutable Mutex summary_mu_;
-  std::shared_ptr<PageSummary> summary_ GUARDED_BY(summary_mu_);
-  ResourceId summary_rid_ GUARDED_BY(summary_mu_) = kInvalidResourceId;
-  uint64_t summary_gen_ GUARDED_BY(summary_mu_) = 0;
+  std::unique_ptr<LazyResource<PageSummary>> summary_;
 };
 
 // Stateful iterator over a paged data vector (§3.1.2). Keeps at most one

@@ -169,13 +169,13 @@ Result<std::unique_ptr<PagedDictionary>> PagedDictionary::Build(
   auto dict = std::unique_ptr<PagedDictionary>(new PagedDictionary());
   dict->name_ = name;
   dict->storage_ = storage;
-  dict->rm_ = rm;
-  dict->pool_ = pool;
   dict->dict_size_ = sorted_values.size();
   dict->dict_page_count_ = helper_lpns.size();
   dict->file_ = std::move(file);
   dict->cache_ =
       std::make_unique<PageCache>(dict->file_.get(), rm, pool, name + ".dict");
+  dict->helpers_ = std::make_unique<LazyResource<Helpers>>(
+      rm, name + ".dicthlp", Disposition::kPagedAttribute, pool);
   return dict;
 }
 
@@ -194,11 +194,11 @@ Result<std::unique_ptr<PagedDictionary>> PagedDictionary::Open(
   PAYG_ASSIGN_OR_RETURN(dict->dict_page_count_, r.GetU64());
   dict->name_ = name;
   dict->storage_ = storage;
-  dict->rm_ = rm;
-  dict->pool_ = pool;
   dict->file_ = std::move(file);
   dict->cache_ =
       std::make_unique<PageCache>(dict->file_.get(), rm, pool, name + ".dict");
+  dict->helpers_ = std::make_unique<LazyResource<Helpers>>(
+      rm, name + ".dicthlp", Disposition::kPagedAttribute, pool);
   return dict;
 }
 
@@ -206,21 +206,12 @@ PagedDictionary::~PagedDictionary() { Unload(); }
 
 Result<std::shared_ptr<PagedDictionary::Helpers>> PagedDictionary::PinHelpers(
     PinnedResource* pin) {
-  {
-    MutexLock lock(helpers_mu_);
-    if (helpers_ != nullptr) {
-      PinnedResource p = PinnedResource::TryPin(rm_, helpers_rid_);
-      if (p.valid()) {
-        *pin = std::move(p);
-        return helpers_;
-      }
-      // Evicted concurrently; reload below.
-      helpers_ = nullptr;
-      helpers_rid_ = kInvalidResourceId;
-    }
-  }
+  return helpers_->Pin(pin, [this] { return LoadHelpers(); });
+}
 
-  // Pre-load the full helper chains (§3.2.3) outside the lock.
+Result<std::shared_ptr<PagedDictionary::Helpers>>
+PagedDictionary::LoadHelpers() const {
+  // Pre-load the full helper chains (§3.2.3).
   PAYG_ASSIGN_OR_RETURN(
       auto hfile, storage_->OpenNonCriticalChain(HelperChainName(name_),
                                       storage_->options().dict_page_size));
@@ -241,47 +232,16 @@ Result<std::shared_ptr<PagedDictionary::Helpers>> PagedDictionary::PinHelpers(
     h->lpn.push_back(lpn);
     h->last_value.push_back(std::move(value));
   }
-
-  MutexLock lock(helpers_mu_);
-  if (helpers_ != nullptr) {
-    // Raced with another loader; prefer theirs if still pinnable.
-    PinnedResource p = PinnedResource::TryPin(rm_, helpers_rid_);
-    if (p.valid()) {
-      *pin = std::move(p);
-      return helpers_;
-    }
-    rm_->Unregister(helpers_rid_);
-  }
-  const uint64_t gen = ++helpers_gen_;
-  helpers_ = std::move(h);
-  helpers_rid_ = rm_->RegisterPinned(
-      name_ + ".dicthlp", helpers_->MemoryBytes(),
-      Disposition::kPagedAttribute, pool_, [this, gen] {
-        MutexLock lk(helpers_mu_);
-        if (helpers_gen_ == gen) {
-          helpers_ = nullptr;
-          helpers_rid_ = kInvalidResourceId;
-        }
-      });
-  *pin = PinnedResource::Adopt(rm_, helpers_rid_);
-  return helpers_;
+  return h;
 }
 
 void PagedDictionary::Unload() {
-  {
-    MutexLock lock(helpers_mu_);
-    if (helpers_ != nullptr) {
-      rm_->Unregister(helpers_rid_);
-      helpers_ = nullptr;
-      helpers_rid_ = kInvalidResourceId;
-    }
-  }
+  if (helpers_ != nullptr) helpers_->Unload();
   if (cache_ != nullptr) cache_->DropAll();
 }
 
 bool PagedDictionary::helpers_loaded() const {
-  MutexLock lock(helpers_mu_);
-  return helpers_ != nullptr;
+  return helpers_->resident() != nullptr;
 }
 
 // ---------------------------------------------------------------------------

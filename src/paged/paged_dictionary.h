@@ -6,9 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "buffer/lazy_resource.h"
 #include "buffer/resource_manager.h"
 #include "common/result.h"
-#include "common/thread_annotations.h"
 #include "encoding/string_block.h"
 #include "encoding/types.h"
 #include "paged/page_cache.h"
@@ -84,22 +84,15 @@ class PagedDictionary {
   // Loads (or returns) the helper dictionaries, pinning them for the
   // caller. §3.2.3: the full helper chains are pre-loaded on first access.
   Result<std::shared_ptr<Helpers>> PinHelpers(PinnedResource* pin);
+  Result<std::shared_ptr<Helpers>> LoadHelpers() const;
 
   std::string name_;
   StorageManager* storage_ = nullptr;
-  ResourceManager* rm_ = nullptr;
-  PoolId pool_ = PoolId::kPagedPool;
   uint64_t dict_size_ = 0;
   uint64_t dict_page_count_ = 0;
   std::unique_ptr<PageFile> file_;
   std::unique_ptr<PageCache> cache_;
-
-  // Double-checked load state of the pre-loaded helper dictionaries; the
-  // generation detects eviction between unlock and re-lock.
-  mutable Mutex helpers_mu_;
-  std::shared_ptr<Helpers> helpers_ GUARDED_BY(helpers_mu_);
-  ResourceId helpers_rid_ GUARDED_BY(helpers_mu_) = kInvalidResourceId;
-  uint64_t helpers_gen_ GUARDED_BY(helpers_mu_) = 0;
+  std::unique_ptr<LazyResource<Helpers>> helpers_;
 };
 
 // Iterator-based access to the paged dictionary (§3.2.2/§3.2.3). Maintains

@@ -121,6 +121,8 @@ Result<std::unique_ptr<PagedFragment>> PagedFragment::Build(
   frag->storage_ = storage;
   frag->rm_ = rm;
   frag->pool_ = pool;
+  frag->num_dict_ = std::make_unique<LazyResource<Dictionary>>(
+      rm, name + ".numdict", Disposition::kPagedAttribute, pool);
   frag->type_ = type;
   frag->row_count_ = vids.size();
   frag->dict_size_ = sorted_dict_values.size();
@@ -183,6 +185,8 @@ Result<std::unique_ptr<PagedFragment>> PagedFragment::Open(
   frag->storage_ = storage;
   frag->rm_ = rm;
   frag->pool_ = pool;
+  frag->num_dict_ = std::make_unique<LazyResource<Dictionary>>(
+      rm, name + ".numdict", Disposition::kPagedAttribute, pool);
 
   {
     PAYG_ASSIGN_OR_RETURN(
@@ -217,20 +221,10 @@ Result<std::unique_ptr<PagedFragment>> PagedFragment::Open(
 Result<std::shared_ptr<Dictionary>> PagedFragment::PinNumericDict(
     PinnedResource* pin) {
   PAYG_ASSERT(type_ != ValueType::kString);
-  {
-    MutexLock lock(num_dict_mu_);
-    if (num_dict_ != nullptr) {
-      PinnedResource p = PinnedResource::TryPin(rm_, num_dict_rid_);
-      if (p.valid()) {
-        *pin = std::move(p);
-        return num_dict_;
-      }
-      rm_->Unregister(num_dict_rid_);
-      num_dict_ = nullptr;
-      num_dict_rid_ = kInvalidResourceId;
-    }
-  }
+  return num_dict_->Pin(pin, [this] { return LoadNumericDict(); });
+}
 
+Result<std::shared_ptr<Dictionary>> PagedFragment::LoadNumericDict() const {
   PAYG_ASSIGN_OR_RETURN(
       auto mfile, storage_->OpenChain(MetaChainName(name_),
                                       storage_->options().page_size));
@@ -254,31 +248,8 @@ Result<std::shared_ptr<Dictionary>> PagedFragment::PinNumericDict(
       values.emplace_back(v);
     }
   }
-  auto dict = std::make_shared<Dictionary>(
+  return std::make_shared<Dictionary>(
       Dictionary::FromSorted(type_, std::move(values)));
-
-  MutexLock lock(num_dict_mu_);
-  if (num_dict_ != nullptr) {
-    PinnedResource p = PinnedResource::TryPin(rm_, num_dict_rid_);
-    if (p.valid()) {
-      *pin = std::move(p);
-      return num_dict_;
-    }
-    rm_->Unregister(num_dict_rid_);
-  }
-  const uint64_t gen = ++num_dict_gen_;
-  num_dict_ = std::move(dict);
-  num_dict_rid_ = rm_->RegisterPinned(
-      name_ + ".numdict", num_dict_->MemoryBytes(),
-      Disposition::kPagedAttribute, pool_, [this, gen] {
-        MutexLock lk(num_dict_mu_);
-        if (num_dict_gen_ == gen) {
-          num_dict_ = nullptr;
-          num_dict_rid_ = kInvalidResourceId;
-        }
-      });
-  *pin = PinnedResource::Adopt(rm_, num_dict_rid_);
-  return num_dict_;
 }
 
 Status PagedFragment::MaybeRebuildIndex() {
@@ -328,12 +299,7 @@ void PagedFragment::Unload() {
     MutexLock lock(index_mu_);
     if (index_ != nullptr) index_->Unload();
   }
-  MutexLock lock(num_dict_mu_);
-  if (num_dict_ != nullptr) {
-    rm_->Unregister(num_dict_rid_);
-    num_dict_ = nullptr;
-    num_dict_rid_ = kInvalidResourceId;
-  }
+  if (num_dict_ != nullptr) num_dict_->Unload();
 }
 
 uint64_t PagedFragment::ResidentBytes() const {
@@ -353,8 +319,7 @@ uint64_t PagedFragment::ResidentBytes() const {
                storage_->options().page_size;
     }
   }
-  MutexLock lock(num_dict_mu_);
-  if (num_dict_ != nullptr) bytes += num_dict_->MemoryBytes();
+  if (auto num_dict = num_dict_->resident()) bytes += num_dict->MemoryBytes();
   return bytes;
 }
 

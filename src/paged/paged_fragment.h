@@ -8,6 +8,7 @@
 
 #include "common/thread_annotations.h"
 
+#include "buffer/lazy_resource.h"
 #include "buffer/resource_manager.h"
 #include "columnar/dictionary.h"
 #include "columnar/fragment.h"
@@ -103,6 +104,7 @@ class PagedFragment : public MainFragment {
 
   // Loads (or returns) the resident numeric dictionary, pinned.
   Result<std::shared_ptr<Dictionary>> PinNumericDict(PinnedResource* pin);
+  Result<std::shared_ptr<Dictionary>> LoadNumericDict() const;
 
   std::string name_;
   StorageManager* storage_ = nullptr;
@@ -130,12 +132,8 @@ class PagedFragment : public MainFragment {
   uint32_t index_build_threshold_ = 1;
   std::atomic<uint64_t> point_lookups_{0};
 
-  // Double-checked load state of the whole-loaded numeric dictionary; the
-  // generation detects eviction between unlock and re-lock.
-  mutable Mutex num_dict_mu_;
-  std::shared_ptr<Dictionary> num_dict_ GUARDED_BY(num_dict_mu_);
-  ResourceId num_dict_rid_ GUARDED_BY(num_dict_mu_) = kInvalidResourceId;
-  uint64_t num_dict_gen_ GUARDED_BY(num_dict_mu_) = 0;
+  // The whole-loaded numeric dictionary (numeric columns).
+  std::unique_ptr<LazyResource<Dictionary>> num_dict_;
 };
 
 }  // namespace payg

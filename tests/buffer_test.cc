@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -8,6 +9,9 @@
 #include <vector>
 
 #include "buffer/resource_manager.h"
+#include "common/random.h"
+#include "common/thread_annotations.h"
+#include "counter_delta.h"
 
 namespace payg {
 namespace {
@@ -46,6 +50,7 @@ TEST(ResourceManagerTest, UnregisterReleasesBytes) {
 }
 
 TEST(ResourceManagerTest, ReactiveEvictionEnforcesGlobalBudget) {
+  EvictionCounters evictions;
   ResourceManager rm;
   std::atomic<int> evicted{0};
   rm.SetGlobalBudget(250);
@@ -56,7 +61,7 @@ TEST(ResourceManagerTest, ReactiveEvictionEnforcesGlobalBudget) {
   // 5 x 100 bytes against a 250 budget: at least 3 evictions.
   EXPECT_LE(rm.total_bytes(), 250u);
   EXPECT_GE(evicted.load(), 3);
-  EXPECT_GE(rm.stats().reactive_evictions, 3u);
+  EXPECT_GE(evictions.reactive(), 3u);
 }
 
 TEST(ResourceManagerTest, LruPrefersOldUntouchedResources) {
@@ -134,6 +139,7 @@ TEST(ResourceManagerTest, RegisterPinnedStartsPinned) {
 }
 
 TEST(ResourceManagerTest, ProactiveSweepShrinksToLowerLimit) {
+  EvictionCounters evictions;
   ResourceManager rm;
   std::atomic<int> evicted{0};
   for (int i = 0; i < 15; ++i) {
@@ -148,7 +154,7 @@ TEST(ResourceManagerTest, ProactiveSweepShrinksToLowerLimit) {
   // 1500 bytes > upper 1000 → shrink to lower limit 200.
   EXPECT_LE(rm.pool_bytes(PoolId::kPagedPool), 200u);
   EXPECT_GE(evicted.load(), 13);
-  EXPECT_GE(rm.stats().proactive_evictions, 13u);
+  EXPECT_GE(evictions.proactive(), 13u);
 }
 
 TEST(ResourceManagerTest, ProactiveSweepIgnoresPoolBelowUpperLimit) {
@@ -217,24 +223,23 @@ TEST(ResourceManagerTest, BackgroundSweeperRunsAsynchronously) {
 }
 
 TEST(ResourceManagerTest, StatsSnapshotIsConsistent) {
+  EvictionCounters evictions;
   ResourceManager rm;
   rm.Register("a", 100, Disposition::kMidTerm, PoolId::kGeneral, nullptr);
   rm.Register("b", 200, Disposition::kPagedAttribute, PoolId::kPagedPool,
               nullptr);
-  auto s = rm.stats();
-  EXPECT_EQ(s.total_bytes, 300u);
-  EXPECT_EQ(s.resource_count, 2u);
-  EXPECT_EQ(s.pool_bytes[static_cast<int>(PoolId::kGeneral)], 100u);
-  EXPECT_EQ(s.pool_bytes[static_cast<int>(PoolId::kPagedPool)], 200u);
-  EXPECT_EQ(s.reactive_evictions, 0u);
-  EXPECT_EQ(s.proactive_evictions, 0u);
-  EXPECT_EQ(s.evicted_bytes, 0u);
+  EXPECT_EQ(rm.total_bytes(), 300u);
+  EXPECT_EQ(rm.resource_count(), 2u);
+  EXPECT_EQ(rm.pool_bytes(PoolId::kGeneral), 100u);
+  EXPECT_EQ(rm.pool_bytes(PoolId::kPagedPool), 200u);
+  EXPECT_EQ(evictions.reactive(), 0u);
+  EXPECT_EQ(evictions.proactive(), 0u);
+  EXPECT_EQ(evictions.bytes(), 0u);
 
   rm.SetGlobalBudget(150);  // evicts the paged resource first (reactive)
-  s = rm.stats();
-  EXPECT_EQ(s.total_bytes, 100u);
-  EXPECT_EQ(s.evicted_bytes, 200u);
-  EXPECT_EQ(s.reactive_evictions, 1u);
+  EXPECT_EQ(rm.total_bytes(), 100u);
+  EXPECT_EQ(evictions.bytes(), 200u);
+  EXPECT_EQ(evictions.reactive(), 1u);
 }
 
 TEST(ResourceManagerTest, TouchRevivesEvictionOrder) {
@@ -253,6 +258,252 @@ TEST(ResourceManagerTest, TouchRevivesEvictionOrder) {
   rm.SetPoolLimits(PoolId::kPagedPool, {100, 200});
   rm.SweepNow();
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
+}
+
+// One resource of the reference model below.
+struct ModelEntry {
+  ResourceId id = kInvalidResourceId;
+  PoolId pool = PoolId::kGeneral;
+  Disposition disposition = Disposition::kTemporary;
+  uint64_t bytes = 0;
+  uint64_t stamp = 0;
+  int pins = 0;
+  bool live = true;
+};
+
+// Eviction callbacks in the order they ran, overall and per pool. A
+// proactive pass may run on the background sweeper instead of SweepNow's
+// caller, but each pool is still evicted by one pass on one thread.
+class EvictionLog {
+ public:
+  void Record(PoolId pool, int index) {
+    MutexLock lock(mu_);
+    all_.push_back(index);
+    per_pool_[static_cast<int>(pool)].push_back(index);
+  }
+  size_t size() {
+    MutexLock lock(mu_);
+    return all_.size();
+  }
+  std::vector<int> all() {
+    MutexLock lock(mu_);
+    return all_;
+  }
+  std::vector<int> of_pool(PoolId pool) {
+    MutexLock lock(mu_);
+    return per_pool_[static_cast<int>(pool)];
+  }
+  void Clear() {
+    MutexLock lock(mu_);
+    all_.clear();
+    for (auto& v : per_pool_) v.clear();
+  }
+
+ private:
+  Mutex mu_;
+  std::vector<int> all_ GUARDED_BY(mu_);
+  std::vector<int> per_pool_[kNumPools] GUARDED_BY(mu_);
+};
+
+// Seeded sequences of registrations, touches, pins, unpins and unregisters,
+// then a budget cut and a sweep, against a brute-force model of the §5
+// victim order. The model replays the manager's clock (one tick per
+// registration, touch and successful pin) and evicts paged pools oldest
+// stamp first down to their lower limits, then the general pool by
+// descending t/w. t/w ties may go either way, so the general victims are
+// compared by score, and general resources share one size so a tie cannot
+// change how many go.
+TEST(ResourceManagerTest, VictimOrderMatchesReferenceModel) {
+  constexpr PoolId kPools[] = {PoolId::kGeneral, PoolId::kPagedPool,
+                               PoolId::kColdPagedPool};
+  constexpr PoolId kPagedPools[] = {PoolId::kPagedPool,
+                                    PoolId::kColdPagedPool};
+  constexpr Disposition kGeneralDispositions[] = {
+      Disposition::kTemporary, Disposition::kShortTerm, Disposition::kMidTerm,
+      Disposition::kLongTerm};
+  for (int ops : {40, 150, 500}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE("ops=" + std::to_string(ops) +
+                   " seed=" + std::to_string(seed));
+      Random rng(seed * 7919 + static_cast<uint64_t>(ops));
+      ResourceManager rm;
+      EvictionLog log;
+      std::vector<ModelEntry> model;
+      uint64_t clock = 1;  // the manager's clock starts at 1
+
+      auto pick = [&](bool pinned_only) {
+        std::vector<int> live;
+        for (size_t i = 0; i < model.size(); ++i) {
+          if (model[i].live && (!pinned_only || model[i].pins > 0)) {
+            live.push_back(static_cast<int>(i));
+          }
+        }
+        return live.empty() ? -1 : live[rng.Uniform(live.size())];
+      };
+      for (int op = 0; op < ops; ++op) {
+        const uint64_t dice = rng.Uniform(100);
+        if (dice < 45 || model.empty()) {
+          ModelEntry e;
+          e.pool = kPools[rng.Uniform(3)];
+          if (e.pool == PoolId::kGeneral) {
+            e.disposition = kGeneralDispositions[rng.Uniform(4)];
+            e.bytes = 100;
+          } else {
+            e.disposition = Disposition::kPagedAttribute;
+            e.bytes = 50 * rng.UniformRange(1, 8);
+          }
+          if (rng.Uniform(20) == 0) e.disposition = Disposition::kNonSwappable;
+          const int index = static_cast<int>(model.size());
+          EvictCallback on_evict = [&log, pool = e.pool, index] {
+            log.Record(pool, index);
+          };
+          if (rng.Uniform(5) == 0) {
+            e.id = rm.RegisterPinned("m", e.bytes, e.disposition, e.pool,
+                                     on_evict);
+            e.pins = 1;
+          } else {
+            e.id = rm.Register("m", e.bytes, e.disposition, e.pool, on_evict);
+          }
+          e.stamp = clock++;
+          model.push_back(e);
+        } else if (dice < 70) {
+          const int i = pick(false);
+          if (i < 0) continue;
+          rm.Touch(model[i].id);
+          model[i].stamp = clock++;
+        } else if (dice < 82) {
+          const int i = pick(false);
+          if (i < 0) continue;
+          ASSERT_TRUE(rm.Pin(model[i].id));
+          ++model[i].pins;
+          model[i].stamp = clock++;
+        } else if (dice < 94) {
+          const int i = pick(true);
+          if (i < 0) continue;
+          rm.Unpin(model[i].id);
+          --model[i].pins;
+        } else {
+          const int i = pick(false);
+          if (i < 0) continue;
+          ASSERT_TRUE(rm.Unregister(model[i].id));
+          model[i].live = false;
+        }
+      }
+
+      auto pool_bytes = [](const std::vector<ModelEntry>& m, PoolId pool) {
+        uint64_t bytes = 0;
+        for (const ModelEntry& e : m) {
+          if (e.live && e.pool == pool) bytes += e.bytes;
+        }
+        return bytes;
+      };
+      auto total = [&](const std::vector<ModelEntry>& m) {
+        uint64_t bytes = 0;
+        for (PoolId pool : kPools) bytes += pool_bytes(m, pool);
+        return bytes;
+      };
+      auto candidates = [](const std::vector<ModelEntry>& m, PoolId pool) {
+        std::vector<int> out;
+        for (size_t i = 0; i < m.size(); ++i) {
+          if (m[i].live && m[i].pool == pool && m[i].pins == 0 &&
+              m[i].disposition != Disposition::kNonSwappable) {
+            out.push_back(static_cast<int>(i));
+          }
+        }
+        return out;
+      };
+      // Plain LRU inside a paged pool, down to `target`.
+      auto evict_paged = [&](std::vector<ModelEntry>* m, PoolId pool,
+                             uint64_t target, std::vector<int>* victims) {
+        std::vector<int> c = candidates(*m, pool);
+        std::sort(c.begin(), c.end(), [&](int a, int b) {
+          return (*m)[a].stamp < (*m)[b].stamp;
+        });
+        for (int i : c) {
+          if (pool_bytes(*m, pool) <= target) break;
+          (*m)[i].live = false;
+          victims->push_back(i);
+        }
+      };
+      const uint64_t now = clock;
+      auto score = [&](int i) {
+        return static_cast<double>(now - model[i].stamp) /
+               DispositionWeight(model[i].disposition);
+      };
+
+      // Reactive: a budget cut, with lower limits and no sweep.
+      uint64_t lower[kNumPools] = {};
+      for (PoolId pool : kPagedPools) {
+        lower[static_cast<int>(pool)] =
+            rng.Uniform(pool_bytes(model, pool) + 1);
+        rm.SetPoolLimits(pool, {lower[static_cast<int>(pool)], 0});
+      }
+      const uint64_t budget =
+          std::max<uint64_t>(1, total(model) * rng.UniformRange(10, 90) / 100);
+      std::vector<ModelEntry> predicted = model;
+      std::vector<int> expect_paged;
+      std::vector<double> expect_general;
+      for (PoolId pool : kPagedPools) {
+        if (total(predicted) <= budget) break;
+        evict_paged(&predicted, pool, lower[static_cast<int>(pool)],
+                    &expect_paged);
+      }
+      std::vector<int> general = candidates(predicted, PoolId::kGeneral);
+      std::sort(general.begin(), general.end(),
+                [&](int a, int b) { return score(a) > score(b); });
+      for (int i : general) {
+        if (total(predicted) <= budget) break;
+        predicted[i].live = false;
+        expect_general.push_back(score(i));
+      }
+      rm.SetGlobalBudget(budget);
+      const std::vector<int> got = log.all();
+      ASSERT_EQ(got.size(), expect_paged.size() + expect_general.size());
+      EXPECT_EQ(
+          std::vector<int>(got.begin(), got.begin() + expect_paged.size()),
+          expect_paged);
+      std::vector<double> got_general;
+      for (size_t k = expect_paged.size(); k < got.size(); ++k) {
+        EXPECT_EQ(model[got[k]].pool, PoolId::kGeneral);
+        got_general.push_back(score(got[k]));
+      }
+      EXPECT_EQ(got_general, expect_general);
+      for (int i : got) model[i].live = false;
+      for (PoolId pool : kPools) {
+        EXPECT_EQ(rm.pool_bytes(pool), pool_bytes(model, pool));
+      }
+
+      // Proactive: every paged pool over its upper limit, down to its lower.
+      rm.SetGlobalBudget(0);
+      log.Clear();
+      std::vector<int> expect_sweep[kNumPools];
+      size_t expect_swept = 0;
+      ResourceManager::Limits limits[kNumPools];
+      for (PoolId pool : kPagedPools) {
+        const int p = static_cast<int>(pool);
+        const uint64_t level = pool_bytes(model, pool);
+        if (level > 0) {
+          limits[p].upper = rng.Uniform(level);
+          limits[p].lower = rng.Uniform(limits[p].upper + 1);
+        }
+        if (limits[p].upper != 0 && level > limits[p].upper) {
+          evict_paged(&model, pool, limits[p].lower, &expect_sweep[p]);
+        }
+        expect_swept += expect_sweep[p].size();
+      }
+      for (PoolId pool : kPagedPools) {
+        rm.SetPoolLimits(pool, limits[static_cast<int>(pool)]);
+      }
+      rm.SweepNow();
+      for (int k = 0; k < 2000 && log.size() < expect_swept; ++k) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      for (PoolId pool : kPagedPools) {
+        EXPECT_EQ(log.of_pool(pool), expect_sweep[static_cast<int>(pool)]);
+        EXPECT_EQ(rm.pool_bytes(pool), pool_bytes(model, pool));
+      }
+    }
+  }
 }
 
 TEST(ResourceManagerTest, ZeroBudgetMeansUnlimited) {
@@ -389,7 +640,7 @@ TEST(ResourceManagerStressTest, ConcurrentPinTouchUnregister) {
             static_cast<uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(rm.total_bytes(), 0u);
   EXPECT_EQ(rm.pool_bytes(PoolId::kPagedPool), 0u);
-  EXPECT_EQ(rm.stats().resource_count, 0u);
+  EXPECT_EQ(rm.resource_count(), 0u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include "buffer/resource_manager.h"
 #include "common/random.h"
+#include "counter_delta.h"
 #include "paged/page_cache.h"
 #include "storage/page_file.h"
 
@@ -61,10 +62,11 @@ class CacheStressTest : public ::testing::Test {
   // issuance, WaitForPrefetchIdle done, cache emptied so no loaded-but-
   // never-touched prefetched page is still waiting for its first touch to
   // pick a bucket): issued == hits + wasted + inflight, with inflight == 0.
-  void ExpectPrefetchInvariant(const PageCache& cache) {
+  void ExpectPrefetchInvariant(const PageCache& cache,
+                               const CacheCounters& counters) {
     EXPECT_EQ(cache.prefetch_inflight_count(), 0u);
-    EXPECT_EQ(cache.prefetch_issued_count(),
-              cache.prefetch_hit_count() + cache.prefetch_wasted_count());
+    EXPECT_EQ(counters.prefetch_issued(),
+              counters.prefetch_hits() + counters.prefetch_wasted());
   }
 
   std::string dir_;
@@ -81,6 +83,7 @@ TEST_F(CacheStressTest, ConcurrentReadersUnderEvictionPressure) {
   rm.SetPoolLimits(PoolId::kPagedPool,
                    {/*lower=*/6 * kPageSize, /*upper=*/10 * kPageSize});
   PageCache cache(file_.get(), &rm, PoolId::kPagedPool, "stress");
+  CacheCounters counters;
 
   constexpr int kThreads = 8;
   constexpr int kItersPerThread = 1500;
@@ -129,9 +132,9 @@ TEST_F(CacheStressTest, ConcurrentReadersUnderEvictionPressure) {
   EXPECT_EQ(cache.prefetch_inflight_count(), 0u);
   // Prefetched pages still resident and untouched have not picked a bucket
   // yet, so mid-run the equality is only a lower bound.
-  EXPECT_GE(cache.prefetch_issued_count(),
-            cache.prefetch_hit_count() + cache.prefetch_wasted_count());
-  EXPECT_EQ(cache.hit_count() + cache.miss_count(), gets.load());
+  EXPECT_GE(counters.prefetch_issued(),
+            counters.prefetch_hits() + counters.prefetch_wasted());
+  EXPECT_EQ(counters.hits() + counters.misses(), gets.load());
 
   // No lost pins: with every ref released and the pool floor removed, a
   // 1-byte budget must be able to evict every remaining page. A leaked pin
@@ -139,9 +142,9 @@ TEST_F(CacheStressTest, ConcurrentReadersUnderEvictionPressure) {
   rm.SetPoolLimits(PoolId::kPagedPool, {/*lower=*/0, /*upper=*/0});
   rm.SetGlobalBudget(1);
   EXPECT_EQ(cache.loaded_page_count(), 0u);
-  EXPECT_EQ(rm.stats().resource_count, 0u);
+  EXPECT_EQ(rm.resource_count(), 0u);
   EXPECT_EQ(rm.total_bytes(), 0u);
-  ExpectPrefetchInvariant(cache);
+  ExpectPrefetchInvariant(cache, counters);
 }
 
 // Regression for the sharded DropAll protocol: DropAll drains one shard at
@@ -161,6 +164,7 @@ TEST_P(CacheDropAllRaceTest, DropAllDoesNotDeadlockWithPrefetchPublish) {
   PageCache cache(file_.get(), &rm, PoolId::kPagedPool, "droprace",
                   /*shard_count=*/GetParam());
   ASSERT_EQ(cache.shard_count(), GetParam());
+  CacheCounters counters;
 
   // The publisher is bounded (not stop-flag driven) so DropAll's per-shard
   // drain always terminates: a free-running publisher could keep a shard's
@@ -179,9 +183,9 @@ TEST_P(CacheDropAllRaceTest, DropAllDoesNotDeadlockWithPrefetchPublish) {
 
   cache.WaitForPrefetchIdle();
   cache.DropAll();
-  ExpectPrefetchInvariant(cache);
+  ExpectPrefetchInvariant(cache, counters);
   EXPECT_EQ(cache.loaded_page_count(), 0u);
-  EXPECT_EQ(rm.stats().resource_count, 0u);
+  EXPECT_EQ(rm.resource_count(), 0u);
   EXPECT_EQ(rm.total_bytes(), 0u);
 }
 

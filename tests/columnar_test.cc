@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <future>
+#include <thread>
 
 #include "buffer/resource_manager.h"
 #include "columnar/delta_fragment.h"
@@ -334,6 +340,64 @@ TEST_F(ResidentFragmentTest, EvictionByBudgetUnloadsColumn) {
   auto reader = frag->NewReader();
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ(frag->load_count(), 2u);
+}
+
+// A column larger than the whole budget still opens. Its load registers
+// pinned: an unpinned registration pushed the total over budget, picked
+// itself as the reactive victim and ran its callback on the loading thread,
+// which already held the fragment's mutex.
+TEST_F(ResidentFragmentTest, ColumnLargerThanBudgetLoadsPinned) {
+  std::promise<void> finished;
+  std::thread watchdog([done = finished.get_future()] {
+    if (done.wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+      std::fprintf(stderr, "NewReader hung: the load evicted itself\n");
+      std::abort();
+    }
+  });
+  [&] {
+    auto frag = BuildIntFragment("big", 10000, 100, false);
+    ASSERT_TRUE(frag->NewReader().ok());
+    frag->Unload();
+    rm_->SetGlobalBudget(1);
+    auto reader = frag->NewReader();
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    for (RowPos r : {0u, 4321u, 9999u}) {
+      auto vid = (*reader)->GetVid(r);
+      ASSERT_TRUE(vid.ok());
+      EXPECT_EQ(*vid, vids_[r]);
+    }
+    // The reader's pin keeps the column over budget.
+    EXPECT_GT(rm_->total_bytes(), 1u);
+    EXPECT_GT(frag->ResidentBytes(), 0u);
+    reader->reset();
+    rm_->SetGlobalBudget(1);
+    EXPECT_EQ(frag->ResidentBytes(), 0u);
+    EXPECT_EQ(rm_->total_bytes(), 0u);
+  }();
+  finished.set_value();
+  watchdog.join();
+}
+
+// Racing first readers share one load: loaders are serialized, and the
+// ones that lose the race pin the winner's payload.
+TEST_F(ResidentFragmentTest, ConcurrentFirstReadersShareOneLoad) {
+  auto frag = BuildIntFragment("shared", 10000, 100, false);
+  constexpr int kThreads = 4;
+  std::atomic<int> matched{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      auto reader = frag->NewReader();
+      if (!reader.ok()) return;
+      auto vid = (*reader)->GetVid(7);
+      if (vid.ok() && *vid == vids_[7]) matched.fetch_add(1);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(matched.load(), kThreads);
+  EXPECT_EQ(frag->load_count(), 1u);
 }
 
 TEST_F(ResidentFragmentTest, OpenExistingFragment) {

@@ -3,6 +3,7 @@
 #include <filesystem>
 
 #include "core/column_store.h"
+#include "counter_delta.h"
 #include "workload/erp.h"
 
 namespace payg {
@@ -89,6 +90,7 @@ TEST_F(ColumnStoreTest, EndToEndInsertMergeQuery) {
 }
 
 TEST_F(ColumnStoreTest, MemoryBudgetTriggersEviction) {
+  EvictionCounters evictions;
   auto options = Options();
   options.memory_budget = 64 * 1024;  // tight budget
   auto store = ColumnStore::Open(options);
@@ -112,7 +114,7 @@ TEST_F(ColumnStoreTest, MemoryBudgetTriggersEviction) {
     ASSERT_EQ(result->rows.size(), 1u);
   }
   EXPECT_LE((*store)->MemoryFootprint(), options.memory_budget * 2);
-  EXPECT_GT((*store)->resource_manager().stats().reactive_evictions, 0u);
+  EXPECT_GT(evictions.reactive(), 0u);
 }
 
 TEST_F(ColumnStoreTest, PagedPoolLimitsBoundColdFootprint) {

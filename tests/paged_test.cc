@@ -7,6 +7,7 @@
 
 #include "buffer/resource_manager.h"
 #include "common/random.h"
+#include "counter_delta.h"
 #include "exec/exec_context.h"
 #include "paged/fragment_factory.h"
 #include "paged/page_cache.h"
@@ -124,8 +125,7 @@ TEST_F(PagedTest, PageCacheHitRatioHotVsCold) {
                                    PoolId::kPagedPool, "dv_hit", vids);
   ASSERT_TRUE(dv.ok());
   PageCache* cache = (*dv)->cache();
-  const uint64_t hits0 = cache->hit_count();
-  const uint64_t misses0 = cache->miss_count();
+  CacheCounters counters;
 
   const RowPos near = 10;
   const RowPos far = static_cast<RowPos>(vids.size() - 1);
@@ -139,12 +139,10 @@ TEST_F(PagedTest, PageCacheHitRatioHotVsCold) {
       ASSERT_TRUE(it.Get(far).ok());
     }
   }
-  EXPECT_EQ(cache->miss_count() - misses0, 2u);
-  EXPECT_EQ(cache->hit_count() - hits0, 8u);
-  double hot_ratio =
-      static_cast<double>(cache->hit_count() - hits0) /
-      static_cast<double>((cache->hit_count() - hits0) +
-                          (cache->miss_count() - misses0));
+  EXPECT_EQ(counters.misses(), 2u);
+  EXPECT_EQ(counters.hits(), 8u);
+  double hot_ratio = static_cast<double>(counters.hits()) /
+                     static_cast<double>(counters.hits() + counters.misses());
   EXPECT_DOUBLE_EQ(hot_ratio, 0.8);
 
   // Cold again: shrink the paged pool to nothing and sweep (the iterator and
@@ -156,8 +154,8 @@ TEST_F(PagedTest, PageCacheHitRatioHotVsCold) {
     PagedDataVectorIterator it(dv->get());
     ASSERT_TRUE(it.Get(near).ok());
   }
-  EXPECT_EQ(cache->miss_count() - misses0, 3u);
-  EXPECT_EQ(cache->hit_count() - hits0, 8u);
+  EXPECT_EQ(counters.misses(), 3u);
+  EXPECT_EQ(counters.hits(), 8u);
 }
 
 TEST_F(PagedTest, DataVectorSearchMatchesScalar) {
@@ -1145,6 +1143,7 @@ TEST_F(PagedTest, RebuildIndexNowIsIdempotent) {
 // ---------------------------------------------------------------------------
 
 TEST_F(PagedTest, PrefetchCountersReconcileAfterSequentialScan) {
+  CacheCounters counters;
   auto vids = RandomVids(100000, 500, 71);
   auto dv = PagedDataVector::Build(storage_.get(), rm_.get(),
                                    PoolId::kPagedPool, "ra1", vids);
@@ -1162,20 +1161,20 @@ TEST_F(PagedTest, PrefetchCountersReconcileAfterSequentialScan) {
   cache->WaitForPrefetchIdle();
   // Invariant: issued == hits + wasted + inflight, and after the idle wait
   // inflight == 0.
-  EXPECT_GT(cache->prefetch_issued_count(), 0u);
-  EXPECT_EQ(cache->prefetch_issued_count(),
-            cache->prefetch_hit_count() + cache->prefetch_wasted_count() +
+  EXPECT_GT(counters.prefetch_issued(), 0u);
+  EXPECT_EQ(counters.prefetch_issued(),
+            counters.prefetch_hits() + counters.prefetch_wasted() +
                 cache->prefetch_inflight_count());
   // Sequential scan with an unconstrained pool: everything we asked for
   // should have been used.
-  EXPECT_GT(cache->prefetch_hit_count(), 0u);
+  EXPECT_GT(counters.prefetch_hits(), 0u);
   // The issue (not the background read) is attributed to the query.
-  EXPECT_EQ(ctx.stats.prefetch_issued.load(),
-            cache->prefetch_issued_count());
-  EXPECT_EQ(ctx.stats.prefetch_hits.load(), cache->prefetch_hit_count());
+  EXPECT_EQ(ctx.stats.prefetch_issued.load(), counters.prefetch_issued());
+  EXPECT_EQ(ctx.stats.prefetch_hits.load(), counters.prefetch_hits());
 }
 
 TEST_F(PagedTest, ReadaheadZeroIssuesNoPrefetch) {
+  CacheCounters counters;
   auto vids = RandomVids(60000, 300, 72);
   auto dv = PagedDataVector::Build(storage_.get(), rm_.get(),
                                    PoolId::kPagedPool, "ra2", vids);
@@ -1185,10 +1184,11 @@ TEST_F(PagedTest, ReadaheadZeroIssuesNoPrefetch) {
   std::vector<ValueId> out;
   ASSERT_TRUE(it.MGet(0, static_cast<RowPos>(vids.size()), &out).ok());
   EXPECT_EQ(out, vids);
-  EXPECT_EQ((*dv)->cache()->prefetch_issued_count(), 0u);
+  EXPECT_EQ(counters.prefetch_issued(), 0u);
 }
 
 TEST_F(PagedTest, PrefetchedPageCountsAsHitOnFirstTouch) {
+  CacheCounters counters;
   auto vids = RandomVids(60000, 300, 73);
   auto dv = PagedDataVector::Build(storage_.get(), rm_.get(),
                                    PoolId::kPagedPool, "ra3", vids);
@@ -1198,26 +1198,27 @@ TEST_F(PagedTest, PrefetchedPageCountsAsHitOnFirstTouch) {
   cache->PrefetchRange(1, 1);
   cache->WaitForPrefetchIdle();
   EXPECT_TRUE(cache->IsLoaded(1));
-  EXPECT_EQ(cache->prefetch_issued_count(), 1u);
-  EXPECT_EQ(cache->prefetch_hit_count(), 0u);
+  EXPECT_EQ(counters.prefetch_issued(), 1u);
+  EXPECT_EQ(counters.prefetch_hits(), 0u);
 
   auto ref = cache->GetPage(1);
   ASSERT_TRUE(ref.ok());
-  EXPECT_EQ(cache->prefetch_hit_count(), 1u);
+  EXPECT_EQ(counters.prefetch_hits(), 1u);
   ref->Release();
 
   // Only the first touch is a prefetch hit; later pins are ordinary hits.
   auto again = cache->GetPage(1);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(cache->prefetch_hit_count(), 1u);
+  EXPECT_EQ(counters.prefetch_hits(), 1u);
   again->Release();
 
   // Re-prefetching a resident page is a no-op.
   cache->PrefetchRange(1, 1);
-  EXPECT_EQ(cache->prefetch_issued_count(), 1u);
+  EXPECT_EQ(counters.prefetch_issued(), 1u);
 }
 
 TEST_F(PagedTest, UntouchedPrefetchCountsAsWastedOnDrop) {
+  CacheCounters counters;
   auto vids = RandomVids(60000, 300, 74);
   auto dv = PagedDataVector::Build(storage_.get(), rm_.get(),
                                    PoolId::kPagedPool, "ra4", vids);
@@ -1228,14 +1229,15 @@ TEST_F(PagedTest, UntouchedPrefetchCountsAsWastedOnDrop) {
   cache->PrefetchRange(2, 1);
   cache->WaitForPrefetchIdle();
   (*dv)->Unload();
-  EXPECT_EQ(cache->prefetch_issued_count(), 2u);
-  EXPECT_EQ(cache->prefetch_wasted_count(), 2u);
-  EXPECT_EQ(cache->prefetch_issued_count(),
-            cache->prefetch_hit_count() + cache->prefetch_wasted_count() +
+  EXPECT_EQ(counters.prefetch_issued(), 2u);
+  EXPECT_EQ(counters.prefetch_wasted(), 2u);
+  EXPECT_EQ(counters.prefetch_issued(),
+            counters.prefetch_hits() + counters.prefetch_wasted() +
                 cache->prefetch_inflight_count());
 }
 
 TEST_F(PagedTest, PrefetchRangeBatchesDedupAndReconcile) {
+  CacheCounters counters;
   auto vids = RandomVids(100000, 500, 75);
   auto dv = PagedDataVector::Build(storage_.get(), rm_.get(),
                                    PoolId::kPagedPool, "ra5", vids);
@@ -1246,7 +1248,7 @@ TEST_F(PagedTest, PrefetchRangeBatchesDedupAndReconcile) {
   // One batched submission covering pages 1..4 of the chain.
   ExecContext ctx;
   cache->PrefetchRange(1, 4, &ctx);
-  EXPECT_EQ(cache->prefetch_issued_count(), 4u);
+  EXPECT_EQ(counters.prefetch_issued(), 4u);
   EXPECT_EQ(ctx.stats.io_batches.load(), 1u);
   cache->WaitForPrefetchIdle();
   for (LogicalPageNo lpn = 1; lpn <= 4; ++lpn) {
@@ -1256,19 +1258,19 @@ TEST_F(PagedTest, PrefetchRangeBatchesDedupAndReconcile) {
   // Overlapping range: resident pages drop out, only 5 and 6 are issued.
   cache->PrefetchRange(1, 6, &ctx);
   cache->WaitForPrefetchIdle();
-  EXPECT_EQ(cache->prefetch_issued_count(), 6u);
+  EXPECT_EQ(counters.prefetch_issued(), 6u);
   EXPECT_EQ(ctx.stats.io_batches.load(), 2u);
 
   // Fully-covered range: nothing left to issue, no batch submitted.
   cache->PrefetchRange(2, 3, &ctx);
-  EXPECT_EQ(cache->prefetch_issued_count(), 6u);
+  EXPECT_EQ(counters.prefetch_issued(), 6u);
   EXPECT_EQ(ctx.stats.io_batches.load(), 2u);
 
   // A range reaching past the end of the chain is clamped to page_count.
   const LogicalPageNo last = cache->file()->page_count() - 1;
   cache->PrefetchRange(last, 1000, &ctx);
   cache->WaitForPrefetchIdle();
-  EXPECT_EQ(cache->prefetch_issued_count(), 7u);
+  EXPECT_EQ(counters.prefetch_issued(), 7u);
 
   // Batched prefetches count as prefetch hits on first touch like any
   // other prefetch; once every issued page is touched the accounting
@@ -1280,13 +1282,14 @@ TEST_F(PagedTest, PrefetchRangeBatchesDedupAndReconcile) {
     ASSERT_TRUE(ref.ok()) << "lpn " << lpn;
     ref->Release();
   }
-  EXPECT_EQ(cache->prefetch_hit_count(), 7u);
-  EXPECT_EQ(cache->prefetch_issued_count(),
-            cache->prefetch_hit_count() + cache->prefetch_wasted_count() +
+  EXPECT_EQ(counters.prefetch_hits(), 7u);
+  EXPECT_EQ(counters.prefetch_issued(),
+            counters.prefetch_hits() + counters.prefetch_wasted() +
                 cache->prefetch_inflight_count());
 }
 
 TEST_F(PagedTest, IndexIteratorPrefetchesAcrossPostingPages) {
+  CacheCounters counters;
   // One vid dominating the column makes its postinglist span several pages.
   std::vector<ValueId> vids(120000, 3);
   for (size_t i = 0; i < vids.size(); i += 100) {
@@ -1307,9 +1310,9 @@ TEST_F(PagedTest, IndexIteratorPrefetchesAcrossPostingPages) {
 
   PageCache* cache = (*idx)->cache();
   cache->WaitForPrefetchIdle();
-  EXPECT_GT(cache->prefetch_issued_count(), 0u);
-  EXPECT_EQ(cache->prefetch_issued_count(),
-            cache->prefetch_hit_count() + cache->prefetch_wasted_count() +
+  EXPECT_GT(counters.prefetch_issued(), 0u);
+  EXPECT_EQ(counters.prefetch_issued(),
+            counters.prefetch_hits() + counters.prefetch_wasted() +
                 cache->prefetch_inflight_count());
 }
 
