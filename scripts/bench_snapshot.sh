@@ -19,12 +19,16 @@
 #                     front door: unbatched vs batched point-lookup
 #                     throughput and latency at 1/8/16 clients, plus an
 #                     overload phase that must shed at admission.
+#   BENCH_merge.json — delta-merge wall time on a 300k-row, 4-column table:
+#                     the first merge, then 1000-delete + 400-insert merges
+#                     and empty merges, five of each.
 # Usage: scripts/bench_snapshot.sh [build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD="${1:-build}"
-cmake --build "$BUILD" -j --target bench_fig1_primitives bench_fig4_data_vector bench_exec_scaling bench_fig9_end_to_end bench_server
+cmake --build "$BUILD" -j --target bench_fig1_primitives bench_fig4_data_vector bench_exec_scaling bench_fig9_end_to_end bench_server \
+  bench_merge
 
 # fig1: the acceptance-relevant kernels (mget + search_eq) on every available
 # tier at every bit width, plus the codec-dispatched variants (S22) per
@@ -56,4 +60,8 @@ PAYG_ROWS="${PAYG_PROFILE_ROWS:-50000}" PAYG_QUERIES="${PAYG_PROFILE_QUERIES:-30
 PAYG_BENCH_JSON=BENCH_server.json PAYG_EXPECT_SHED=1 \
   "$BUILD"/bench/bench_server
 
-echo "bench_snapshot.sh: wrote BENCH_fig1.json BENCH_fig4.json BENCH_exec_scaling.json BENCH_profile.json BENCH_server.json"
+# Delta merge: the merge works in vid space (DESIGN.md §4); the bench
+# checks the surviving row count and the key index after its rounds.
+PAYG_BENCH_JSON=BENCH_merge.json "$BUILD"/bench/bench_merge
+
+echo "bench_snapshot.sh: wrote BENCH_fig1.json BENCH_fig4.json BENCH_exec_scaling.json BENCH_profile.json BENCH_server.json BENCH_merge.json"

@@ -8,7 +8,8 @@
 # prefetch pool, the sharded-cache stress suite, the resident column load
 # path, budget eviction through the store and the server), then an
 # ASan+UBSan build of the buffer, cache stress, columnar, core, codec,
-# CRC-32C, profile, server, table, exec and integration suites.
+# CRC-32C, profile, server, table, exec, integration, paged and encoding
+# suites.
 # Usage: scripts/check.sh [build-dir-prefix]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -48,10 +49,10 @@ cmake --build "$BUILD-tsan" -j --target buffer_test exec_test obs_test profile_t
 "$BUILD-tsan"/tests/core_test
 "$BUILD-tsan"/tests/server_test
 
-echo "== ASan+UBSan build: buffer + cache-stress + columnar + core + codec + crc32 + profile + server + table + exec + integration suites =="
+echo "== ASan+UBSan build: buffer + cache-stress + columnar + core + codec + crc32 + profile + server + table + exec + integration + paged + encoding suites =="
 cmake -B "$BUILD-asan" -S . -DPAYG_SANITIZE=address+undefined >/dev/null
 cmake --build "$BUILD-asan" -j --target buffer_test cache_stress_test columnar_test core_test codec_test crc32_test \
-  profile_test server_test table_test exec_test integration_test
+  profile_test server_test table_test exec_test integration_test paged_test encoding_test
 "$BUILD-asan"/tests/buffer_test
 "$BUILD-asan"/tests/cache_stress_test
 "$BUILD-asan"/tests/columnar_test
@@ -64,5 +65,7 @@ PAYG_FORCE_SCALAR=1 "$BUILD-asan"/tests/crc32_test
 "$BUILD-asan"/tests/table_test
 "$BUILD-asan"/tests/exec_test
 "$BUILD-asan"/tests/integration_test
+"$BUILD-asan"/tests/paged_test
+"$BUILD-asan"/tests/encoding_test
 
 echo "check.sh: all green"

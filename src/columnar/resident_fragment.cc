@@ -119,6 +119,16 @@ class ResidentReader : public FragmentReader {
     return payload_->dict.GetValue(vid);
   }
 
+  Status MGetValues(ValueId from, ValueId to,
+                    std::vector<Value>* out) override {
+    if (from > to || to > frag_->dict_size_) {
+      return Status::OutOfRange("value id range");
+    }
+    const std::vector<Value>& values = payload_->dict.values();
+    out->insert(out->end(), values.begin() + from, values.begin() + to);
+    return Status::OK();
+  }
+
   Result<ValueId> FindValueId(const Value& value) override {
     auto v = payload_->dict.FindValueId(value);
     return v.has_value() ? *v : kInvalidValueId;

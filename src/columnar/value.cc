@@ -43,7 +43,8 @@ std::string Value::EncodeKey() const {
       break;
     }
     case ValueType::kDouble: {
-      double v = AsDouble();
+      // -0.0 keys as 0.0: the two compare equal, so they are one value.
+      double v = AsDouble() == 0.0 ? 0.0 : AsDouble();
       key.append(reinterpret_cast<const char*>(&v), sizeof(v));
       break;
     }

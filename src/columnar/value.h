@@ -48,7 +48,9 @@ class Value {
     return std::get<std::string>(v_);
   }
 
-  // Three-way comparison; requires identical types.
+  // Three-way comparison; requires identical types. A total order only
+  // over doubles that are not NaN (Partition::Insert and
+  // Table::CheckPredicate reject NaN); -0.0 compares equal to 0.0.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const {
@@ -56,7 +58,8 @@ class Value {
   }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
-  // A type-tagged byte encoding usable as a hash-map key (delta dictionary).
+  // A type-tagged byte encoding usable as a hash-map key (delta
+  // dictionary). Values that compare equal get equal keys.
   std::string EncodeKey() const;
 
   // Human-readable rendering for examples and debugging.

@@ -125,33 +125,38 @@ StringBlockReader::StringBlockReader(const uint8_t* data, size_t size)
   }
 }
 
-Result<std::string> StringBlockReader::Materialize(
-    uint32_t k, const OffpageLoader& load) const {
-  PAYG_ASSERT(k < count_);
+Status StringBlockReader::GetStrings(uint32_t from, uint32_t to,
+                                     const OffpageLoader& load,
+                                     std::vector<std::string>* out) const {
+  if (from > to || to > count_) {
+    return Status::OutOfRange("block entry out of range");
+  }
   std::string current;
-  for (uint32_t i = 0; i <= k; ++i) {
+  for (uint32_t i = 0; i < to; ++i) {
     const Entry& e = entries_[i];
     current.resize(e.prefix_len);  // keep shared prefix with previous string
     current.append(reinterpret_cast<const char*>(e.onpage), e.onpage_len);
-    // Off-page pieces are only fetched for the target string: intermediate
-    // strings contribute nothing beyond their prefix to later entries
-    // (prefixes never extend past the stored on-page portion because a
-    // spilled suffix starts with max_onpage bytes on page).
-    if (i == k && !e.offpage.empty()) {
-      for (OffpageRef ref : e.offpage) {
-        auto piece = load(ref);
-        if (!piece.ok()) return piece.status();
-        current += *piece;
-      }
+    if (i < from) continue;
+    out->push_back(current);
+    // Off-page pieces are only fetched for the requested strings, and go
+    // onto the copy: the running string keeps the on-page bytes, because
+    // prefixes never extend past the stored on-page portion (a spilled
+    // suffix starts with max_onpage bytes on page).
+    for (OffpageRef ref : e.offpage) {
+      auto piece = load(ref);
+      if (!piece.ok()) return piece.status();
+      out->back() += *piece;
     }
   }
-  return current;
+  return Status::OK();
 }
 
 Result<std::string> StringBlockReader::GetString(
     uint32_t k, const OffpageLoader& load) const {
   if (k >= count_) return Status::OutOfRange("block entry out of range");
-  return Materialize(k, load);
+  std::vector<std::string> one;
+  PAYG_RETURN_IF_ERROR(GetStrings(k, k + 1, load, &one));
+  return std::move(one[0]);
 }
 
 Status StringBlockReader::Find(std::string_view value,

@@ -81,6 +81,12 @@ class StringBlockReader {
   // pieces through `load` when the string is large.
   Result<std::string> GetString(uint32_t k, const OffpageLoader& load) const;
 
+  // Appends strings [from, to) of the block to *out in one pass over the
+  // running prefix (GetString per slot would re-decode the block up to each
+  // slot). Off-page pieces load per string, as in GetString.
+  Status GetStrings(uint32_t from, uint32_t to, const OffpageLoader& load,
+                    std::vector<std::string>* out) const;
+
   // Binary-search-free block probe: scans entries in order (blocks hold at
   // most 16 strings) comparing against `value`. On return:
   //   *found      — exact match exists
@@ -96,10 +102,6 @@ class StringBlockReader {
     std::vector<OffpageRef> offpage;
     uint64_t total_len;  // only valid when !offpage.empty()
   };
-
-  // Decodes entries [0, k] reconstructing the running string; returns the
-  // fully materialized k-th string.
-  Result<std::string> Materialize(uint32_t k, const OffpageLoader& load) const;
 
   const uint8_t* data_;
   size_t size_;

@@ -14,6 +14,24 @@ std::string HelperChainName(const std::string& name) {
   return name + ".dicthlp";
 }
 
+// Parses a dictionary page's transient block directory: (offset, length)
+// of each value block.
+std::vector<std::pair<uint32_t, uint32_t>> BlockDirectory(const Page& page) {
+  PAYG_ASSERT(page.type() == PageType::kDictionary);
+  const uint8_t* p = page.payload();
+  uint32_t n_blocks;
+  std::memcpy(&n_blocks, p, 4);
+  std::vector<std::pair<uint32_t, uint32_t>> blocks;
+  blocks.reserve(n_blocks);
+  for (uint32_t b = 0; b < n_blocks; ++b) {
+    uint32_t off, len;
+    std::memcpy(&off, p + 4 + 8 * b, 4);
+    std::memcpy(&len, p + 8 + 8 * b, 4);
+    blocks.emplace_back(off, len);
+  }
+  return blocks;
+}
+
 // Accumulates finished value blocks into dictionary pages.
 class DictPageComposer {
  public:
@@ -272,18 +290,7 @@ PagedDictionaryIterator::GetDictPage(uint64_t ord) {
   PageView view;
   view.ref = std::move(*ref);
   view.first_vid = ord == 0 ? 0 : h->last_vid[ord - 1] + 1;
-  const Page& page = view.ref.page();
-  PAYG_ASSERT(page.type() == PageType::kDictionary);
-  const uint8_t* p = page.payload();
-  uint32_t n_blocks;
-  std::memcpy(&n_blocks, p, 4);
-  view.blocks.reserve(n_blocks);
-  for (uint32_t b = 0; b < n_blocks; ++b) {
-    uint32_t off, len;
-    std::memcpy(&off, p + 4 + 8 * b, 4);
-    std::memcpy(&len, p + 8 + 8 * b, 4);
-    view.blocks.emplace_back(off, len);
-  }
+  view.blocks = BlockDirectory(view.ref.page());
   auto [ins, ok] = handle_cache_.emplace(ord, std::move(view));
   PAYG_ASSERT(ok);
   return &ins->second;
@@ -387,6 +394,45 @@ Result<std::string> PagedDictionaryIterator::FindByValueId(ValueId vid) {
                         view->blocks[block].second);
   OffpageLoader loader = [this](OffpageRef r) { return LoadOffpage(r); };
   return blk.GetString(slot, loader);
+}
+
+Status PagedDictionaryIterator::MGetValues(ValueId from, ValueId to,
+                                           std::vector<std::string>* out) {
+  if (from > to || to > dict_->size()) {
+    return Status::OutOfRange("value id range");
+  }
+  if (from == to) return Status::OK();
+  PAYG_ASSIGN_OR_RETURN(auto h, helpers());
+  OffpageLoader loader = [this](OffpageRef r) { return LoadOffpage(r); };
+  out->reserve(out->size() + (to - from));
+  // ipDict_ValueId: the first page whose last vid >= from.
+  for (auto it = std::lower_bound(h->last_vid.begin(), h->last_vid.end(), from);
+       it != h->last_vid.end(); ++it) {
+    const uint64_t ord = static_cast<uint64_t>(it - h->last_vid.begin());
+    const ValueId page_first = ord == 0 ? 0 : h->last_vid[ord - 1] + 1;
+    if (page_first >= to) break;
+    auto ref = dict_->cache_->GetPage(h->lpn[ord], ctx_);
+    if (!ref.ok()) return ref.status();
+    ++pages_touched_;
+    const Page& page = ref->page();
+    const auto blocks = BlockDirectory(page);
+    // Every block but the dictionary's last holds 16 strings, so the first
+    // wanted block is arithmetic.
+    for (size_t b = (std::max(from, page_first) - page_first) /
+                    kStringsPerBlock;
+         b < blocks.size(); ++b) {
+      const ValueId block_first =
+          page_first + static_cast<ValueId>(b) * kStringsPerBlock;
+      if (block_first >= to) break;
+      StringBlockReader blk(page.payload() + blocks[b].first,
+                            blocks[b].second);
+      const ValueId lo = std::max(from, block_first);
+      const ValueId hi = std::min<ValueId>(to, block_first + blk.count());
+      PAYG_RETURN_IF_ERROR(
+          blk.GetStrings(lo - block_first, hi - block_first, loader, out));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace payg

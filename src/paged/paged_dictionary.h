@@ -118,6 +118,13 @@ class PagedDictionaryIterator {
   // Alg. 3: the value encoded by `vid`.
   Result<std::string> FindByValueId(ValueId vid);
 
+  // Appends the values of vids [from, to) to *out, in vid (= value) order.
+  // Finds the first page through ipDict_ValueId, then walks pages and
+  // blocks in order, decoding each block once. A dictionary page stays
+  // pinned only while its blocks decode (the scan never returns to it);
+  // overflow pages go through the handle cache as in FindByValueId.
+  Status MGetValues(ValueId from, ValueId to, std::vector<std::string>* out);
+
   uint64_t pages_touched() const { return pages_touched_; }
 
  private:

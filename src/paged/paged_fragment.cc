@@ -82,6 +82,23 @@ class PagedReader : public FragmentReader {
     return num_dict_->GetValue(vid);
   }
 
+  Status MGetValues(ValueId from, ValueId to,
+                    std::vector<Value>* out) override {
+    if (from > to || to > frag_->dict_size_) {
+      return Status::OutOfRange("value id range");
+    }
+    if (dict_it_ == nullptr) {
+      const std::vector<Value>& values = num_dict_->values();
+      out->insert(out->end(), values.begin() + from, values.begin() + to);
+      return Status::OK();
+    }
+    std::vector<std::string> strings;
+    PAYG_RETURN_IF_ERROR(dict_it_->MGetValues(from, to, &strings));
+    out->reserve(out->size() + strings.size());
+    for (std::string& s : strings) out->emplace_back(std::move(s));
+    return Status::OK();
+  }
+
   Result<ValueId> FindValueId(const Value& value) override {
     if (dict_it_ != nullptr) {
       return dict_it_->FindByValue(value.AsString());

@@ -1,11 +1,25 @@
 #include "table/partition.h"
 
 #include <algorithm>
-#include <map>
+#include <cmath>
 
 #include "paged/fragment_factory.h"
 
 namespace payg {
+
+namespace {
+
+// How column `cs` of a hot or cold partition persists its main fragment.
+FragmentSpec SpecFor(const ColumnSchema& cs, bool cold) {
+  FragmentSpec spec;
+  spec.page_loadable = cs.page_loadable;
+  spec.with_index = cs.with_index;
+  spec.defer_index = cs.defer_index;
+  spec.pool = cold ? PoolId::kColdPagedPool : PoolId::kPagedPool;
+  return spec;
+}
+
+}  // namespace
 
 Partition::Partition(const TableSchema* schema, uint32_t partition_id,
                      bool cold, StorageManager* storage, ResourceManager* rm)
@@ -34,19 +48,13 @@ Result<std::unique_ptr<Partition>> Partition::OpenExisting(
   part->main_rows_ = main_rows;
   part->deleted_.assign(main_rows, 0);
   for (size_t c = 0; c < schema->columns.size(); ++c) {
-    const ColumnSchema& cs = schema->columns[c];
-    FragmentSpec spec;
-    spec.page_loadable = cs.page_loadable;
-    spec.with_index = cs.with_index;
-    spec.defer_index = cs.defer_index;
-    spec.pool = cold ? PoolId::kColdPagedPool : PoolId::kPagedPool;
+    const std::string name =
+        part->FragmentName(static_cast<int>(c), merge_generation);
     PAYG_ASSIGN_OR_RETURN(
         part->mains_[c],
-        OpenMainFragment(storage, rm,
-                         part->FragmentName(static_cast<int>(c)), spec));
+        OpenMainFragment(storage, rm, name, SpecFor(schema->columns[c], cold)));
     if (part->mains_[c]->row_count() != main_rows) {
-      return Status::Corruption("catalog row count mismatch in " +
-                                part->FragmentName(static_cast<int>(c)));
+      return Status::Corruption("catalog row count mismatch in " + name);
     }
   }
   return part;
@@ -63,6 +71,10 @@ Status Partition::Insert(const std::vector<Value>& row) {
   for (size_t c = 0; c < row.size(); ++c) {
     if (row[c].type() != schema_->columns[c].type) {
       return Status::InvalidArgument("type mismatch in column " +
+                                     schema_->columns[c].name);
+    }
+    if (row[c].type() == ValueType::kDouble && std::isnan(row[c].AsDouble())) {
+      return Status::InvalidArgument("NaN in column " +
                                      schema_->columns[c].name);
     }
   }
@@ -85,14 +97,10 @@ Status Partition::BulkLoadColumn(int col, const std::vector<Value>& sorted_dict,
     return Status::InvalidArgument("bulk-loaded columns differ in row count");
   }
   const ColumnSchema& cs = schema_->columns[col];
-  FragmentSpec spec;
-  spec.page_loadable = cs.page_loadable;
-  spec.with_index = cs.with_index;
-  spec.defer_index = cs.defer_index;
-  spec.pool = cold_ ? PoolId::kColdPagedPool : PoolId::kPagedPool;
   PAYG_ASSIGN_OR_RETURN(
-      mains_[col], BuildMainFragment(storage_, rm_, FragmentName(col),
-                                     cs.type, sorted_dict, vids, spec));
+      mains_[col],
+      BuildMainFragment(storage_, rm_, FragmentName(col, merge_generation_),
+                        cs.type, sorted_dict, vids, SpecFor(cs, cold_)));
   if (main_rows_ == 0) {
     main_rows_ = vids.size();
     deleted_.assign(main_rows_, 0);
@@ -130,84 +138,40 @@ Result<std::vector<Value>> Partition::GetRow(RowPos rpos, ExecContext* ctx) {
   return row;
 }
 
-std::string Partition::FragmentName(int col) const {
+std::string Partition::FragmentName(int col, uint64_t generation) const {
   return schema_->name + "_p" + std::to_string(id_) + "_c" +
-         std::to_string(col) + "_g" + std::to_string(merge_generation_);
+         std::to_string(col) + "_g" + std::to_string(generation);
 }
 
 Status Partition::Merge() {
-  const uint64_t total = row_count();
-  const uint64_t new_rows = total - deleted_count_;
+  const int cols = static_cast<int>(schema_->columns.size());
+  const uint64_t new_rows = visible_row_count();
+  const uint64_t generation = merge_generation_ + 1;
+  std::vector<std::unique_ptr<MainFragment>> new_mains(cols);
+  for (int c = 0; c < cols; ++c) {
+    auto main = MergeColumn(c, FragmentName(c, generation));
+    if (!main.ok()) {
+      // All or nothing: close the mains built so far, then drop every
+      // chain of the generation that never became current.
+      new_mains.clear();
+      for (int d = 0; d < cols; ++d) {
+        DropFragmentChains(storage_, FragmentName(d, generation));
+      }
+      return main.status();
+    }
+    new_mains[c] = std::move(*main);
+  }
+
   // Chain names of the generation being replaced, vacuumed after the swap.
   std::vector<std::string> old_names;
-  for (size_t c = 0; c < schema_->columns.size(); ++c) {
+  for (int c = 0; c < cols; ++c) {
     if (mains_[c] != nullptr) {
-      old_names.push_back(FragmentName(static_cast<int>(c)));
+      old_names.push_back(FragmentName(c, merge_generation_));
     }
   }
-  ++merge_generation_;
-
-  std::vector<std::unique_ptr<MainFragment>> new_mains(
-      schema_->columns.size());
-  for (size_t c = 0; c < schema_->columns.size(); ++c) {
-    const ColumnSchema& col = schema_->columns[c];
-
-    // Materialize the surviving values of this column: old main rows first,
-    // then delta rows, skipping deleted rows.
-    std::vector<Value> values;
-    values.reserve(new_rows);
-    if (mains_[c] != nullptr && main_rows_ > 0) {
-      PAYG_ASSIGN_OR_RETURN(auto reader, mains_[c]->NewReader());
-      std::vector<ValueId> vids;
-      PAYG_RETURN_IF_ERROR(
-          reader->MGetVids(0, static_cast<RowPos>(main_rows_), &vids));
-      // Materialize each distinct vid once.
-      std::map<ValueId, Value> memo;
-      for (uint64_t r = 0; r < main_rows_; ++r) {
-        if (deleted_[r] != 0) continue;
-        auto it = memo.find(vids[r]);
-        if (it == memo.end()) {
-          PAYG_ASSIGN_OR_RETURN(Value v, reader->GetValueForVid(vids[r]));
-          it = memo.emplace(vids[r], std::move(v)).first;
-        }
-        values.push_back(it->second);
-      }
-    }
-    const DeltaFragment& delta = *deltas_[c];
-    for (uint64_t d = 0; d < delta.row_count(); ++d) {
-      if (deleted_[main_rows_ + d] != 0) continue;
-      values.push_back(delta.GetValue(delta.GetVid(static_cast<RowPos>(d))));
-    }
-
-    // Sorted unique dictionary; vids assigned in value order (§2: the main
-    // dictionary is order-preserving, built during delta merge).
-    std::vector<Value> dict_values = values;
-    std::sort(dict_values.begin(), dict_values.end(),
-              [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
-    dict_values.erase(std::unique(dict_values.begin(), dict_values.end()),
-                      dict_values.end());
-    std::vector<ValueId> vids;
-    vids.reserve(values.size());
-    for (const Value& v : values) {
-      auto it = std::lower_bound(
-          dict_values.begin(), dict_values.end(), v,
-          [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
-      vids.push_back(static_cast<ValueId>(it - dict_values.begin()));
-    }
-
-    FragmentSpec spec;
-    spec.page_loadable = col.page_loadable;
-    spec.with_index = col.with_index;
-    spec.defer_index = col.defer_index;
-    spec.pool = cold_ ? PoolId::kColdPagedPool : PoolId::kPagedPool;
-    PAYG_ASSIGN_OR_RETURN(
-        new_mains[c],
-        BuildMainFragment(storage_, rm_, FragmentName(static_cast<int>(c)),
-                          col.type, dict_values, vids, spec));
-  }
-
   // Atomic swap: new mains in, deltas reset, visibility bitmap compacted.
   mains_ = std::move(new_mains);
+  merge_generation_ = generation;
   for (auto& delta : deltas_) delta->Clear();
   main_rows_ = new_rows;
   deleted_.assign(new_rows, 0);
@@ -218,6 +182,101 @@ Status Partition::Merge() {
     DropFragmentChains(storage_, name);
   }
   return Status::OK();
+}
+
+Result<std::unique_ptr<MainFragment>> Partition::MergeColumn(
+    int col, const std::string& name) {
+  const DeltaFragment& delta = *deltas_[col];
+  // A surviving row marks its value's slot in old_to_new / delta_to_new;
+  // the dictionary merge below overwrites each mark with the new vid.
+  constexpr ValueId kUsed = 0;
+
+  // The old main, in vid space. Its dictionary is sorted and unique (§2),
+  // so the used entries, read in vid order, are already a sorted list.
+  std::vector<ValueId> main_vids;
+  std::vector<Value> old_dict;
+  std::vector<ValueId> old_to_new;
+  if (mains_[col] != nullptr && main_rows_ > 0) {
+    const uint64_t dict_size = mains_[col]->dict_size();
+    PAYG_ASSIGN_OR_RETURN(auto reader, mains_[col]->NewReader());
+    PAYG_RETURN_IF_ERROR(
+        reader->MGetVids(0, static_cast<RowPos>(main_rows_), &main_vids));
+    old_to_new.assign(dict_size, kInvalidValueId);
+    for (uint64_t r = 0; r < main_rows_; ++r) {
+      if (main_vids[r] >= dict_size) {
+        return Status::Corruption("value id past the dictionary in " +
+                                  FragmentName(col, merge_generation_));
+      }
+      if (deleted_[r] == 0) old_to_new[main_vids[r]] = kUsed;
+    }
+    PAYG_RETURN_IF_ERROR(
+        reader->MGetValues(0, static_cast<ValueId>(dict_size), &old_dict));
+  }
+
+  // The delta: only the distinct values surviving rows use get sorted.
+  std::vector<ValueId> delta_to_new(delta.dict_size(), kInvalidValueId);
+  std::vector<ValueId> delta_sorted;
+  for (uint64_t d = 0; d < delta.row_count(); ++d) {
+    if (deleted_[main_rows_ + d] != 0) continue;
+    const ValueId v = delta.GetVid(static_cast<RowPos>(d));
+    if (delta_to_new[v] == kInvalidValueId) {
+      delta_to_new[v] = kUsed;
+      delta_sorted.push_back(v);
+    }
+  }
+  std::sort(delta_sorted.begin(), delta_sorted.end(),
+            [&delta](ValueId a, ValueId b) {
+              return delta.GetValue(a).Compare(delta.GetValue(b)) < 0;
+            });
+  // The delta dictionary is keyed so that equal values share one entry.
+  for (size_t i = 1; i < delta_sorted.size(); ++i) {
+    PAYG_ASSERT(delta.GetValue(delta_sorted[i - 1])
+                    .Compare(delta.GetValue(delta_sorted[i])) < 0);
+  }
+
+  // One linear merge of the two sorted lists; equal values share a vid.
+  std::vector<Value> dict;
+  dict.reserve(old_dict.size() + delta_sorted.size());
+  ValueId o = 0;
+  auto skip_unused = [&] {
+    while (o < old_dict.size() && old_to_new[o] == kInvalidValueId) ++o;
+  };
+  skip_unused();
+  size_t d = 0;
+  while (o < old_dict.size() || d < delta_sorted.size()) {
+    const ValueId next = static_cast<ValueId>(dict.size());
+    const int cmp =
+        o == old_dict.size()       ? 1
+        : d == delta_sorted.size() ? -1
+                                   : old_dict[o].Compare(
+                                         delta.GetValue(delta_sorted[d]));
+    if (cmp <= 0) {
+      old_to_new[o] = next;
+      dict.push_back(std::move(old_dict[o++]));
+      skip_unused();
+    }
+    if (cmp >= 0) {
+      const ValueId v = delta_sorted[d++];
+      delta_to_new[v] = next;
+      if (cmp > 0) dict.push_back(delta.GetValue(v));
+    }
+  }
+
+  // The new data vector, one table lookup per surviving row: main rows
+  // first, then delta rows.
+  std::vector<ValueId> vids;
+  vids.reserve(visible_row_count());
+  for (uint64_t r = 0; r < main_vids.size(); ++r) {
+    if (deleted_[r] == 0) vids.push_back(old_to_new[main_vids[r]]);
+  }
+  for (uint64_t r = 0; r < delta.row_count(); ++r) {
+    if (deleted_[main_rows_ + r] == 0) {
+      vids.push_back(delta_to_new[delta.GetVid(static_cast<RowPos>(r))]);
+    }
+  }
+  const ColumnSchema& cs = schema_->columns[col];
+  return BuildMainFragment(storage_, rm_, name, cs.type, dict, vids,
+                           SpecFor(cs, cold_));
 }
 
 void Partition::UnloadAll() {

@@ -43,7 +43,8 @@ class Partition {
   uint64_t row_count() const { return main_rows_ + delta_row_count(); }
   uint64_t visible_row_count() const { return row_count() - deleted_count_; }
 
-  // Appends one row (all changes are appends into the delta, §2).
+  // Appends one row (all changes are appends into the delta, §2). Rejects
+  // a row of the wrong width or types, or with a NaN double.
   Status Insert(const std::vector<Value>& row);
 
   // Initial-load fast path: installs a pre-encoded main fragment for one
@@ -66,7 +67,9 @@ class Partition {
 
   // Moves all committed delta rows into newly built main fragments,
   // compacting deleted rows, and resets the deltas (§2). Mains are rebuilt
-  // per the schema's loading preference.
+  // per the schema's loading preference, under the next generation's
+  // names. All or nothing: on error the partition, its generation and the
+  // files on disk stay as they were.
   Status Merge();
 
   // Access to fragments for the query executor.
@@ -80,7 +83,12 @@ class Partition {
   uint64_t ResidentBytes() const;
 
  private:
-  std::string FragmentName(int col) const;
+  std::string FragmentName(int col, uint64_t generation) const;
+
+  // Builds column `col`'s next main under `name` from the surviving rows:
+  // merges the old main's dictionary with the delta's, in vid space.
+  Result<std::unique_ptr<MainFragment>> MergeColumn(int col,
+                                                    const std::string& name);
 
   const TableSchema* schema_;
   uint32_t id_;

@@ -1,6 +1,7 @@
 #include "table/table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <unordered_map>
 
@@ -410,11 +411,15 @@ Result<uint64_t> Table::AgeRows(const Value& threshold) {
                                       /*ctx=*/nullptr, &victims, nullptr));
 
   // The move is ordinary DML (§4.2): insert into the cold delta, delete
-  // from hot. No reorganisation of existing data happens here.
-  for (RowPos r : victims) {
-    PAYG_ASSIGN_OR_RETURN(std::vector<Value> row, hot_part->GetRow(r));
-    PAYG_RETURN_IF_ERROR(cold_part->Insert(row));
-    PAYG_RETURN_IF_ERROR(hot_part->MarkDeleted(r));
+  // from hot. No reorganisation of existing data happens here. The victims
+  // materialize a column at a time, like a query's result rows.
+  PAYG_ASSIGN_OR_RETURN(std::vector<int> all_cols, ResolveColumns({}));
+  QueryResult moved;
+  PAYG_RETURN_IF_ERROR(
+      Materialize(hot_part, victims, all_cols, /*ctx=*/nullptr, &moved));
+  for (size_t i = 0; i < victims.size(); ++i) {
+    PAYG_RETURN_IF_ERROR(cold_part->Insert(moved.rows[i]));
+    PAYG_RETURN_IF_ERROR(hot_part->MarkDeleted(victims[i]));
   }
   return static_cast<uint64_t>(victims.size());
 }
@@ -460,17 +465,21 @@ Result<int> Table::CheckPredicate(const Predicate& pred) const {
   const int col = schema_.ColumnIndex(pred.column);
   if (col < 0) return Status::NotFound("no such column: " + pred.column);
   const ValueType type = schema_.columns[col].type;
-  auto mistyped = [type](const Value& v) { return v.type() != type; };
+  // NaN has no place in the order every dictionary is sorted by.
+  auto invalid = [type](const Value& v) {
+    return v.type() != type ||
+           (type == ValueType::kDouble && std::isnan(v.AsDouble()));
+  };
   bool bad = false;
   switch (pred.op) {
     case Predicate::Op::kEq:
-      bad = mistyped(pred.value);
+      bad = invalid(pred.value);
       break;
     case Predicate::Op::kBetween:
-      bad = mistyped(pred.lo) || mistyped(pred.hi);
+      bad = invalid(pred.lo) || invalid(pred.hi);
       break;
     case Predicate::Op::kIn:
-      bad = std::any_of(pred.values.begin(), pred.values.end(), mistyped);
+      bad = std::any_of(pred.values.begin(), pred.values.end(), invalid);
       break;
     case Predicate::Op::kPrefix:
       if (type != ValueType::kString) {
@@ -480,8 +489,8 @@ Result<int> Table::CheckPredicate(const Predicate& pred) const {
       break;
   }
   if (bad) {
-    return Status::InvalidArgument("operand type does not match column " +
-                                   pred.column);
+    return Status::InvalidArgument("operand is NaN or does not match the "
+                                   "type of column " + pred.column);
   }
   return col;
 }

@@ -147,10 +147,11 @@ class Table {
   // deadline; null means "no accounting".
 
   // Checks one conjunct against the schema: the column exists (NotFound),
-  // every operand has the column's type and a prefix applies only to a
-  // string column (InvalidArgument). Returns the column index. Every query
-  // runs each conjunct through this before any partition sees it, so
-  // untrusted operands are bounded here and nowhere else.
+  // every operand has the column's type and is not NaN, and a prefix
+  // applies only to a string column (InvalidArgument). Returns the column
+  // index. Every query runs each conjunct through this before any
+  // partition sees it, so untrusted operands are bounded here and nowhere
+  // else.
   Result<int> CheckPredicate(const Predicate& pred) const;
 
   // SELECT <select_columns> FROM T WHERE <filter_column> = <value>

@@ -479,6 +479,45 @@ TEST_P(StringBlockPropertyTest, RandomSortedRoundtrip) {
   }
 }
 
+// The one-pass batch read returns every slice of the block, spilled strings
+// included, and appends after what *out already holds.
+TEST_P(StringBlockPropertyTest, GetStringsMatchesEverySlice) {
+  Random rng(GetParam());
+  std::vector<std::string> values;
+  for (int i = 0; i < 16; ++i) {
+    std::string s;
+    uint64_t len = rng.Uniform(40);
+    for (uint64_t j = 0; j < len; ++j) {
+      s.push_back(static_cast<char>('a' + rng.Uniform(6)));
+    }
+    values.push_back(s);
+  }
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+
+  FakeOverflow ov;
+  StringBlockBuilder builder(12, 16);  // tiny limits force spills
+  for (const auto& v : values) ASSERT_TRUE(builder.Add(v, ov.writer()).ok());
+  auto bytes = builder.Finish();
+  StringBlockReader reader(bytes.data(), bytes.size());
+  const uint32_t n = reader.count();
+  ASSERT_EQ(n, values.size());
+  for (uint32_t from = 0; from <= n; ++from) {
+    for (uint32_t to = from; to <= n; ++to) {
+      std::vector<std::string> got = {"head"};
+      ASSERT_TRUE(reader.GetStrings(from, to, ov.loader(), &got).ok());
+      std::vector<std::string> want = {"head"};
+      want.insert(want.end(), values.begin() + from, values.begin() + to);
+      EXPECT_EQ(got, want) << from << ".." << to;
+    }
+  }
+  std::vector<std::string> out;
+  EXPECT_EQ(reader.GetStrings(0, n + 1, ov.loader(), &out).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(reader.GetStrings(1, 0, ov.loader(), &out).code(),
+            StatusCode::kOutOfRange);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, StringBlockPropertyTest,
                          ::testing::Range<uint64_t>(1, 21));
 

@@ -613,6 +613,96 @@ TEST_F(PagedTest, DictionaryLargeStringsSpillToOverflowPages) {
   }
 }
 
+// The batch read walks pages and blocks in order and must agree with the
+// per-vid lookup on every range: page and block boundaries, a partial last
+// block, empty and 0xFF-heavy strings, and strings spilled to overflow
+// pages.
+TEST_F(PagedTest, DictionaryMGetValuesMatchesFindByValueId) {
+  std::vector<std::string> values = MakeSortedStrings(1500);
+  values.push_back("");
+  values.push_back(std::string(3, '\xff'));
+  values.push_back("\xff\xfe" + std::string(20000, '\xff'));
+  for (int i = 0; i < 6; ++i) {
+    values.push_back("spill_" + std::to_string(i) +
+                     std::string(5000 + 3000 * i, 'z'));
+  }
+  std::sort(values.begin(), values.end());
+  auto dict = PagedDictionary::Build(storage_.get(), rm_.get(),
+                                     PoolId::kPagedPool, "dmget", values);
+  ASSERT_TRUE(dict.ok()) << dict.status().ToString();
+  ASSERT_GT((*dict)->dict_page_count(), 2u);
+  const ValueId n = static_cast<ValueId>(values.size());
+
+  PagedDictionaryIterator it(dict->get());
+  std::vector<std::string> all;
+  ASSERT_TRUE(it.MGetValues(0, n, &all).ok());
+  EXPECT_EQ(all, values);
+
+  Random rng(77);
+  for (int i = 0; i < 200; ++i) {
+    ValueId from = static_cast<ValueId>(rng.Uniform(n + 1));
+    ValueId to = static_cast<ValueId>(rng.Uniform(n + 1));
+    if (from > to) std::swap(from, to);
+    std::vector<std::string> got = {"kept"};  // appends, never clears
+    ASSERT_TRUE(it.MGetValues(from, to, &got).ok());
+    ASSERT_EQ(got.size(), 1u + (to - from)) << from << ".." << to;
+    EXPECT_EQ(got[0], "kept");
+    for (ValueId v = from; v < to; ++v) {
+      auto one = it.FindByValueId(v);
+      ASSERT_TRUE(one.ok());
+      EXPECT_EQ(got[1 + v - from], *one) << "vid " << v;
+    }
+  }
+  std::vector<std::string> none;
+  EXPECT_TRUE(it.MGetValues(n, n, &none).ok());
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(it.MGetValues(0, n + 1, &none).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(it.MGetValues(5, 4, &none).code(), StatusCode::kOutOfRange);
+}
+
+// Both main fragment kinds answer the batch dictionary read with exactly
+// what the per-vid read returns, for every value type.
+TEST_F(PagedTest, FragmentMGetValuesMatchesGetValueForVid) {
+  std::vector<std::vector<Value>> dicts(3);
+  for (int64_t i = 0; i < 700; ++i) {
+    dicts[0].emplace_back(i * 3 - 1000);
+    dicts[1].emplace_back(static_cast<double>(i) * 0.5 - 100.0);
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "k%05lld", static_cast<long long>(i));
+    dicts[2].emplace_back(std::string(buf));
+  }
+  const ValueType types[] = {ValueType::kInt64, ValueType::kDouble,
+                             ValueType::kString};
+  const std::vector<ValueId> vids = RandomVids(3000, 700, 5);
+  int n = 0;
+  for (int t = 0; t < 3; ++t) {
+    for (bool paged : {false, true}) {
+      SCOPED_TRACE(std::string(ValueTypeName(types[t])) +
+                   (paged ? " paged" : " resident"));
+      FragmentSpec spec{.page_loadable = paged};
+      auto frag = BuildMainFragment(storage_.get(), rm_.get(),
+                                    "fmv" + std::to_string(n++), types[t],
+                                    dicts[t], vids, spec);
+      ASSERT_TRUE(frag.ok()) << frag.status().ToString();
+      auto reader = (*frag)->NewReader();
+      ASSERT_TRUE(reader.ok());
+      std::vector<Value> all;
+      ASSERT_TRUE((*reader)->MGetValues(0, 700, &all).ok());
+      EXPECT_EQ(all, dicts[t]);
+      std::vector<Value> part;
+      ASSERT_TRUE((*reader)->MGetValues(250, 263, &part).ok());
+      ASSERT_EQ(part.size(), 13u);
+      for (ValueId v = 250; v < 263; ++v) {
+        auto one = (*reader)->GetValueForVid(v);
+        ASSERT_TRUE(one.ok());
+        EXPECT_EQ(part[v - 250], *one);
+      }
+      EXPECT_EQ((*reader)->MGetValues(0, 701, &part).code(),
+                StatusCode::kOutOfRange);
+    }
+  }
+}
+
 TEST_F(PagedTest, DictionaryReopen) {
   auto values = MakeSortedStrings(2500);
   {

@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <string>
 #include <string_view>
 
 #include "buffer/resource_manager.h"
 #include "common/random.h"
+#include "paged/fragment_factory.h"
+#include "storage/io_backend.h"
 #include "table/table.h"
 
 namespace payg {
@@ -42,10 +50,7 @@ class TableTest : public ::testing::Test {
     dir_ = ::testing::TempDir() + "/payg_table_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
     std::filesystem::remove_all(dir_);
-    StorageOptions opts;
-    opts.page_size = 8192;
-    opts.dict_page_size = 8192;
-    auto sm = StorageManager::Open(dir_, opts);
+    auto sm = StorageManager::Open(dir_, Options());
     ASSERT_TRUE(sm.ok());
     storage_ = std::move(*sm);
     rm_ = std::make_unique<ResourceManager>();
@@ -54,6 +59,24 @@ class TableTest : public ::testing::Test {
   void TearDown() override {
     storage_.reset();
     std::filesystem::remove_all(dir_);
+  }
+
+  static StorageOptions Options() {
+    StorageOptions opts;
+    opts.page_size = 8192;
+    opts.dict_page_size = 8192;
+    return opts;
+  }
+
+  // Files in the store directory whose names start with `prefix`.
+  std::vector<std::string> FilesWithPrefix(const std::string& prefix) const {
+    std::vector<std::string> names;
+    for (auto& e : std::filesystem::directory_iterator(dir_)) {
+      std::string name = e.path().filename().string();
+      if (name.rfind(prefix, 0) == 0) names.push_back(std::move(name));
+    }
+    std::sort(names.begin(), names.end());
+    return names;
   }
 
   std::unique_ptr<Table> MakeOrders(bool paged, int rows,
@@ -324,13 +347,7 @@ TEST_F(TableTest, UnknownColumnsAreRejected) {
 TEST_F(TableTest, MergeVacuumsReplacedChains) {
   auto table = MakeOrders(true, 50, "vac");
   ASSERT_TRUE(table->MergeAll().ok());
-  auto count_files = [&] {
-    size_t n = 0;
-    for (auto& e : std::filesystem::directory_iterator(dir_)) {
-      if (e.path().filename().string().rfind("vac_", 0) == 0) ++n;
-    }
-    return n;
-  };
+  auto count_files = [&] { return FilesWithPrefix("vac_").size(); };
   size_t after_first = count_files();
   ASSERT_GT(after_first, 0u);
   // More inserts and repeated merges must not accumulate chain files: each
@@ -625,6 +642,196 @@ TEST_F(TableTest, ConjunctChecksDoNotDependOnData) {
       EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound) << status;
     }
   }
+}
+
+// --- doubles -----------------------------------------------------------------
+//
+// Every dictionary is sorted by Value::Compare, which orders doubles only
+// when none is NaN and treats -0.0 and 0.0 as one value.
+
+TableSchema DoubleSchema(const std::string& name, bool paged) {
+  TableSchema schema;
+  schema.name = name;
+  schema.columns = {{"x", ValueType::kDouble, paged, /*with_index=*/true,
+                     false}};
+  return schema;
+}
+
+TEST_F(TableTest, NaNRowsAndOperandsAreRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Table table(DoubleSchema("nan", true), storage_.get(), rm_.get());
+  for (int i = 0; i < 200; ++i) {
+    const bool is_nan = i % 10 == 3;
+    Status s = table.Insert({Value(is_nan ? nan : i * 7.5)});
+    EXPECT_EQ(s.code(), is_nan ? StatusCode::kInvalidArgument : StatusCode::kOk)
+        << i;
+  }
+  EXPECT_EQ(table.row_count(), 180u);
+  auto code = [](const auto& result) { return result.status().code(); };
+  constexpr StatusCode kInvalid = StatusCode::kInvalidArgument;
+  const Value one(1.0);
+  for (bool merged : {false, true}) {
+    SCOPED_TRACE(merged ? "main rows" : "delta rows");
+    if (merged) {
+      ASSERT_TRUE(table.MergeAll().ok());
+    }
+    auto all = table.CountWhere(
+        {Predicate::Between("x", Value(0.0), Value(2000.0))});
+    ASSERT_TRUE(all.ok());
+    EXPECT_EQ(*all, 180u);
+    EXPECT_EQ(code(table.CountByValue("x", Value(nan))), kInvalid);
+    EXPECT_EQ(code(table.SelectRange("x", Value(nan), one, {})), kInvalid);
+    EXPECT_EQ(code(table.SumRange("x", one, Value(nan), "x")), kInvalid);
+    EXPECT_EQ(code(table.CountIn("x", {one, Value(nan)})), kInvalid);
+    EXPECT_EQ(code(table.MultiCountByValue("x", {Value(nan)})), kInvalid);
+    EXPECT_EQ(code(table.CountWhere({Predicate::Eq("x", Value(nan))})),
+              kInvalid);
+  }
+}
+
+TEST_F(TableTest, NegativeZeroIsZero) {
+  for (bool paged : {false, true}) {
+    SCOPED_TRACE(paged ? "paged" : "resident");
+    Table table(DoubleSchema(paged ? "z_p" : "z_r", paged), storage_.get(),
+                rm_.get());
+    ASSERT_TRUE(table.Insert({Value(-0.0)}).ok());
+    ASSERT_TRUE(table.Insert({Value(1.0)}).ok());
+    ASSERT_TRUE(table.Insert({Value(0.0)}).ok());
+    // One delta dictionary entry for both zeros.
+    EXPECT_EQ(table.hot()->delta(0)->dict_size(), 2u);
+    for (int round = 0; round < 3; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      for (const Value& zero : {Value(0.0), Value(-0.0)}) {
+        auto eq = table.CountByValue("x", zero);
+        ASSERT_TRUE(eq.ok());
+        EXPECT_EQ(*eq, 2u + round);
+        auto in = table.CountIn("x", {zero});
+        ASSERT_TRUE(in.ok());
+        EXPECT_EQ(*in, 2u + round);
+        auto range = table.CountWhere({Predicate::Between("x", zero, zero)});
+        ASSERT_TRUE(range.ok());
+        EXPECT_EQ(*range, 2u + round);
+      }
+      // The next round adds a zero to the delta, beside the merged ones.
+      ASSERT_TRUE(table.MergeAll().ok());
+      EXPECT_EQ(table.hot()->main(0)->dict_size(), 2u);
+      ASSERT_TRUE(table.Insert({Value(round % 2 == 0 ? -0.0 : 0.0)}).ok());
+    }
+  }
+}
+
+// --- failed merge ----------------------------------------------------------
+//
+// A merge that fails part-way leaves the partition, its generation and the
+// store directory as they were.
+
+std::atomic<int> g_merge_reads{0};
+std::atomic<int> g_fail_from{-1};  // first read (0-based) to fail; -1: none
+std::string g_probe_prefix;        // chain files to look for at the fault
+std::string g_probe_dir;
+std::atomic<bool> g_probe_seen{false};
+
+int MergeReadHook() {
+  const int n = g_merge_reads.fetch_add(1);
+  const int fail_from = g_fail_from.load();
+  if (fail_from < 0 || n < fail_from) return 0;
+  if (n == fail_from) {
+    for (auto& e : std::filesystem::directory_iterator(g_probe_dir)) {
+      if (e.path().filename().string().rfind(g_probe_prefix, 0) == 0) {
+        g_probe_seen = true;
+      }
+    }
+  }
+  return EIO;
+}
+
+TEST_F(TableTest, FailedMergeLeavesPartitionAsItWas) {
+  constexpr int kRows = 20000;
+  auto make = [&](const std::string& name) {
+    TableSchema schema;
+    schema.name = name;
+    for (int c = 0; c < 3; ++c) {
+      schema.columns.push_back({"c" + std::to_string(c), ValueType::kInt64,
+                                /*page_loadable=*/true, false, false});
+    }
+    auto table = std::make_unique<Table>(schema, storage_.get(), rm_.get());
+    for (int64_t i = 0; i <= kRows; ++i) {
+      // c2's 20k-value dictionary makes it the column most reads serve.
+      EXPECT_TRUE(
+          table->Insert({Value(i % 13), Value(i * 7 % 1000), Value(i)}).ok());
+      if (i + 1 == kRows) {
+        EXPECT_TRUE(table->MergeAll().ok());
+      }
+    }
+    table->hot()->UnloadAll();
+    return table;
+  };
+
+  // A twin of the same shape counts the reads one merge makes.
+  auto twin = make("twin");
+  g_merge_reads = 0;
+  g_fail_from = -1;
+  SetIoFaultHookForTest(&MergeReadHook);
+  Status twin_merge = twin->MergeAll();
+  SetIoFaultHookForTest(nullptr);
+  ASSERT_TRUE(twin_merge.ok()) << twin_merge.ToString();
+  const int reads = g_merge_reads.load();
+  ASSERT_GE(reads, 6);
+
+  auto table = make("victim");
+  Partition* part = table->hot();
+  const uint64_t gen = part->merge_generation();
+  const std::string old_gen = "_g" + std::to_string(gen) + ".";
+  const std::string new_gen = "_g" + std::to_string(gen + 1) + ".";
+  auto files_of = [&](const std::string& generation) {
+    std::vector<std::string> names;
+    for (std::string& name : FilesWithPrefix("victim_")) {
+      if (name.find(generation) != std::string::npos) names.push_back(name);
+    }
+    return names;
+  };
+  const std::vector<std::string> before = FilesWithPrefix("victim_");
+  ASSERT_EQ(files_of(old_gen), before);
+  ASSERT_FALSE(before.empty());
+
+  // Fail the second half of the merge's reads, by which point column c0's
+  // next-generation chains are on disk (the probe checks).
+  g_merge_reads = 0;
+  g_fail_from = reads / 2;
+  g_probe_dir = dir_;
+  g_probe_prefix = "victim_p0_c0" + new_gen;
+  g_probe_seen = false;
+  SetIoFaultHookForTest(&MergeReadHook);
+  Status failed = table->MergeAll();
+  SetIoFaultHookForTest(nullptr);
+  g_fail_from = -1;
+  EXPECT_TRUE(failed.IsIOError()) << failed.ToString();
+  EXPECT_TRUE(g_probe_seen.load());
+
+  EXPECT_EQ(part->merge_generation(), gen);
+  EXPECT_EQ(FilesWithPrefix("victim_"), before);
+  EXPECT_EQ(part->main_row_count(), static_cast<uint64_t>(kRows));
+  EXPECT_EQ(part->delta_row_count(), 1u);
+  auto visible = [&] {
+    auto n = table->CountWhere({Predicate::Between(
+        "c2", Value(int64_t{0}), Value(int64_t{kRows}))});
+    EXPECT_TRUE(n.ok()) << n.status().ToString();
+    return n.ok() ? *n : 0;
+  };
+  EXPECT_EQ(visible(), static_cast<uint64_t>(kRows) + 1);
+  auto last = table->SelectByValue("c2", Value(int64_t{kRows - 1}), {});
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  ASSERT_EQ(last->rows.size(), 1u);
+  EXPECT_EQ(last->rows[0][1], Value(int64_t{(kRows - 1) * 7 % 1000}));
+
+  // The retry succeeds and leaves exactly one generation on disk.
+  ASSERT_TRUE(table->MergeAll().ok());
+  EXPECT_EQ(part->merge_generation(), gen + 1);
+  EXPECT_EQ(part->main_row_count(), static_cast<uint64_t>(kRows) + 1);
+  EXPECT_TRUE(files_of(old_gen).empty());
+  EXPECT_EQ(files_of(new_gen).size(), before.size());
+  EXPECT_EQ(FilesWithPrefix("victim_").size(), before.size());
+  EXPECT_EQ(visible(), static_cast<uint64_t>(kRows) + 1);
 }
 
 // --- differential oracle ----------------------------------------------------
@@ -952,6 +1159,234 @@ TEST_F(OracleTest, EveryEntryPointMatchesBruteForceScan) {
     }
   }
 }
+
+// --- differential merge ------------------------------------------------------
+//
+// Partition::Merge works in vid space: it merges the old main's sorted
+// dictionary with the delta's distinct values. The reference is the per-row
+// algorithm that came before it: read every visible row back with GetRow,
+// sort and unique the values with Value::Compare, give each row its vid
+// with lower_bound, and build the main under the same name and FragmentSpec
+// into a second store. Fragment builders are deterministic, so every chain
+// file of the new generation must match the reference byte for byte.
+//
+// Doubles leave out NaN (rejected) and -0.0: the reference's unstable sort
+// does not fix which of two equal values survives (NegativeZeroIsZero
+// covers -0.0 by value).
+
+// A page-loadable unique key with an eager index, a paged int with a
+// deferred index, a paged string, a paged double with an eager index, a
+// resident indexed string, a resident double and the resident temperature
+// column.
+TableSchema DiffSchema() {
+  TableSchema schema;
+  schema.name = "diff";
+  schema.columns = {
+      {"id", ValueType::kString, true, true, true},
+      {"k", ValueType::kInt64, true, true, false, /*defer_index=*/true},
+      {"p", ValueType::kString, true, false, false},
+      {"dp", ValueType::kDouble, true, true, false},
+      {"s", ValueType::kString, false, true, false},
+      {"d", ValueType::kDouble, false, false, false},
+      {"t", ValueType::kInt64, false, false, false}};
+  schema.temperature_column = 6;
+  return schema;
+}
+
+// Empty, short 0xFF-heavy, and (1 in 40) longer than the 4096-byte on-page
+// limit, so paged dictionaries spill to overflow pages.
+std::string DiffString(Random* rng) {
+  switch (rng->Uniform(40)) {
+    case 0:
+      return std::string(4097 + rng->Uniform(6000),
+                         rng->Uniform(2) == 0 ? '\xff' : 'q') +
+             RandomBytes(rng, 3);
+    case 1:
+    case 2:
+      return "";
+    default:
+      return RandomBytes(rng, 6);
+  }
+}
+
+double DiffDouble(Random* rng) {
+  switch (rng->Uniform(50)) {
+    case 0:
+      return std::numeric_limits<double>::infinity();
+    case 1:
+      return -std::numeric_limits<double>::infinity();
+    case 2:
+      return std::numeric_limits<double>::denorm_min();
+    default:
+      // 0.25 * 100 - 25 is +0.0, never -0.0.
+      return 0.25 * static_cast<double>(rng->Uniform(200)) - 25.0;
+  }
+}
+
+class MergeDifferentialTest : public TableTest,
+                              public ::testing::WithParamInterface<uint64_t> {
+ protected:
+  static std::string ReadFile(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }
+
+  // Builds the reference of every partition's next generation into a fresh
+  // store, runs MergeAll, and compares the chain files.
+  void MergeAndCompare(Table* table) {
+    const std::string ref_dir = dir_ + "_ref";
+    std::filesystem::remove_all(ref_dir);
+    std::vector<std::string> prefixes;  // "<fragment name>." per new main
+    {
+      auto ref = StorageManager::Open(ref_dir, Options());
+      ASSERT_TRUE(ref.ok());
+      ResourceManager ref_rm;
+      const TableSchema& schema = table->schema();
+      auto less = [](const Value& a, const Value& b) {
+        return a.Compare(b) < 0;
+      };
+      for (uint32_t p = 0; p < table->partition_count(); ++p) {
+        Partition* part = table->partition(p);
+        std::vector<std::vector<Value>> rows;
+        for (RowPos r = 0; r < part->row_count(); ++r) {
+          if (!part->IsVisible(r)) continue;
+          auto row = part->GetRow(r);
+          ASSERT_TRUE(row.ok()) << row.status().ToString();
+          rows.push_back(std::move(*row));
+        }
+        for (size_t c = 0; c < schema.columns.size(); ++c) {
+          const ColumnSchema& cs = schema.columns[c];
+          std::vector<Value> values;
+          for (const auto& row : rows) values.push_back(row[c]);
+          std::vector<Value> dict = values;
+          std::sort(dict.begin(), dict.end(), less);
+          dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
+          std::vector<ValueId> vids;
+          for (const Value& v : values) {
+            vids.push_back(static_cast<ValueId>(
+                std::lower_bound(dict.begin(), dict.end(), v, less) -
+                dict.begin()));
+          }
+          FragmentSpec spec;
+          spec.page_loadable = cs.page_loadable;
+          spec.with_index = cs.with_index;
+          spec.defer_index = cs.defer_index;
+          spec.pool = part->cold() ? PoolId::kColdPagedPool
+                                   : PoolId::kPagedPool;
+          const std::string name =
+              schema.name + "_p" + std::to_string(p) + "_c" +
+              std::to_string(c) + "_g" +
+              std::to_string(part->merge_generation() + 1);
+          prefixes.push_back(name + ".");
+          auto frag = BuildMainFragment(ref->get(), &ref_rm, name, cs.type,
+                                        dict, vids, spec);
+          ASSERT_TRUE(frag.ok()) << frag.status().ToString();
+        }
+      }
+    }
+    ASSERT_TRUE(table->MergeAll().ok());
+
+    std::map<std::string, std::string> merged, reference;
+    for (const std::string& prefix : prefixes) {
+      for (const std::string& name : FilesWithPrefix(prefix)) {
+        merged[name] = ReadFile(dir_ + "/" + name);
+      }
+    }
+    for (auto& e : std::filesystem::directory_iterator(ref_dir)) {
+      const std::string name = e.path().filename().string();
+      reference[name] = ReadFile(e.path().string());
+    }
+    ASSERT_FALSE(reference.empty());
+    std::vector<std::string> merged_names, reference_names;
+    for (const auto& [name, bytes] : merged) merged_names.push_back(name);
+    for (const auto& [name, bytes] : reference) {
+      reference_names.push_back(name);
+    }
+    ASSERT_EQ(merged_names, reference_names);
+    for (const auto& [name, bytes] : reference) {
+      EXPECT_TRUE(merged[name] == bytes)
+          << name << " differs (" << merged[name].size() << " vs "
+          << bytes.size() << " bytes)";
+    }
+    ++merges_;
+    std::filesystem::remove_all(ref_dir);
+  }
+
+  // Marks about `percent`% of the visible rows of `part` deleted.
+  void DeleteSome(Partition* part, Random* rng, uint64_t percent) {
+    for (RowPos r = 0; r < part->row_count(); ++r) {
+      if (part->IsVisible(r) && rng->Uniform(100) < percent) {
+        ASSERT_TRUE(part->MarkDeleted(r).ok());
+      }
+    }
+  }
+
+  int merges_ = 0;
+};
+
+TEST_P(MergeDifferentialTest, ChainsMatchPerRowReferenceByteForByte) {
+  Random rng(GetParam());
+  Table table(DiffSchema(), storage_.get(), rm_.get());
+  uint64_t ids = 0;
+  int64_t day = 0;
+  auto insert = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      char key[16];
+      std::snprintf(key, sizeof(key), "K%07llu",
+                    static_cast<unsigned long long>(ids++));
+      ASSERT_TRUE(table
+                      .Insert({Value(std::string(key)),
+                               Value(static_cast<int64_t>(rng.Uniform(100)) -
+                                     50),
+                               Value(DiffString(&rng)),
+                               Value(DiffDouble(&rng)),
+                               Value(DiffString(&rng)),
+                               Value(DiffDouble(&rng)),
+                               Value(day + static_cast<int64_t>(
+                                               rng.Uniform(10)))})
+                      .ok());
+    }
+    day += 10;
+  };
+  // Builds (and persists) the deferred index of the current hot main.
+  auto probe_k = [&] {
+    ASSERT_TRUE(table.CountByValue("k", Value(int64_t{7})).ok());
+  };
+
+  // A delta-only first merge, with deletes in the delta.
+  insert(900);
+  DeleteSome(table.hot(), &rng, 5);
+  MergeAndCompare(&table);
+  // Deletes in the main and in the delta, several merges in a row.
+  for (int round = 0; round < 2; ++round) {
+    probe_k();
+    insert(250);
+    DeleteSome(table.hot(), &rng, 6);
+    MergeAndCompare(&table);
+  }
+  // An aged cold partition: a delta-only first cold merge, then aging on
+  // top of a cold main with deletes.
+  ASSERT_TRUE(table.AddColdPartition().ok());
+  ASSERT_TRUE(table.AgeRows(Value(day / 3)).ok());
+  MergeAndCompare(&table);
+  insert(200);
+  ASSERT_TRUE(table.AgeRows(Value(day / 2)).ok());
+  DeleteSome(table.partition(1), &rng, 10);
+  MergeAndCompare(&table);
+  // An all-deleted partition, then fresh rows on its empty main.
+  DeleteSome(table.partition(1), &rng, 100);
+  ASSERT_EQ(table.partition(1)->visible_row_count(), 0u);
+  MergeAndCompare(&table);
+  EXPECT_EQ(table.partition(1)->main_row_count(), 0u);
+  insert(150);
+  ASSERT_TRUE(table.AgeRows(Value(day - 5)).ok());
+  MergeAndCompare(&table);
+  EXPECT_GT(table.partition(1)->main_row_count(), 0u);
+  EXPECT_EQ(merges_, 7);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MergeDifferentialTest,
+                         ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace payg
