@@ -4,34 +4,57 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "columnar/value.h"
 #include "common/macros.h"
+#include "common/result.h"
 #include "encoding/types.h"
 
 namespace payg {
 
+class ChainByteReader;
+class ChainByteWriter;
+
 // Order-preserving in-memory main dictionary (§2): values are sorted and
 // value identifiers are assigned in the same order, so vid comparison is
 // value comparison. This is the dictionary of a fully loadable (default)
-// column, and the staging form the paged dictionary builder serializes from.
+// column and the whole-loaded numeric dictionary of a page loadable one.
+//
+// The values live in one typed array, so a numeric entry costs 8 bytes, not
+// a Value. Lookups binary-search it with the element type's `<`, which on
+// every type is the order Value::Compare defines: NaN never reaches a
+// dictionary, -0.0 equals 0.0, and strings compare bytewise.
 class Dictionary {
  public:
-  Dictionary() : type_(ValueType::kInt64) {}
-  explicit Dictionary(ValueType type) : type_(type) {}
+  // An empty INT64 dictionary.
+  Dictionary() = default;
 
-  // Builds from values that must already be sorted ascending and unique.
-  static Dictionary FromSorted(ValueType type, std::vector<Value> sorted);
+  // Takes values that must already be sorted ascending and unique; T is
+  // int64_t, double or std::string.
+  template <typename T>
+  explicit Dictionary(std::vector<T> sorted) : values_(std::move(sorted)) {
+    CheckSorted();
+  }
 
-  ValueType type() const { return type_; }
-  uint64_t size() const { return values_.size(); }
+  // Reads `size` values of `type` in the layout Write() produces.
+  static Result<Dictionary> Read(ChainByteReader* r, ValueType type,
+                                 uint64_t size);
+
+  // Appends sorted `values` of `type` to a chain: numbers as raw 8-byte
+  // words, strings length-prefixed.
+  static void Write(ChainByteWriter* w, ValueType type,
+                    const std::vector<Value>& values);
+
+  ValueType type() const { return static_cast<ValueType>(values_.index()); }
+  uint64_t size() const;
 
   // The value encoded by `vid`.
-  const Value& GetValue(ValueId vid) const {
-    PAYG_ASSERT(vid < values_.size());
-    return values_[vid];
-  }
+  Value GetValue(ValueId vid) const;
+
+  // Appends the values of vids [from, to), in vid order, to `out`.
+  void AppendValues(ValueId from, ValueId to, std::vector<Value>* out) const;
 
   // The vid encoding `value`, if present.
   std::optional<ValueId> FindValueId(const Value& value) const;
@@ -44,14 +67,16 @@ class Dictionary {
   // Index of the first dictionary value > `value`.
   ValueId UpperBound(const Value& value) const;
 
-  // Approximate heap footprint for buffer-manager accounting.
+  // Heap footprint for buffer-manager accounting.
   uint64_t MemoryBytes() const;
 
-  const std::vector<Value>& values() const { return values_; }
-
  private:
-  ValueType type_;
-  std::vector<Value> values_;
+  void CheckSorted() const;
+
+  // Alternative i holds the values of ValueType i.
+  std::variant<std::vector<int64_t>, std::vector<double>,
+               std::vector<std::string>>
+      values_;
 };
 
 }  // namespace payg

@@ -11,8 +11,9 @@ namespace payg {
 namespace {
 
 // Serialization layout of the ".full" chain:
-//   meta:  u8 type, u8 has_index, u32 bits, u64 row_count, u64 dict_size
-//   dict:  dict_size values (i64 / double raw, strings length-prefixed)
+//   meta:  u8 type, u8 has_index, u8 codec, u32 bits, u64 row_count,
+//          u64 dict_size
+//   dict:  dict_size values (Dictionary::Write)
 //   data:  u64 word_count, words
 //   index: u8 unique, u64 postings, postings × u32,
 //          [if !unique] u64 dirsize, dirsize × u64
@@ -124,8 +125,7 @@ class ResidentReader : public FragmentReader {
     if (from > to || to > frag_->dict_size_) {
       return Status::OutOfRange("value id range");
     }
-    const std::vector<Value>& values = payload_->dict.values();
-    out->insert(out->end(), values.begin() + from, values.begin() + to);
+    payload_->dict.AppendValues(from, to, out);
     return Status::OK();
   }
 
@@ -174,19 +174,7 @@ Result<std::unique_ptr<FullyResidentFragment>> FullyResidentFragment::Build(
   w.PutU32(bits);
   w.PutU64(vids.size());
   w.PutU64(sorted_dict_values.size());
-  for (const Value& v : sorted_dict_values) {
-    switch (type) {
-      case ValueType::kInt64:
-        w.PutI64(v.AsInt64());
-        break;
-      case ValueType::kDouble:
-        w.PutDouble(v.AsDouble());
-        break;
-      case ValueType::kString:
-        w.PutString(v.AsString());
-        break;
-    }
-  }
+  Dictionary::Write(&w, type, sorted_dict_values);
   if (codec == Codec::kSparse) {
     SparseVector sv = SparseVector::Encode(vids);
     w.PutU32(sv.dominant());
@@ -274,29 +262,8 @@ FullyResidentFragment::LoadPayload() {
               bits == bits_ && (has_index != 0) == has_index_ &&
               static_cast<Codec>(codec_u8) == codec_);
 
-  std::vector<Value> values;
-  values.reserve(dict_size);
-  for (uint64_t i = 0; i < dict_size; ++i) {
-    switch (type) {
-      case ValueType::kInt64: {
-        PAYG_ASSIGN_OR_RETURN(int64_t v, r.GetI64());
-        values.emplace_back(v);
-        break;
-      }
-      case ValueType::kDouble: {
-        PAYG_ASSIGN_OR_RETURN(double v, r.GetDouble());
-        values.emplace_back(v);
-        break;
-      }
-      case ValueType::kString: {
-        PAYG_ASSIGN_OR_RETURN(std::string v, r.GetString());
-        values.emplace_back(std::move(v));
-        break;
-      }
-    }
-  }
   auto payload = std::make_shared<Payload>();
-  payload->dict = Dictionary::FromSorted(type, std::move(values));
+  PAYG_ASSIGN_OR_RETURN(payload->dict, Dictionary::Read(&r, type, dict_size));
 
   if (codec_ == Codec::kSparse) {
     PAYG_ASSIGN_OR_RETURN(uint32_t dominant, r.GetU32());

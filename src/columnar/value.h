@@ -47,6 +47,13 @@ class Value {
     PAYG_ASSERT(type() == ValueType::kString);
     return std::get<std::string>(v_);
   }
+  // The payload as T (int64_t, double or std::string), for code generic
+  // over the three types; T must match type().
+  template <typename T>
+  const T& As() const {
+    PAYG_ASSERT_MSG(std::holds_alternative<T>(v_), "value of another type");
+    return std::get<T>(v_);
+  }
 
   // Three-way comparison; requires identical types. A total order only
   // over doubles that are not NaN (Partition::Insert and

@@ -10,6 +10,9 @@ namespace payg {
 namespace {
 
 constexpr char kCatalogChain[] = "__catalog__";
+// The next catalog, written whole and synced before it is renamed over the
+// current one.
+constexpr char kCatalogTmpChain[] = "__catalog__.tmp";
 
 void WriteSchema(ChainByteWriter* w, const TableSchema& schema) {
   w->PutString(schema.name);
@@ -77,8 +80,11 @@ Status ColumnStore::Checkpoint() {
   for (auto& [name, table] : tables_) {
     PAYG_RETURN_IF_ERROR(table->MergeAll());
   }
+  // Merges never fsync: every chain the new catalog names becomes durable
+  // here, before the catalog does.
+  PAYG_RETURN_IF_ERROR(storage_->SyncChains());
   PAYG_ASSIGN_OR_RETURN(
-      auto file, storage_->CreateChain(kCatalogChain,
+      auto file, storage_->CreateChain(kCatalogTmpChain,
                                        storage_->options().page_size));
   ChainByteWriter w(file.get());
   w.PutU32(static_cast<uint32_t>(tables_.size()));
@@ -93,10 +99,14 @@ Status ColumnStore::Checkpoint() {
     }
   }
   PAYG_RETURN_IF_ERROR(w.Finish());
-  return file->Sync();
+  file.reset();
+  // A crash leaves the previous catalog or this one, never a torn one.
+  return storage_->PublishChain(kCatalogTmpChain, kCatalogChain);
 }
 
 Status ColumnStore::LoadCatalog() {
+  // A leftover of a checkpoint that crashed before its rename.
+  PAYG_RETURN_IF_ERROR(storage_->DropChain(kCatalogTmpChain));
   if (!std::filesystem::exists(storage_->directory() + "/" + kCatalogChain)) {
     return Status::OK();  // fresh store
   }

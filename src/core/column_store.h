@@ -50,9 +50,11 @@ class ColumnStore {
   Status DropTable(const std::string& name);
 
   // Persists the catalog so the store can be re-opened later: runs the
-  // delta merge on every table (delta fragments are memory-only) and writes
-  // schemas + partition manifests. Open() restores checkpointed tables
-  // automatically.
+  // delta merge on every table (delta fragments are memory-only), fsyncs
+  // every chain written since the last checkpoint, and publishes schemas +
+  // partition manifests as a new catalog (tmp file, fsync, rename,
+  // directory fsync). The only durability point: a crash restores the last
+  // checkpoint. Open() restores checkpointed tables automatically.
   Status Checkpoint();
 
   StorageManager& storage() { return *storage_; }

@@ -193,7 +193,6 @@ Result<std::unique_ptr<PagedDataVector>> PagedDataVector::Build(
     payload_bytes += psize;
     if (vids.empty()) break;
   }
-  PAYG_RETURN_IF_ERROR(file->Sync());
   RecordCodecBuild(choice.id, payload_bytes);
 
   // Persist the min/max summary in its own (small) chain.
@@ -207,7 +206,6 @@ Result<std::unique_ptr<PagedDataVector>> PagedDataVector::Build(
       w.PutU32(page_max[p]);
     }
     PAYG_RETURN_IF_ERROR(w.Finish());
-    PAYG_RETURN_IF_ERROR(sfile->Sync());
   }
 
   auto dv = std::unique_ptr<PagedDataVector>(new PagedDataVector());

@@ -165,7 +165,6 @@ Result<std::unique_ptr<PagedDictionary>> PagedDictionary::Build(
     PAYG_RETURN_IF_ERROR(
         composer.Flush(&helper_vids, &helper_values, &helper_lpns));
   }
-  PAYG_RETURN_IF_ERROR(file->Sync());
 
   // Persist the helper dictionaries.
   {
@@ -181,7 +180,6 @@ Result<std::unique_ptr<PagedDictionary>> PagedDictionary::Build(
       w.PutString(helper_values[i]);
     }
     PAYG_RETURN_IF_ERROR(w.Finish());
-    PAYG_RETURN_IF_ERROR(hfile->Sync());
   }
 
   auto dict = std::unique_ptr<PagedDictionary>(new PagedDictionary());

@@ -88,8 +88,7 @@ class PagedReader : public FragmentReader {
       return Status::OutOfRange("value id range");
     }
     if (dict_it_ == nullptr) {
-      const std::vector<Value>& values = num_dict_->values();
-      out->insert(out->end(), values.begin() + from, values.begin() + to);
+      num_dict_->AppendValues(from, to, out);
       return Status::OK();
     }
     std::vector<std::string> strings;
@@ -158,16 +157,9 @@ Result<std::unique_ptr<PagedFragment>> PagedFragment::Build(
     w.PutU64(vids.size());
     w.PutU64(sorted_dict_values.size());
     if (type != ValueType::kString) {
-      for (const Value& v : sorted_dict_values) {
-        if (type == ValueType::kInt64) {
-          w.PutI64(v.AsInt64());
-        } else {
-          w.PutDouble(v.AsDouble());
-        }
-      }
+      Dictionary::Write(&w, type, sorted_dict_values);
     }
     PAYG_RETURN_IF_ERROR(w.Finish());
-    PAYG_RETURN_IF_ERROR(mfile->Sync());
   }
 
   // The delta-merge codec selection pass (S22): fragment-level force, then
@@ -254,19 +246,9 @@ Result<std::shared_ptr<Dictionary>> PagedFragment::LoadNumericDict() const {
   PAYG_ASSIGN_OR_RETURN(rows, r.GetU64());
   (void)rows;
   PAYG_ASSIGN_OR_RETURN(dict_size, r.GetU64());
-  std::vector<Value> values;
-  values.reserve(dict_size);
-  for (uint64_t i = 0; i < dict_size; ++i) {
-    if (type_ == ValueType::kInt64) {
-      PAYG_ASSIGN_OR_RETURN(int64_t v, r.GetI64());
-      values.emplace_back(v);
-    } else {
-      PAYG_ASSIGN_OR_RETURN(double v, r.GetDouble());
-      values.emplace_back(v);
-    }
-  }
-  return std::make_shared<Dictionary>(
-      Dictionary::FromSorted(type_, std::move(values)));
+  PAYG_ASSIGN_OR_RETURN(Dictionary dict,
+                        Dictionary::Read(&r, type_, dict_size));
+  return std::make_shared<Dictionary>(std::move(dict));
 }
 
 Status PagedFragment::MaybeRebuildIndex() {

@@ -181,7 +181,6 @@ Result<std::unique_ptr<PagedInvertedIndex>> PagedInvertedIndex::Build(
     meta.set_payload_size(sizeof(fields) + sizeof(idx->dir_first_lpn_));
     PAYG_RETURN_IF_ERROR(file->WritePage(0, &meta));
   }
-  PAYG_RETURN_IF_ERROR(file->Sync());
 
   idx->file_ = std::move(file);
   idx->cache_ =

@@ -54,8 +54,8 @@ int main() {
     return 1;
   }
 
-  // Seed a fresh store so the binary is usable out of the box; a restarted
-  // store keeps its checkpointed tables.
+  // Seed a fresh store so the binary is usable out of the box, and
+  // checkpoint it: a restarted store keeps its checkpointed tables.
   if (!(*store)->GetTable("T").ok()) {
     payg::server::SeedSpec seed;
     seed.rows = static_cast<uint64_t>(
@@ -64,6 +64,12 @@ int main() {
       payg::Status s = payg::server::SeedDemoTable(store->get(), seed);
       if (!s.ok()) {
         std::fprintf(stderr, "payg_server: seed: %s\n", s.ToString().c_str());
+        return 1;
+      }
+      s = (*store)->Checkpoint();
+      if (!s.ok()) {
+        std::fprintf(stderr, "payg_server: checkpoint: %s\n",
+                     s.ToString().c_str());
         return 1;
       }
       std::fprintf(stderr, "payg_server: seeded table T with %llu rows\n",

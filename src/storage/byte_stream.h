@@ -62,6 +62,13 @@ class ChainByteReader {
   Result<std::string> GetString();
   Status GetBytes(void* out, size_t n);
 
+  // An upper bound on the bytes left in the stream (whole pages, headers
+  // included), for bounding a length read from disk before allocating.
+  uint64_t BytesLeftAtMost() const {
+    return (file_->page_count() - next_page_) * file_->page_size() +
+           (avail_ - pos_);
+  }
+
  private:
   const PageFile* file_;
   Page page_;

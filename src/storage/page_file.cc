@@ -229,9 +229,4 @@ void PageFile::ReadPages(const LogicalPageNo* lpns, Page* const* pages,
                                 opts_.simulated_read_latency_us, finalize);
 }
 
-Status PageFile::Sync() {
-  if (::fsync(fd_) != 0) return Status::IOError(Errno("fsync", path_));
-  return Status::OK();
-}
-
 }  // namespace payg

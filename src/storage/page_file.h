@@ -73,9 +73,6 @@ class PageFile {
   uint32_t page_size() const { return page_size_; }
   const std::string& path() const { return path_; }
 
-  // Flushes file contents to stable storage.
-  Status Sync();
-
  private:
   PageFile(std::string path, int fd, uint32_t page_size, uint64_t page_count,
            const StorageOptions& opts);

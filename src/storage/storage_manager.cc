@@ -1,5 +1,8 @@
 #include "storage/storage_manager.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -41,9 +44,16 @@ std::string StorageManager::PathFor(const std::string& name) const {
   return directory_ + "/" + name;
 }
 
+void StorageManager::NoteCreated(const std::string& name) {
+  MutexLock lock(mu_);
+  unsynced_.insert(name);
+}
+
 Result<std::unique_ptr<PageFile>> StorageManager::CreateChain(
     const std::string& name, uint32_t page_size) {
-  return PageFile::Create(PathFor(name), page_size, opts_);
+  auto file = PageFile::Create(PathFor(name), page_size, opts_);
+  if (file.ok()) NoteCreated(name);
+  return file;
 }
 
 Result<std::unique_ptr<PageFile>> StorageManager::OpenChain(
@@ -57,7 +67,9 @@ Result<std::unique_ptr<PageFile>> StorageManager::CreateNonCriticalChain(
   if (opts.scm_for_noncritical) {
     opts.simulated_read_latency_us = opts.scm_read_latency_us;
   }
-  return PageFile::Create(PathFor(name), page_size, opts);
+  auto file = PageFile::Create(PathFor(name), page_size, opts);
+  if (file.ok()) NoteCreated(name);
+  return file;
 }
 
 Result<std::unique_ptr<PageFile>> StorageManager::OpenNonCriticalChain(
@@ -70,12 +82,74 @@ Result<std::unique_ptr<PageFile>> StorageManager::OpenNonCriticalChain(
 }
 
 Status StorageManager::DropChain(const std::string& name) {
+  {
+    MutexLock lock(mu_);
+    unsynced_.erase(name);
+  }
   std::error_code ec;
   std::filesystem::remove(PathFor(name), ec);
   if (ec) {
     return Status::IOError("remove " + PathFor(name) + ": " + ec.message());
   }
   return Status::OK();
+}
+
+Status StorageManager::SyncPath(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    const int open_errno = errno;
+    const std::string what = "open " + path + ": " + std::strerror(open_errno);
+    return open_errno == ENOENT ? Status::NotFound(what)
+                                : Status::IOError(what);
+  }
+  const int rc = ::fsync(fd);
+  const int fsync_errno = errno;
+  ::close(fd);
+  if (rc != 0) {
+    return Status::IOError("fsync " + path + ": " +
+                           std::strerror(fsync_errno));
+  }
+  m_sync_files_->Inc();
+  return Status::OK();
+}
+
+Status StorageManager::SyncChains() {
+  // Taken whole, so a chain created meanwhile waits for the next call.
+  std::set<std::string> names;
+  {
+    MutexLock lock(mu_);
+    names.swap(unsynced_);
+  }
+  for (auto it = names.begin(); it != names.end(); it = names.erase(it)) {
+    Status s = SyncPath(PathFor(*it));
+    if (s.IsNotFound()) continue;  // dropped meanwhile: nothing to make durable
+    if (!s.ok()) {
+      MutexLock lock(mu_);
+      unsynced_.insert(names.begin(), names.end());
+      return s;
+    }
+  }
+  return SyncPath(directory_);
+}
+
+Status StorageManager::PublishChain(const std::string& from,
+                                    const std::string& to) {
+  PAYG_RETURN_IF_ERROR(SyncPath(PathFor(from)));
+  if (::rename(PathFor(from).c_str(), PathFor(to).c_str()) != 0) {
+    return Status::IOError("rename " + PathFor(from) + " to " + PathFor(to) +
+                           ": " + std::strerror(errno));
+  }
+  {
+    MutexLock lock(mu_);
+    unsynced_.erase(from);
+    unsynced_.erase(to);
+  }
+  return SyncPath(directory_);
+}
+
+std::vector<std::string> StorageManager::UnsyncedChains() const {
+  MutexLock lock(mu_);
+  return std::vector<std::string>(unsynced_.begin(), unsynced_.end());
 }
 
 }  // namespace payg

@@ -144,6 +144,14 @@ std::string Partition::FragmentName(int col, uint64_t generation) const {
 }
 
 Status Partition::Merge() {
+  // Nothing to fold. A partition never merged still merges, so that its
+  // catalog entry names chains.
+  const bool has_mains =
+      std::all_of(mains_.begin(), mains_.end(),
+                  [](const auto& main) { return main != nullptr; });
+  if (has_mains && delta_row_count() == 0 && deleted_count_ == 0) {
+    return Status::OK();
+  }
   const int cols = static_cast<int>(schema_->columns.size());
   const uint64_t new_rows = visible_row_count();
   const uint64_t generation = merge_generation_ + 1;

@@ -69,7 +69,9 @@ class Partition {
   // compacting deleted rows, and resets the deltas (§2). Mains are rebuilt
   // per the schema's loading preference, under the next generation's
   // names. All or nothing: on error the partition, its generation and the
-  // files on disk stay as they were.
+  // files on disk stay as they were. A partition with a main for every
+  // column, an empty delta and no deleted row has nothing to fold: it keeps
+  // its generation and its chains.
   Status Merge();
 
   // Access to fragments for the query executor.

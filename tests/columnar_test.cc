@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <future>
+#include <limits>
+#include <optional>
 #include <thread>
 
 #include "buffer/resource_manager.h"
@@ -55,10 +58,62 @@ TEST(ValueTest, ToString) {
   EXPECT_EQ(Value(std::string("text")).ToString(), "text");
 }
 
+// Checks a typed dictionary over `values` against a reference: the same
+// values as Values, sorted and deduplicated by Value::Compare, searched
+// with std::lower_bound / std::upper_bound by Value::Compare.
+template <typename T>
+void ExpectDictionaryMatchesReference(const std::vector<T>& values,
+                                      const std::vector<T>& probes,
+                                      Random* rng) {
+  auto less = [](const Value& a, const Value& b) { return a.Compare(b) < 0; };
+  std::vector<Value> ref;
+  for (const T& v : values) ref.emplace_back(v);
+  std::sort(ref.begin(), ref.end(), less);
+  ref.erase(std::unique(ref.begin(), ref.end()), ref.end());
+  std::vector<T> sorted;
+  for (const Value& v : ref) sorted.push_back(v.As<T>());
+  const Dictionary d(sorted);
+
+  ASSERT_EQ(d.size(), ref.size());
+  for (ValueId vid = 0; vid < ref.size(); ++vid) {
+    const Value got = d.GetValue(vid);
+    ASSERT_EQ(got.type(), ref[vid].type());
+    EXPECT_EQ(got.Compare(ref[vid]), 0) << "vid " << vid;
+  }
+  // The range read appends exactly ref[from, to), after what `out` holds.
+  for (int i = 0; i < 8; ++i) {
+    const ValueId to = static_cast<ValueId>(rng->Uniform(ref.size() + 1));
+    const ValueId from = static_cast<ValueId>(rng->Uniform(to + 1));
+    std::vector<Value> out = {Value(std::string("sentinel"))};
+    d.AppendValues(from, to, &out);
+    ASSERT_EQ(out.size(), 1u + (to - from));
+    EXPECT_EQ(out[0].AsString(), "sentinel");
+    for (ValueId v = from; v < to; ++v) {
+      EXPECT_EQ(out[1 + v - from].Compare(ref[v]), 0) << "vid " << v;
+    }
+  }
+  for (const T& p : probes) {
+    const Value key(p);
+    const auto lb = static_cast<ValueId>(
+        std::lower_bound(ref.begin(), ref.end(), key, less) - ref.begin());
+    const auto ub = static_cast<ValueId>(
+        std::upper_bound(ref.begin(), ref.end(), key, less) - ref.begin());
+    EXPECT_EQ(d.LowerBound(key), lb) << key.ToString();
+    EXPECT_EQ(d.UpperBound(key), ub) << key.ToString();
+    const std::optional<ValueId> found = d.FindValueId(key);
+    if (lb < ub) {
+      ASSERT_TRUE(found.has_value()) << key.ToString();
+      EXPECT_EQ(*found, lb);
+    } else {
+      EXPECT_FALSE(found.has_value()) << key.ToString();
+    }
+  }
+}
+
 TEST(DictionaryTest, LookupAndBounds) {
-  std::vector<Value> vals;
-  for (int64_t v : {10, 20, 30, 40}) vals.emplace_back(v);
-  Dictionary d = Dictionary::FromSorted(ValueType::kInt64, std::move(vals));
+  // The fixed case.
+  Dictionary d(std::vector<int64_t>{10, 20, 30, 40});
+  EXPECT_EQ(d.type(), ValueType::kInt64);
   EXPECT_EQ(d.size(), 4u);
   EXPECT_EQ(d.GetValue(2).AsInt64(), 30);
   EXPECT_EQ(*d.FindValueId(Value(int64_t{20})), 1u);
@@ -68,17 +123,111 @@ TEST(DictionaryTest, LookupAndBounds) {
   EXPECT_EQ(d.UpperBound(Value(int64_t{20})), 2u);
   EXPECT_EQ(d.LowerBound(Value(int64_t{100})), 4u);
   EXPECT_EQ(d.LowerBound(Value(int64_t{0})), 0u);
+  EXPECT_EQ(Dictionary().size(), 0u);
+  EXPECT_EQ(Dictionary().LowerBound(Value(int64_t{1})), 0u);
+
+  // Seeded property test, int64 and double.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kSub = std::numeric_limits<double>::denorm_min();
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Random rng(seed);
+    const uint64_t n = seed % 6 == 0 ? rng.Uniform(3) : rng.Uniform(400);
+    std::vector<int64_t> ints;
+    std::vector<double> doubles;
+    for (uint64_t i = 0; i < n; ++i) {
+      switch (rng.Uniform(4)) {
+        case 0:
+          ints.push_back(static_cast<int64_t>(rng.Next()));
+          doubles.push_back(static_cast<double>(
+              static_cast<int64_t>(rng.Next())));
+          break;
+        case 1:
+          ints.push_back(static_cast<int64_t>(rng.Uniform(64)) - 32);
+          doubles.push_back(kSub * static_cast<double>(rng.Uniform(8)));
+          break;
+        default:
+          ints.push_back(static_cast<int64_t>(rng.Uniform(5000)) - 2500);
+          doubles.push_back(0.125 * static_cast<double>(rng.Uniform(400)) -
+                            25.0);
+          break;
+      }
+    }
+    if (seed % 2 == 0) {
+      ints.insert(ints.end(), {kMin, kMax, 0});
+      doubles.insert(doubles.end(), {-kInf, kInf, 0.0, -kSub});
+    }
+    std::vector<int64_t> int_probes = {kMin, kMin + 1, -1, 0, 1, kMax - 1,
+                                       kMax};
+    std::vector<double> double_probes = {-kInf, kInf, -0.0, 0.0, kSub, -kSub,
+                                         std::numeric_limits<double>::min(),
+                                         std::numeric_limits<double>::max(),
+                                         std::numeric_limits<double>::lowest()};
+    for (int64_t v : ints) {
+      int_probes.push_back(v);
+      if (v != kMin) int_probes.push_back(v - 1);
+      if (v != kMax) int_probes.push_back(v + 1);
+    }
+    for (double v : doubles) {
+      double_probes.push_back(v);
+      double_probes.push_back(std::nextafter(v, kInf));
+      double_probes.push_back(std::nextafter(v, -kInf));
+      if (v == 0.0) double_probes.push_back(-v);
+    }
+    ExpectDictionaryMatchesReference(ints, int_probes, &rng);
+    ExpectDictionaryMatchesReference(doubles, double_probes, &rng);
+  }
+  // A -0.0 probe finds the 0.0 entry.
+  Dictionary zero(std::vector<double>{-1.0, 0.0, 1.0});
+  EXPECT_EQ(zero.type(), ValueType::kDouble);
+  EXPECT_EQ(*zero.FindValueId(Value(-0.0)), 1u);
+  EXPECT_EQ(zero.LowerBound(Value(-0.0)), 1u);
+  EXPECT_EQ(zero.UpperBound(Value(-0.0)), 2u);
 }
 
 TEST(DictionaryTest, StringOrderPreserving) {
-  std::vector<Value> vals;
-  for (const char* s : {"ant", "bee", "cat", "dog"}) {
-    vals.emplace_back(std::string(s));
-  }
-  Dictionary d = Dictionary::FromSorted(ValueType::kString, std::move(vals));
+  Dictionary d(std::vector<std::string>{"ant", "bee", "cat", "dog"});
+  EXPECT_EQ(d.type(), ValueType::kString);
   // Order-preserving property: vid order == value order.
   for (ValueId v = 0; v + 1 < d.size(); ++v) {
     EXPECT_LT(d.GetValue(v).Compare(d.GetValue(v + 1)), 0);
+  }
+
+  // Seeded property test: empty strings, 0xFF-heavy strings and embedded
+  // NULs, where a signed-char order or a C-string compare would differ.
+  static constexpr char kAlphabet[] = {'\0', 'a', 'b', '\x7f', '\x80', '\xfe',
+                                       '\xff'};
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Random rng(seed);
+    auto random_string = [&rng] {
+      std::string s(rng.Uniform(6), 'a');
+      for (char& c : s) c = kAlphabet[rng.Uniform(sizeof(kAlphabet))];
+      return s;
+    };
+    const uint64_t n = seed % 6 == 0 ? rng.Uniform(3) : rng.Uniform(300);
+    std::vector<std::string> strings;
+    for (uint64_t i = 0; i < n; ++i) strings.push_back(random_string());
+    if (seed % 2 == 0) {
+      strings.insert(strings.end(), {"", std::string("a\0b", 3), "\xff\xff",
+                                     "\xff"});
+    }
+    std::vector<std::string> probes = {"", std::string(1, '\0'), "\xff",
+                                       std::string(8, '\xff')};
+    for (const std::string& s : strings) {
+      probes.push_back(s);
+      probes.push_back(s + '\0');
+      probes.push_back(s + '\xff');
+      if (!s.empty()) {
+        probes.push_back(s.substr(0, s.size() - 1));
+        std::string up = s;
+        up.back() =
+            static_cast<char>(static_cast<unsigned char>(up.back()) + 1);
+        probes.push_back(up);
+      }
+    }
+    for (int i = 0; i < 50; ++i) probes.push_back(random_string());
+    ExpectDictionaryMatchesReference(strings, probes, &rng);
   }
 }
 
@@ -304,6 +453,21 @@ TEST_F(ResidentFragmentTest, DictionarySearchApis) {
   EXPECT_EQ(*missing, kInvalidValueId);
   EXPECT_EQ(*(*reader)->LowerBoundVid(Value(int64_t{121})), 13u);
   EXPECT_EQ(*(*reader)->UpperBoundVid(Value(int64_t{120})), 13u);
+}
+
+// A resident int64 payload registers 8 bytes per dictionary entry, not a
+// Value's 40: a column of few rows over many distinct values is almost all
+// dictionary.
+TEST_F(ResidentFragmentTest, Int64DictionaryRegistersEightBytesPerEntry) {
+  constexpr uint64_t kEntries = 20000;
+  auto frag = BuildIntFragment("c1", /*rows=*/64, kEntries, false);
+  const uint64_t before = rm_->total_bytes();
+  auto reader = frag->NewReader();
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const uint64_t registered = rm_->total_bytes() - before;
+  EXPECT_GE(registered, 8 * kEntries);
+  EXPECT_LE(registered, 8 * kEntries + 4096);
+  EXPECT_EQ(registered, frag->ResidentBytes());
 }
 
 TEST_F(ResidentFragmentTest, UnloadAndReload) {

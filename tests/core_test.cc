@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "core/column_store.h"
 #include "counter_delta.h"
@@ -194,6 +198,167 @@ TEST_F(ColumnStoreTest, CheckpointAndReopen) {
   auto r = (*table)->SelectByValue("k", Value(std::string("K999999")), {"v"});
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->rows.size(), 1u);
+}
+
+// The key of row i in the tests below.
+std::string Key(int i) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "K%06d", i);
+  return buf;
+}
+
+// Every row 0..rows-1 of `table` answers its point lookup with v == i.
+void ExpectRows(Table* table, int rows) {
+  EXPECT_EQ(table->visible_row_count(), static_cast<uint64_t>(rows));
+  for (int i = 0; i < rows; ++i) {
+    auto r = table->SelectByValue("k", Value(Key(i)), {"v"});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 1u) << "key " << i;
+    EXPECT_EQ(r->rows[0][0].AsInt64(), i);
+  }
+}
+
+// A resident and a paged key/value pair, so both chain kinds are written.
+TableSchema MixedSchema(const std::string& name) {
+  TableSchema schema;
+  schema.name = name;
+  schema.columns = {{"k", ValueType::kString, false, true, true},
+                    {"v", ValueType::kInt64, true, true, false},
+                    {"s", ValueType::kString, true, false, false},
+                    {"d", ValueType::kDouble, false, false, false}};
+  return schema;
+}
+
+Status InsertMixed(Table* table, int from, int to) {
+  for (int i = from; i < to; ++i) {
+    PAYG_RETURN_IF_ERROR(table->Insert({Value(Key(i)), Value(int64_t{i}),
+                                        Value("s" + std::to_string(i % 7)),
+                                        Value(0.5 * i)}));
+  }
+  return Status::OK();
+}
+
+TEST_F(ColumnStoreTest, MergesNeverSyncCheckpointSyncsEveryChain) {
+  {
+    auto store = ColumnStore::Open(Options());
+    ASSERT_TRUE(store.ok());
+    auto table = (*store)->CreateTable(MixedSchema("mixed"));
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(InsertMixed(*table, 0, 300).ok());
+    CounterDelta syncs("storage.sync.files");
+    ASSERT_TRUE((*table)->MergeAll().ok());
+    ASSERT_TRUE(InsertMixed(*table, 300, 400).ok());
+    ASSERT_TRUE((*table)->MergeAll().ok());
+    EXPECT_EQ(syncs(), 0u);
+
+    // The merge left its chains unsynced, a resident .full chain included.
+    std::vector<std::string> unsynced = (*store)->storage().UnsyncedChains();
+    EXPECT_TRUE(std::any_of(
+        unsynced.begin(), unsynced.end(), [](const std::string& name) {
+          return name.size() > 5 && name.substr(name.size() - 5) == ".full";
+        }));
+    ASSERT_TRUE((*store)->Checkpoint().ok());
+    EXPECT_TRUE((*store)->storage().UnsyncedChains().empty());
+    // Each chain, the catalog, and the directory twice.
+    EXPECT_GE(syncs(), unsynced.size() + 3);
+    EXPECT_FALSE(std::filesystem::exists(dir_ + "/__catalog__.tmp"));
+    EXPECT_TRUE(std::filesystem::exists(dir_ + "/__catalog__"));
+  }
+  auto store = ColumnStore::Open(Options());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto table = (*store)->GetTable("mixed");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ExpectRows(*table, 400);
+}
+
+TEST_F(ColumnStoreTest, CheckpointAfterSkippedMergeReopensWithEveryRow) {
+  {
+    auto store = ColumnStore::Open(Options());
+    ASSERT_TRUE(store.ok());
+    TableSchema schema = MixedSchema("skip");
+    schema.temperature_column = 1;
+    auto table = (*store)->CreateTable(schema);
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(InsertMixed(*table, 0, 300).ok());
+    ASSERT_TRUE((*table)->AddColdPartition().ok());
+    ASSERT_TRUE((*table)->AgeRows(Value(int64_t{99})).ok());
+    ASSERT_TRUE((*store)->Checkpoint().ok());
+    const uint64_t cold_generation = (*table)->partition(1)->merge_generation();
+    // Only the hot partition has something to fold.
+    ASSERT_TRUE(InsertMixed(*table, 300, 350).ok());
+    ASSERT_TRUE((*store)->Checkpoint().ok());
+    EXPECT_EQ((*table)->partition(1)->merge_generation(), cold_generation);
+    // Nothing to fold anywhere.
+    const uint64_t hot_generation = (*table)->hot()->merge_generation();
+    ASSERT_TRUE((*store)->Checkpoint().ok());
+    EXPECT_EQ((*table)->hot()->merge_generation(), hot_generation);
+    EXPECT_EQ((*table)->partition(1)->merge_generation(), cold_generation);
+  }
+  auto store = ColumnStore::Open(Options());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto table = (*store)->GetTable("skip");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ((*table)->partition(1)->main_row_count(), 100u);
+  ExpectRows(*table, 350);
+}
+
+TEST_F(ColumnStoreTest, CheckpointOfBulkLoadedPartitionReopensWithEveryRow) {
+  constexpr int kRows = 500;
+  {
+    auto store = ColumnStore::Open(Options());
+    ASSERT_TRUE(store.ok());
+    auto table = (*store)->CreateTable(SimpleSchema("bulk", true));
+    ASSERT_TRUE(table.ok());
+    std::vector<Value> keys, values;
+    std::vector<ValueId> vids;
+    for (int i = 0; i < kRows; ++i) {
+      keys.emplace_back(Key(i));
+      values.emplace_back(int64_t{i});
+      vids.push_back(static_cast<ValueId>(i));
+    }
+    Partition* hot = (*table)->hot();
+    ASSERT_TRUE(hot->BulkLoadColumn(0, keys, vids).ok());
+    ASSERT_TRUE(hot->BulkLoadColumn(1, values, vids).ok());
+    ASSERT_TRUE((*store)->Checkpoint().ok());
+    EXPECT_EQ(hot->merge_generation(), 0u);  // nothing to fold
+    EXPECT_TRUE((*store)->storage().UnsyncedChains().empty());
+  }
+  auto store = ColumnStore::Open(Options());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto table = (*store)->GetTable("bulk");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ((*table)->hot()->merge_generation(), 0u);
+  ExpectRows(*table, kRows);
+}
+
+TEST_F(ColumnStoreTest, LeftoverCatalogTmpDoesNotChangeWhatOpenRestores) {
+  {
+    auto store = ColumnStore::Open(Options());
+    ASSERT_TRUE(store.ok());
+    auto table = (*store)->CreateTable(SimpleSchema("kept", false));
+    ASSERT_TRUE(table.ok());
+    for (int i = 0; i < 120; ++i) {
+      ASSERT_TRUE(
+          (*table)->Insert({Value(Key(i)), Value(int64_t{i})}).ok());
+    }
+    ASSERT_TRUE((*store)->Checkpoint().ok());
+    EXPECT_FALSE(std::filesystem::exists(dir_ + "/__catalog__.tmp"));
+  }
+  // A checkpoint that crashed before its rename leaves a torn tmp file.
+  {
+    std::FILE* f = std::fopen((dir_ + "/__catalog__.tmp").c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const std::string garbage(5000, '\x5a');
+    ASSERT_EQ(std::fwrite(garbage.data(), 1, garbage.size(), f),
+              garbage.size());
+    std::fclose(f);
+  }
+  auto store = ColumnStore::Open(Options());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "/__catalog__.tmp"));
+  auto table = (*store)->GetTable("kept");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ExpectRows(*table, 120);
 }
 
 TEST_F(ColumnStoreTest, FreshDirectoryHasNoCatalog) {

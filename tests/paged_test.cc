@@ -272,7 +272,7 @@ void WriteRawMetaChain(StorageManager* storage, const std::string& name,
   meta.set_type(PageType::kMeta);
   fill(&meta);
   ASSERT_TRUE((*file)->AppendPage(&meta).ok());
-  ASSERT_TRUE((*file)->Sync().ok());
+  ASSERT_TRUE(storage->SyncChains().ok());
 }
 
 TEST_F(PagedTest, DataVectorVersionZeroChainOpensAsPlain) {
@@ -307,7 +307,7 @@ TEST_F(PagedTest, DataVectorVersionZeroChainOpensAsPlain) {
       page.header()->aux2 = aux2;
       ASSERT_TRUE((*file)->AppendPage(&page).ok());
     }
-    ASSERT_TRUE((*file)->Sync().ok());
+    ASSERT_TRUE(storage_->SyncChains().ok());
   }
 
   auto dv = PagedDataVector::Open(storage_.get(), rm_.get(),
@@ -970,6 +970,32 @@ TEST_F(PagedTest, PagedFragmentResidentBytesTrackLoads) {
   // Touch a far row: one more page.
   ASSERT_TRUE((*reader)->GetVid(static_cast<RowPos>(vids.size() - 1)).ok());
   EXPECT_GT((*frag)->ResidentBytes(), partial);
+}
+
+// The whole-loaded numeric dictionary of a paged int64 column registers
+// 8 bytes per entry, not a Value's 40.
+TEST_F(PagedTest, PagedNumericDictionaryRegistersEightBytesPerEntry) {
+  constexpr uint64_t kEntries = 20000;
+  std::vector<Value> dict_values;
+  for (uint64_t i = 0; i < kEntries; ++i) {
+    dict_values.emplace_back(static_cast<int64_t>(i * 3));
+  }
+  auto vids = RandomVids(64, kEntries, 23);
+  auto frag = PagedFragment::Build(storage_.get(), rm_.get(),
+                                   PoolId::kPagedPool, "pf_mem",
+                                   ValueType::kInt64, dict_values, vids,
+                                   false);
+  ASSERT_TRUE(frag.ok()) << frag.status().ToString();
+  (*frag)->Unload();
+  const uint64_t before = rm_->total_bytes();
+  auto reader = (*frag)->NewReader();  // pins the numeric dictionary
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const uint64_t registered = rm_->total_bytes() - before;
+  EXPECT_GE(registered, 8 * kEntries);
+  EXPECT_LE(registered, 8 * kEntries + 4096);
+  auto value = (*reader)->GetValueForVid(kEntries - 1);
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(value->AsInt64(), static_cast<int64_t>((kEntries - 1) * 3));
 }
 
 TEST_F(PagedTest, PagedFragmentUnloadDropsEverything) {

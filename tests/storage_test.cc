@@ -94,7 +94,7 @@ TEST_F(StorageTest, ReopenExistingChain) {
     Page p(4096);
     p.set_payload_size(0);
     ASSERT_TRUE((*file)->AppendPage(&p).ok());
-    ASSERT_TRUE((*file)->Sync().ok());
+    ASSERT_TRUE(storage_->SyncChains().ok());
   }
   auto reopened = storage_->OpenChain("persist", 4096);
   ASSERT_TRUE(reopened.ok());

@@ -13,6 +13,7 @@
 
 #include "buffer/resource_manager.h"
 #include "common/random.h"
+#include "counter_delta.h"
 #include "paged/fragment_factory.h"
 #include "storage/io_backend.h"
 #include "table/table.h"
@@ -360,6 +361,46 @@ TEST_F(TableTest, MergeVacuumsReplacedChains) {
     ASSERT_TRUE(table->MergeAll().ok());
   }
   EXPECT_EQ(count_files(), after_first);
+}
+
+// Every file in the store directory, by name.
+std::map<std::string, std::string> ReadDirectory(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (auto& e : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(e.path(), std::ios::binary);
+    files[e.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return files;
+}
+
+TEST_F(TableTest, SecondMergeAllWithNoChangeTouchesNothing) {
+  for (bool paged : {false, true}) {
+    const std::string name = paged ? "idle_paged" : "idle_resident";
+    auto table = MakeOrders(paged, 200, name);
+    ASSERT_TRUE(table->AddColdPartition().ok());
+    ASSERT_TRUE(table->AgeRows(Value(int64_t{49})).ok());
+    // A partition never merged still merges, so its catalog entry names
+    // chains: the empty cold partition gets generation 1.
+    ASSERT_TRUE(table->AddColdPartition().ok());
+    ASSERT_TRUE(table->MergeAll().ok());
+    ASSERT_EQ(table->partition(2)->merge_generation(), 1u);
+    ASSERT_EQ(table->partition(2)->main_row_count(), 0u);
+
+    std::vector<uint64_t> generations;
+    for (uint32_t p = 0; p < table->partition_count(); ++p) {
+      generations.push_back(table->partition(p)->merge_generation());
+    }
+    const auto files = ReadDirectory(dir_);
+    CounterDelta pages_written("storage.write.pages");
+    ASSERT_TRUE(table->MergeAll().ok());
+    EXPECT_EQ(pages_written(), 0u);
+    for (uint32_t p = 0; p < table->partition_count(); ++p) {
+      EXPECT_EQ(table->partition(p)->merge_generation(), generations[p]);
+    }
+    EXPECT_TRUE(ReadDirectory(dir_) == files) << name;
+    EXPECT_EQ(table->visible_row_count(), 200u);
+  }
 }
 
 TEST_F(TableTest, DeferredIndexColumnThroughTable) {
@@ -1231,12 +1272,32 @@ class MergeDifferentialTest : public TableTest,
     return std::string(std::istreambuf_iterator<char>(in), {});
   }
 
-  // Builds the reference of every partition's next generation into a fresh
-  // store, runs MergeAll, and compares the chain files.
+  static std::string FragmentPrefix(const TableSchema& schema, uint32_t p,
+                                    size_t c, uint64_t generation) {
+    return schema.name + "_p" + std::to_string(p) + "_c" + std::to_string(c) +
+           "_g" + std::to_string(generation) + ".";
+  }
+
+  // A partition with a main for every column, an empty delta and no
+  // deleted row has nothing to fold, so its merge is skipped.
+  static bool FoldsSomething(Partition* part, size_t cols) {
+    for (size_t c = 0; c < cols; ++c) {
+      if (part->main(static_cast<int>(c)) == nullptr) return true;
+    }
+    return part->delta_row_count() > 0 ||
+           part->visible_row_count() != part->row_count();
+  }
+
+  // Builds the reference of the next generation of every partition that
+  // folds something into a fresh store, runs MergeAll, and compares the
+  // chain files. Every other partition must keep its generation and its
+  // chain bytes.
   void MergeAndCompare(Table* table) {
     const std::string ref_dir = dir_ + "_ref";
     std::filesystem::remove_all(ref_dir);
     std::vector<std::string> prefixes;  // "<fragment name>." per new main
+    std::map<uint32_t, uint64_t> kept_generation;
+    std::map<std::string, std::string> kept_bytes;
     {
       auto ref = StorageManager::Open(ref_dir, Options());
       ASSERT_TRUE(ref.ok());
@@ -1247,6 +1308,16 @@ class MergeDifferentialTest : public TableTest,
       };
       for (uint32_t p = 0; p < table->partition_count(); ++p) {
         Partition* part = table->partition(p);
+        if (!FoldsSomething(part, schema.columns.size())) {
+          kept_generation[p] = part->merge_generation();
+          for (size_t c = 0; c < schema.columns.size(); ++c) {
+            for (const std::string& name : FilesWithPrefix(FragmentPrefix(
+                     schema, p, c, part->merge_generation()))) {
+              kept_bytes[name] = ReadFile(dir_ + "/" + name);
+            }
+          }
+          continue;
+        }
         std::vector<std::vector<Value>> rows;
         for (RowPos r = 0; r < part->row_count(); ++r) {
           if (!part->IsVisible(r)) continue;
@@ -1273,11 +1344,10 @@ class MergeDifferentialTest : public TableTest,
           spec.defer_index = cs.defer_index;
           spec.pool = part->cold() ? PoolId::kColdPagedPool
                                    : PoolId::kPagedPool;
-          const std::string name =
-              schema.name + "_p" + std::to_string(p) + "_c" +
-              std::to_string(c) + "_g" +
-              std::to_string(part->merge_generation() + 1);
-          prefixes.push_back(name + ".");
+          std::string name =
+              FragmentPrefix(schema, p, c, part->merge_generation() + 1);
+          prefixes.push_back(name);
+          name.pop_back();  // the trailing '.'
           auto frag = BuildMainFragment(ref->get(), &ref_rm, name, cs.type,
                                         dict, vids, spec);
           ASSERT_TRUE(frag.ok()) << frag.status().ToString();
@@ -1308,6 +1378,14 @@ class MergeDifferentialTest : public TableTest,
           << name << " differs (" << merged[name].size() << " vs "
           << bytes.size() << " bytes)";
     }
+    for (const auto& [p, generation] : kept_generation) {
+      EXPECT_EQ(table->partition(p)->merge_generation(), generation);
+    }
+    for (const auto& [name, bytes] : kept_bytes) {
+      EXPECT_TRUE(ReadFile(dir_ + "/" + name) == bytes)
+          << name << " changed";
+    }
+    skipped_ += kept_generation.size();
     ++merges_;
     std::filesystem::remove_all(ref_dir);
   }
@@ -1322,6 +1400,7 @@ class MergeDifferentialTest : public TableTest,
   }
 
   int merges_ = 0;
+  size_t skipped_ = 0;  // partition merges with nothing to fold
 };
 
 TEST_P(MergeDifferentialTest, ChainsMatchPerRowReferenceByteForByte) {
@@ -1383,6 +1462,8 @@ TEST_P(MergeDifferentialTest, ChainsMatchPerRowReferenceByteForByte) {
   MergeAndCompare(&table);
   EXPECT_GT(table.partition(1)->main_row_count(), 0u);
   EXPECT_EQ(merges_, 7);
+  // The hot partition folds nothing when only the cold one lost rows.
+  EXPECT_EQ(skipped_, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MergeDifferentialTest,
