@@ -4,10 +4,13 @@
 // values. Times the first merge of every row, then alternating rounds of
 // {1000 deletes + 400 inserts, merge} and {empty merge}. Every merge reads
 // the previous generation's freshly built mains back from their files (the
-// OS page cache is warm; there is no latency model).
+// OS page cache is warm; there is no latency model). Also reports the
+// process's peak resident set over the whole run (getrusage).
 //
 // Writes the committed BENCH_merge.json. Knobs: PAYG_ROWS (300000),
 // PAYG_BENCH_JSON (output path; no JSON when unset).
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <fstream>
@@ -49,6 +52,14 @@ double TimedMerge(Table* table) {
   Stopwatch timer;
   CheckOk(table->MergeAll(), "MergeAll");
   return timer.ElapsedMillis();
+}
+
+// Peak resident set of this process so far, in MiB (Linux reports
+// ru_maxrss in KiB).
+double PeakRssMb() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
 double Median(std::vector<double> v) {
@@ -137,8 +148,10 @@ int main() {
                  static_cast<unsigned long long>(*found));
     std::abort();
   }
-  std::printf("merge: churn_merge_ms_median=%.1f empty_merge_ms_median=%.1f\n",
-              Median(churn_ms), Median(empty_ms));
+  const double peak_rss_mb = PeakRssMb();
+  std::printf("merge: churn_merge_ms_median=%.1f empty_merge_ms_median=%.1f "
+              "peak_rss_mb=%.1f\n",
+              Median(churn_ms), Median(empty_ms), peak_rss_mb);
 
   if (const char* path = std::getenv("PAYG_BENCH_JSON")) {
     std::ofstream out(path);
@@ -164,9 +177,13 @@ int main() {
     JsonRuns(out, "churn_merge_ms", churn_ms);
     out << ",\n";
     JsonRuns(out, "empty_merge_ms", empty_ms);
+    std::snprintf(buf, sizeof(buf), ",\n\"peak_rss_mb\":%.1f", peak_rss_mb);
+    out << buf;
     out << ",\n\"note\":\"wall-clock ms per MergeAll on real files (warm OS "
            "cache, no latency model); churn = 1000 deletes + 400 inserts "
-           "since the previous merge, empty = nothing changed\"}\n";
+           "since the previous merge, empty = nothing changed; peak_rss_mb = "
+           "getrusage(RUSAGE_SELF) ru_maxrss over the whole run, inserts "
+           "included\"}\n";
     out.close();
     std::printf("merge: wrote %s\n", path);
   }

@@ -1,4 +1,4 @@
-// Writes the seed corpora for the three fuzz targets. Run from the repo
+// Writes the seed corpora for the four fuzz targets. Run from the repo
 // root (or pass the corpus root as argv[1]):
 //
 //   fuzz_gen_seeds fuzz/corpus
@@ -8,15 +8,24 @@
 // spending their budget rediscovering magic numbers. The generated files
 // are committed; regenerate only when the wire or page formats change.
 
+#include <unistd.h>
+
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "buffer/resource_manager.h"
+#include "common/random.h"
 #include "encoding/codec.h"
+#include "paged/paged_numeric_dictionary.h"
 #include "server/wire.h"
+#include "storage/storage_manager.h"
 
 namespace fs = std::filesystem;
 namespace wire = payg::server::wire;
@@ -218,15 +227,119 @@ void GenCodecSeeds(const fs::path& dir) {
   WriteSeed(dir, "plain_single", CodecSeed(payg::CodecId::kPlain, one));
 }
 
+// One numeric dictionary page in fuzz_numdict_page's framing.
+std::string NumDictSeed(uint32_t count, uint32_t width, uint64_t per_page,
+                        const payg::NumericDictFence& fence, uint64_t probe,
+                        const uint8_t* payload, uint32_t payload_size) {
+  std::string out;
+  PutBytes(&out, &count, 4);
+  PutBytes(&out, &width, 4);
+  PutBytes(&out, &per_page, 8);
+  PutBytes(&out, &fence.base, 8);
+  PutBytes(&out, &fence.stride, 8);
+  PutBytes(&out, &probe, 8);
+  out.append(reinterpret_cast<const char*>(payload), payload_size);
+  return out;
+}
+
+template <typename T>
+T CheckOk(payg::Result<T> r, const char* what) {
+  if (!r.ok()) {
+    std::fprintf(stderr, "%s: %s\n", what, r.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(*r);
+}
+
+// Builds real paged numeric dictionaries in a scratch store and frames
+// page 0 of each, plus three pages every parser check must reject.
+void GenNumDictSeeds(const fs::path& dir) {
+  const fs::path store = fs::temp_directory_path() /
+                         ("payg_gen_seeds_" + std::to_string(::getpid()));
+  payg::StorageOptions opts;
+  opts.page_size = 4096;
+  payg::ResourceManager rm;
+  auto storage = CheckOk(payg::StorageManager::Open(store.string(), opts),
+                         "open scratch store");
+  std::string dense_seed;
+  auto emit = [&](const std::string& name, payg::ValueType type,
+                  const std::vector<payg::Value>& values) {
+    std::vector<uint64_t> keys;
+    for (const payg::Value& v : values) keys.push_back(payg::NumericKey(v));
+    auto dict = CheckOk(payg::PagedNumericDictionary::Build(
+                            storage.get(), &rm, payg::PoolId::kPagedPool,
+                            name, type, keys),
+                        "build numeric dictionary");
+    auto file = CheckOk(storage->OpenChain(name + ".ndict", dict->page_size()),
+                        "open numeric dictionary chain");
+    payg::Page page(dict->page_size());
+    if (!file->ReadPage(0, &page).ok()) std::exit(1);
+    std::string seed = NumDictSeed(
+        page.header()->aux, page.header()->aux2, dict->values_per_page(),
+        dict->fences()[0], keys[keys.size() / 2] + 1, page.payload(),
+        page.payload_size());
+    WriteSeed(dir, name, seed);
+    return seed;
+  };
+
+  std::vector<payg::Value> values;
+  for (int64_t i = 0; i < 1000; ++i) values.emplace_back(3 * i - 1500);
+  dense_seed = emit("dense_stride3", payg::ValueType::kInt64, values);
+
+  values.clear();
+  for (int64_t i = 0; i < 10000; ++i) {
+    if (i % 97 != 5) values.emplace_back(i);
+  }
+  emit("holes", payg::ValueType::kInt64, values);
+
+  values.clear();
+  payg::Random rng(21);
+  int64_t v = -1000000;
+  for (int i = 0; i < 2000; ++i) {
+    v += 1 + static_cast<int64_t>(rng.Uniform(1000));
+    values.emplace_back(v);
+  }
+  emit("random_gaps", payg::ValueType::kInt64, values);
+
+  values.clear();
+  for (int e = -300; e < 300; e += 2) {
+    const double mantissa =
+        1.0 + static_cast<double>(rng.Uniform(1 << 20)) / (1 << 20);
+    values.emplace_back(std::ldexp(mantissa, e));
+  }
+  emit("raw_doubles", payg::ValueType::kDouble, values);
+
+  emit("single", payg::ValueType::kInt64, {payg::Value(int64_t{42})});
+
+  // Rejected shapes, so mutation starts on both sides of every check:
+  // width 33, a count above the values per page, a short payload.
+  std::string bad = dense_seed;
+  const uint32_t width33 = 33;
+  std::memcpy(bad.data() + 4, &width33, 4);
+  WriteSeed(dir, "bad_width", bad);
+  bad = dense_seed;
+  uint64_t per_page = 0;
+  std::memcpy(&per_page, bad.data() + 8, 8);
+  const uint32_t over = static_cast<uint32_t>(per_page + 1);
+  std::memcpy(bad.data(), &over, 4);
+  WriteSeed(dir, "count_over_n", bad);
+  WriteSeed(dir, "short_payload", dense_seed.substr(0, 40 + 64));
+
+  storage.reset();
+  fs::remove_all(store);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const fs::path root = argc > 1 ? argv[1] : "fuzz/corpus";
-  for (const char* sub : {"wire_decode", "meta_page", "codec_page"}) {
+  for (const char* sub :
+       {"wire_decode", "meta_page", "codec_page", "numdict_page"}) {
     fs::create_directories(root / sub);
   }
   GenWireSeeds(root / "wire_decode");
   GenMetaSeeds(root / "meta_page");
   GenCodecSeeds(root / "codec_page");
+  GenNumDictSeeds(root / "numdict_page");
   return 0;
 }

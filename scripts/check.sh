@@ -49,10 +49,10 @@ cmake --build "$BUILD-tsan" -j --target buffer_test exec_test obs_test profile_t
 "$BUILD-tsan"/tests/core_test
 "$BUILD-tsan"/tests/server_test
 
-echo "== ASan+UBSan build: buffer + cache-stress + columnar + core + codec + crc32 + profile + server + table + exec + integration + paged + encoding suites =="
+echo "== ASan+UBSan build: buffer + cache-stress + columnar + core + codec + crc32 + profile + server + table + exec + integration + paged + encoding + storage suites =="
 cmake -B "$BUILD-asan" -S . -DPAYG_SANITIZE=address+undefined >/dev/null
 cmake --build "$BUILD-asan" -j --target buffer_test cache_stress_test columnar_test core_test codec_test crc32_test \
-  profile_test server_test table_test exec_test integration_test paged_test encoding_test
+  profile_test server_test table_test exec_test integration_test paged_test encoding_test storage_test
 "$BUILD-asan"/tests/buffer_test
 "$BUILD-asan"/tests/cache_stress_test
 "$BUILD-asan"/tests/columnar_test
@@ -67,5 +67,6 @@ PAYG_FORCE_SCALAR=1 "$BUILD-asan"/tests/crc32_test
 "$BUILD-asan"/tests/integration_test
 "$BUILD-asan"/tests/paged_test
 "$BUILD-asan"/tests/encoding_test
+"$BUILD-asan"/tests/storage_test
 
 echo "check.sh: all green"

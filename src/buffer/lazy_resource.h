@@ -15,7 +15,7 @@ namespace payg {
 
 // An object loaded on first use and registered with the resource manager as
 // one resource: a fully resident column's payload, or a paged structure's
-// page summary, dictionary helpers or numeric dictionary. Pin() returns the
+// page summary or dictionary helpers. Pin() returns the
 // resident object pinned, or loads, registers and installs a fresh one;
 // eviction drops it and the next Pin() loads it again. A caller keeps the
 // object alive through its shared_ptr and off the victim list through its

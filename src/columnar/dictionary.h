@@ -20,7 +20,9 @@ class ChainByteWriter;
 // Order-preserving in-memory main dictionary (§2): values are sorted and
 // value identifiers are assigned in the same order, so vid comparison is
 // value comparison. This is the dictionary of a fully loadable (default)
-// column and the whole-loaded numeric dictionary of a page loadable one.
+// column; a page loadable column pages its dictionary instead
+// (PagedDictionary for strings, PagedNumericDictionary for numbers), and
+// Read() also opens the values a legacy paged numeric meta chain embeds.
 //
 // The values live in one typed array, so a numeric entry costs 8 bytes, not
 // a Value. Lookups binary-search it with the element type's `<`, which on

@@ -41,8 +41,9 @@ Result<std::unique_ptr<MainFragment>> OpenMainFragment(
 }
 
 void DropFragmentChains(StorageManager* storage, const std::string& name) {
-  static const char* kSuffixes[] = {".full", ".pmeta",   ".dv",  ".dvsum",
-                                    ".dict", ".dicthlp", ".idx"};
+  static const char* kSuffixes[] = {".full",    ".pmeta", ".dv",
+                                    ".dvsum",   ".dict",  ".dicthlp",
+                                    ".ndict",   ".idx"};
   for (const char* suffix : kSuffixes) {
     // Best-effort cleanup: a fragment never creates every chain kind, so
     // NotFound is the common case and nothing actionable hides in the rest.

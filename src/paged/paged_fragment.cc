@@ -1,5 +1,6 @@
 #include "paged/paged_fragment.h"
 
+#include "columnar/dictionary.h"
 #include "exec/exec_context.h"
 #include "storage/byte_stream.h"
 
@@ -9,24 +10,34 @@ namespace {
 
 std::string MetaChainName(const std::string& name) { return name + ".pmeta"; }
 
+// The meta chain opens with this format byte. A stream written before the
+// numeric dictionary was paged opens with its ValueType byte (0-2)
+// instead, and embeds a numeric column's dictionary values.
+constexpr uint8_t kMetaVersion = 0x81;
+
+// Order-preserving keys of a sorted numeric dictionary.
+std::vector<uint64_t> NumericKeys(const std::vector<Value>& values) {
+  std::vector<uint64_t> keys;
+  keys.reserve(values.size());
+  for (const Value& v : values) keys.push_back(NumericKey(v));
+  return keys;
+}
+
 }  // namespace
 
 // Per-query reader over a paged fragment. Owns one iterator per paged
-// structure; all pins (current data-vector page, dictionary handle cache,
-// index cursor pages, numeric dictionary) release when the reader dies.
+// structure; all pins (current data-vector page, dictionary handle caches,
+// index cursor pages) release when the reader dies.
 class PagedReader : public FragmentReader {
  public:
-  PagedReader(PagedFragment* frag, ExecContext* ctx,
-              std::shared_ptr<Dictionary> num_dict,
-              PinnedResource num_dict_pin)
-      : frag_(frag),
-        ctx_(ctx),
-        dv_it_(frag->data_.get(), ctx),
-        num_dict_(std::move(num_dict)),
-        num_dict_pin_(std::move(num_dict_pin)) {
+  PagedReader(PagedFragment* frag, ExecContext* ctx)
+      : frag_(frag), ctx_(ctx), dv_it_(frag->data_.get(), ctx) {
     if (frag_->dict_ != nullptr) {
       dict_it_ = std::make_unique<PagedDictionaryIterator>(frag_->dict_.get(),
                                                            ctx);
+    } else {
+      num_it_ = std::make_unique<PagedNumericDictionaryIterator>(
+          frag_->num_dict_.get(), ctx);
     }
   }
 
@@ -79,7 +90,7 @@ class PagedReader : public FragmentReader {
       if (!s.ok()) return s.status();
       return Value(std::move(*s));
     }
-    return num_dict_->GetValue(vid);
+    return num_it_->GetValue(vid);
   }
 
   Status MGetValues(ValueId from, ValueId to,
@@ -87,10 +98,7 @@ class PagedReader : public FragmentReader {
     if (from > to || to > frag_->dict_size_) {
       return Status::OutOfRange("value id range");
     }
-    if (dict_it_ == nullptr) {
-      num_dict_->AppendValues(from, to, out);
-      return Status::OK();
-    }
+    if (num_it_ != nullptr) return num_it_->MGetValues(from, to, out);
     std::vector<std::string> strings;
     PAYG_RETURN_IF_ERROR(dict_it_->MGetValues(from, to, &strings));
     out->reserve(out->size() + strings.size());
@@ -102,18 +110,17 @@ class PagedReader : public FragmentReader {
     if (dict_it_ != nullptr) {
       return dict_it_->FindByValue(value.AsString());
     }
-    auto v = num_dict_->FindValueId(value);
-    return v.has_value() ? *v : kInvalidValueId;
+    return num_it_->FindValueId(value);
   }
 
   Result<ValueId> LowerBoundVid(const Value& value) override {
     if (dict_it_ != nullptr) return dict_it_->LowerBound(value.AsString());
-    return num_dict_->LowerBound(value);
+    return num_it_->LowerBound(value);
   }
 
   Result<ValueId> UpperBoundVid(const Value& value) override {
     if (dict_it_ != nullptr) return dict_it_->UpperBound(value.AsString());
-    return num_dict_->UpperBound(value);
+    return num_it_->UpperBound(value);
   }
 
  private:
@@ -121,9 +128,8 @@ class PagedReader : public FragmentReader {
   ExecContext* ctx_;
   PagedDataVectorIterator dv_it_;
   std::unique_ptr<PagedDictionaryIterator> dict_it_;
+  std::unique_ptr<PagedNumericDictionaryIterator> num_it_;
   std::unique_ptr<PagedIndexIterator> idx_it_;
-  std::shared_ptr<Dictionary> num_dict_;
-  PinnedResource num_dict_pin_;
 };
 
 Result<std::unique_ptr<PagedFragment>> PagedFragment::Build(
@@ -137,28 +143,32 @@ Result<std::unique_ptr<PagedFragment>> PagedFragment::Build(
   frag->storage_ = storage;
   frag->rm_ = rm;
   frag->pool_ = pool;
-  frag->num_dict_ = std::make_unique<LazyResource<Dictionary>>(
-      rm, name + ".numdict", Disposition::kPagedAttribute, pool);
   frag->type_ = type;
   frag->row_count_ = vids.size();
   frag->dict_size_ = sorted_dict_values.size();
   frag->index_mode_ = index_mode;
   frag->index_build_threshold_ = index_build_threshold;
 
-  // Meta chain: fragment header plus, for numeric columns, the dictionary
-  // values themselves.
+  if (type != ValueType::kString) {
+    PAYG_ASSIGN_OR_RETURN(
+        frag->num_dict_,
+        PagedNumericDictionary::Build(storage, rm, pool, name, type,
+                                      NumericKeys(sorted_dict_values)));
+  }
+
+  // Meta chain: format version, fragment header and, for numeric columns,
+  // the dictionary's geometry and fence.
   {
     PAYG_ASSIGN_OR_RETURN(
         auto mfile, storage->CreateChain(MetaChainName(name),
                                          storage->options().page_size));
     ChainByteWriter w(mfile.get());
+    w.PutU8(kMetaVersion);
     w.PutU8(static_cast<uint8_t>(type));
     w.PutU8(static_cast<uint8_t>(index_mode));
     w.PutU64(vids.size());
     w.PutU64(sorted_dict_values.size());
-    if (type != ValueType::kString) {
-      Dictionary::Write(&w, type, sorted_dict_values);
-    }
+    if (frag->num_dict_ != nullptr) frag->num_dict_->WriteGeometry(&w);
     PAYG_RETURN_IF_ERROR(w.Finish());
   }
 
@@ -194,8 +204,6 @@ Result<std::unique_ptr<PagedFragment>> PagedFragment::Open(
   frag->storage_ = storage;
   frag->rm_ = rm;
   frag->pool_ = pool;
-  frag->num_dict_ = std::make_unique<LazyResource<Dictionary>>(
-      rm, name + ".numdict", Disposition::kPagedAttribute, pool);
 
   {
     PAYG_ASSIGN_OR_RETURN(
@@ -203,11 +211,45 @@ Result<std::unique_ptr<PagedFragment>> PagedFragment::Open(
                                        storage->options().page_size));
     ChainByteReader r(mfile.get());
     PAYG_ASSIGN_OR_RETURN(uint8_t type, r.GetU8());
+    const bool legacy = type <= static_cast<uint8_t>(ValueType::kString);
+    if (!legacy && type != kMetaVersion) {
+      return Status::Corruption("fragment meta " + name +
+                                ": unknown format version " +
+                                std::to_string(type));
+    }
+    if (!legacy) {
+      PAYG_ASSIGN_OR_RETURN(type, r.GetU8());
+    }
     PAYG_ASSIGN_OR_RETURN(uint8_t index_mode, r.GetU8());
     PAYG_ASSIGN_OR_RETURN(frag->row_count_, r.GetU64());
     PAYG_ASSIGN_OR_RETURN(frag->dict_size_, r.GetU64());
+    if (type > static_cast<uint8_t>(ValueType::kString) ||
+        index_mode > static_cast<uint8_t>(IndexMode::kDeferred) ||
+        frag->dict_size_ > kInvalidValueId) {
+      return Status::Corruption("fragment meta " + name +
+                                ": type, index mode or dictionary size out "
+                                "of range");
+    }
     frag->type_ = static_cast<ValueType>(type);
     frag->index_mode_ = static_cast<IndexMode>(index_mode);
+    if (frag->type_ != ValueType::kString && !legacy) {
+      PAYG_ASSIGN_OR_RETURN(
+          frag->num_dict_,
+          PagedNumericDictionary::Open(storage, rm, pool, name, frag->type_,
+                                       frag->dict_size_, &r));
+    }
+    if (frag->type_ != ValueType::kString && legacy) {
+      // A legacy stream embeds the values. The paged chain is rebuilt from
+      // them at every open and never trusted across opens.
+      PAYG_ASSIGN_OR_RETURN(
+          Dictionary dict, Dictionary::Read(&r, frag->type_, frag->dict_size_));
+      std::vector<Value> values;
+      dict.AppendValues(0, static_cast<ValueId>(dict.size()), &values);
+      PAYG_ASSIGN_OR_RETURN(
+          frag->num_dict_,
+          PagedNumericDictionary::Build(storage, rm, pool, name, frag->type_,
+                                        NumericKeys(values)));
+    }
   }
 
   PAYG_ASSIGN_OR_RETURN(frag->data_,
@@ -225,30 +267,6 @@ Result<std::unique_ptr<PagedFragment>> PagedFragment::Open(
     if (idx.ok()) frag->index_ = std::move(*idx);
   }
   return frag;
-}
-
-Result<std::shared_ptr<Dictionary>> PagedFragment::PinNumericDict(
-    PinnedResource* pin) {
-  PAYG_ASSERT(type_ != ValueType::kString);
-  return num_dict_->Pin(pin, [this] { return LoadNumericDict(); });
-}
-
-Result<std::shared_ptr<Dictionary>> PagedFragment::LoadNumericDict() const {
-  PAYG_ASSIGN_OR_RETURN(
-      auto mfile, storage_->OpenChain(MetaChainName(name_),
-                                      storage_->options().page_size));
-  ChainByteReader r(mfile.get());
-  PAYG_ASSIGN_OR_RETURN(uint8_t type, r.GetU8());
-  (void)type;
-  PAYG_ASSIGN_OR_RETURN(uint8_t has_index, r.GetU8());
-  (void)has_index;
-  uint64_t rows, dict_size;
-  PAYG_ASSIGN_OR_RETURN(rows, r.GetU64());
-  (void)rows;
-  PAYG_ASSIGN_OR_RETURN(dict_size, r.GetU64());
-  PAYG_ASSIGN_OR_RETURN(Dictionary dict,
-                        Dictionary::Read(&r, type_, dict_size));
-  return std::make_shared<Dictionary>(std::move(dict));
 }
 
 Status PagedFragment::MaybeRebuildIndex() {
@@ -282,23 +300,17 @@ Status PagedFragment::RebuildIndexNow() {
 
 Result<std::unique_ptr<FragmentReader>> PagedFragment::NewReader(
     ExecContext* ctx) {
-  std::shared_ptr<Dictionary> num_dict;
-  PinnedResource num_pin;
-  if (type_ != ValueType::kString) {
-    PAYG_ASSIGN_OR_RETURN(num_dict, PinNumericDict(&num_pin));
-  }
-  return std::unique_ptr<FragmentReader>(
-      new PagedReader(this, ctx, std::move(num_dict), std::move(num_pin)));
+  return std::unique_ptr<FragmentReader>(new PagedReader(this, ctx));
 }
 
 void PagedFragment::Unload() {
   if (data_ != nullptr) data_->Unload();
   if (dict_ != nullptr) dict_->Unload();
+  if (num_dict_ != nullptr) num_dict_->Unload();
   {
     MutexLock lock(index_mu_);
     if (index_ != nullptr) index_->Unload();
   }
-  if (num_dict_ != nullptr) num_dict_->Unload();
 }
 
 uint64_t PagedFragment::ResidentBytes() const {
@@ -311,6 +323,7 @@ uint64_t PagedFragment::ResidentBytes() const {
     bytes += dict_->cache()->loaded_page_count() *
              storage_->options().dict_page_size;
   }
+  if (num_dict_ != nullptr) bytes += num_dict_->ResidentBytes();
   {
     MutexLock lock(index_mu_);
     if (index_ != nullptr) {
@@ -318,7 +331,6 @@ uint64_t PagedFragment::ResidentBytes() const {
                storage_->options().page_size;
     }
   }
-  if (auto num_dict = num_dict_->resident()) bytes += num_dict->MemoryBytes();
   return bytes;
 }
 

@@ -8,24 +8,21 @@
 
 #include "common/thread_annotations.h"
 
-#include "buffer/lazy_resource.h"
 #include "buffer/resource_manager.h"
-#include "columnar/dictionary.h"
 #include "columnar/fragment.h"
 #include "paged/paged_data_vector.h"
 #include "paged/paged_dictionary.h"
 #include "paged/paged_inverted_index.h"
+#include "paged/paged_numeric_dictionary.h"
 
 namespace payg {
 
 // Main fragment of a *page loadable* column: its data vector, dictionary and
 // optional inverted index are all loaded and evicted one page at a time.
 //
-// String columns use the paged dictionary of §3.2. Numeric dictionaries are
-// small (the paper pages dictionaries "for data types for which the memory
-// footprint is noticeable — CHAR and VARCHAR"); they are persisted in the
-// fragment's meta chain and loaded whole on first access, registered as a
-// single paged-attribute resource.
+// String columns use the paged dictionary of §3.2. Int64 and double columns
+// use the paged numeric dictionary: strided frame-of-reference pages of
+// order-preserving keys, whose fence sits in the fragment's meta chain.
 class PagedFragment : public MainFragment {
  public:
   // How the optional inverted index is materialized.
@@ -92,6 +89,7 @@ class PagedFragment : public MainFragment {
 
   PagedDataVector* data_vector() { return data_.get(); }
   PagedDictionary* paged_dictionary() { return dict_.get(); }
+  PagedNumericDictionary* numeric_dictionary() { return num_dict_.get(); }
   PagedInvertedIndex* inverted_index() {
     MutexLock lock(index_mu_);
     return index_.get();
@@ -101,10 +99,6 @@ class PagedFragment : public MainFragment {
   friend class PagedReader;
 
   PagedFragment() = default;
-
-  // Loads (or returns) the resident numeric dictionary, pinned.
-  Result<std::shared_ptr<Dictionary>> PinNumericDict(PinnedResource* pin);
-  Result<std::shared_ptr<Dictionary>> LoadNumericDict() const;
 
   std::string name_;
   StorageManager* storage_ = nullptr;
@@ -124,6 +118,7 @@ class PagedFragment : public MainFragment {
 
   std::unique_ptr<PagedDataVector> data_;
   std::unique_ptr<PagedDictionary> dict_;    // string columns
+  std::unique_ptr<PagedNumericDictionary> num_dict_;  // int64/double columns
   // index_mu_ guards the deferred-rebuild publication of the index; the
   // PagedInvertedIndex object itself is internally thread-safe once built.
   mutable Mutex index_mu_;
@@ -131,9 +126,6 @@ class PagedFragment : public MainFragment {
   IndexMode index_mode_ = IndexMode::kNone;
   uint32_t index_build_threshold_ = 1;
   std::atomic<uint64_t> point_lookups_{0};
-
-  // The whole-loaded numeric dictionary (numeric columns).
-  std::unique_ptr<LazyResource<Dictionary>> num_dict_;
 };
 
 }  // namespace payg

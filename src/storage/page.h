@@ -28,6 +28,7 @@ enum class PageType : uint16_t {
   kIndexDirectory = 7,    // inverted index: offset blocks
   kIndexMixed = 8,        // postinglist block followed by directory block
   kMeta = 9,              // structure-level metadata
+  kNumericDictionary = 10,  // strided-FOR keys of a numeric dictionary
 };
 
 // Fixed 64-byte header at the start of every persisted page.

@@ -6,8 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "buffer/resource_manager.h"
 #include "core/column_store.h"
 #include "counter_delta.h"
+#include "paged/paged_fragment.h"
+#include "storage/byte_stream.h"
 #include "workload/erp.h"
 
 namespace payg {
@@ -329,6 +332,182 @@ TEST_F(ColumnStoreTest, CheckpointOfBulkLoadedPartitionReopensWithEveryRow) {
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   EXPECT_EQ((*table)->hot()->merge_generation(), 0u);
   ExpectRows(*table, kRows);
+}
+
+// Paged int64 and double columns beside a paged string key. Rows whose i
+// is at most -1500 age into a cold partition.
+TableSchema NumericSchema(const std::string& name) {
+  TableSchema schema;
+  schema.name = name;
+  schema.columns = {{"k", ValueType::kString, true, true, true},
+                    {"i", ValueType::kInt64, true, true, false},
+                    {"d", ValueType::kDouble, true, false, false}};
+  schema.temperature_column = 1;
+  return schema;
+}
+
+Status InsertNumeric(Table* table, int from, int to) {
+  for (int r = from; r < to; ++r) {
+    PAYG_RETURN_IF_ERROR(table->Insert(
+        {Value(Key(r)), Value(int64_t{(r * 7919) % 5003 - 2500}),
+         Value(0.25 * (r % 977) - 100.0)}));
+  }
+  return Status::OK();
+}
+
+// A two-partition store of NumericSchema("num"), checkpointed.
+Status BuildNumericStore(ColumnStore* store) {
+  PAYG_ASSIGN_OR_RETURN(Table * table,
+                        store->CreateTable(NumericSchema("num")));
+  PAYG_RETURN_IF_ERROR(InsertNumeric(table, 0, 2000));
+  PAYG_RETURN_IF_ERROR(table->MergeAll());
+  PAYG_RETURN_IF_ERROR(table->AddColdPartition());
+  PAYG_RETURN_IF_ERROR(table->AgeRows(Value(int64_t{-1500})).status());
+  PAYG_RETURN_IF_ERROR(InsertNumeric(table, 2000, 3000));
+  return store->Checkpoint();
+}
+
+// Every Table entry point that probes, bounds or decodes the numeric
+// dictionaries, rendered as text.
+std::vector<std::string> NumericAnswers(Table* t) {
+  std::vector<std::string> out;
+  auto rows = [&out](const Result<QueryResult>& r) {
+    std::string s = r.ok() ? "" : r.status().ToString();
+    if (r.ok()) {
+      for (const auto& row : r->rows) {
+        for (const Value& v : row) s += v.ToString() + ",";
+        s += ";";
+      }
+    }
+    out.push_back(s);
+  };
+  auto number = [&out](const auto& r) {
+    out.push_back(r.ok() ? std::to_string(*r) : r.status().ToString());
+  };
+  for (int64_t i : {-2500, -1600, -1, 0, 17, 2502, 9999}) {
+    rows(t->SelectByValue("i", Value(i), {"k", "d"}));
+    number(t->CountByValue("i", Value(i)));
+  }
+  for (double d : {-100.0, -0.0, 0.25, 143.75, 1e9}) {
+    rows(t->SelectByValue("d", Value(d), {"k", "i"}));
+  }
+  rows(t->SelectRange("i", Value(int64_t{-1700}), Value(int64_t{-1650}),
+                      {"k", "d"}));
+  number(t->SumRange("d", Value(-10.0), Value(10.0), "i"));
+  number(t->SumRange("i", Value(int64_t{100}), Value(int64_t{900}), "d"));
+  rows(t->SelectIn("i",
+                   {Value(int64_t{-2000}), Value(int64_t{5}),
+                    Value(int64_t{2400})},
+                   {"k"}));
+  number(t->CountIn("d", {Value(-99.75), Value(0.0), Value(3.5)}));
+  rows(t->SelectWhere({Predicate::Between("d", Value(-50.0), Value(-40.0)),
+                       Predicate::Between("i", Value(int64_t{0}),
+                                          Value(int64_t{300}))},
+                      {"k", "i", "d"}));
+  number(t->CountWhere({Predicate::Between("i", Value(int64_t{-2500}),
+                                           Value(int64_t{-1500})),
+                        Predicate::Between("d", Value(-100.0),
+                                           Value(100.0))}));
+  return out;
+}
+
+TEST_F(ColumnStoreTest, PagedNumericColumnsAnswerAlikeAfterRestart) {
+  std::vector<std::string> before;
+  {
+    auto store = ColumnStore::Open(Options());
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(BuildNumericStore(store->get()).ok());
+    auto table = (*store)->GetTable("num");
+    ASSERT_TRUE(table.ok());
+    ASSERT_EQ((*table)->partition_count(), 2u);
+    before = NumericAnswers(*table);
+    EXPECT_NE(before[1], "0");  // CountByValue(i = -1600) finds cold rows
+  }
+  int ndict_chains = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    ndict_chains += entry.path().extension() == ".ndict" ? 1 : 0;
+  }
+  EXPECT_EQ(ndict_chains, 4);  // i and d, hot and cold
+  auto store = ColumnStore::Open(Options());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto table = (*store)->GetTable("num");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(NumericAnswers(*table), before);
+}
+
+// A store whose numeric meta chains predate the paged numeric dictionary
+// reopens and answers as before. The rewritten chains have the old layout:
+// u8 type, u8 index mode, u64 rows, u64 dictionary size, then the values
+// as raw 8-byte words, and no .ndict chain beside them.
+TEST_F(ColumnStoreTest, LegacyNumericMetaReopensWithTheSameAnswers) {
+  std::vector<std::string> before;
+  {
+    auto store = ColumnStore::Open(Options());
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(BuildNumericStore(store->get()).ok());
+    auto table = (*store)->GetTable("num");
+    ASSERT_TRUE(table.ok());
+    before = NumericAnswers(*table);
+  }
+  {
+    const StorageOptions opts = Options().storage;
+    auto storage = StorageManager::Open(dir_, opts);
+    ASSERT_TRUE(storage.ok());
+    ResourceManager rm;
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      if (entry.path().extension() == ".pmeta") {
+        names.push_back(entry.path().stem().string());
+      }
+    }
+    int rewritten = 0;
+    for (const std::string& name : names) {
+      ValueType type;
+      PagedFragment::IndexMode mode;
+      uint64_t rows;
+      std::vector<Value> values;
+      {
+        auto frag = PagedFragment::Open(storage->get(), &rm,
+                                        PoolId::kPagedPool, name);
+        ASSERT_TRUE(frag.ok()) << frag.status().ToString();
+        type = (*frag)->type();
+        mode = (*frag)->index_mode();
+        rows = (*frag)->row_count();
+        if (type == ValueType::kString) continue;
+        auto reader = (*frag)->NewReader();
+        ASSERT_TRUE(reader.ok());
+        ASSERT_TRUE((*reader)
+                        ->MGetValues(0, static_cast<ValueId>(
+                                            (*frag)->dict_size()),
+                                     &values)
+                        .ok());
+      }
+      auto file = (*storage)->CreateChain(name + ".pmeta", opts.page_size);
+      ASSERT_TRUE(file.ok());
+      ChainByteWriter w(file->get());
+      w.PutU8(static_cast<uint8_t>(type));
+      w.PutU8(static_cast<uint8_t>(mode));
+      w.PutU64(rows);
+      w.PutU64(values.size());
+      for (const Value& v : values) {
+        if (type == ValueType::kInt64) {
+          w.PutI64(v.AsInt64());
+        } else {
+          w.PutDouble(v.AsDouble());
+        }
+      }
+      ASSERT_TRUE(w.Finish().ok());
+      ASSERT_TRUE((*storage)->DropChain(name + ".ndict").ok());
+      ++rewritten;
+    }
+    ASSERT_TRUE((*storage)->SyncChains().ok());
+    EXPECT_EQ(rewritten, 4);
+  }
+  auto store = ColumnStore::Open(Options());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto table = (*store)->GetTable("num");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(NumericAnswers(*table), before);
 }
 
 TEST_F(ColumnStoreTest, LeftoverCatalogTmpDoesNotChangeWhatOpenRestores) {

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
+#include <optional>
+#include <type_traits>
 
 #include "buffer/resource_manager.h"
+#include "columnar/dictionary.h"
 #include "common/random.h"
 #include "counter_delta.h"
 #include "exec/exec_context.h"
@@ -15,6 +20,8 @@
 #include "paged/paged_dictionary.h"
 #include "paged/paged_fragment.h"
 #include "paged/paged_inverted_index.h"
+#include "paged/paged_numeric_dictionary.h"
+#include "storage/byte_stream.h"
 
 namespace payg {
 namespace {
@@ -888,6 +895,553 @@ TEST_F(PagedTest, InvertedIndexReopen) {
 }
 
 // ---------------------------------------------------------------------------
+// PagedNumericDictionary
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
+constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kSub = std::numeric_limits<double>::denorm_min();
+
+// `values` sorted and deduplicated in Value::Compare order (-0.0 == 0.0).
+template <typename T>
+std::vector<T> SortedUnique(std::vector<T> values) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  return values;
+}
+
+template <typename T>
+Result<std::unique_ptr<PagedNumericDictionary>> BuildNumericDict(
+    StorageManager* storage, ResourceManager* rm, const std::string& name,
+    const std::vector<T>& sorted) {
+  std::vector<uint64_t> keys;
+  for (const T& v : sorted) keys.push_back(NumericKey(Value(v)));
+  return PagedNumericDictionary::Build(storage, rm, PoolId::kPagedPool, name,
+                                       Value(T{}).type(), keys);
+}
+
+// Every value of `values`, its neighbours, and the type's extremes.
+template <typename T>
+std::vector<T> ProbesAround(const std::vector<T>& values) {
+  std::vector<T> probes;
+  if constexpr (std::is_same_v<T, int64_t>) {
+    probes = {kI64Min, kI64Min + 1, -1, 0, 1, kI64Max - 1, kI64Max};
+    for (int64_t v : values) {
+      probes.push_back(v);
+      if (v != kI64Min) probes.push_back(v - 1);
+      if (v != kI64Max) probes.push_back(v + 1);
+    }
+  } else {
+    probes = {-kInf, kInf, -0.0, 0.0, kSub, -kSub,
+              std::numeric_limits<double>::min(),
+              std::numeric_limits<double>::max(),
+              std::numeric_limits<double>::lowest()};
+    for (double v : values) {
+      probes.push_back(v);
+      probes.push_back(std::nextafter(v, kInf));
+      probes.push_back(std::nextafter(v, -kInf));
+      if (v == 0.0) probes.push_back(-v);
+    }
+  }
+  return probes;
+}
+
+// Checks the paged dictionary of `sorted` against the resident Dictionary
+// over the same values: GetValue of every vid, MGetValues over the whole
+// range and random ranges, and FindValueId / LowerBound / UpperBound of
+// every probe.
+template <typename T>
+void ExpectPagedMatchesDictionary(PagedNumericDictionary* paged,
+                                  const std::vector<T>& sorted, Random* rng) {
+  const Dictionary ref(sorted);
+  ASSERT_EQ(paged->size(), ref.size());
+  PagedNumericDictionaryIterator it(paged);
+  for (ValueId vid = 0; vid < ref.size(); ++vid) {
+    auto got = it.GetValue(vid);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(*got, ref.GetValue(vid)) << "vid " << vid;
+  }
+  EXPECT_TRUE(it.GetValue(static_cast<ValueId>(ref.size()))
+                  .status()
+                  .IsOutOfRange());
+  for (int i = 0; i < 8; ++i) {
+    const auto size = static_cast<ValueId>(ref.size());
+    const ValueId to =
+        i == 0 ? size : static_cast<ValueId>(rng->Uniform(size + 1));
+    const ValueId from =
+        i == 0 ? 0 : static_cast<ValueId>(rng->Uniform(to + 1));
+    std::vector<Value> got = {Value(std::string("sentinel"))};
+    std::vector<Value> want = got;
+    ASSERT_TRUE(it.MGetValues(from, to, &got).ok());
+    ref.AppendValues(from, to, &want);
+    ASSERT_EQ(got, want) << "[" << from << ", " << to << ")";
+  }
+  for (const T& p : ProbesAround(sorted)) {
+    const Value key(p);
+    auto lb = it.LowerBound(key);
+    auto ub = it.UpperBound(key);
+    auto found = it.FindValueId(key);
+    ASSERT_TRUE(lb.ok() && ub.ok() && found.ok());
+    EXPECT_EQ(*lb, ref.LowerBound(key)) << key.ToString();
+    EXPECT_EQ(*ub, ref.UpperBound(key)) << key.ToString();
+    const std::optional<ValueId> want = ref.FindValueId(key);
+    EXPECT_EQ(*found, want.value_or(kInvalidValueId)) << key.ToString();
+  }
+}
+
+TEST_F(PagedTest, NumericKeyPreservesValueOrder) {
+  const std::vector<Value> ordered = {
+      Value(-kInf), Value(std::numeric_limits<double>::lowest()),
+      Value(-1.5), Value(-kSub), Value(0.0), Value(kSub), Value(1.5),
+      Value(std::numeric_limits<double>::max()), Value(kInf)};
+  for (size_t i = 0; i + 1 < ordered.size(); ++i) {
+    EXPECT_LT(NumericKey(ordered[i]), NumericKey(ordered[i + 1])) << i;
+  }
+  EXPECT_EQ(NumericKey(Value(-0.0)), NumericKey(Value(0.0)));
+  EXPECT_EQ(NumericKey(Value(kI64Min)), 0u);
+  EXPECT_EQ(NumericKey(Value(kI64Max)), ~uint64_t{0});
+  EXPECT_EQ(NumericKey(Value(int64_t{0})) - NumericKey(Value(int64_t{-1})),
+            1u);
+  for (const Value& v : ordered) {
+    EXPECT_EQ(NumericValueOfKey(ValueType::kDouble, NumericKey(v)), v);
+  }
+  for (int64_t v : {kI64Min, int64_t{-7}, int64_t{0}, kI64Max}) {
+    EXPECT_EQ(NumericValueOfKey(ValueType::kInt64, NumericKey(Value(v))),
+              Value(v));
+  }
+}
+
+TEST_F(PagedTest, NumericDictionaryMatchesResidentDictionary) {
+  Random rng(2016);
+  int built = 0;
+  auto check = [&](const auto& sorted) {
+    auto dict = BuildNumericDict(storage_.get(), rm_.get(),
+                                 "nd" + std::to_string(built++), sorted);
+    EXPECT_TRUE(dict.ok()) << dict.status().ToString();
+    if (!dict.ok()) return std::unique_ptr<PagedNumericDictionary>();
+    ExpectPagedMatchesDictionary(dict->get(), sorted, &rng);
+    return std::move(*dict);
+  };
+
+  // The resident dictionary's inputs: INT64_MIN/MAX, ±inf, subnormals,
+  // empty and one-entry dictionaries (the -0.0 probes come from
+  // ProbesAround).
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Random gen(seed);
+    const uint64_t n = seed % 6 == 0 ? gen.Uniform(3) : gen.Uniform(400);
+    std::vector<int64_t> ints;
+    std::vector<double> doubles;
+    for (uint64_t i = 0; i < n; ++i) {
+      switch (gen.Uniform(4)) {
+        case 0:
+          ints.push_back(static_cast<int64_t>(gen.Next()));
+          doubles.push_back(
+              static_cast<double>(static_cast<int64_t>(gen.Next())));
+          break;
+        case 1:
+          ints.push_back(static_cast<int64_t>(gen.Uniform(64)) - 32);
+          doubles.push_back(kSub * static_cast<double>(gen.Uniform(8)));
+          break;
+        default:
+          ints.push_back(static_cast<int64_t>(gen.Uniform(5000)) - 2500);
+          doubles.push_back(0.125 * static_cast<double>(gen.Uniform(400)) -
+                            25.0);
+          break;
+      }
+    }
+    if (seed % 2 == 0) {
+      ints.insert(ints.end(), {kI64Min, kI64Max, 0});
+      doubles.insert(doubles.end(), {-kInf, kInf, 0.0, -kSub});
+    }
+    check(SortedUnique(ints));
+    check(SortedUnique(doubles));
+  }
+  check(std::vector<int64_t>{});
+  check(std::vector<double>{});
+  check(std::vector<int64_t>{kI64Min});
+  check(std::vector<double>{0.0});
+  check(std::vector<int64_t>{kI64Min, kI64Max});
+
+  // Dense runs: stride 3 across zero, and 0..70026 with 27 keys missing
+  // (the shape of a key column over a uniform draw).
+  std::vector<int64_t> dense;
+  for (int64_t i = -30000; i < 30000; ++i) dense.push_back(3 * i);
+  auto d = check(dense);
+  ASSERT_NE(d, nullptr);
+  EXPECT_GT(d->page_count(), 1u);
+  std::vector<int64_t> holes;
+  for (int64_t i = 0; i < 70027; ++i) {
+    if (i % 2593 != 7) holes.push_back(i);
+  }
+  d = check(holes);
+  ASSERT_NE(d, nullptr);
+  EXPECT_GT(d->page_count(), 1u);
+
+  // Random gaps, narrow and wide.
+  for (uint64_t max_gap : {uint64_t{4}, uint64_t{1000}, uint64_t{1} << 40}) {
+    std::vector<int64_t> gaps;
+    int64_t v = -(int64_t{1} << 50);
+    for (int i = 0; i < 30000; ++i) {
+      v += 1 + static_cast<int64_t>(rng.Uniform(max_gap));
+      gaps.push_back(v);
+    }
+    check(gaps);
+  }
+
+  // Doubles spanning binades: residuals past 32 bits, so raw-key pages.
+  std::vector<double> binades;
+  for (int i = 0; i < 3000; ++i) {
+    const double m = 1.0 + static_cast<double>(rng.Uniform(1 << 20)) /
+                               static_cast<double>(1 << 20);
+    const double x = std::ldexp(m, static_cast<int>(rng.Uniform(2000)) - 1000);
+    binades.push_back(rng.Uniform(2) == 0 ? x : -x);
+  }
+  binades = SortedUnique(binades);
+  d = check(binades);
+  ASSERT_NE(d, nullptr);
+  EXPECT_GT(d->page_count(), 1u);
+  const uint64_t raw_n = d->values_per_page();
+
+  // Sizes at N - 1, N and N + 1, N being the count per page of a
+  // multi-page dictionary: one page, one page, two pages.
+  std::vector<int64_t> ramp(120000);
+  for (size_t i = 0; i < ramp.size(); ++i) ramp[i] = static_cast<int64_t>(i);
+  d = check(ramp);
+  ASSERT_NE(d, nullptr);
+  const uint64_t dense_n = d->values_per_page();
+  for (uint64_t delta : {0, 1, 2}) {
+    std::vector<int64_t> ints(ramp.begin(), ramp.begin() + dense_n - 1 + delta);
+    d = check(ints);
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(d->page_count(), delta < 2 ? 1u : 2u) << ints.size();
+    std::vector<double> raw(binades.begin(),
+                            binades.begin() + raw_n - 1 + delta);
+    d = check(raw);
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(d->page_count(), delta < 2 ? 1u : 2u) << raw.size();
+  }
+}
+
+// The dictionary chain's page size is derived: a dictionary that fits one
+// page gets the smallest power of two >= 4 KiB that holds it, a larger one
+// pages of the store's page size.
+TEST_F(PagedTest, NumericDictionaryPageSizeIsDerived) {
+  StorageOptions opts;
+  opts.page_size = 64 * 1024;
+  auto sm = StorageManager::Open(dir_ + "/big", opts);
+  ASSERT_TRUE(sm.ok());
+  auto pages_of = [&](const std::vector<int64_t>& values) {
+    auto dict = BuildNumericDict(sm->get(), rm_.get(), "sz", values);
+    EXPECT_TRUE(dict.ok());
+    return dict.ok() ? std::make_pair((*dict)->page_count(),
+                                      (*dict)->page_size())
+                     : std::make_pair(uint64_t{0}, uint32_t{0});
+  };
+  EXPECT_EQ(pages_of({7, 9}), std::make_pair(uint64_t{1}, 4096u));
+  std::vector<int64_t> dense(50000);
+  for (size_t i = 0; i < dense.size(); ++i) dense[i] = 5 * i;
+  // 50,000 one-bit residuals: 6,264 bytes.
+  EXPECT_EQ(pages_of(dense), std::make_pair(uint64_t{1}, 8192u));
+  Random rng(5);
+  std::vector<int64_t> wide;
+  int64_t v = 0;
+  for (int i = 0; i < 50000; ++i) {
+    v += 1 + static_cast<int64_t>(rng.Uniform(uint64_t{1} << 30));
+    wide.push_back(v);
+  }
+  const auto [pages, size] = pages_of(wide);
+  EXPECT_GT(pages, 1u);
+  EXPECT_EQ(size, opts.page_size);
+}
+
+// One iterator pins each dictionary page once, however many lookups land
+// on it.
+TEST_F(PagedTest, NumericDictionaryIteratorPinsEachPageOnce) {
+  std::vector<int64_t> values;
+  Random rng(31);
+  int64_t v = 0;
+  for (int i = 0; i < 100000; ++i) {
+    v += 1 + static_cast<int64_t>(rng.Uniform(3));
+    values.push_back(v);
+  }
+  auto dict = BuildNumericDict(storage_.get(), rm_.get(), "pins", values);
+  ASSERT_TRUE(dict.ok());
+  const uint64_t pages = (*dict)->page_count();
+  ASSERT_GT(pages, 2u);
+  PagedNumericDictionaryIterator it(dict->get());
+  for (int i = 0; i < 5000; ++i) {
+    const auto vid = static_cast<ValueId>(rng.Uniform(values.size()));
+    auto got = it.GetValue(vid);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got->AsInt64(), values[vid]);
+    auto lb = it.LowerBound(Value(values[vid]));
+    ASSERT_TRUE(lb.ok());
+    ASSERT_EQ(*lb, vid);
+  }
+  EXPECT_EQ(it.pages_touched(), pages);
+  EXPECT_EQ((*dict)->cache()->loaded_page_count(), pages);
+}
+
+// A numeric fragment reopened from its chains answers every dictionary
+// entry point as the one built.
+TEST_F(PagedTest, PagedNumericFragmentReopenAnswersAsBuilt) {
+  Random rng(77);
+  std::vector<Value> ints, doubles;
+  int64_t v = -100000;
+  for (int i = 0; i < 40000; ++i) {
+    v += 1 + static_cast<int64_t>(rng.Uniform(9));
+    ints.emplace_back(v);
+    doubles.emplace_back(0.25 * static_cast<double>(v));
+  }
+  auto vids = RandomVids(30000, ints.size(), 78);
+  for (const auto* values : {&ints, &doubles}) {
+    const ValueType type = (*values)[0].type();
+    const std::string name = type == ValueType::kInt64 ? "re_i" : "re_d";
+    {
+      auto built = PagedFragment::Build(storage_.get(), rm_.get(),
+                                        PoolId::kPagedPool, name, type,
+                                        *values, vids, true);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+    }
+    auto frag = PagedFragment::Open(storage_.get(), rm_.get(),
+                                    PoolId::kPagedPool, name);
+    ASSERT_TRUE(frag.ok()) << frag.status().ToString();
+    EXPECT_EQ((*frag)->type(), type);
+    EXPECT_EQ((*frag)->dict_size(), values->size());
+    auto reader = (*frag)->NewReader();
+    ASSERT_TRUE(reader.ok());
+    std::vector<Value> all;
+    ASSERT_TRUE((*reader)->MGetValues(0, values->size(), &all).ok());
+    EXPECT_EQ(all, *values);
+    for (int i = 0; i < 200; ++i) {
+      const auto vid = static_cast<ValueId>(rng.Uniform(values->size()));
+      auto got = (*reader)->GetValueForVid(vid);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, (*values)[vid]);
+      auto found = (*reader)->FindValueId((*values)[vid]);
+      ASSERT_TRUE(found.ok());
+      EXPECT_EQ(*found, vid);
+      auto ub = (*reader)->UpperBoundVid((*values)[vid]);
+      ASSERT_TRUE(ub.ok());
+      EXPECT_EQ(*ub, vid + 1);
+    }
+    std::vector<RowPos> rows;
+    ASSERT_TRUE((*reader)->FindRows(vids[0], &rows).ok());
+    EXPECT_FALSE(rows.empty());
+  }
+}
+
+// A meta chain written before numeric dictionaries were paged has no
+// version byte: u8 type, u8 index mode, u64 rows, u64 dictionary size,
+// then the dictionary as raw 8-byte values. It opens through those values,
+// and the paged chain is rebuilt from them.
+TEST_F(PagedTest, LegacyNumericMetaOpensThroughItsEmbeddedValues) {
+  std::vector<Value> ints, doubles;
+  for (int64_t i = 0; i < 3000; ++i) {
+    ints.emplace_back(i * i - 1000);
+    doubles.emplace_back(-1.5 + 0.001 * static_cast<double>(i * i));
+  }
+  auto vids = RandomVids(20000, ints.size(), 90);
+  const uint32_t page_size = storage_->options().page_size;
+  for (const auto* values : {&ints, &doubles}) {
+    const ValueType type = (*values)[0].type();
+    const std::string name = type == ValueType::kInt64 ? "leg_i" : "leg_d";
+    {
+      auto built = PagedFragment::Build(storage_.get(), rm_.get(),
+                                        PoolId::kPagedPool, name, type,
+                                        *values, vids, true);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+    }
+    {
+      auto file = storage_->CreateChain(name + ".pmeta", page_size);
+      ASSERT_TRUE(file.ok());
+      ChainByteWriter w(file->get());
+      w.PutU8(static_cast<uint8_t>(type));
+      w.PutU8(static_cast<uint8_t>(PagedFragment::IndexMode::kEager));
+      w.PutU64(vids.size());
+      w.PutU64(values->size());
+      for (const Value& v : *values) {
+        if (type == ValueType::kInt64) {
+          w.PutI64(v.AsInt64());
+        } else {
+          w.PutDouble(v.AsDouble());
+        }
+      }
+      ASSERT_TRUE(w.Finish().ok());
+    }
+    ASSERT_TRUE(storage_->DropChain(name + ".ndict").ok());
+
+    auto frag = PagedFragment::Open(storage_.get(), rm_.get(),
+                                    PoolId::kPagedPool, name);
+    ASSERT_TRUE(frag.ok()) << frag.status().ToString();
+    EXPECT_TRUE(std::filesystem::exists(dir_ + "/" + name + ".ndict"));
+    EXPECT_EQ((*frag)->row_count(), vids.size());
+    EXPECT_TRUE((*frag)->has_index());
+    auto reader = (*frag)->NewReader();
+    ASSERT_TRUE(reader.ok());
+    std::vector<Value> all;
+    ASSERT_TRUE((*reader)->MGetValues(0, values->size(), &all).ok());
+    EXPECT_EQ(all, *values);
+    for (ValueId vid : {0u, 1u, 1499u, 2999u}) {
+      auto found = (*reader)->FindValueId((*values)[vid]);
+      ASSERT_TRUE(found.ok());
+      EXPECT_EQ(*found, vid);
+    }
+    std::vector<RowPos> rows, expect;
+    ASSERT_TRUE((*reader)->FindRows(42, &rows).ok());
+    for (RowPos r = 0; r < vids.size(); ++r) {
+      if (vids[r] == 42u) expect.push_back(r);
+    }
+    EXPECT_EQ(rows, expect);
+  }
+}
+
+// The meta chain of a paged numeric fragment, field by field.
+struct NumericMetaImage {
+  uint8_t version = 0;
+  uint8_t type = 0;
+  uint8_t index_mode = 0;
+  uint64_t rows = 0;
+  uint64_t dict_size = 0;
+  uint32_t page_size = 0;
+  uint64_t values_per_page = 0;
+  std::vector<uint64_t> fence;  // base, stride of every page
+};
+
+Result<NumericMetaImage> ReadNumericMeta(StorageManager* storage,
+                                         const std::string& name) {
+  PAYG_ASSIGN_OR_RETURN(
+      auto file, storage->OpenChain(name + ".pmeta",
+                                    storage->options().page_size));
+  ChainByteReader r(file.get());
+  NumericMetaImage m;
+  PAYG_ASSIGN_OR_RETURN(m.version, r.GetU8());
+  PAYG_ASSIGN_OR_RETURN(m.type, r.GetU8());
+  PAYG_ASSIGN_OR_RETURN(m.index_mode, r.GetU8());
+  PAYG_ASSIGN_OR_RETURN(m.rows, r.GetU64());
+  PAYG_ASSIGN_OR_RETURN(m.dict_size, r.GetU64());
+  PAYG_ASSIGN_OR_RETURN(m.page_size, r.GetU32());
+  PAYG_ASSIGN_OR_RETURN(m.values_per_page, r.GetU64());
+  PAYG_ASSIGN_OR_RETURN(uint64_t pages, r.GetU64());
+  m.fence.resize(2 * pages);
+  for (uint64_t& word : m.fence) {
+    PAYG_ASSIGN_OR_RETURN(word, r.GetU64());
+  }
+  return m;
+}
+
+Status WriteNumericMeta(StorageManager* storage, const std::string& name,
+                        const NumericMetaImage& m) {
+  PAYG_ASSIGN_OR_RETURN(
+      auto file, storage->CreateChain(name + ".pmeta",
+                                      storage->options().page_size));
+  ChainByteWriter w(file.get());
+  w.PutU8(m.version);
+  w.PutU8(m.type);
+  w.PutU8(m.index_mode);
+  w.PutU64(m.rows);
+  w.PutU64(m.dict_size);
+  w.PutU32(m.page_size);
+  w.PutU64(m.values_per_page);
+  w.PutU64(m.fence.size() / 2);
+  for (uint64_t word : m.fence) w.PutU64(word);
+  return w.Finish();
+}
+
+class PagedNumericCorruptionTest : public PagedTest {
+ protected:
+  // A multi-page int64 fragment "nc" and its meta image.
+  void SetUp() override {
+    PagedTest::SetUp();
+    for (int64_t i = 0; i < 80000; ++i) values_.emplace_back(i * 5 + i % 3);
+    auto frag = PagedFragment::Build(storage_.get(), rm_.get(),
+                                     PoolId::kPagedPool, "nc",
+                                     ValueType::kInt64, values_,
+                                     RandomVids(1000, values_.size(), 3),
+                                     false);
+    ASSERT_TRUE(frag.ok()) << frag.status().ToString();
+    auto meta = ReadNumericMeta(storage_.get(), "nc");
+    ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+    meta_ = *meta;
+    ASSERT_GE(meta_.fence.size(), 4u);  // at least two pages
+  }
+
+  // Rewrites dictionary page `lpn` after `edit` changed it (the checksum
+  // is sealed again, so only the edited field is wrong).
+  void EditPage(LogicalPageNo lpn, const std::function<void(Page*)>& edit) {
+    auto file = storage_->OpenChain("nc.ndict", meta_.page_size);
+    ASSERT_TRUE(file.ok());
+    Page page(meta_.page_size);
+    ASSERT_TRUE((*file)->ReadPage(lpn, &page).ok());
+    edit(&page);
+    ASSERT_TRUE((*file)->WritePage(lpn, &page).ok());
+  }
+
+  // The status of opening "nc" and looking up the first vid of page 1.
+  Status OpenAndLookUp() {
+    PAYG_ASSIGN_OR_RETURN(auto frag,
+                          PagedFragment::Open(storage_.get(), rm_.get(),
+                                              PoolId::kPagedPool, "nc"));
+    PAYG_ASSIGN_OR_RETURN(auto reader, frag->NewReader());
+    const auto vid = static_cast<ValueId>(meta_.values_per_page);
+    PAYG_ASSIGN_OR_RETURN(Value v, reader->GetValueForVid(vid));
+    if (v != values_[vid]) return Status::Internal("wrong value");
+    PAYG_ASSIGN_OR_RETURN(ValueId found, reader->FindValueId(values_[vid]));
+    if (found != vid) return Status::Internal("wrong vid");
+    return Status::OK();
+  }
+
+  void ExpectCorruption() {
+    const Status s = OpenAndLookUp();
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  }
+
+  std::vector<Value> values_;
+  NumericMetaImage meta_;
+};
+
+TEST_F(PagedNumericCorruptionTest, IntactChainsAnswer) {
+  EXPECT_TRUE(OpenAndLookUp().ok());
+}
+
+TEST_F(PagedNumericCorruptionTest, FenceOutOfOrder) {
+  std::swap(meta_.fence[0], meta_.fence[2]);
+  ASSERT_TRUE(WriteNumericMeta(storage_.get(), "nc", meta_).ok());
+  ExpectCorruption();
+}
+
+TEST_F(PagedNumericCorruptionTest, WidthOutOfRange) {
+  EditPage(1, [](Page* p) { p->header()->aux2 = 33; });
+  ExpectCorruption();
+}
+
+TEST_F(PagedNumericCorruptionTest, CountAboveValuesPerPage) {
+  const uint64_t n = meta_.values_per_page;
+  EditPage(1, [n](Page* p) {
+    p->header()->aux = static_cast<uint32_t>(n + 1);
+  });
+  ExpectCorruption();
+}
+
+TEST_F(PagedNumericCorruptionTest, ShortPayload) {
+  EditPage(1, [](Page* p) { p->set_payload_size(p->payload_size() / 2); });
+  ExpectCorruption();
+}
+
+TEST_F(PagedNumericCorruptionTest, PageCountDisagreesWithDictionarySize) {
+  meta_.dict_size += meta_.values_per_page;
+  ASSERT_TRUE(WriteNumericMeta(storage_.get(), "nc", meta_).ok());
+  ExpectCorruption();
+}
+
+TEST_F(PagedNumericCorruptionTest, UnknownMetaVersion) {
+  meta_.version = 0x82;
+  ASSERT_TRUE(WriteNumericMeta(storage_.get(), "nc", meta_).ok());
+  ExpectCorruption();
+}
+
+// ---------------------------------------------------------------------------
 // PagedFragment end-to-end
 // ---------------------------------------------------------------------------
 
@@ -972,9 +1526,11 @@ TEST_F(PagedTest, PagedFragmentResidentBytesTrackLoads) {
   EXPECT_GT((*frag)->ResidentBytes(), partial);
 }
 
-// The whole-loaded numeric dictionary of a paged int64 column registers
-// 8 bytes per entry, not a Value's 40.
-TEST_F(PagedTest, PagedNumericDictionaryRegistersEightBytesPerEntry) {
+// A paged int64 column registers its dictionary page by page. A new
+// reader registers nothing, one lookup registers one dictionary page, and
+// every vid of a 20,000-entry 3i dictionary (stride 3, so every residual
+// is 0 and the whole dictionary packs into one 4 KiB page) still one page.
+TEST_F(PagedTest, PagedNumericDictionaryRegistersOnePageNotTheDictionary) {
   constexpr uint64_t kEntries = 20000;
   std::vector<Value> dict_values;
   for (uint64_t i = 0; i < kEntries; ++i) {
@@ -986,16 +1542,26 @@ TEST_F(PagedTest, PagedNumericDictionaryRegistersEightBytesPerEntry) {
                                    ValueType::kInt64, dict_values, vids,
                                    false);
   ASSERT_TRUE(frag.ok()) << frag.status().ToString();
+  PagedNumericDictionary* dict = (*frag)->numeric_dictionary();
+  ASSERT_NE(dict, nullptr);
+  EXPECT_EQ(dict->page_count(), 1u);
+  EXPECT_EQ(dict->page_size(), 4096u);
   (*frag)->Unload();
   const uint64_t before = rm_->total_bytes();
-  auto reader = (*frag)->NewReader();  // pins the numeric dictionary
+  auto reader = (*frag)->NewReader();
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  const uint64_t registered = rm_->total_bytes() - before;
-  EXPECT_GE(registered, 8 * kEntries);
-  EXPECT_LE(registered, 8 * kEntries + 4096);
+  EXPECT_EQ(rm_->total_bytes() - before, 0u);
   auto value = (*reader)->GetValueForVid(kEntries - 1);
   ASSERT_TRUE(value.ok());
   EXPECT_EQ(value->AsInt64(), static_cast<int64_t>((kEntries - 1) * 3));
+  EXPECT_EQ(rm_->total_bytes() - before, dict->page_size());
+  for (ValueId vid = 0; vid < kEntries; ++vid) {
+    auto v = (*reader)->GetValueForVid(vid);
+    ASSERT_TRUE(v.ok());
+    ASSERT_EQ(v->AsInt64(), static_cast<int64_t>(vid) * 3);
+  }
+  EXPECT_EQ(rm_->total_bytes() - before, dict->page_size());
+  EXPECT_EQ((*frag)->ResidentBytes(), dict->page_size());
 }
 
 TEST_F(PagedTest, PagedFragmentUnloadDropsEverything) {
