@@ -31,9 +31,9 @@ int main() {
               "steady_avg_us)\n");
 
   // Shared column content.
-  std::vector<Value> dict_values;
+  std::vector<int64_t> dict_values;
   for (uint64_t i = 0; i < cardinality; ++i) {
-    dict_values.emplace_back(static_cast<int64_t>(i));
+    dict_values.push_back(static_cast<int64_t>(i));
   }
   Random data_rng(7);
   std::vector<ValueId> vids;
@@ -57,8 +57,7 @@ int main() {
 
     Stopwatch build_timer;
     auto frag = PagedFragment::Build(storage->get(), &rm, PoolId::kPagedPool,
-                                     "col", ValueType::kInt64, dict_values,
-                                     vids, m.mode,
+                                     "col", dict_values, vids, m.mode,
                                      /*index_build_threshold=*/1);
     BENCH_CHECK_OK(frag);
     double build_ms = build_timer.ElapsedMillis();

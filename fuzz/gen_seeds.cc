@@ -262,13 +262,11 @@ void GenNumDictSeeds(const fs::path& dir) {
   auto storage = CheckOk(payg::StorageManager::Open(store.string(), opts),
                          "open scratch store");
   std::string dense_seed;
-  auto emit = [&](const std::string& name, payg::ValueType type,
-                  const std::vector<payg::Value>& values) {
-    std::vector<uint64_t> keys;
-    for (const payg::Value& v : values) keys.push_back(payg::NumericKey(v));
+  // `values` is a sorted std::vector<int64_t> or std::vector<double>.
+  auto emit = [&](const std::string& name, const auto& values) {
     auto dict = CheckOk(payg::PagedNumericDictionary::Build(
                             storage.get(), &rm, payg::PoolId::kPagedPool,
-                            name, type, keys),
+                            name, values),
                         "build numeric dictionary");
     auto file = CheckOk(storage->OpenChain(name + ".ndict", dict->page_size()),
                         "open numeric dictionary chain");
@@ -276,40 +274,40 @@ void GenNumDictSeeds(const fs::path& dir) {
     if (!file->ReadPage(0, &page).ok()) std::exit(1);
     std::string seed = NumDictSeed(
         page.header()->aux, page.header()->aux2, dict->values_per_page(),
-        dict->fences()[0], keys[keys.size() / 2] + 1, page.payload(),
-        page.payload_size());
+        dict->fences()[0], payg::NumericKey(values[values.size() / 2]) + 1,
+        page.payload(), page.payload_size());
     WriteSeed(dir, name, seed);
     return seed;
   };
 
-  std::vector<payg::Value> values;
-  for (int64_t i = 0; i < 1000; ++i) values.emplace_back(3 * i - 1500);
-  dense_seed = emit("dense_stride3", payg::ValueType::kInt64, values);
+  std::vector<int64_t> values;
+  for (int64_t i = 0; i < 1000; ++i) values.push_back(3 * i - 1500);
+  dense_seed = emit("dense_stride3", values);
 
   values.clear();
   for (int64_t i = 0; i < 10000; ++i) {
-    if (i % 97 != 5) values.emplace_back(i);
+    if (i % 97 != 5) values.push_back(i);
   }
-  emit("holes", payg::ValueType::kInt64, values);
+  emit("holes", values);
 
   values.clear();
   payg::Random rng(21);
   int64_t v = -1000000;
   for (int i = 0; i < 2000; ++i) {
     v += 1 + static_cast<int64_t>(rng.Uniform(1000));
-    values.emplace_back(v);
+    values.push_back(v);
   }
-  emit("random_gaps", payg::ValueType::kInt64, values);
+  emit("random_gaps", values);
 
-  values.clear();
+  std::vector<double> doubles;
   for (int e = -300; e < 300; e += 2) {
     const double mantissa =
         1.0 + static_cast<double>(rng.Uniform(1 << 20)) / (1 << 20);
-    values.emplace_back(std::ldexp(mantissa, e));
+    doubles.push_back(std::ldexp(mantissa, e));
   }
-  emit("raw_doubles", payg::ValueType::kDouble, values);
+  emit("raw_doubles", doubles);
 
-  emit("single", payg::ValueType::kInt64, {payg::Value(int64_t{42})});
+  emit("single", std::vector<int64_t>{42});
 
   // Rejected shapes, so mutation starts on both sides of every check:
   // width 33, a count above the values per page, a short payload.

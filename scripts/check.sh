@@ -6,7 +6,9 @@
 # partition-parallel executor, the lock-free metrics/trace ring, the
 # query-profile capture and slow-query ring, the page cache's asynchronous
 # prefetch pool, the sharded-cache stress suite, the resident column load
-# path, budget eviction through the store and the server), then an
+# path, budget eviction through the store, the server, and the delta and
+# the merge driven by the executor's workers in the table and integration
+# suites), then an
 # ASan+UBSan build of the buffer, cache stress, columnar, core, codec,
 # CRC-32C, profile, server, table, exec, integration, paged and encoding
 # suites.
@@ -35,10 +37,10 @@ for backend in sync uring; do
     --output-on-failure -j "$(nproc)" -R "Storage|Cache|Paged|Prefetch|Exec"
 done
 
-echo "== TSan build: buffer + exec + obs + profile + paged + cache-stress + columnar + core + server suites =="
+echo "== TSan build: buffer + exec + obs + profile + paged + cache-stress + columnar + core + server + table + integration suites =="
 cmake -B "$BUILD-tsan" -S . -DPAYG_SANITIZE=thread >/dev/null
 cmake --build "$BUILD-tsan" -j --target buffer_test exec_test obs_test profile_test paged_test cache_stress_test \
-  columnar_test core_test server_test
+  columnar_test core_test server_test table_test integration_test
 "$BUILD-tsan"/tests/buffer_test
 "$BUILD-tsan"/tests/exec_test
 "$BUILD-tsan"/tests/obs_test
@@ -48,6 +50,8 @@ cmake --build "$BUILD-tsan" -j --target buffer_test exec_test obs_test profile_t
 "$BUILD-tsan"/tests/columnar_test
 "$BUILD-tsan"/tests/core_test
 "$BUILD-tsan"/tests/server_test
+"$BUILD-tsan"/tests/table_test
+"$BUILD-tsan"/tests/integration_test
 
 echo "== ASan+UBSan build: buffer + cache-stress + columnar + core + codec + crc32 + profile + server + table + exec + integration + paged + encoding + storage suites =="
 cmake -B "$BUILD-asan" -S . -DPAYG_SANITIZE=address+undefined >/dev/null

@@ -2,7 +2,6 @@
 #define PAYG_BUFFER_DISPOSITION_H_
 
 #include <cstdint>
-#include <string_view>
 
 namespace payg {
 
@@ -39,24 +38,6 @@ inline double DispositionWeight(Disposition d) {
       return 8.0;
   }
   return 1.0;
-}
-
-inline std::string_view DispositionName(Disposition d) {
-  switch (d) {
-    case Disposition::kTemporary:
-      return "temporary";
-    case Disposition::kShortTerm:
-      return "short_term";
-    case Disposition::kMidTerm:
-      return "mid_term";
-    case Disposition::kLongTerm:
-      return "long_term";
-    case Disposition::kNonSwappable:
-      return "non_swappable";
-    case Disposition::kPagedAttribute:
-      return "paged_attribute";
-  }
-  return "unknown";
 }
 
 // Which pool a paged-attribute resource belongs to. Cold partitions load

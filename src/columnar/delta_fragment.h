@@ -5,6 +5,7 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "columnar/value.h"
@@ -14,13 +15,17 @@
 namespace payg {
 
 // Write-optimized delta fragment of one column (§2). Inserts append a row;
-// the dictionary is built in arrival order (NOT order-preserving — keeping
-// it sorted under writes would be too costly, as the paper notes), with a
-// hash map for value→vid lookup. Always fully memory resident; the regular
-// delta merge keeps it small relative to the main fragment.
+// the dictionary is a typed array in arrival order (NOT order-preserving —
+// keeping it sorted under writes would be too costly, as the paper notes),
+// with a hash map from the element type to its vid. A -0.0 and a 0.0 are
+// one key there (they compare and hash equal), holding the first arrival.
+// Always fully memory resident; the regular delta merge keeps it small
+// relative to the main fragment.
 class DeltaFragment {
  public:
-  explicit DeltaFragment(ValueType type) : type_(type) {}
+  explicit DeltaFragment(ValueType type)
+      : values_(MakeValueArray(type)),
+        lookup_(VariantOfType<decltype(lookup_)>(type)) {}
 
   // Enables the memory-resident inverted index on this delta (§2: "each
   // fragment may also have a memory resident inverted index"). Maintained
@@ -32,9 +37,9 @@ class DeltaFragment {
   }
   bool has_index() const { return indexed_; }
 
-  ValueType type() const { return type_; }
+  ValueType type() const { return ValueArrayType(values_); }
   uint64_t row_count() const { return vids_.size(); }
-  uint64_t dict_size() const { return dict_values_.size(); }
+  uint64_t dict_size() const { return ValueArraySize(values_); }
   bool empty() const { return vids_.empty(); }
 
   // Appends one row, interning the value. Returns the row position.
@@ -45,10 +50,10 @@ class DeltaFragment {
     return vids_[rpos];
   }
 
-  const Value& GetValue(ValueId vid) const {
-    PAYG_ASSERT(vid < dict_values_.size());
-    return dict_values_[vid];
-  }
+  Value GetValue(ValueId vid) const { return ValueAt(values_, vid); }
+
+  // The dictionary, in vid (arrival) order.
+  const ValueArray& values() const { return values_; }
 
   // Row positions (within the delta) whose value equals `value`.
   void FindRows(const Value& value, std::vector<RowPos>* out) const;
@@ -60,20 +65,20 @@ class DeltaFragment {
   void FindRowsMatching(const std::function<bool(const Value&)>& pred,
                         std::vector<RowPos>* out) const;
 
-  const std::vector<ValueId>& vids() const { return vids_; }
-  const std::vector<Value>& dict_values() const { return dict_values_; }
-
   uint64_t MemoryBytes() const;
 
   void Clear();
 
  private:
-  ValueType type_;
+  template <typename T>
+  using Lookup = std::unordered_map<T, ValueId>;
+
   bool indexed_ = false;
   std::vector<ValueId> vids_;
-  std::vector<Value> dict_values_;                  // by first appearance
-  std::unordered_map<std::string, ValueId> lookup_; // EncodeKey → vid
-  std::vector<std::vector<RowPos>> postings_;       // per vid, if indexed_
+  ValueArray values_;  // by first appearance
+  // Value → vid; holds the alternative of values_'s element type.
+  std::variant<Lookup<int64_t>, Lookup<double>, Lookup<std::string>> lookup_;
+  std::vector<std::vector<RowPos>> postings_;  // per vid, if indexed_
 };
 
 }  // namespace payg

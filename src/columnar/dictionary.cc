@@ -9,9 +9,6 @@ namespace payg {
 
 namespace {
 
-template <typename Vec>
-using ElementOf = typename std::decay_t<Vec>::value_type;
-
 template <typename T>
 Result<Dictionary> ReadNumbers(ChainByteReader* r, uint64_t size) {
   std::vector<T> values(size);
@@ -46,21 +43,17 @@ Result<Dictionary> Dictionary::Read(ChainByteReader* r, ValueType type,
   return Status::Corruption("unknown dictionary value type");
 }
 
-void Dictionary::Write(ChainByteWriter* w, ValueType type,
-                       const std::vector<Value>& values) {
-  for (const Value& v : values) {
-    switch (type) {
-      case ValueType::kInt64:
-        w->PutI64(v.AsInt64());
-        break;
-      case ValueType::kDouble:
-        w->PutDouble(v.AsDouble());
-        break;
-      case ValueType::kString:
-        w->PutString(v.AsString());
-        break;
-    }
-  }
+void Dictionary::Write(ChainByteWriter* w, const ValueArray& values) {
+  std::visit(
+      [w](const auto& typed) {
+        using T = ElementOf<decltype(typed)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          for (const std::string& s : typed) w->PutString(s);
+        } else {
+          w->PutBytes(typed.data(), typed.size() * sizeof(T));
+        }
+      },
+      values);
 }
 
 void Dictionary::CheckSorted() const {
@@ -76,27 +69,13 @@ void Dictionary::CheckSorted() const {
 #endif
 }
 
-uint64_t Dictionary::size() const {
-  return std::visit(
-      [](const auto& values) -> uint64_t { return values.size(); }, values_);
-}
-
-Value Dictionary::GetValue(ValueId vid) const {
-  return std::visit(
-      [vid](const auto& values) {
-        PAYG_ASSERT(vid < values.size());
-        return Value(values[vid]);
-      },
-      values_);
-}
-
 void Dictionary::AppendValues(ValueId from, ValueId to,
-                              std::vector<Value>* out) const {
+                              ValueArray* out) const {
   std::visit(
       [&](const auto& values) {
         PAYG_ASSERT(from <= to && to <= values.size());
-        out->reserve(out->size() + (to - from));
-        for (ValueId v = from; v < to; ++v) out->emplace_back(values[v]);
+        auto& typed = std::get<std::decay_t<decltype(values)>>(*out);
+        typed.insert(typed.end(), values.begin() + from, values.begin() + to);
       },
       values_);
 }

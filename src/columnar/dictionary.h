@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <variant>
-#include <vector>
 
 #include "columnar/value.h"
 #include "common/macros.h"
@@ -33,10 +31,8 @@ class Dictionary {
   // An empty INT64 dictionary.
   Dictionary() = default;
 
-  // Takes values that must already be sorted ascending and unique; T is
-  // int64_t, double or std::string.
-  template <typename T>
-  explicit Dictionary(std::vector<T> sorted) : values_(std::move(sorted)) {
+  // Takes values that must already be sorted ascending and unique.
+  explicit Dictionary(ValueArray sorted) : values_(std::move(sorted)) {
     CheckSorted();
   }
 
@@ -44,19 +40,20 @@ class Dictionary {
   static Result<Dictionary> Read(ChainByteReader* r, ValueType type,
                                  uint64_t size);
 
-  // Appends sorted `values` of `type` to a chain: numbers as raw 8-byte
-  // words, strings length-prefixed.
-  static void Write(ChainByteWriter* w, ValueType type,
-                    const std::vector<Value>& values);
+  // Appends sorted `values` to a chain: numbers as raw 8-byte words,
+  // strings length-prefixed.
+  static void Write(ChainByteWriter* w, const ValueArray& values);
 
-  ValueType type() const { return static_cast<ValueType>(values_.index()); }
-  uint64_t size() const;
+  ValueType type() const { return ValueArrayType(values_); }
+  uint64_t size() const { return ValueArraySize(values_); }
+  const ValueArray& values() const { return values_; }
 
   // The value encoded by `vid`.
-  Value GetValue(ValueId vid) const;
+  Value GetValue(ValueId vid) const { return ValueAt(values_, vid); }
 
-  // Appends the values of vids [from, to), in vid order, to `out`.
-  void AppendValues(ValueId from, ValueId to, std::vector<Value>* out) const;
+  // Appends the values of vids [from, to), in vid order, to `out`, which
+  // holds this dictionary's type.
+  void AppendValues(ValueId from, ValueId to, ValueArray* out) const;
 
   // The vid encoding `value`, if present.
   std::optional<ValueId> FindValueId(const Value& value) const;
@@ -75,10 +72,7 @@ class Dictionary {
  private:
   void CheckSorted() const;
 
-  // Alternative i holds the values of ValueType i.
-  std::variant<std::vector<int64_t>, std::vector<double>,
-               std::vector<std::string>>
-      values_;
+  ValueArray values_;
 };
 
 }  // namespace payg

@@ -49,11 +49,10 @@ class FragmentReader {
 
   // --- dictionary ----------------------------------------------------------
   virtual Result<Value> GetValueForVid(ValueId vid) = 0;
-  // Decodes the values of vids [from, to) (appended to *out); the
-  // dictionary counterpart of MGetVids. Vid order is value order, so
-  // (0, dict_size) yields the sorted, unique dictionary.
-  virtual Status MGetValues(ValueId from, ValueId to,
-                            std::vector<Value>* out) = 0;
+  // Decodes the values of vids [from, to), appended to *out, which holds
+  // the fragment's type; the dictionary counterpart of MGetVids. Vid order
+  // is value order, so (0, dict_size) yields the sorted, unique dictionary.
+  virtual Status MGetValues(ValueId from, ValueId to, ValueArray* out) = 0;
   // kInvalidValueId when absent.
   virtual Result<ValueId> FindValueId(const Value& value) = 0;
   // First vid whose value is >= / > `value` (vid space is value-ordered).

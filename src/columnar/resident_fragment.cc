@@ -120,8 +120,7 @@ class ResidentReader : public FragmentReader {
     return payload_->dict.GetValue(vid);
   }
 
-  Status MGetValues(ValueId from, ValueId to,
-                    std::vector<Value>* out) override {
+  Status MGetValues(ValueId from, ValueId to, ValueArray* out) override {
     if (from > to || to > frag_->dict_size_) {
       return Status::OutOfRange("value id range");
     }
@@ -155,14 +154,15 @@ class ResidentReader : public FragmentReader {
 
 Result<std::unique_ptr<FullyResidentFragment>> FullyResidentFragment::Build(
     StorageManager* storage, ResourceManager* rm, const std::string& name,
-    ValueType type, const std::vector<Value>& sorted_dict_values,
-    const std::vector<ValueId>& vids, bool with_index) {
+    const ValueArray& sorted_dict, const std::vector<ValueId>& vids,
+    bool with_index) {
   PAYG_ASSIGN_OR_RETURN(
       auto file, storage->CreateChain(ChainName(name),
                                       storage->options().page_size));
 
-  uint32_t bits = BitsNeeded(
-      sorted_dict_values.empty() ? 0 : sorted_dict_values.size() - 1);
+  const ValueType type = ValueArrayType(sorted_dict);
+  const uint64_t dict_size = ValueArraySize(sorted_dict);
+  uint32_t bits = BitsNeeded(dict_size == 0 ? 0 : dict_size - 1);
   // Pick the data-vector codec: sparse encoding when one vid dominates.
   const Codec codec = SparseVector::ShouldUse(vids, /*threshold=*/0.6)
                           ? Codec::kSparse
@@ -173,8 +173,8 @@ Result<std::unique_ptr<FullyResidentFragment>> FullyResidentFragment::Build(
   w.PutU8(static_cast<uint8_t>(codec));
   w.PutU32(bits);
   w.PutU64(vids.size());
-  w.PutU64(sorted_dict_values.size());
-  Dictionary::Write(&w, type, sorted_dict_values);
+  w.PutU64(dict_size);
+  Dictionary::Write(&w, sorted_dict);
   if (codec == Codec::kSparse) {
     SparseVector sv = SparseVector::Encode(vids);
     w.PutU32(sv.dominant());
@@ -198,7 +198,7 @@ Result<std::unique_ptr<FullyResidentFragment>> FullyResidentFragment::Build(
     w.PutBytes(packed.words(), nwords * sizeof(uint64_t));
   }
   if (with_index) {
-    InvertedIndex idx = InvertedIndex::Build(vids, sorted_dict_values.size());
+    InvertedIndex idx = InvertedIndex::Build(vids, dict_size);
     w.PutU8(idx.unique() ? 1 : 0);
     w.PutU64(idx.postinglist().size());
     w.PutBytes(idx.postinglist().data(),
@@ -218,7 +218,7 @@ Result<std::unique_ptr<FullyResidentFragment>> FullyResidentFragment::Build(
   frag->codec_ = codec;
   frag->bits_ = bits;
   frag->row_count_ = vids.size();
-  frag->dict_size_ = sorted_dict_values.size();
+  frag->dict_size_ = dict_size;
   return frag;
 }
 

@@ -41,8 +41,8 @@ class FullyResidentFragment : public MainFragment {
   // cold start).
   static Result<std::unique_ptr<FullyResidentFragment>> Build(
       StorageManager* storage, ResourceManager* rm, const std::string& name,
-      ValueType type, const std::vector<Value>& sorted_dict_values,
-      const std::vector<ValueId>& vids, bool with_index);
+      const ValueArray& sorted_dict, const std::vector<ValueId>& vids,
+      bool with_index);
 
   // Re-opens a previously built fragment (reads only the meta header).
   static Result<std::unique_ptr<FullyResidentFragment>> Open(

@@ -1,7 +1,5 @@
 #include "columnar/value.h"
 
-#include <cstring>
-
 namespace payg {
 
 std::string_view ValueTypeName(ValueType t) {
@@ -31,28 +29,6 @@ int Value::Compare(const Value& other) const {
       return AsString().compare(other.AsString());
   }
   return 0;
-}
-
-std::string Value::EncodeKey() const {
-  std::string key;
-  key.push_back(static_cast<char>(type()));
-  switch (type()) {
-    case ValueType::kInt64: {
-      int64_t v = AsInt64();
-      key.append(reinterpret_cast<const char*>(&v), sizeof(v));
-      break;
-    }
-    case ValueType::kDouble: {
-      // -0.0 keys as 0.0: the two compare equal, so they are one value.
-      double v = AsDouble() == 0.0 ? 0.0 : AsDouble();
-      key.append(reinterpret_cast<const char*>(&v), sizeof(v));
-      break;
-    }
-    case ValueType::kString:
-      key.append(AsString());
-      break;
-  }
-  return key;
 }
 
 std::string Value::ToString() const {

@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
+#include <vector>
 
 #include "common/macros.h"
 
@@ -65,21 +67,62 @@ class Value {
   }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
-  // A type-tagged byte encoding usable as a hash-map key (delta
-  // dictionary). Values that compare equal get equal keys.
-  std::string EncodeKey() const;
-
   // Human-readable rendering for examples and debugging.
   std::string ToString() const;
-
-  // Approximate heap footprint (strings only).
-  uint64_t MemoryBytes() const {
-    return type() == ValueType::kString ? AsString().capacity() : 0;
-  }
 
  private:
   std::variant<int64_t, double, std::string> v_;
 };
+
+// One column's values as one typed array: alternative i holds values of
+// ValueType i. Below the Table and Partition API this is how values travel
+// (dictionaries, the delta, the merge, the fragment builders); a Value is
+// the edge form: rows in and out, predicate operands, the wire.
+using ValueArray = std::variant<std::vector<int64_t>, std::vector<double>,
+                                std::vector<std::string>>;
+
+// The element type of a typed vector, for visitors of a ValueArray.
+template <typename Vec>
+using ElementOf = typename std::decay_t<Vec>::value_type;
+
+// The default-constructed alternative `type` of a variant whose
+// alternative i belongs to ValueType i, such as ValueArray.
+template <typename Variant>
+Variant VariantOfType(ValueType type) {
+  switch (type) {
+    case ValueType::kInt64:
+      break;
+    case ValueType::kDouble:
+      return Variant(std::in_place_index<1>);
+    case ValueType::kString:
+      return Variant(std::in_place_index<2>);
+  }
+  return Variant(std::in_place_index<0>);
+}
+
+// An empty array of `type`.
+inline ValueArray MakeValueArray(ValueType type) {
+  return VariantOfType<ValueArray>(type);
+}
+
+inline ValueType ValueArrayType(const ValueArray& values) {
+  return static_cast<ValueType>(values.index());
+}
+
+inline uint64_t ValueArraySize(const ValueArray& values) {
+  return std::visit([](const auto& typed) -> uint64_t { return typed.size(); },
+                    values);
+}
+
+// Entry `i` of `values` as a Value.
+inline Value ValueAt(const ValueArray& values, uint64_t i) {
+  return std::visit(
+      [i](const auto& typed) {
+        PAYG_ASSERT(i < typed.size());
+        return Value(typed[i]);
+      },
+      values);
+}
 
 }  // namespace payg
 

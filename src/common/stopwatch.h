@@ -23,7 +23,6 @@ class Stopwatch {
 
   double ElapsedMicros() const { return ElapsedNanos() / 1e3; }
   double ElapsedMillis() const { return ElapsedNanos() / 1e6; }
-  double ElapsedSeconds() const { return ElapsedNanos() / 1e9; }
 
  private:
   using Clock = std::chrono::steady_clock;

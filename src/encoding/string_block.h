@@ -54,9 +54,6 @@ class StringBlockBuilder {
   uint32_t count() const { return count_; }
   bool empty() const { return count_ == 0; }
 
-  // Serialized size so far (callers check page fit before Finish).
-  size_t SerializedBytes() const { return bytes_.size(); }
-
   // Returns the block bytes and resets the builder.
   std::vector<uint8_t> Finish();
 

@@ -83,9 +83,6 @@ struct ExecContext {
   // Absolute deadline; Clock::time_point::max() (the default) means none.
   Clock::time_point deadline = Clock::time_point::max();
 
-  void SetDeadlineAfter(std::chrono::microseconds timeout) {
-    deadline = Clock::now() + timeout;
-  }
   bool has_deadline() const { return deadline != Clock::time_point::max(); }
 
   // OK while the deadline (if any) has not passed. Checked at the partition

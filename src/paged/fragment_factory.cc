@@ -7,22 +7,20 @@ namespace payg {
 
 Result<std::unique_ptr<MainFragment>> BuildMainFragment(
     StorageManager* storage, ResourceManager* rm, const std::string& name,
-    ValueType type, const std::vector<Value>& sorted_dict_values,
-    const std::vector<ValueId>& vids, const FragmentSpec& spec) {
+    const ValueArray& sorted_dict, const std::vector<ValueId>& vids,
+    const FragmentSpec& spec) {
   if (spec.page_loadable) {
     PagedFragment::IndexMode mode =
         !spec.with_index ? PagedFragment::IndexMode::kNone
         : spec.defer_index ? PagedFragment::IndexMode::kDeferred
                            : PagedFragment::IndexMode::kEager;
-    auto frag = PagedFragment::Build(storage, rm, spec.pool, name, type,
-                                     sorted_dict_values, vids, mode,
-                                     spec.index_build_threshold, spec.codec);
+    auto frag = PagedFragment::Build(storage, rm, spec.pool, name, sorted_dict,
+                                     vids, mode, /*index_build_threshold=*/1);
     if (!frag.ok()) return frag.status();
     return std::unique_ptr<MainFragment>(std::move(*frag));
   }
-  auto frag = FullyResidentFragment::Build(storage, rm, name, type,
-                                           sorted_dict_values, vids,
-                                           spec.with_index);
+  auto frag = FullyResidentFragment::Build(storage, rm, name, sorted_dict,
+                                           vids, spec.with_index);
   if (!frag.ok()) return frag.status();
   return std::unique_ptr<MainFragment>(std::move(*frag));
 }

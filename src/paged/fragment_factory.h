@@ -7,7 +7,6 @@
 
 #include "buffer/resource_manager.h"
 #include "columnar/fragment.h"
-#include "encoding/codec.h"
 #include "storage/storage_manager.h"
 
 namespace payg {
@@ -21,25 +20,22 @@ struct FragmentSpec {
   // §8 (adaptive rebuild): when true, the inverted index — non-critical
   // data that can always be recovered from the data vector — is NOT built
   // during the delta merge. The fragment rebuilds and persists it lazily,
-  // driven by the workload, once `index_build_threshold` point lookups have
-  // arrived. Only meaningful for page loadable fragments with with_index.
+  // driven by the workload, on its first point lookup. Only meaningful for
+  // page loadable fragments with with_index.
   bool defer_index = false;
-  uint32_t index_build_threshold = 1;
   // Pool for the pages of a page loadable fragment; cold partitions use
   // kColdPagedPool (§4.1).
   PoolId pool = PoolId::kPagedPool;
-  // Storage codec of the paged data vector (S22). kAuto runs the selection
-  // pass (PAYG_FORCE_CODEC, then the per-column cost model); a fixed value
-  // pins the codec regardless of the knob.
-  CodecForce codec = CodecForce::kAuto;
 };
 
-// Builds and persists a main fragment from sorted dictionary values and the
-// per-row vids, dispatching on spec.page_loadable.
+// Builds and persists a main fragment from its sorted dictionary and the
+// per-row vids, dispatching on spec.page_loadable. The data vector's codec
+// comes from the selection pass (PAYG_FORCE_CODEC, then the per-column cost
+// model, S22).
 Result<std::unique_ptr<MainFragment>> BuildMainFragment(
     StorageManager* storage, ResourceManager* rm, const std::string& name,
-    ValueType type, const std::vector<Value>& sorted_dict_values,
-    const std::vector<ValueId>& vids, const FragmentSpec& spec);
+    const ValueArray& sorted_dict, const std::vector<ValueId>& vids,
+    const FragmentSpec& spec);
 
 // Re-opens a previously persisted main fragment (catalog restart path).
 // spec.page_loadable and spec.pool must match how it was built; the index

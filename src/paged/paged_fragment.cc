@@ -15,14 +15,6 @@ std::string MetaChainName(const std::string& name) { return name + ".pmeta"; }
 // instead, and embeds a numeric column's dictionary values.
 constexpr uint8_t kMetaVersion = 0x81;
 
-// Order-preserving keys of a sorted numeric dictionary.
-std::vector<uint64_t> NumericKeys(const std::vector<Value>& values) {
-  std::vector<uint64_t> keys;
-  keys.reserve(values.size());
-  for (const Value& v : values) keys.push_back(NumericKey(v));
-  return keys;
-}
-
 }  // namespace
 
 // Per-query reader over a paged fragment. Owns one iterator per paged
@@ -93,17 +85,13 @@ class PagedReader : public FragmentReader {
     return num_it_->GetValue(vid);
   }
 
-  Status MGetValues(ValueId from, ValueId to,
-                    std::vector<Value>* out) override {
+  Status MGetValues(ValueId from, ValueId to, ValueArray* out) override {
     if (from > to || to > frag_->dict_size_) {
       return Status::OutOfRange("value id range");
     }
     if (num_it_ != nullptr) return num_it_->MGetValues(from, to, out);
-    std::vector<std::string> strings;
-    PAYG_RETURN_IF_ERROR(dict_it_->MGetValues(from, to, &strings));
-    out->reserve(out->size() + strings.size());
-    for (std::string& s : strings) out->emplace_back(std::move(s));
-    return Status::OK();
+    return dict_it_->MGetValues(from, to,
+                                &std::get<std::vector<std::string>>(*out));
   }
 
   Result<ValueId> FindValueId(const Value& value) override {
@@ -134,10 +122,10 @@ class PagedReader : public FragmentReader {
 
 Result<std::unique_ptr<PagedFragment>> PagedFragment::Build(
     StorageManager* storage, ResourceManager* rm, PoolId pool,
-    const std::string& name, ValueType type,
-    const std::vector<Value>& sorted_dict_values,
+    const std::string& name, const ValueArray& sorted_dict,
     const std::vector<ValueId>& vids, IndexMode index_mode,
     uint32_t index_build_threshold, CodecForce codec) {
+  const ValueType type = ValueArrayType(sorted_dict);
   auto frag = std::unique_ptr<PagedFragment>(new PagedFragment());
   frag->name_ = name;
   frag->storage_ = storage;
@@ -145,15 +133,14 @@ Result<std::unique_ptr<PagedFragment>> PagedFragment::Build(
   frag->pool_ = pool;
   frag->type_ = type;
   frag->row_count_ = vids.size();
-  frag->dict_size_ = sorted_dict_values.size();
+  frag->dict_size_ = ValueArraySize(sorted_dict);
   frag->index_mode_ = index_mode;
   frag->index_build_threshold_ = index_build_threshold;
 
   if (type != ValueType::kString) {
     PAYG_ASSIGN_OR_RETURN(
         frag->num_dict_,
-        PagedNumericDictionary::Build(storage, rm, pool, name, type,
-                                      NumericKeys(sorted_dict_values)));
+        PagedNumericDictionary::Build(storage, rm, pool, name, sorted_dict));
   }
 
   // Meta chain: format version, fragment header and, for numeric columns,
@@ -167,7 +154,7 @@ Result<std::unique_ptr<PagedFragment>> PagedFragment::Build(
     w.PutU8(static_cast<uint8_t>(type));
     w.PutU8(static_cast<uint8_t>(index_mode));
     w.PutU64(vids.size());
-    w.PutU64(sorted_dict_values.size());
+    w.PutU64(frag->dict_size_);
     if (frag->num_dict_ != nullptr) frag->num_dict_->WriteGeometry(&w);
     PAYG_RETURN_IF_ERROR(w.Finish());
   }
@@ -178,18 +165,16 @@ Result<std::unique_ptr<PagedFragment>> PagedFragment::Build(
       frag->data_, PagedDataVector::Build(storage, rm, pool, name, vids,
                                           ResolveCodec(codec, vids)));
 
-  if (type == ValueType::kString) {
-    std::vector<std::string> strings;
-    strings.reserve(sorted_dict_values.size());
-    for (const Value& v : sorted_dict_values) strings.push_back(v.AsString());
+  if (const auto* strings =
+          std::get_if<std::vector<std::string>>(&sorted_dict)) {
     PAYG_ASSIGN_OR_RETURN(
-        frag->dict_, PagedDictionary::Build(storage, rm, pool, name, strings));
+        frag->dict_, PagedDictionary::Build(storage, rm, pool, name, *strings));
   }
 
   if (index_mode == IndexMode::kEager) {
     PAYG_ASSIGN_OR_RETURN(
         frag->index_, PagedInvertedIndex::Build(storage, rm, pool, name, vids,
-                                                sorted_dict_values.size()));
+                                                frag->dict_size_));
   }
   // Under kDeferred nothing is built now: the index is non-critical data,
   // recoverable from the data vector, rebuilt when the workload asks (§8).
@@ -243,12 +228,10 @@ Result<std::unique_ptr<PagedFragment>> PagedFragment::Open(
       // them at every open and never trusted across opens.
       PAYG_ASSIGN_OR_RETURN(
           Dictionary dict, Dictionary::Read(&r, frag->type_, frag->dict_size_));
-      std::vector<Value> values;
-      dict.AppendValues(0, static_cast<ValueId>(dict.size()), &values);
       PAYG_ASSIGN_OR_RETURN(
           frag->num_dict_,
-          PagedNumericDictionary::Build(storage, rm, pool, name, frag->type_,
-                                        NumericKeys(values)));
+          PagedNumericDictionary::Build(storage, rm, pool, name,
+                                        dict.values()));
     }
   }
 

@@ -35,10 +35,9 @@ class PagedFragment : public MainFragment {
 
   static Result<std::unique_ptr<PagedFragment>> Build(
       StorageManager* storage, ResourceManager* rm, PoolId pool,
-      const std::string& name, ValueType type,
-      const std::vector<Value>& sorted_dict_values,
+      const std::string& name, const ValueArray& sorted_dict,
       const std::vector<ValueId>& vids, bool with_index) {
-    return Build(storage, rm, pool, name, type, sorted_dict_values, vids,
+    return Build(storage, rm, pool, name, sorted_dict, vids,
                  with_index ? IndexMode::kEager : IndexMode::kNone,
                  /*index_build_threshold=*/1);
   }
@@ -47,8 +46,7 @@ class PagedFragment : public MainFragment {
   // PAYG_FORCE_CODEC and then the cost model (S22 selection pass).
   static Result<std::unique_ptr<PagedFragment>> Build(
       StorageManager* storage, ResourceManager* rm, PoolId pool,
-      const std::string& name, ValueType type,
-      const std::vector<Value>& sorted_dict_values,
+      const std::string& name, const ValueArray& sorted_dict,
       const std::vector<ValueId>& vids, IndexMode index_mode,
       uint32_t index_build_threshold,
       CodecForce codec = CodecForce::kAuto);
@@ -87,13 +85,7 @@ class PagedFragment : public MainFragment {
   void Unload() override;
   uint64_t ResidentBytes() const override;
 
-  PagedDataVector* data_vector() { return data_.get(); }
-  PagedDictionary* paged_dictionary() { return dict_.get(); }
   PagedNumericDictionary* numeric_dictionary() { return num_dict_.get(); }
-  PagedInvertedIndex* inverted_index() {
-    MutexLock lock(index_mu_);
-    return index_.get();
-  }
 
  private:
   friend class PagedReader;

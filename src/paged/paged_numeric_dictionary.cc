@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <type_traits>
 
 #include "common/bit_util.h"
 #include "encoding/bit_packing.h"
@@ -124,23 +125,14 @@ Geometry PlanGeometry(const std::vector<uint64_t>& keys, uint32_t page_size) {
 
 }  // namespace
 
-uint64_t NumericKey(const Value& value) {
-  if (value.type() == ValueType::kInt64) {
-    return static_cast<uint64_t>(value.AsInt64()) ^ kSignBit;
-  }
-  double d = value.AsDouble();
-  if (d == 0.0) d = 0.0;  // -0.0 keys as 0.0
-  const uint64_t bits = std::bit_cast<uint64_t>(d);
-  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
+uint64_t NumericKey(int64_t value) {
+  return static_cast<uint64_t>(value) ^ kSignBit;
 }
 
-Value NumericValueOfKey(ValueType type, uint64_t key) {
-  if (type == ValueType::kInt64) {
-    return Value(static_cast<int64_t>(key ^ kSignBit));
-  }
-  PAYG_ASSERT(type == ValueType::kDouble);
-  return Value(std::bit_cast<double>((key & kSignBit) != 0 ? key ^ kSignBit
-                                                           : ~key));
+uint64_t NumericKey(double value) {
+  if (value == 0.0) value = 0.0;  // -0.0 keys as 0.0
+  const uint64_t bits = std::bit_cast<uint64_t>(value);
+  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
 }
 
 uint64_t NumericDictPageView::Key(uint64_t i) const {
@@ -211,8 +203,17 @@ Status ParseNumericDictPage(const uint8_t* payload, uint32_t payload_size,
 
 Result<std::unique_ptr<PagedNumericDictionary>> PagedNumericDictionary::Build(
     StorageManager* storage, ResourceManager* rm, PoolId pool,
-    const std::string& name, ValueType type,
-    const std::vector<uint64_t>& keys) {
+    const std::string& name, const ValueArray& sorted) {
+  PAYG_ASSERT(ValueArrayType(sorted) != ValueType::kString);
+  std::vector<uint64_t> keys;
+  std::visit(
+      [&keys](const auto& values) {
+        if constexpr (std::is_arithmetic_v<ElementOf<decltype(values)>>) {
+          keys.reserve(values.size());
+          for (const auto v : values) keys.push_back(NumericKey(v));
+        }
+      },
+      sorted);
   const Geometry g = PlanGeometry(keys, storage->options().page_size);
   PAYG_ASSIGN_OR_RETURN(auto file,
                         storage->CreateChain(ChainName(name), g.page_size));
@@ -242,8 +243,8 @@ Result<std::unique_ptr<PagedNumericDictionary>> PagedNumericDictionary::Build(
     if (!r.ok()) return r.status();
     fences.push_back(f.fence);
   }
-  return Make(rm, pool, name, type, keys.size(), g.values_per_page,
-              std::move(fences), std::move(file));
+  return Make(rm, pool, name, ValueArrayType(sorted), keys.size(),
+              g.values_per_page, std::move(fences), std::move(file));
 }
 
 Result<std::unique_ptr<PagedNumericDictionary>> PagedNumericDictionary::Open(
@@ -375,16 +376,20 @@ Result<Value> PagedNumericDictionaryIterator::GetValue(ValueId vid) {
     auto page = GetPage(vid / dict_->values_per_page_);
     if (!page.ok()) return page.status();
   }
-  return NumericValueOfKey(dict_->type_, last_->Key(vid - last_first_));
+  const uint64_t key = last_->Key(vid - last_first_);
+  if (dict_->type_ == ValueType::kInt64) {
+    return Value(NumericValueOfKey<int64_t>(key));
+  }
+  return Value(NumericValueOfKey<double>(key));
 }
 
 Status PagedNumericDictionaryIterator::MGetValues(ValueId from, ValueId to,
-                                                  std::vector<Value>* out) {
+                                                  ValueArray* out) {
   if (from > to || to > dict_->size_) {
     return Status::OutOfRange("value id range");
   }
+  PAYG_ASSERT(ValueArrayType(*out) == dict_->type_);
   const uint64_t per_page = dict_->values_per_page_;
-  out->reserve(out->size() + (to - from));
   std::vector<uint64_t> keys;
   for (uint64_t vid = from; vid < to;) {
     const uint64_t ord = vid / per_page;
@@ -394,9 +399,16 @@ Status PagedNumericDictionaryIterator::MGetValues(ValueId from, ValueId to,
     PAYG_RETURN_IF_ERROR(LoadPage(ord, &page));
     keys.clear();
     page.view.AppendKeys(vid - first, stop - first, &keys);
-    for (uint64_t key : keys) {
-      out->push_back(NumericValueOfKey(dict_->type_, key));
-    }
+    std::visit(
+        [&keys](auto& values) {
+          using T = ElementOf<decltype(values)>;
+          if constexpr (std::is_arithmetic_v<T>) {
+            for (uint64_t key : keys) {
+              values.push_back(NumericValueOfKey<T>(key));
+            }
+          }
+        },
+        *out);
     vid = stop;
   }
   return Status::OK();
@@ -406,7 +418,9 @@ Status PagedNumericDictionaryIterator::Search(const Value& value,
                                               ValueId* pos, bool* exact) {
   PAYG_ASSERT(value.type() == dict_->type_);
   *exact = false;
-  const uint64_t key = NumericKey(value);
+  const uint64_t key = value.type() == ValueType::kInt64
+                           ? NumericKey(value.AsInt64())
+                           : NumericKey(value.AsDouble());
   // The last page whose base is <= key; every key on a later page is
   // larger.
   const auto& fences = dict_->fences_;

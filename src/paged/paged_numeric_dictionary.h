@@ -1,8 +1,10 @@
 #ifndef PAYG_PAGED_PAGED_NUMERIC_DICTIONARY_H_
 #define PAYG_PAGED_PAGED_NUMERIC_DICTIONARY_H_
 
+#include <bit>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "buffer/resource_manager.h"
@@ -21,9 +23,18 @@ class ChainByteWriter;
 // as Value::Compare orders the values. An int64 flips its sign bit. A
 // double folds -0.0 to 0.0, then inverts a negative's bits and sets a
 // positive's sign bit. NaN never reaches a dictionary.
-uint64_t NumericKey(const Value& value);
-// The value of `key` in a dictionary of `type` (kInt64 or kDouble).
-Value NumericValueOfKey(ValueType type, uint64_t key);
+uint64_t NumericKey(int64_t value);
+uint64_t NumericKey(double value);
+// The value of `key` as T (int64_t or double).
+template <typename T>
+T NumericValueOfKey(uint64_t key) {
+  constexpr uint64_t kSignBit = uint64_t{1} << 63;
+  if constexpr (std::is_same_v<T, int64_t>) {
+    return static_cast<int64_t>(key ^ kSignBit);
+  } else {
+    return std::bit_cast<double>((key & kSignBit) != 0 ? key ^ kSignBit : ~key);
+  }
+}
 
 // One dictionary page's frame of reference: key i of the page is
 // base + stride * i + residual i.
@@ -72,11 +83,10 @@ Status ParseNumericDictPage(const uint8_t* payload, uint32_t payload_size,
 // in the fragment's pool.
 class PagedNumericDictionary {
  public:
-  // Builds `<name>.ndict` from the keys of a sorted, unique dictionary.
+  // Builds `<name>.ndict` from a sorted, unique int64 or double array.
   static Result<std::unique_ptr<PagedNumericDictionary>> Build(
       StorageManager* storage, ResourceManager* rm, PoolId pool,
-      const std::string& name, ValueType type,
-      const std::vector<uint64_t>& keys);
+      const std::string& name, const ValueArray& sorted);
 
   // Opens `<name>.ndict` of a `size`-entry dictionary; `meta` is
   // positioned at the geometry WriteGeometry stored.
@@ -136,9 +146,10 @@ class PagedNumericDictionaryIterator {
 
   Result<Value> GetValue(ValueId vid);
 
-  // Appends the values of vids [from, to), in vid order. Decodes page by
-  // page and pins one page at a time.
-  Status MGetValues(ValueId from, ValueId to, std::vector<Value>* out);
+  // Appends the values of vids [from, to), in vid order, to `out`, which
+  // holds the dictionary's type. Decodes page by page and pins one page at
+  // a time.
+  Status MGetValues(ValueId from, ValueId to, ValueArray* out);
 
   // kInvalidValueId when absent.
   Result<ValueId> FindValueId(const Value& value);

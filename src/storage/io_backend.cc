@@ -256,8 +256,6 @@ void SetIoFaultHookForTest(IoFaultHook hook) {
   g_fault_hook.store(hook, std::memory_order_relaxed);
 }
 
-uint64_t IoReadSyscallCount() { return SyscallCounter()->value(); }
-
 namespace internal {
 
 int ConsumeInjectedFault() { return InjectedFault(); }

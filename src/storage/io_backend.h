@@ -100,12 +100,6 @@ void ChargeSimulatedLatency(uint32_t latency_us);
 using IoFaultHook = int (*)();
 void SetIoFaultHookForTest(IoFaultHook hook);
 
-// Number of read syscalls issued so far (pread/preadv + io_uring_enter),
-// mirroring the "io.syscalls" counter: the sync backend's preadv coalescing
-// and uring's batched submission both show up as this growing slower than
-// "storage.read.pages".
-uint64_t IoReadSyscallCount();
-
 namespace internal {
 // Implemented in io_uring_backend.cc. Null on platforms without io_uring
 // support compiled in or when the runtime probe fails.

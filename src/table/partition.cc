@@ -97,10 +97,24 @@ Status Partition::BulkLoadColumn(int col, const std::vector<Value>& sorted_dict,
     return Status::InvalidArgument("bulk-loaded columns differ in row count");
   }
   const ColumnSchema& cs = schema_->columns[col];
+  ValueArray dict = MakeValueArray(cs.type);
+  const bool typed = std::visit(
+      [&](auto& values) {
+        values.reserve(sorted_dict.size());
+        for (const Value& v : sorted_dict) {
+          if (v.type() != cs.type) return false;
+          values.push_back(v.As<ElementOf<decltype(values)>>());
+        }
+        return true;
+      },
+      dict);
+  if (!typed) {
+    return Status::InvalidArgument("type mismatch in column " + cs.name);
+  }
   PAYG_ASSIGN_OR_RETURN(
       mains_[col],
       BuildMainFragment(storage_, rm_, FragmentName(col, merge_generation_),
-                        cs.type, sorted_dict, vids, SpecFor(cs, cold_)));
+                        dict, vids, SpecFor(cs, cold_)));
   if (main_rows_ == 0) {
     main_rows_ = vids.size();
     deleted_.assign(main_rows_, 0);
@@ -157,7 +171,11 @@ Status Partition::Merge() {
   const uint64_t generation = merge_generation_ + 1;
   std::vector<std::unique_ptr<MainFragment>> new_mains(cols);
   for (int c = 0; c < cols; ++c) {
-    auto main = MergeColumn(c, FragmentName(c, generation));
+    auto main = std::visit(
+        [&](const auto& delta_dict) {
+          return MergeColumn(c, FragmentName(c, generation), delta_dict);
+        },
+        deltas_[c]->values());
     if (!main.ok()) {
       // All or nothing: close the mains built so far, then drop every
       // chain of the generation that never became current.
@@ -192,8 +210,9 @@ Status Partition::Merge() {
   return Status::OK();
 }
 
+template <typename T>
 Result<std::unique_ptr<MainFragment>> Partition::MergeColumn(
-    int col, const std::string& name) {
+    int col, const std::string& name, const std::vector<T>& delta_dict) {
   const DeltaFragment& delta = *deltas_[col];
   // A surviving row marks its value's slot in old_to_new / delta_to_new;
   // the dictionary merge below overwrites each mark with the new vid.
@@ -202,7 +221,7 @@ Result<std::unique_ptr<MainFragment>> Partition::MergeColumn(
   // The old main, in vid space. Its dictionary is sorted and unique (§2),
   // so the used entries, read in vid order, are already a sorted list.
   std::vector<ValueId> main_vids;
-  std::vector<Value> old_dict;
+  ValueArray old_values = std::vector<T>();
   std::vector<ValueId> old_to_new;
   if (mains_[col] != nullptr && main_rows_ > 0) {
     const uint64_t dict_size = mains_[col]->dict_size();
@@ -218,11 +237,12 @@ Result<std::unique_ptr<MainFragment>> Partition::MergeColumn(
       if (deleted_[r] == 0) old_to_new[main_vids[r]] = kUsed;
     }
     PAYG_RETURN_IF_ERROR(
-        reader->MGetValues(0, static_cast<ValueId>(dict_size), &old_dict));
+        reader->MGetValues(0, static_cast<ValueId>(dict_size), &old_values));
   }
+  std::vector<T>& old_dict = std::get<std::vector<T>>(old_values);
 
   // The delta: only the distinct values surviving rows use get sorted.
-  std::vector<ValueId> delta_to_new(delta.dict_size(), kInvalidValueId);
+  std::vector<ValueId> delta_to_new(delta_dict.size(), kInvalidValueId);
   std::vector<ValueId> delta_sorted;
   for (uint64_t d = 0; d < delta.row_count(); ++d) {
     if (deleted_[main_rows_ + d] != 0) continue;
@@ -233,17 +253,16 @@ Result<std::unique_ptr<MainFragment>> Partition::MergeColumn(
     }
   }
   std::sort(delta_sorted.begin(), delta_sorted.end(),
-            [&delta](ValueId a, ValueId b) {
-              return delta.GetValue(a).Compare(delta.GetValue(b)) < 0;
+            [&delta_dict](ValueId a, ValueId b) {
+              return delta_dict[a] < delta_dict[b];
             });
   // The delta dictionary is keyed so that equal values share one entry.
   for (size_t i = 1; i < delta_sorted.size(); ++i) {
-    PAYG_ASSERT(delta.GetValue(delta_sorted[i - 1])
-                    .Compare(delta.GetValue(delta_sorted[i])) < 0);
+    PAYG_ASSERT(delta_dict[delta_sorted[i - 1]] < delta_dict[delta_sorted[i]]);
   }
 
   // One linear merge of the two sorted lists; equal values share a vid.
-  std::vector<Value> dict;
+  std::vector<T> dict;
   dict.reserve(old_dict.size() + delta_sorted.size());
   ValueId o = 0;
   auto skip_unused = [&] {
@@ -253,11 +272,11 @@ Result<std::unique_ptr<MainFragment>> Partition::MergeColumn(
   size_t d = 0;
   while (o < old_dict.size() || d < delta_sorted.size()) {
     const ValueId next = static_cast<ValueId>(dict.size());
-    const int cmp =
-        o == old_dict.size()       ? 1
-        : d == delta_sorted.size() ? -1
-                                   : old_dict[o].Compare(
-                                         delta.GetValue(delta_sorted[d]));
+    const int cmp = o == old_dict.size()                         ? 1
+                    : d == delta_sorted.size()                   ? -1
+                    : old_dict[o] < delta_dict[delta_sorted[d]] ? -1
+                    : delta_dict[delta_sorted[d]] < old_dict[o] ? 1
+                                                                 : 0;
     if (cmp <= 0) {
       old_to_new[o] = next;
       dict.push_back(std::move(old_dict[o++]));
@@ -266,7 +285,7 @@ Result<std::unique_ptr<MainFragment>> Partition::MergeColumn(
     if (cmp >= 0) {
       const ValueId v = delta_sorted[d++];
       delta_to_new[v] = next;
-      if (cmp > 0) dict.push_back(delta.GetValue(v));
+      if (cmp > 0) dict.push_back(delta_dict[v]);
     }
   }
 
@@ -282,9 +301,8 @@ Result<std::unique_ptr<MainFragment>> Partition::MergeColumn(
       vids.push_back(delta_to_new[delta.GetVid(static_cast<RowPos>(r))]);
     }
   }
-  const ColumnSchema& cs = schema_->columns[col];
-  return BuildMainFragment(storage_, rm_, name, cs.type, dict, vids,
-                           SpecFor(cs, cold_));
+  return BuildMainFragment(storage_, rm_, name, ValueArray(std::move(dict)),
+                           vids, SpecFor(schema_->columns[col], cold_));
 }
 
 void Partition::UnloadAll() {

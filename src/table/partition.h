@@ -50,7 +50,8 @@ class Partition {
   // Initial-load fast path: installs a pre-encoded main fragment for one
   // column, bypassing the delta. All columns must be loaded with the same
   // row count and the partition must still be empty. The dictionary must be
-  // sorted and unique; vids reference it.
+  // sorted and unique and of the column's type; vids reference it. It is
+  // converted to a typed array once, here.
   Status BulkLoadColumn(int col, const std::vector<Value>& sorted_dict,
                         const std::vector<ValueId>& vids);
 
@@ -88,9 +89,11 @@ class Partition {
   std::string FragmentName(int col, uint64_t generation) const;
 
   // Builds column `col`'s next main under `name` from the surviving rows:
-  // merges the old main's dictionary with the delta's, in vid space.
-  Result<std::unique_ptr<MainFragment>> MergeColumn(int col,
-                                                    const std::string& name);
+  // merges the old main's dictionary with the delta's, `delta_dict`, in vid
+  // space. T is the column's element type.
+  template <typename T>
+  Result<std::unique_ptr<MainFragment>> MergeColumn(
+      int col, const std::string& name, const std::vector<T>& delta_dict);
 
   const TableSchema* schema_;
   uint32_t id_;

@@ -37,13 +37,6 @@ struct TableSchema {
     }
     return -1;
   }
-
-  int PrimaryKeyIndex() const {
-    for (size_t i = 0; i < columns.size(); ++i) {
-      if (columns[i].primary_key) return static_cast<int>(i);
-    }
-    return -1;
-  }
 };
 
 }  // namespace payg

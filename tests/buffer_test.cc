@@ -214,8 +214,10 @@ TEST(ResourceManagerTest, BackgroundSweeperRunsAsynchronously) {
     rm.Register("pg" + std::to_string(i), 100, Disposition::kPagedAttribute,
                 PoolId::kPagedPool, [&] { evicted++; });
   }
-  // The background thread wakes within ~20ms; give it some slack.
-  for (int i = 0; i < 100 && rm.pool_bytes(PoolId::kPagedPool) > 100; ++i) {
+  // The background thread wakes within ~20ms; give it some slack. Wait for
+  // the callbacks, not the pool bytes: a sweep lowers the bytes under the
+  // manager's lock and runs its victims' callbacks only after releasing it.
+  for (int i = 0; i < 100 && evicted.load() < 9; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_LE(rm.pool_bytes(PoolId::kPagedPool), 100u);

@@ -18,6 +18,7 @@
 #include "counter_delta.h"
 #include "paged/page_cache.h"
 #include "storage/page_file.h"
+#include "test_util.h"
 
 namespace payg {
 namespace {
@@ -28,8 +29,7 @@ class CacheStressTest : public ::testing::Test {
   static constexpr uint64_t kPages = 48;
 
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/payg_cache_stress_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = TestDir("cache_stress");
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

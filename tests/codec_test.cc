@@ -21,6 +21,7 @@
 #include "storage/storage_manager.h"
 #include "table/partition.h"
 #include "table/schema.h"
+#include "test_util.h"
 
 namespace payg {
 namespace {
@@ -490,8 +491,7 @@ TEST(CodecTest, ValuesPerPageIsChunkAlignedForEveryWidth) {
 class CodecPagedTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/payg_codec_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = TestDir("codec");
     std::filesystem::remove_all(dir_);
     StorageOptions opts;
     opts.page_size = 4096;  // tiny pages force multi-page structures
@@ -625,8 +625,8 @@ TEST_F(CodecPagedTest, BuildBumpsSelectionMetrics) {
 }
 
 TEST_F(CodecPagedTest, FragmentReopenHonorsPersistedCodec) {
-  std::vector<Value> dict_values;
-  for (int64_t i = 0; i < 400; ++i) dict_values.emplace_back(i * 10);
+  std::vector<int64_t> dict_values;
+  for (int64_t i = 0; i < 400; ++i) dict_values.push_back(i * 10);
   std::vector<ValueId> vids;
   for (uint32_t i = 0; i < 30000; ++i) {
     vids.push_back((i / 16) % 400);  // runs of 16
@@ -634,20 +634,20 @@ TEST_F(CodecPagedTest, FragmentReopenHonorsPersistedCodec) {
   for (CodecForce force : {CodecForce::kFor, CodecForce::kRle}) {
     const CodecId want = static_cast<CodecId>(static_cast<int>(force));
     const std::string name = std::string("frag_") + CodecName(want);
-    FragmentSpec spec;
-    spec.page_loadable = true;
-    spec.codec = force;  // pins the codec even under PAYG_FORCE_CODEC
     {
-      auto frag = BuildMainFragment(storage_.get(), rm_.get(), name,
-                                    ValueType::kInt64, dict_values, vids,
-                                    spec);
+      // `force` pins the codec even under PAYG_FORCE_CODEC.
+      auto frag = PagedFragment::Build(
+          storage_.get(), rm_.get(), PoolId::kPagedPool, name, dict_values,
+          vids, PagedFragment::IndexMode::kNone,
+          /*index_build_threshold=*/1, force);
       ASSERT_TRUE(frag.ok()) << frag.status().ToString();
       EXPECT_STREQ((*frag)->codec_name(), CodecName(want));
     }
 
     RestartStorage();
 
-    auto frag = OpenMainFragment(storage_.get(), rm_.get(), name, spec);
+    auto frag = OpenMainFragment(storage_.get(), rm_.get(), name,
+                                 FragmentSpec{.page_loadable = true});
     ASSERT_TRUE(frag.ok()) << frag.status().ToString();
     // The persisted codec id — not the knob, not a re-selection — decides
     // how pages decode after restart.

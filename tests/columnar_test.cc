@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <limits>
+#include <map>
 #include <optional>
 #include <thread>
 
@@ -20,6 +23,7 @@
 #include "columnar/value.h"
 #include "common/random.h"
 #include "storage/storage_manager.h"
+#include "test_util.h"
 
 namespace payg {
 namespace {
@@ -44,13 +48,6 @@ TEST(ValueTest, CompareWithinType) {
   EXPECT_LT(Value(std::string("a")).Compare(Value(std::string("b"))), 0);
   EXPECT_TRUE(Value(std::string("x")) == Value(std::string("x")));
   EXPECT_FALSE(Value(int64_t{1}) == Value(2.0));  // different types: unequal
-}
-
-TEST(ValueTest, EncodeKeyDistinguishesTypesAndValues) {
-  EXPECT_NE(Value(int64_t{1}).EncodeKey(), Value(1.0).EncodeKey());
-  EXPECT_NE(Value(int64_t{1}).EncodeKey(), Value(int64_t{2}).EncodeKey());
-  EXPECT_EQ(Value(std::string("k")).EncodeKey(),
-            Value(std::string("k")).EncodeKey());
 }
 
 TEST(ValueTest, ToString) {
@@ -84,12 +81,13 @@ void ExpectDictionaryMatchesReference(const std::vector<T>& values,
   for (int i = 0; i < 8; ++i) {
     const ValueId to = static_cast<ValueId>(rng->Uniform(ref.size() + 1));
     const ValueId from = static_cast<ValueId>(rng->Uniform(to + 1));
-    std::vector<Value> out = {Value(std::string("sentinel"))};
+    ValueArray out = std::vector<T>{T{}};
     d.AppendValues(from, to, &out);
-    ASSERT_EQ(out.size(), 1u + (to - from));
-    EXPECT_EQ(out[0].AsString(), "sentinel");
+    const auto& got = std::get<std::vector<T>>(out);
+    ASSERT_EQ(got.size(), 1u + (to - from));
+    EXPECT_EQ(got[0], T{});
     for (ValueId v = from; v < to; ++v) {
-      EXPECT_EQ(out[1 + v - from].Compare(ref[v]), 0) << "vid " << v;
+      EXPECT_EQ(Value(got[1 + v - from]).Compare(ref[v]), 0) << "vid " << v;
     }
   }
   for (const T& p : probes) {
@@ -324,6 +322,146 @@ TEST(DeltaFragmentTest, ClearResets) {
   EXPECT_EQ(delta.row_count(), 0u);
   EXPECT_EQ(delta.dict_size(), 0u);
   EXPECT_TRUE(delta.empty());
+  // The cleared delta keeps its type and interns afresh.
+  EXPECT_EQ(delta.type(), ValueType::kInt64);
+  EXPECT_EQ(delta.Append(Value(int64_t{1})), 0u);
+  EXPECT_EQ(delta.GetVid(0), 0u);
+  EXPECT_EQ(delta.dict_size(), 1u);
+}
+
+// Appends `values` to a delta with and without the index and checks both
+// against a reference keyed by Value::Compare: the first arrival of each
+// distinct value takes the next vid and keeps its bits (so -0.0 before 0.0
+// is one -0.0 entry), FindRows returns the rows equal to a probe, and
+// FindRowsMatching the rows inside a range of two probes.
+void ExpectDeltaMatchesReference(ValueType type,
+                                 const std::vector<Value>& values,
+                                 const std::vector<Value>& probes) {
+  auto less = [](const Value& a, const Value& b) { return a.Compare(b) < 0; };
+  std::map<Value, ValueId, decltype(less)> vid_of(less);
+  std::vector<Value> arrivals;  // by vid
+  std::vector<ValueId> row_vids;
+  for (const Value& v : values) {
+    auto [it, fresh] =
+        vid_of.try_emplace(v, static_cast<ValueId>(arrivals.size()));
+    if (fresh) arrivals.push_back(v);
+    row_vids.push_back(it->second);
+  }
+  auto rows_where = [&values](const std::function<bool(const Value&)>& pred) {
+    std::vector<RowPos> rows;
+    for (RowPos r = 0; r < values.size(); ++r) {
+      if (pred(values[r])) rows.push_back(r);
+    }
+    return rows;
+  };
+  for (bool indexed : {false, true}) {
+    SCOPED_TRACE(indexed ? "indexed" : "scan");
+    DeltaFragment delta(type);
+    if (indexed) delta.EnableIndex();
+    for (RowPos r = 0; r < values.size(); ++r) {
+      ASSERT_EQ(delta.Append(values[r]), r);
+    }
+    ASSERT_EQ(delta.row_count(), values.size());
+    ASSERT_EQ(delta.dict_size(), arrivals.size());
+    EXPECT_EQ(ValueArraySize(delta.values()), arrivals.size());
+    for (RowPos r = 0; r < values.size(); ++r) {
+      ASSERT_EQ(delta.GetVid(r), row_vids[r]) << "row " << r;
+    }
+    for (ValueId v = 0; v < arrivals.size(); ++v) {
+      const Value got = delta.GetValue(v);
+      ASSERT_EQ(got.type(), type);
+      if (type == ValueType::kDouble) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.AsDouble()),
+                  std::bit_cast<uint64_t>(arrivals[v].AsDouble()))
+            << "vid " << v;
+      } else {
+        EXPECT_EQ(got, arrivals[v]) << "vid " << v;
+      }
+    }
+    for (const Value& p : probes) {
+      std::vector<RowPos> got;
+      delta.FindRows(p, &got);
+      EXPECT_EQ(got, rows_where([&p](const Value& v) {
+                  return v.Compare(p) == 0;
+                })) << p.ToString();
+    }
+    for (size_t i = 0; i + 1 < probes.size(); i += 2) {
+      const Value& lo = probes[i];
+      const Value& hi = probes[i + 1];
+      auto in_range = [&lo, &hi](const Value& v) {
+        return v.Compare(lo) >= 0 && v.Compare(hi) <= 0;
+      };
+      std::vector<RowPos> got;
+      delta.FindRowsMatching(in_range, &got);
+      EXPECT_EQ(got, rows_where(in_range))
+          << "[" << lo.ToString() << ", " << hi.ToString() << "]";
+    }
+  }
+}
+
+TEST(DeltaFragmentTest, MatchesCompareKeyedReference) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kSub = std::numeric_limits<double>::denorm_min();
+  static constexpr char kAlphabet[] = {'\0', 'a', 'b', '\x7f', '\x80', '\xfe',
+                                       '\xff'};
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Random rng(seed);
+    const uint64_t n = seed % 8 == 0 ? rng.Uniform(3) : 50 + rng.Uniform(250);
+    std::vector<Value> ints, doubles, strings;
+    for (uint64_t i = 0; i < n; ++i) {
+      switch (rng.Uniform(4)) {
+        case 0:
+          ints.emplace_back(static_cast<int64_t>(rng.Next()));
+          doubles.emplace_back(kSub * static_cast<double>(rng.Uniform(5)) *
+                               (rng.Uniform(2) == 0 ? 1.0 : -1.0));
+          break;
+        case 1:
+          ints.emplace_back(rng.Uniform(2) == 0 ? kMin : kMax);
+          doubles.emplace_back(rng.Uniform(2) == 0 ? kInf : -kInf);
+          break;
+        default:
+          ints.emplace_back(static_cast<int64_t>(rng.Uniform(40)) - 20);
+          doubles.emplace_back(0.5 * static_cast<double>(rng.Uniform(20)) -
+                               5.0);
+          break;
+      }
+      std::string s(rng.Uniform(5), 'a');
+      for (char& c : s) c = kAlphabet[rng.Uniform(sizeof(kAlphabet))];
+      strings.emplace_back(std::move(s));
+    }
+    // -0.0 arrives before 0.0 on even seeds, after it on odd ones.
+    if (n > 0) {
+      const double first = seed % 2 == 0 ? -0.0 : 0.0;
+      doubles.insert(doubles.begin() + static_cast<ptrdiff_t>(rng.Uniform(n)),
+                     {Value(first), Value(-first)});
+    }
+    std::vector<Value> int_probes = {Value(kMin), Value(kMax),
+                                     Value(int64_t{0}), Value(int64_t{12345})};
+    std::vector<Value> double_probes = {Value(-kInf), Value(kInf), Value(-0.0),
+                                        Value(0.0), Value(kSub), Value(-kSub),
+                                        Value(0.25)};
+    std::vector<Value> string_probes = {
+        Value(std::string()), Value(std::string(1, '\0')),
+        Value(std::string("\xff")), Value(std::string(6, '\xff'))};
+    for (int i = 0; i < 12 && n > 0; ++i) {
+      int_probes.push_back(ints[rng.Uniform(ints.size())]);
+      double_probes.push_back(doubles[rng.Uniform(doubles.size())]);
+      string_probes.push_back(strings[rng.Uniform(strings.size())]);
+    }
+    ExpectDeltaMatchesReference(ValueType::kInt64, ints, int_probes);
+    ExpectDeltaMatchesReference(ValueType::kDouble, doubles, double_probes);
+    ExpectDeltaMatchesReference(ValueType::kString, strings, string_probes);
+  }
+  // The fixed case: -0.0 first makes one entry that keeps its sign.
+  DeltaFragment zeros(ValueType::kDouble);
+  zeros.Append(Value(-0.0));
+  zeros.Append(Value(0.0));
+  EXPECT_EQ(zeros.dict_size(), 1u);
+  EXPECT_TRUE(std::signbit(zeros.GetValue(0).AsDouble()));
+  EXPECT_EQ(zeros.GetVid(1), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -333,8 +471,7 @@ TEST(DeltaFragmentTest, ClearResets) {
 class ResidentFragmentTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/payg_resident_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = TestDir("resident");
     std::filesystem::remove_all(dir_);
     StorageOptions opts;
     opts.page_size = 16 * 1024;  // small pages → multi-page chains in tests
@@ -353,9 +490,9 @@ class ResidentFragmentTest : public ::testing::Test {
   std::unique_ptr<FullyResidentFragment> BuildIntFragment(
       const std::string& name, uint64_t rows, uint64_t cardinality,
       bool with_index) {
-    std::vector<Value> dict_values;
+    std::vector<int64_t> dict_values;
     for (uint64_t i = 0; i < cardinality; ++i) {
-      dict_values.emplace_back(static_cast<int64_t>(i * 10));
+      dict_values.push_back(static_cast<int64_t>(i * 10));
     }
     Random rng(42);
     std::vector<ValueId> vids;
@@ -364,8 +501,7 @@ class ResidentFragmentTest : public ::testing::Test {
     }
     vids_ = vids;
     auto frag = FullyResidentFragment::Build(storage_.get(), rm_.get(), name,
-                                             ValueType::kInt64, dict_values,
-                                             vids, with_index);
+                                             dict_values, vids, with_index);
     EXPECT_TRUE(frag.ok()) << frag.status().ToString();
     return std::move(*frag);
   }
@@ -580,9 +716,9 @@ TEST_F(ResidentFragmentTest, OpenExistingFragment) {
 }
 
 TEST_F(ResidentFragmentTest, StringColumnRoundtrip) {
-  std::vector<Value> dict_values;
+  std::vector<std::string> dict_values;
   for (int i = 0; i < 26; ++i) {
-    dict_values.emplace_back(std::string(3, static_cast<char>('a' + i)));
+    dict_values.emplace_back(3, static_cast<char>('a' + i));
   }
   std::vector<ValueId> vids;
   Random rng(9);
@@ -590,8 +726,7 @@ TEST_F(ResidentFragmentTest, StringColumnRoundtrip) {
     vids.push_back(static_cast<ValueId>(rng.Uniform(26)));
   }
   auto frag = FullyResidentFragment::Build(storage_.get(), rm_.get(), "str",
-                                           ValueType::kString, dict_values,
-                                           vids, false);
+                                           dict_values, vids, false);
   ASSERT_TRUE(frag.ok());
   auto reader = (*frag)->NewReader();
   ASSERT_TRUE(reader.ok());
@@ -606,8 +741,8 @@ TEST_F(ResidentFragmentTest, StringColumnRoundtrip) {
 TEST_F(ResidentFragmentTest, SparseCodecChosenForSkewedColumns) {
   // 80% of rows hold vid 0 → the build must pick sparse encoding, and every
   // read path must agree with the source data.
-  std::vector<Value> dict_values;
-  for (int64_t i = 0; i < 30; ++i) dict_values.emplace_back(i * 2);
+  std::vector<int64_t> dict_values;
+  for (int64_t i = 0; i < 30; ++i) dict_values.push_back(i * 2);
   Random rng(55);
   std::vector<ValueId> vids;
   for (int i = 0; i < 20000; ++i) {
@@ -616,8 +751,7 @@ TEST_F(ResidentFragmentTest, SparseCodecChosenForSkewedColumns) {
                        : static_cast<ValueId>(rng.Uniform(30)));
   }
   auto frag = FullyResidentFragment::Build(storage_.get(), rm_.get(),
-                                           "skew", ValueType::kInt64,
-                                           dict_values, vids, false);
+                                           "skew", dict_values, vids, false);
   ASSERT_TRUE(frag.ok());
   EXPECT_EQ((*frag)->codec(), FullyResidentFragment::Codec::kSparse);
 

@@ -11,6 +11,7 @@
 #include "counter_delta.h"
 #include "paged/paged_fragment.h"
 #include "storage/byte_stream.h"
+#include "test_util.h"
 #include "workload/erp.h"
 
 namespace payg {
@@ -19,8 +20,7 @@ namespace {
 class ColumnStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/payg_core_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = TestDir("core");
     std::filesystem::remove_all(dir_);
   }
 
@@ -465,7 +465,7 @@ TEST_F(ColumnStoreTest, LegacyNumericMetaReopensWithTheSameAnswers) {
       ValueType type;
       PagedFragment::IndexMode mode;
       uint64_t rows;
-      std::vector<Value> values;
+      ValueArray values;
       {
         auto frag = PagedFragment::Open(storage->get(), &rm,
                                         PoolId::kPagedPool, name);
@@ -474,6 +474,7 @@ TEST_F(ColumnStoreTest, LegacyNumericMetaReopensWithTheSameAnswers) {
         mode = (*frag)->index_mode();
         rows = (*frag)->row_count();
         if (type == ValueType::kString) continue;
+        values = MakeValueArray(type);
         auto reader = (*frag)->NewReader();
         ASSERT_TRUE(reader.ok());
         ASSERT_TRUE((*reader)
@@ -488,13 +489,11 @@ TEST_F(ColumnStoreTest, LegacyNumericMetaReopensWithTheSameAnswers) {
       w.PutU8(static_cast<uint8_t>(type));
       w.PutU8(static_cast<uint8_t>(mode));
       w.PutU64(rows);
-      w.PutU64(values.size());
-      for (const Value& v : values) {
-        if (type == ValueType::kInt64) {
-          w.PutI64(v.AsInt64());
-        } else {
-          w.PutDouble(v.AsDouble());
-        }
+      w.PutU64(ValueArraySize(values));
+      if (type == ValueType::kInt64) {
+        for (int64_t v : std::get<std::vector<int64_t>>(values)) w.PutI64(v);
+      } else {
+        for (double v : std::get<std::vector<double>>(values)) w.PutDouble(v);
       }
       ASSERT_TRUE(w.Finish().ok());
       ASSERT_TRUE((*storage)->DropChain(name + ".ndict").ok());

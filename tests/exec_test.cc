@@ -15,6 +15,7 @@
 #include "exec/query_executor.h"
 #include "exec/thread_pool.h"
 #include "table/table.h"
+#include "test_util.h"
 
 namespace payg {
 namespace {
@@ -154,8 +155,7 @@ std::vector<Value> OrderRow(uint64_t id, int64_t date,
 class ExecTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/payg_exec_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = TestDir("exec");
     std::filesystem::remove_all(dir_);
     StorageOptions opts;
     opts.page_size = 8192;

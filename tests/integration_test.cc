@@ -10,6 +10,7 @@
 
 #include "common/random.h"
 #include "core/column_store.h"
+#include "test_util.h"
 #include "workload/erp.h"
 
 namespace payg {
@@ -18,8 +19,7 @@ namespace {
 class IntegrationTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/payg_integration_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = TestDir("integration");
     std::filesystem::remove_all(dir_);
   }
 
@@ -363,8 +363,7 @@ struct ReferenceModel {
 class ReferenceModelTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ReferenceModelTest, RandomOpsMatchModel) {
-  std::string dir = ::testing::TempDir() + "/payg_model_" +
-                    std::to_string(GetParam());
+  std::string dir = TestDir("model");
   std::filesystem::remove_all(dir);
   ColumnStoreOptions options;
   options.directory = dir;

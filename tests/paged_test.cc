@@ -22,6 +22,7 @@
 #include "paged/paged_inverted_index.h"
 #include "paged/paged_numeric_dictionary.h"
 #include "storage/byte_stream.h"
+#include "test_util.h"
 
 namespace payg {
 namespace {
@@ -29,8 +30,7 @@ namespace {
 class PagedTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/payg_paged_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = TestDir("paged");
     std::filesystem::remove_all(dir_);
     StorageOptions opts;
     opts.page_size = 4096;        // tiny pages force multi-page structures
@@ -668,43 +668,59 @@ TEST_F(PagedTest, DictionaryMGetValuesMatchesFindByValueId) {
 }
 
 // Both main fragment kinds answer the batch dictionary read with exactly
-// what the per-vid read returns, for every value type.
+// what the per-vid read returns, for every value type: into a typed array
+// of the fragment's type, appended after what it holds, over the whole
+// range, random ranges and an empty one.
 TEST_F(PagedTest, FragmentMGetValuesMatchesGetValueForVid) {
-  std::vector<std::vector<Value>> dicts(3);
-  for (int64_t i = 0; i < 700; ++i) {
-    dicts[0].emplace_back(i * 3 - 1000);
-    dicts[1].emplace_back(static_cast<double>(i) * 0.5 - 100.0);
+  constexpr ValueId kSize = 700;
+  std::vector<ValueArray> dicts = {std::vector<int64_t>(),
+                                   std::vector<double>(),
+                                   std::vector<std::string>()};
+  for (int64_t i = 0; i < kSize; ++i) {
+    std::get<0>(dicts[0]).push_back(i * 3 - 1000);
+    std::get<1>(dicts[1]).push_back(static_cast<double>(i) * 0.5 - 100.0);
     char buf[16];
     std::snprintf(buf, sizeof(buf), "k%05lld", static_cast<long long>(i));
-    dicts[2].emplace_back(std::string(buf));
+    std::get<2>(dicts[2]).emplace_back(buf);
   }
-  const ValueType types[] = {ValueType::kInt64, ValueType::kDouble,
-                             ValueType::kString};
-  const std::vector<ValueId> vids = RandomVids(3000, 700, 5);
+  const std::vector<ValueId> vids = RandomVids(3000, kSize, 5);
+  Random rng(6);
   int n = 0;
-  for (int t = 0; t < 3; ++t) {
+  for (const ValueArray& dict : dicts) {
+    const ValueType type = ValueArrayType(dict);
     for (bool paged : {false, true}) {
-      SCOPED_TRACE(std::string(ValueTypeName(types[t])) +
+      SCOPED_TRACE(std::string(ValueTypeName(type)) +
                    (paged ? " paged" : " resident"));
       FragmentSpec spec{.page_loadable = paged};
       auto frag = BuildMainFragment(storage_.get(), rm_.get(),
-                                    "fmv" + std::to_string(n++), types[t],
-                                    dicts[t], vids, spec);
+                                    "fmv" + std::to_string(n++), dict, vids,
+                                    spec);
       ASSERT_TRUE(frag.ok()) << frag.status().ToString();
       auto reader = (*frag)->NewReader();
       ASSERT_TRUE(reader.ok());
-      std::vector<Value> all;
-      ASSERT_TRUE((*reader)->MGetValues(0, 700, &all).ok());
-      EXPECT_EQ(all, dicts[t]);
-      std::vector<Value> part;
-      ASSERT_TRUE((*reader)->MGetValues(250, 263, &part).ok());
-      ASSERT_EQ(part.size(), 13u);
-      for (ValueId v = 250; v < 263; ++v) {
-        auto one = (*reader)->GetValueForVid(v);
-        ASSERT_TRUE(one.ok());
-        EXPECT_EQ(part[v - 250], *one);
+      ValueArray all = MakeValueArray(type);
+      ASSERT_TRUE((*reader)->MGetValues(0, kSize, &all).ok());
+      EXPECT_EQ(all, dict);
+      for (int i = 0; i < 20; ++i) {
+        const auto to = static_cast<ValueId>(rng.Uniform(kSize + 1));
+        const auto from = static_cast<ValueId>(rng.Uniform(to + 1));
+        ValueArray part = MakeValueArray(type);
+        ASSERT_TRUE((*reader)->MGetValues(0, 1, &part).ok());  // a prefix
+        ASSERT_TRUE((*reader)->MGetValues(from, to, &part).ok());
+        ASSERT_EQ(ValueArraySize(part), 1u + (to - from));
+        EXPECT_EQ(ValueAt(part, 0), ValueAt(dict, 0));
+        for (ValueId v = from; v < to; ++v) {
+          auto one = (*reader)->GetValueForVid(v);
+          ASSERT_TRUE(one.ok());
+          EXPECT_EQ(ValueAt(part, 1 + v - from), *one) << "vid " << v;
+        }
       }
-      EXPECT_EQ((*reader)->MGetValues(0, 701, &part).code(),
+      ValueArray none = MakeValueArray(type);
+      EXPECT_TRUE((*reader)->MGetValues(kSize, kSize, &none).ok());
+      EXPECT_EQ(ValueArraySize(none), 0u);
+      EXPECT_EQ((*reader)->MGetValues(0, kSize + 1, &none).code(),
+                StatusCode::kOutOfRange);
+      EXPECT_EQ((*reader)->MGetValues(5, 4, &none).code(),
                 StatusCode::kOutOfRange);
     }
   }
@@ -915,10 +931,8 @@ template <typename T>
 Result<std::unique_ptr<PagedNumericDictionary>> BuildNumericDict(
     StorageManager* storage, ResourceManager* rm, const std::string& name,
     const std::vector<T>& sorted) {
-  std::vector<uint64_t> keys;
-  for (const T& v : sorted) keys.push_back(NumericKey(Value(v)));
   return PagedNumericDictionary::Build(storage, rm, PoolId::kPagedPool, name,
-                                       Value(T{}).type(), keys);
+                                       sorted);
 }
 
 // Every value of `values`, its neighbours, and the type's extremes.
@@ -971,8 +985,8 @@ void ExpectPagedMatchesDictionary(PagedNumericDictionary* paged,
         i == 0 ? size : static_cast<ValueId>(rng->Uniform(size + 1));
     const ValueId from =
         i == 0 ? 0 : static_cast<ValueId>(rng->Uniform(to + 1));
-    std::vector<Value> got = {Value(std::string("sentinel"))};
-    std::vector<Value> want = got;
+    ValueArray got = std::vector<T>{T{7}};
+    ValueArray want = got;
     ASSERT_TRUE(it.MGetValues(from, to, &got).ok());
     ref.AppendValues(from, to, &want);
     ASSERT_EQ(got, want) << "[" << from << ", " << to << ")";
@@ -991,24 +1005,21 @@ void ExpectPagedMatchesDictionary(PagedNumericDictionary* paged,
 }
 
 TEST_F(PagedTest, NumericKeyPreservesValueOrder) {
-  const std::vector<Value> ordered = {
-      Value(-kInf), Value(std::numeric_limits<double>::lowest()),
-      Value(-1.5), Value(-kSub), Value(0.0), Value(kSub), Value(1.5),
-      Value(std::numeric_limits<double>::max()), Value(kInf)};
+  const std::vector<double> ordered = {
+      -kInf, std::numeric_limits<double>::lowest(), -1.5, -kSub, 0.0, kSub,
+      1.5, std::numeric_limits<double>::max(), kInf};
   for (size_t i = 0; i + 1 < ordered.size(); ++i) {
     EXPECT_LT(NumericKey(ordered[i]), NumericKey(ordered[i + 1])) << i;
   }
-  EXPECT_EQ(NumericKey(Value(-0.0)), NumericKey(Value(0.0)));
-  EXPECT_EQ(NumericKey(Value(kI64Min)), 0u);
-  EXPECT_EQ(NumericKey(Value(kI64Max)), ~uint64_t{0});
-  EXPECT_EQ(NumericKey(Value(int64_t{0})) - NumericKey(Value(int64_t{-1})),
-            1u);
-  for (const Value& v : ordered) {
-    EXPECT_EQ(NumericValueOfKey(ValueType::kDouble, NumericKey(v)), v);
+  EXPECT_EQ(NumericKey(-0.0), NumericKey(0.0));
+  EXPECT_EQ(NumericKey(kI64Min), 0u);
+  EXPECT_EQ(NumericKey(kI64Max), ~uint64_t{0});
+  EXPECT_EQ(NumericKey(int64_t{0}) - NumericKey(int64_t{-1}), 1u);
+  for (double v : ordered) {
+    EXPECT_EQ(NumericValueOfKey<double>(NumericKey(v)), v);
   }
   for (int64_t v : {kI64Min, int64_t{-7}, int64_t{0}, kI64Max}) {
-    EXPECT_EQ(NumericValueOfKey(ValueType::kInt64, NumericKey(Value(v))),
-              Value(v));
+    EXPECT_EQ(NumericValueOfKey<int64_t>(NumericKey(v)), v);
   }
 }
 
@@ -1200,8 +1211,9 @@ TEST_F(PagedTest, PagedNumericFragmentReopenAnswersAsBuilt) {
     const std::string name = type == ValueType::kInt64 ? "re_i" : "re_d";
     {
       auto built = PagedFragment::Build(storage_.get(), rm_.get(),
-                                        PoolId::kPagedPool, name, type,
-                                        *values, vids, true);
+                                        PoolId::kPagedPool, name,
+                                        ToValueArray(type, *values), vids,
+                                        true);
       ASSERT_TRUE(built.ok()) << built.status().ToString();
     }
     auto frag = PagedFragment::Open(storage_.get(), rm_.get(),
@@ -1211,9 +1223,9 @@ TEST_F(PagedTest, PagedNumericFragmentReopenAnswersAsBuilt) {
     EXPECT_EQ((*frag)->dict_size(), values->size());
     auto reader = (*frag)->NewReader();
     ASSERT_TRUE(reader.ok());
-    std::vector<Value> all;
+    ValueArray all = MakeValueArray(type);
     ASSERT_TRUE((*reader)->MGetValues(0, values->size(), &all).ok());
-    EXPECT_EQ(all, *values);
+    EXPECT_EQ(ToValues(all), *values);
     for (int i = 0; i < 200; ++i) {
       const auto vid = static_cast<ValueId>(rng.Uniform(values->size()));
       auto got = (*reader)->GetValueForVid(vid);
@@ -1249,8 +1261,9 @@ TEST_F(PagedTest, LegacyNumericMetaOpensThroughItsEmbeddedValues) {
     const std::string name = type == ValueType::kInt64 ? "leg_i" : "leg_d";
     {
       auto built = PagedFragment::Build(storage_.get(), rm_.get(),
-                                        PoolId::kPagedPool, name, type,
-                                        *values, vids, true);
+                                        PoolId::kPagedPool, name,
+                                        ToValueArray(type, *values), vids,
+                                        true);
       ASSERT_TRUE(built.ok()) << built.status().ToString();
     }
     {
@@ -1280,9 +1293,9 @@ TEST_F(PagedTest, LegacyNumericMetaOpensThroughItsEmbeddedValues) {
     EXPECT_TRUE((*frag)->has_index());
     auto reader = (*frag)->NewReader();
     ASSERT_TRUE(reader.ok());
-    std::vector<Value> all;
+    ValueArray all = MakeValueArray(type);
     ASSERT_TRUE((*reader)->MGetValues(0, values->size(), &all).ok());
-    EXPECT_EQ(all, *values);
+    EXPECT_EQ(ToValues(all), *values);
     for (ValueId vid : {0u, 1u, 1499u, 2999u}) {
       auto found = (*reader)->FindValueId((*values)[vid]);
       ASSERT_TRUE(found.ok());
@@ -1355,11 +1368,10 @@ class PagedNumericCorruptionTest : public PagedTest {
   void SetUp() override {
     PagedTest::SetUp();
     for (int64_t i = 0; i < 80000; ++i) values_.emplace_back(i * 5 + i % 3);
-    auto frag = PagedFragment::Build(storage_.get(), rm_.get(),
-                                     PoolId::kPagedPool, "nc",
-                                     ValueType::kInt64, values_,
-                                     RandomVids(1000, values_.size(), 3),
-                                     false);
+    auto frag = PagedFragment::Build(
+        storage_.get(), rm_.get(), PoolId::kPagedPool, "nc",
+        ToValueArray(ValueType::kInt64, values_),
+        RandomVids(1000, values_.size(), 3), false);
     ASSERT_TRUE(frag.ok()) << frag.status().ToString();
     auto meta = ReadNumericMeta(storage_.get(), "nc");
     ASSERT_TRUE(meta.ok()) << meta.status().ToString();
@@ -1446,12 +1458,12 @@ TEST_F(PagedNumericCorruptionTest, UnknownMetaVersion) {
 // ---------------------------------------------------------------------------
 
 TEST_F(PagedTest, PagedFragmentNumericColumn) {
-  std::vector<Value> dict_values;
+  std::vector<int64_t> dict_values;
   for (int64_t i = 0; i < 200; ++i) dict_values.emplace_back(i * 7);
   auto vids = RandomVids(40000, 200, 17);
   auto frag = PagedFragment::Build(storage_.get(), rm_.get(),
                                    PoolId::kPagedPool, "pf1",
-                                   ValueType::kInt64, dict_values, vids, true);
+                                   dict_values, vids, true);
   ASSERT_TRUE(frag.ok()) << frag.status().ToString();
   EXPECT_TRUE((*frag)->is_paged());
   EXPECT_TRUE((*frag)->has_index());
@@ -1480,13 +1492,10 @@ TEST_F(PagedTest, PagedFragmentNumericColumn) {
 
 TEST_F(PagedTest, PagedFragmentStringColumn) {
   auto strings = MakeSortedStrings(800);
-  std::vector<Value> dict_values;
-  for (const auto& s : strings) dict_values.emplace_back(s);
   auto vids = RandomVids(20000, 800, 18);
   auto frag = PagedFragment::Build(storage_.get(), rm_.get(),
                                    PoolId::kPagedPool, "pf2",
-                                   ValueType::kString, dict_values, vids,
-                                   false);
+                                   strings, vids, false);
   ASSERT_TRUE(frag.ok()) << frag.status().ToString();
   auto reader = (*frag)->NewReader();
   ASSERT_TRUE(reader.ok());
@@ -1505,13 +1514,12 @@ TEST_F(PagedTest, PagedFragmentStringColumn) {
 }
 
 TEST_F(PagedTest, PagedFragmentResidentBytesTrackLoads) {
-  std::vector<Value> dict_values;
+  std::vector<int64_t> dict_values;
   for (int64_t i = 0; i < 100; ++i) dict_values.emplace_back(i);
   auto vids = RandomVids(100000, 100, 19);
   auto frag = PagedFragment::Build(storage_.get(), rm_.get(),
                                    PoolId::kPagedPool, "pf3",
-                                   ValueType::kInt64, dict_values, vids,
-                                   false);
+                                   dict_values, vids, false);
   ASSERT_TRUE(frag.ok());
   (*frag)->Unload();
   uint64_t before = (*frag)->ResidentBytes();
@@ -1532,15 +1540,14 @@ TEST_F(PagedTest, PagedFragmentResidentBytesTrackLoads) {
 // is 0 and the whole dictionary packs into one 4 KiB page) still one page.
 TEST_F(PagedTest, PagedNumericDictionaryRegistersOnePageNotTheDictionary) {
   constexpr uint64_t kEntries = 20000;
-  std::vector<Value> dict_values;
+  std::vector<int64_t> dict_values;
   for (uint64_t i = 0; i < kEntries; ++i) {
-    dict_values.emplace_back(static_cast<int64_t>(i * 3));
+    dict_values.push_back(static_cast<int64_t>(i * 3));
   }
   auto vids = RandomVids(64, kEntries, 23);
   auto frag = PagedFragment::Build(storage_.get(), rm_.get(),
                                    PoolId::kPagedPool, "pf_mem",
-                                   ValueType::kInt64, dict_values, vids,
-                                   false);
+                                   dict_values, vids, false);
   ASSERT_TRUE(frag.ok()) << frag.status().ToString();
   PagedNumericDictionary* dict = (*frag)->numeric_dictionary();
   ASSERT_NE(dict, nullptr);
@@ -1565,12 +1572,12 @@ TEST_F(PagedTest, PagedNumericDictionaryRegistersOnePageNotTheDictionary) {
 }
 
 TEST_F(PagedTest, PagedFragmentUnloadDropsEverything) {
-  std::vector<Value> dict_values;
+  std::vector<int64_t> dict_values;
   for (int64_t i = 0; i < 100; ++i) dict_values.emplace_back(i);
   auto vids = RandomVids(50000, 100, 20);
   auto frag = PagedFragment::Build(storage_.get(), rm_.get(),
                                    PoolId::kPagedPool, "pf4",
-                                   ValueType::kInt64, dict_values, vids, true);
+                                   dict_values, vids, true);
   ASSERT_TRUE(frag.ok());
   {
     auto reader = (*frag)->NewReader();
@@ -1587,14 +1594,11 @@ TEST_F(PagedTest, PagedFragmentUnloadDropsEverything) {
 
 TEST_F(PagedTest, PagedFragmentReopen) {
   auto strings = MakeSortedStrings(500);
-  std::vector<Value> dict_values;
-  for (const auto& s : strings) dict_values.emplace_back(s);
   auto vids = RandomVids(10000, 500, 21);
   {
     auto frag = PagedFragment::Build(storage_.get(), rm_.get(),
                                      PoolId::kPagedPool, "pf5",
-                                     ValueType::kString, dict_values, vids,
-                                     true);
+                                     strings, vids, true);
     ASSERT_TRUE(frag.ok());
   }
   auto frag = PagedFragment::Open(storage_.get(), rm_.get(),
@@ -1615,21 +1619,19 @@ TEST_F(PagedTest, PagedFragmentReopen) {
 }
 
 TEST_F(PagedTest, FragmentFactoryDispatches) {
-  std::vector<Value> dict_values;
+  std::vector<int64_t> dict_values;
   for (int64_t i = 0; i < 10; ++i) dict_values.emplace_back(i);
   std::vector<ValueId> vids{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   FragmentSpec paged_spec{.page_loadable = true, .with_index = false,
                           .pool = PoolId::kColdPagedPool};
   auto paged = BuildMainFragment(storage_.get(), rm_.get(), "ff1",
-                                 ValueType::kInt64, dict_values, vids,
-                                 paged_spec);
+                                 dict_values, vids, paged_spec);
   ASSERT_TRUE(paged.ok());
   EXPECT_TRUE((*paged)->is_paged());
   FragmentSpec resident_spec{.page_loadable = false, .with_index = true,
                              .pool = PoolId::kGeneral};
   auto resident = BuildMainFragment(storage_.get(), rm_.get(), "ff2",
-                                    ValueType::kInt64, dict_values, vids,
-                                    resident_spec);
+                                    dict_values, vids, resident_spec);
   ASSERT_TRUE(resident.ok());
   EXPECT_FALSE((*resident)->is_paged());
 }
@@ -1741,13 +1743,12 @@ TEST_F(PagedTest, SummaryEvictionIsTransparent) {
 // ---------------------------------------------------------------------------
 
 TEST_F(PagedTest, DeferredIndexBuildsAfterThreshold) {
-  std::vector<Value> dict_values;
+  std::vector<int64_t> dict_values;
   for (int64_t i = 0; i < 50; ++i) dict_values.emplace_back(i);
   auto vids = RandomVids(30000, 50, 31);
   auto frag = PagedFragment::Build(
-      storage_.get(), rm_.get(), PoolId::kPagedPool, "def1",
-      ValueType::kInt64, dict_values, vids,
-      PagedFragment::IndexMode::kDeferred, /*index_build_threshold=*/3);
+      storage_.get(), rm_.get(), PoolId::kPagedPool, "def1", dict_values,
+      vids, PagedFragment::IndexMode::kDeferred, /*index_build_threshold=*/3);
   ASSERT_TRUE(frag.ok()) << frag.status().ToString();
   EXPECT_FALSE((*frag)->has_index());  // nothing built at merge time
 
@@ -1774,14 +1775,13 @@ TEST_F(PagedTest, DeferredIndexBuildsAfterThreshold) {
 }
 
 TEST_F(PagedTest, DeferredIndexPersistsAcrossReopen) {
-  std::vector<Value> dict_values;
+  std::vector<int64_t> dict_values;
   for (int64_t i = 0; i < 20; ++i) dict_values.emplace_back(i);
   auto vids = RandomVids(10000, 20, 32);
   {
     auto frag = PagedFragment::Build(
-        storage_.get(), rm_.get(), PoolId::kPagedPool, "def2",
-        ValueType::kInt64, dict_values, vids,
-        PagedFragment::IndexMode::kDeferred, /*index_build_threshold=*/1);
+        storage_.get(), rm_.get(), PoolId::kPagedPool, "def2", dict_values,
+        vids, PagedFragment::IndexMode::kDeferred, /*index_build_threshold=*/1);
     ASSERT_TRUE(frag.ok());
     auto reader = (*frag)->NewReader();
     ASSERT_TRUE(reader.ok());
@@ -1807,13 +1807,12 @@ TEST_F(PagedTest, DeferredIndexPersistsAcrossReopen) {
 }
 
 TEST_F(PagedTest, RebuildIndexNowIsIdempotent) {
-  std::vector<Value> dict_values;
+  std::vector<int64_t> dict_values;
   for (int64_t i = 0; i < 10; ++i) dict_values.emplace_back(i);
   auto vids = RandomVids(5000, 10, 33);
   auto frag = PagedFragment::Build(
-      storage_.get(), rm_.get(), PoolId::kPagedPool, "def3",
-      ValueType::kInt64, dict_values, vids,
-      PagedFragment::IndexMode::kDeferred, /*index_build_threshold=*/100);
+      storage_.get(), rm_.get(), PoolId::kPagedPool, "def3", dict_values,
+      vids, PagedFragment::IndexMode::kDeferred, /*index_build_threshold=*/100);
   ASSERT_TRUE(frag.ok());
   ASSERT_TRUE((*frag)->RebuildIndexNow().ok());
   ASSERT_TRUE((*frag)->RebuildIndexNow().ok());
@@ -1999,13 +1998,12 @@ TEST_F(PagedTest, IndexIteratorPrefetchesAcrossPostingPages) {
 }
 
 TEST_F(PagedTest, ColdPoolPagesAreAccountedSeparately) {
-  std::vector<Value> dict_values;
+  std::vector<int64_t> dict_values;
   for (int64_t i = 0; i < 50; ++i) dict_values.emplace_back(i);
   auto vids = RandomVids(50000, 50, 22);
   auto frag = PagedFragment::Build(storage_.get(), rm_.get(),
                                    PoolId::kColdPagedPool, "cold1",
-                                   ValueType::kInt64, dict_values, vids,
-                                   false);
+                                   dict_values, vids, false);
   ASSERT_TRUE(frag.ok());
   auto reader = (*frag)->NewReader();
   ASSERT_TRUE(reader.ok());

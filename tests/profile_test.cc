@@ -20,6 +20,7 @@
 #include "obs/slow_query_ring.h"
 #include "obs/stats_dumper.h"
 #include "table/table.h"
+#include "test_util.h"
 
 namespace payg {
 namespace {
@@ -397,8 +398,7 @@ class ProfileTest : public ::testing::Test {
   static constexpr uint32_t kReadLatencyUs = 100;
 
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/payg_profile_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = TestDir("profile");
     std::filesystem::remove_all(dir_);
     StorageOptions opts;
     opts.page_size = 8192;
@@ -739,7 +739,7 @@ TEST(SlowQueryRingTest, DumpJsonIsValid) {
 // ---------------------------------------------------------------------------
 
 TEST(StatsDumperTest, DumpOnceWritesAllThreeFiles) {
-  const std::string dir = ::testing::TempDir() + "/payg_stats_dump_test";
+  const std::string dir = TestDir("stats_dump");
   std::filesystem::remove_all(dir);
 
   obs::MetricsRegistry::Global().counter("obs.dumper_test")->Add(3);
@@ -778,7 +778,7 @@ TEST(StatsDumperTest, DumpOnceWritesAllThreeFiles) {
 }
 
 TEST(StatsDumperTest, StartAndStopAreIdempotent) {
-  const std::string dir = ::testing::TempDir() + "/payg_stats_loop_test";
+  const std::string dir = TestDir("stats_loop");
   std::filesystem::remove_all(dir);
   obs::StatsDumper dumper;
   EXPECT_FALSE(dumper.running());

@@ -22,6 +22,7 @@
 #include "server/client.h"
 #include "server/seed.h"
 #include "server/server.h"
+#include "test_util.h"
 
 namespace payg::server {
 namespace {
@@ -136,8 +137,7 @@ class ServerTest : public ::testing::Test {
   // Opens a seeded store; latency_us > 0 simulates slow page reads so a
   // full-scan query reliably occupies a worker for tens of ms.
   void OpenStore(uint32_t latency_us) {
-    dir_ = ::testing::TempDir() + "/payg_server_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = TestDir("server");
     std::filesystem::remove_all(dir_);
     ColumnStoreOptions options;
     options.directory = dir_ + "/data";

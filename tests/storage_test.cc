@@ -13,6 +13,7 @@
 #include "storage/page.h"
 #include "storage/page_file.h"
 #include "storage/storage_manager.h"
+#include "test_util.h"
 
 namespace payg {
 namespace {
@@ -20,8 +21,7 @@ namespace {
 class StorageTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/payg_storage_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = TestDir("storage");
     std::filesystem::remove_all(dir_);
     auto sm = StorageManager::Open(dir_, StorageOptions());
     ASSERT_TRUE(sm.ok()) << sm.status().ToString();

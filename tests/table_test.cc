@@ -17,6 +17,7 @@
 #include "paged/fragment_factory.h"
 #include "storage/io_backend.h"
 #include "table/table.h"
+#include "test_util.h"
 
 namespace payg {
 namespace {
@@ -48,8 +49,7 @@ std::vector<Value> OrderRow(uint64_t id, int64_t date,
 class TableTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/payg_table_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = TestDir("table");
     std::filesystem::remove_all(dir_);
     auto sm = StorageManager::Open(dir_, Options());
     ASSERT_TRUE(sm.ok());
@@ -560,6 +560,20 @@ TEST_F(TableTest, BulkLoadMatchesInsertPath) {
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->rows.size(), 1u);
   EXPECT_EQ(rows->rows[0][0].AsInt64(), (42 % 10) * 5);
+}
+
+// The bulk load converts its dictionary to the column's typed array once,
+// and a value of another type is refused, not converted.
+TEST_F(TableTest, BulkLoadRejectsValueOfAnotherType) {
+  TableSchema schema;
+  schema.name = "bulk_typed";
+  schema.columns.push_back({"k", ValueType::kInt64, false, false, false});
+  Table table(schema, storage_.get(), rm_.get());
+  const std::vector<Value> dict = {Value(int64_t{1}), Value(std::string("2"))};
+  EXPECT_EQ(table.hot()->BulkLoadColumn(0, dict, {0, 1}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table.row_count(), 0u);
+  EXPECT_EQ(table.hot()->main(0), nullptr);
 }
 
 // S25 multi-probe path: element i of Multi{Select,Count}ByValue must equal
@@ -1348,8 +1362,9 @@ class MergeDifferentialTest : public TableTest,
               FragmentPrefix(schema, p, c, part->merge_generation() + 1);
           prefixes.push_back(name);
           name.pop_back();  // the trailing '.'
-          auto frag = BuildMainFragment(ref->get(), &ref_rm, name, cs.type,
-                                        dict, vids, spec);
+          auto frag = BuildMainFragment(ref->get(), &ref_rm, name,
+                                        ToValueArray(cs.type, dict), vids,
+                                        spec);
           ASSERT_TRUE(frag.ok()) << frag.status().ToString();
         }
       }

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "buffer/resource_manager.h"
+#include "test_util.h"
 #include "workload/erp.h"
 
 namespace payg {
@@ -84,8 +85,7 @@ TEST(ErpSchemaTest, IndexFlags) {
 class ErpPopulateTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/payg_erp_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = TestDir("erp");
     std::filesystem::remove_all(dir_);
     StorageOptions opts;
     opts.page_size = 16 * 1024;
