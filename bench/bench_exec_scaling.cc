@@ -168,7 +168,7 @@ int main() {
   Sweep hot;
   {
     ResourceManager rm;
-    PageCache cache(file->get(), &rm, PoolId::kPagedPool, "scaling_hot");
+    PageCache cache(file->get(), &rm, PoolId::kPagedPool);
     for (uint64_t i = 0; i < pages; ++i) {
       auto ref = cache.GetPage(i);
       BENCH_CHECK_OK(ref);
@@ -194,7 +194,7 @@ int main() {
     BENCH_CHECK_OK(cold_file);
     ResourceManager rm;
     rm.SetGlobalBudget(pages / 8 * page_size);
-    PageCache cache(cold_file->get(), &rm, PoolId::kPagedPool, "scaling_cold");
+    PageCache cache(cold_file->get(), &rm, PoolId::kPagedPool);
     for (uint32_t workers : kWorkerCounts) {
       cache.DropAll();
       obs::MetricsRegistry::Global().ResetAll();

@@ -52,6 +52,11 @@ cmake --build "$BUILD-tsan" -j --target buffer_test exec_test obs_test profile_t
 "$BUILD-tsan"/tests/server_test
 "$BUILD-tsan"/tests/table_test
 "$BUILD-tsan"/tests/integration_test
+# Eviction racing owner teardown shows up only in some runs, so the paged
+# suite's eviction tests run 50 times.
+"$BUILD-tsan"/tests/paged_test \
+  --gtest_filter='PagedTest.PageCacheHitRatioHotVsCold:PagedTest.DataVector*:PagedTest.*Sweep*' \
+  --gtest_repeat=50
 
 echo "== ASan+UBSan build: buffer + cache-stress + columnar + core + codec + crc32 + profile + server + table + exec + integration + paged + encoding + storage suites =="
 cmake -B "$BUILD-asan" -S . -DPAYG_SANITIZE=address+undefined >/dev/null

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <utility>
 
 #include "buffer/resource_manager.h"
@@ -15,77 +14,64 @@ namespace payg {
 
 // An object loaded on first use and registered with the resource manager as
 // one resource: a fully resident column's payload, or a paged structure's
-// page summary or dictionary helpers. Pin() returns the
-// resident object pinned, or loads, registers and installs a fresh one;
-// eviction drops it and the next Pin() loads it again. A caller keeps the
-// object alive through its shared_ptr and off the victim list through its
-// pin.
+// page summary or dictionary helpers. Pin() returns the resident object
+// pinned, or loads, registers and installs a fresh one. The registration
+// owns the object, so eviction frees it without calling back here; the
+// next Pin() finds its handle dead and loads it again. A caller reads the
+// object only while it holds the pin.
 //
-// load_mu_ serializes loaders, so racing first readers share one load. The
-// eviction callback takes only mu_, and the registration runs under
-// load_mu_ but not mu_: it may run reactive eviction, and with it other
-// owners' callbacks, on this thread (DESIGN.md §8). It registers pinned, so
-// that eviction can never pick the object being installed.
+// mu_ serializes loaders, so racing first readers share one load. The
+// registration runs under mu_: it may run reactive eviction, which frees
+// other registrations' payloads on this thread but runs no owner code, and
+// it registers pinned, so that eviction can never pick the object being
+// installed.
 template <typename T>
 class LazyResource {
  public:
-  LazyResource(ResourceManager* rm, std::string label, Disposition disposition,
-               PoolId pool)
-      : rm_(rm),
-        label_(std::move(label)),
-        disposition_(disposition),
-        pool_(pool) {}
+  LazyResource(ResourceManager* rm, Disposition disposition, PoolId pool)
+      : rm_(rm), disposition_(disposition), pool_(pool) {}
   ~LazyResource() { Unload(); }
 
   LazyResource(const LazyResource&) = delete;
   LazyResource& operator=(const LazyResource&) = delete;
 
   // `load()` returns Result<std::shared_ptr<T>>; the registration is
-  // T::MemoryBytes() bytes.
+  // T::MemoryBytes() bytes. The returned object stays valid while `*pin`
+  // is held.
   template <typename Load>
-  Result<std::shared_ptr<T>> Pin(PinnedResource* pin, const Load& load)
-      EXCLUDES(load_mu_, mu_) {
-    {
-      MutexLock lock(mu_);
-      if (std::shared_ptr<T> v = PinLocked(pin)) return v;
-    }
-    MutexLock loading(load_mu_);
-    {
-      MutexLock lock(mu_);
-      if (std::shared_ptr<T> v = PinLocked(pin)) return v;  // loaded meanwhile
+  Result<const T*> Pin(PinnedResource* pin, const Load& load) EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (handle_ != nullptr) {
+      PinnedResource p = PinnedResource::TryPin(handle_);
+      if (p.valid()) {
+        rm_->Touch(handle_);  // pins count as recency
+        *pin = std::move(p);
+        return static_cast<const T*>(pin->payload());
+      }
     }
     PAYG_ASSIGN_OR_RETURN(std::shared_ptr<T> fresh, load());
-    const uint64_t gen = loads_.fetch_add(1, std::memory_order_relaxed) + 1;
-    ResourceHandle handle;
-    const ResourceId id = rm_->RegisterPinned(
-        label_, fresh->MemoryBytes(), disposition_, pool_,
-        [this, gen] {
-          MutexLock lock(mu_);
-          // A stale callback must not drop a newer load.
-          if (gen_ == gen) Forget();
-        },
-        &handle);
-    MutexLock lock(mu_);
-    value_ = fresh;
-    id_ = id;
-    gen_ = gen;
-    *pin = PinnedResource::Adopt(std::move(handle));
-    return fresh;
+    loads_.fetch_add(1, std::memory_order_relaxed);
+    const uint64_t bytes = fresh->MemoryBytes();
+    *pin = rm_->Register(bytes, disposition_, pool_, std::move(fresh));
+    handle_ = pin->handle();
+    return static_cast<const T*>(pin->payload());
   }
 
-  // The installed object, unpinned (null when not loaded). For accounting
+  // Bytes of the installed object, 0 when it is not loaded. For accounting
   // only: readers go through Pin().
-  std::shared_ptr<T> resident() const {
+  uint64_t resident_bytes() const EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    return value_;
+    return handle_ != nullptr && !ResourceManager::IsDead(handle_)
+               ? handle_->bytes
+               : 0;
   }
 
-  // Releases the registration (owner-initiated unload). Holders of a
-  // shared_ptr keep their copy alive.
-  void Unload() {
+  // Releases the registration (owner-initiated unload). Holders of a pin
+  // keep the object alive until they release it.
+  void Unload() EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    if (value_ != nullptr) rm_->Unregister(id_);
-    Forget();
+    if (handle_ != nullptr) rm_->Unregister(handle_);
+    handle_ = nullptr;
   }
 
   // Loads performed so far.
@@ -94,36 +80,14 @@ class LazyResource {
   }
 
  private:
-  // Pins the installed object. One whose registration was evicted (its
-  // callback still pending) is dropped instead, so the caller loads anew.
-  std::shared_ptr<T> PinLocked(PinnedResource* pin) REQUIRES(mu_) {
-    if (value_ == nullptr) return nullptr;
-    PinnedResource p = PinnedResource::TryPin(rm_, id_);
-    if (!p.valid()) {
-      Forget();
-      return nullptr;
-    }
-    *pin = std::move(p);
-    return value_;
-  }
-
-  void Forget() REQUIRES(mu_) {
-    value_ = nullptr;
-    id_ = kInvalidResourceId;
-  }
-
   ResourceManager* const rm_;
-  const std::string label_;
   const Disposition disposition_;
   const PoolId pool_;
-  // Written under load_mu_; also the generation of each load.
   std::atomic<uint64_t> loads_{0};
 
-  Mutex load_mu_;
   mutable Mutex mu_;
-  std::shared_ptr<T> value_ GUARDED_BY(mu_);
-  ResourceId id_ GUARDED_BY(mu_) = kInvalidResourceId;
-  uint64_t gen_ GUARDED_BY(mu_) = 0;
+  // The current registration; dead once evicted or unloaded.
+  ResourceHandle handle_ GUARDED_BY(mu_);
 };
 
 }  // namespace payg

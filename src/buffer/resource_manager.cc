@@ -1,6 +1,8 @@
 #include "buffer/resource_manager.h"
 
 #include <algorithm>
+#include <chrono>
+#include <vector>
 
 #include "common/macros.h"
 #include "obs/trace.h"
@@ -12,12 +14,6 @@ using buffer_detail::kDeadFlag;
 namespace {
 
 constexpr PoolId kPagedPools[] = {PoolId::kPagedPool, PoolId::kColdPagedPool};
-
-void RunCallbacks(const std::vector<EvictCallback>& callbacks) {
-  for (const EvictCallback& cb : callbacks) {
-    if (cb) cb();
-  }
-}
 
 }  // namespace
 
@@ -63,56 +59,21 @@ ResourceManager::~ResourceManager() {
   sweeper_.join();
 }
 
-ResourceId ResourceManager::Register(std::string label, uint64_t bytes,
-                                     Disposition disposition, PoolId pool,
-                                     EvictCallback on_evict) {
-  auto e = std::make_shared<Entry>();
-  e->label = std::move(label);
-  e->bytes = bytes;
-  e->disposition = disposition;
-  e->pool = pool;
-  e->on_evict = std::move(on_evict);
-  return RegisterInternal(std::move(e), /*initial_pins=*/0, nullptr);
-}
-
-ResourceId ResourceManager::RegisterPinned(std::string label, uint64_t bytes,
-                                           Disposition disposition,
-                                           PoolId pool, EvictCallback on_evict,
-                                           ResourceHandle* out_handle) {
-  auto e = std::make_shared<Entry>();
-  e->label = std::move(label);
-  e->bytes = bytes;
-  e->disposition = disposition;
-  e->pool = pool;
-  e->on_evict = std::move(on_evict);
-  return RegisterInternal(std::move(e), /*initial_pins=*/1, out_handle);
-}
-
-ResourceId ResourceManager::RegisterPinnedPage(
-    std::shared_ptr<const std::string> label_prefix, uint64_t label_id,
-    uint64_t bytes, Disposition disposition, PoolId pool,
-    EvictCallback on_evict, ResourceHandle* out_handle) {
-  auto e = std::make_shared<Entry>();
-  e->label_prefix = std::move(label_prefix);
-  e->label_id = label_id;
-  e->bytes = bytes;
-  e->disposition = disposition;
-  e->pool = pool;
-  e->on_evict = std::move(on_evict);
-  return RegisterInternal(std::move(e), /*initial_pins=*/1, out_handle);
-}
-
-ResourceId ResourceManager::RegisterInternal(ResourceHandle entry,
-                                             uint32_t initial_pins,
-                                             ResourceHandle* out_handle) {
+PinnedResource ResourceManager::Register(uint64_t bytes,
+                                         Disposition disposition, PoolId pool,
+                                         std::shared_ptr<void> payload) {
+  auto entry = std::make_shared<Entry>();
   const ResourceId id = next_id_.fetch_add(1);
   entry->id = id;
+  entry->bytes = bytes;
+  entry->disposition = disposition;
+  entry->pool = pool;
+  entry->payload = std::move(payload);
   entry->last_touch.store(clock_.fetch_add(1, std::memory_order_relaxed),
                           std::memory_order_relaxed);
-  entry->pin_state.store(initial_pins, std::memory_order_relaxed);
-  const uint64_t bytes = entry->bytes;
-  const auto pool_idx = static_cast<int>(entry->pool);
-  if (out_handle != nullptr) *out_handle = entry;
+  entry->pin_state.store(1, std::memory_order_relaxed);  // the caller's pin
+  PinnedResource pin(entry);
+  const auto pool_idx = static_cast<int>(pool);
 
   {
     TableStripe& stripe = table_stripes_[id % kTableStripes];
@@ -136,23 +97,25 @@ ResourceId ResourceManager::RegisterInternal(ResourceHandle entry,
       pool_bytes_[pool_idx].load(std::memory_order_relaxed) > upper) {
     sweeper_cv_.NotifyOne();
   }
-  return id;
+  return pin;
 }
 
-bool ResourceManager::Unregister(ResourceId id) {
-  ResourceHandle e = Find(id);
-  if (e == nullptr) return false;
+bool ResourceManager::Unregister(const ResourceHandle& handle) {
   // Winner of the dead flag owns the removal; a concurrent evictor's
   // CAS(0 → dead) fails against either our flag or an outstanding pin.
   const uint64_t prev =
-      e->pin_state.fetch_or(kDeadFlag, std::memory_order_acq_rel);
+      handle->pin_state.fetch_or(kDeadFlag, std::memory_order_acq_rel);
   if (prev & kDeadFlag) return false;  // eviction got there first
-  Forget(*e);
+  Forget(*handle);
   return true;
 }
 
 void ResourceManager::Forget(const Entry& e) {
-  EraseFromTable(e.id);
+  {
+    TableStripe& stripe = table_stripes_[e.id % kTableStripes];
+    MutexLock lock(stripe.mu);
+    stripe.map.erase(e.id);
+  }
   pool_bytes_[static_cast<int>(e.pool)].fetch_sub(e.bytes,
                                                   std::memory_order_relaxed);
   total_bytes_.fetch_sub(e.bytes, std::memory_order_relaxed);
@@ -160,27 +123,9 @@ void ResourceManager::Forget(const Entry& e) {
   UpdateGauges();
 }
 
-void ResourceManager::Touch(ResourceId id) {
-  ResourceHandle e = Find(id);
-  if (e != nullptr) Touch(e);
-}
-
 void ResourceManager::Touch(const ResourceHandle& handle) {
   handle->last_touch.store(clock_.fetch_add(1, std::memory_order_relaxed),
                            std::memory_order_relaxed);
-}
-
-bool ResourceManager::Pin(ResourceId id) {
-  ResourceHandle e = Find(id);
-  if (e == nullptr || !TryPinHandle(e)) return false;
-  Touch(e);
-  return true;
-}
-
-void ResourceManager::Unpin(ResourceId id) {
-  ResourceHandle e = Find(id);
-  if (e == nullptr) return;  // already evicted/unregistered: pin died with it
-  UnpinHandle(e);
 }
 
 void ResourceManager::SetGlobalBudget(uint64_t bytes) {
@@ -196,12 +141,12 @@ void ResourceManager::SetPoolLimits(PoolId pool, Limits limits) {
   sweeper_cv_.NotifyOne();
 }
 
-void ResourceManager::EvictLocked(PoolId pool, uint64_t target, bool proactive,
-                                  std::vector<EvictCallback>* callbacks) {
+size_t ResourceManager::EvictLocked(PoolId pool, uint64_t target,
+                                    bool proactive) {
   const bool paged = pool != PoolId::kGeneral;
   const std::atomic<uint64_t>& level =
       paged ? pool_bytes_[static_cast<int>(pool)] : total_bytes_;
-  if (level.load(std::memory_order_relaxed) <= target) return;
+  if (level.load(std::memory_order_relaxed) <= target) return 0;
 
   struct Candidate {
     double score;  // t/w
@@ -231,6 +176,7 @@ void ResourceManager::EvictLocked(PoolId pool, uint64_t target, bool proactive,
               return a.score != b.score ? a.score > b.score
                                         : a.stamp < b.stamp;
             });
+  std::vector<ResourceHandle> victims;
   for (Candidate& c : candidates) {
     if (level.load(std::memory_order_relaxed) <= target) break;
     // Winning the dead flag makes this pass the victim's sole remover: a
@@ -242,70 +188,61 @@ void ResourceManager::EvictLocked(PoolId pool, uint64_t target, bool proactive,
             std::memory_order_acquire)) {
       continue;
     }
-    callbacks->push_back(std::move(c.entry->on_evict));
     Forget(*c.entry);
     m_evicted_bytes_->Add(c.entry->bytes);
     (proactive ? m_evict_proactive_ : m_evict_reactive_)->Inc();
+    victims.push_back(std::move(c.entry));
   }
+  // No pin can exist on a victim, so nothing reads these payloads any more.
+  // Their destructors take no lock, so dropping them here is safe; their
+  // owners may already be gone and are never reached.
+  for (const ResourceHandle& v : victims) v->payload.reset();
+  return victims.size();
 }
 
 void ResourceManager::ReactiveEvict() {
   const uint64_t budget = global_budget_.load(std::memory_order_relaxed);
   if (budget == 0) return;
-  std::vector<EvictCallback> callbacks;
-  {
-    MutexLock lock(mu_);
-    // Low-memory situation: paged-attribute resources are unloaded first,
-    // down to each pool's lower limit, before touching anything else (§5).
-    // These count as reactive, not proactive: budget pressure, not sweeper.
-    for (PoolId pool : kPagedPools) {
-      if (total_bytes_.load(std::memory_order_relaxed) <= budget) break;
-      EvictLocked(pool,
-                  pool_limits_[static_cast<int>(pool)].lower.load(
-                      std::memory_order_relaxed),
-                  /*proactive=*/false, &callbacks);
-    }
-    EvictLocked(PoolId::kGeneral, budget, /*proactive=*/false, &callbacks);
+  MutexLock lock(mu_);
+  // Low-memory situation: paged-attribute resources are unloaded first,
+  // down to each pool's lower limit, before touching anything else (§5).
+  // These count as reactive, not proactive: budget pressure, not sweeper.
+  for (PoolId pool : kPagedPools) {
+    if (total_bytes_.load(std::memory_order_relaxed) <= budget) break;
+    EvictLocked(pool,
+                pool_limits_[static_cast<int>(pool)].lower.load(
+                    std::memory_order_relaxed),
+                /*proactive=*/false);
   }
-  RunCallbacks(callbacks);
+  EvictLocked(PoolId::kGeneral, budget, /*proactive=*/false);
 }
 
-void ResourceManager::SweepLocked(std::vector<EvictCallback>* callbacks) {
+void ResourceManager::SweepLocked() {
+  const auto start = std::chrono::steady_clock::now();
+  size_t evicted = 0;
   for (PoolId pool : kPagedPools) {
     const AtomicLimits& lim = pool_limits_[static_cast<int>(pool)];
     const uint64_t upper = lim.upper.load(std::memory_order_relaxed);
     if (upper != 0 && pool_bytes(pool) > upper) {
-      EvictLocked(pool, lim.lower.load(std::memory_order_relaxed),
-                  /*proactive=*/true, callbacks);
+      evicted += EvictLocked(pool, lim.lower.load(std::memory_order_relaxed),
+                             /*proactive=*/true);
     }
   }
-}
-
-void ResourceManager::FinishSweep(
-    std::chrono::steady_clock::time_point start,
-    const std::vector<EvictCallback>& callbacks) {
   // Only sweeps that actually evicted register a duration/span — the idle
   // 20ms ticks would otherwise drown the histogram in zeros.
-  if (callbacks.empty()) return;
-  RunCallbacks(callbacks);
+  if (evicted == 0) return;
   m_sweep_duration_us_->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count()));
   if (obs::Tracer::enabled()) {
-    obs::Tracer::Global().RecordSpan("buffer", "sweep", start,
-                                     callbacks.size());
+    obs::Tracer::Global().RecordSpan("buffer", "sweep", start, evicted);
   }
 }
 
 void ResourceManager::SweepNow() {
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<EvictCallback> callbacks;
-  {
-    MutexLock lock(mu_);
-    SweepLocked(&callbacks);
-  }
-  FinishSweep(start, callbacks);
+  MutexLock lock(mu_);
+  SweepLocked();
 }
 
 void ResourceManager::BackgroundSweeper() {
@@ -315,14 +252,7 @@ void ResourceManager::BackgroundSweeper() {
     // tick, on limit changes, and on over-limit registrations alike.
     (void)sweeper_cv_.WaitFor(mu_, std::chrono::milliseconds(20));
     if (shutting_down_) break;
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<EvictCallback> callbacks;
-    SweepLocked(&callbacks);
-    if (callbacks.empty()) continue;
-    // Callbacks run outside mu_ (they may call back into the manager).
-    lock.Unlock();
-    FinishSweep(start, callbacks);
-    lock.Lock();
+    SweepLocked();
   }
 }
 

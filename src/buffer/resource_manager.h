@@ -2,15 +2,11 @@
 #define PAYG_BUFFER_RESOURCE_MANAGER_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "buffer/disposition.h"
 #include "common/macros.h"
@@ -22,15 +18,6 @@ namespace payg {
 
 using ResourceId = uint64_t;
 inline constexpr ResourceId kInvalidResourceId = 0;
-
-// Called when the manager evicts a resource. Runs *outside* the manager's
-// lock; by the time it runs the registration is already gone, so the owner
-// must only release its own memory and must not call back into the manager
-// for this id. Reactive eviction runs it on the thread whose Register* or
-// SetGlobalBudget pushed the total over budget, so an owner registers
-// pinned: an unpinned registration made under the owner's lock could pick
-// itself as the victim and run its callback against that same lock.
-using EvictCallback = std::function<void()>;
 
 namespace buffer_detail {
 
@@ -47,21 +34,20 @@ inline constexpr uint64_t kPinCountMask = kDeadFlag - 1;
 // Field protection: `pin_state` is the lock-free pin/liveness word and
 // `last_touch` the recency stamp (a unique tick of the manager's clock,
 // stored relaxed on every touch). Everything else is written once before
-// the entry is published and read-only afterwards, except `on_evict`, which
-// only the dead-flag winner moves out.
+// the entry is published and read-only afterwards, except `payload`, which
+// an eviction resets after winning the dead flag against a zero pin count:
+// nothing reads a payload without holding a pin on it, so no reader can
+// see the reset.
 struct Entry {
   ResourceId id = kInvalidResourceId;
-  std::string label;  // plain registrations
-  // Paged registrations: label is conceptually `*label_prefix + "#" +
-  // label_id`, kept unformatted so the page-load path never allocates.
-  std::shared_ptr<const std::string> label_prefix;
-  uint64_t label_id = 0;
   uint64_t bytes = 0;
   Disposition disposition = Disposition::kTemporary;
   PoolId pool = PoolId::kGeneral;
   std::atomic<uint64_t> pin_state{0};
   std::atomic<uint64_t> last_touch{0};
-  EvictCallback on_evict;
+  // The resource's bytes. Eviction drops them under the manager's lock;
+  // otherwise they go with the entry's last reference.
+  std::shared_ptr<void> payload;
 };
 
 }  // namespace buffer_detail
@@ -71,10 +57,17 @@ struct Entry {
 // is what lets the page-cache hit path scale with threads.
 using ResourceHandle = std::shared_ptr<buffer_detail::Entry>;
 
+class PinnedResource;
+
 // SAP HANA-style memory manager (§5): tracks *logical resources* — a fully
 // resident column registers as one resource, each loaded page of a page
 // loadable column registers as its own resource with kPagedAttribute
 // disposition.
+//
+// A registration owns the resource's bytes (its payload), so evicting a
+// resource means dropping its payload: no owner code runs for an evictor,
+// and an owner may be torn down at any time. An owner learns of an
+// eviction only when a pin through its handle fails.
 //
 // Eviction:
 //  * Reactive: when total tracked bytes exceed the global budget, first
@@ -99,9 +92,10 @@ using ResourceHandle = std::shared_ptr<buffer_detail::Entry>;
 //    never the main mutex (unless registration pushes the budget over and
 //    has to run reactive eviction).
 //  * Victim selection: main mutex. A pass walks the table stripes once,
-//    sorts one pool's candidates by their stamps and evicts from the front.
+//    sorts one pool's candidates by their stamps, evicts from the front and
+//    drops the victims' payloads before it releases the mutex.
 // Lock order: mu_ → table stripe. No path holds a stripe mutex while
-// acquiring mu_.
+// acquiring mu_, and a payload's destructor takes no lock.
 class ResourceManager {
  public:
   struct Limits {
@@ -115,75 +109,31 @@ class ResourceManager {
   ResourceManager(const ResourceManager&) = delete;
   ResourceManager& operator=(const ResourceManager&) = delete;
 
-  // Registers a resource and runs reactive eviction if over budget. The
-  // returned id is never kInvalidResourceId.
-  ResourceId Register(std::string label, uint64_t bytes,
-                      Disposition disposition, PoolId pool,
-                      EvictCallback on_evict);
+  // Registers `payload` as a resource of `bytes` bytes and runs reactive
+  // eviction if that puts the total over budget. The entry owns the
+  // payload from now on. It is returned pinned once, so no eviction
+  // (including the reactive one this call may run) can pick it before the
+  // caller releases that pin; the caller keeps handle() to pin it again.
+  // The payload's destructor may run on an evicting thread under the
+  // manager's lock: it must take no lock and reach no owner.
+  PinnedResource Register(uint64_t bytes, Disposition disposition,
+                          PoolId pool, std::shared_ptr<void> payload);
 
-  // Registers a resource that is already pinned once (pin_count starts at
-  // 1), so it can never be evicted between registration and the caller's
-  // first pin. The caller owns one Unpin. When `out_handle` is non-null it
-  // receives the lock-free pin handle.
-  ResourceId RegisterPinned(std::string label, uint64_t bytes,
-                            Disposition disposition, PoolId pool,
-                            EvictCallback on_evict,
-                            ResourceHandle* out_handle = nullptr);
-
-  // RegisterPinned for a page of a paged structure: the label is
-  // `*label_prefix + "#" + label_id`, stored unformatted, so this path
-  // performs no string allocation (the prefix is shared by every page of
-  // one chain).
-  ResourceId RegisterPinnedPage(std::shared_ptr<const std::string> label_prefix,
-                                uint64_t label_id, uint64_t bytes,
-                                Disposition disposition, PoolId pool,
-                                EvictCallback on_evict,
-                                ResourceHandle* out_handle = nullptr);
-
-  // Removes a resource without invoking its eviction callback (the owner is
-  // releasing it voluntarily). Returns false if the id is unknown (already
-  // evicted) — callers use this to detect eviction races. Takes only the
-  // entry's table stripe, never the main mutex.
-  bool Unregister(ResourceId id);
+  // Removes a resource its owner releases. The payload stays with the
+  // entry until its last reference goes, so outstanding pins keep the
+  // bytes alive. Returns false if the resource was already removed
+  // (evicted). Takes only the entry's table stripe, never the main mutex.
+  bool Unregister(const ResourceHandle& handle);
 
   // Marks the resource recently used: stores a fresh clock tick into its
-  // stamp, taking no lock. No-op if already evicted.
-  void Touch(ResourceId id);
+  // stamp, taking no lock.
   void Touch(const ResourceHandle& handle);
 
-  // Pins the resource against eviction. Returns false if the resource no
-  // longer exists. Each successful Pin must be matched by Unpin.
-  bool Pin(ResourceId id);
-  void Unpin(ResourceId id);
-
-  // Resolves the lock-free pin handle of a live resource (one stripe
-  // lookup); null if the id is unknown. Owners of long-lived registrations
-  // resolve once and pin through the handle afterwards.
-  ResourceHandle FindHandle(ResourceId id) const { return Find(id); }
-
-  // Lock-free pin through a handle: CAS loop on the entry's pin word. Fails
-  // iff the entry has been removed (evicted or unregistered). Does NOT
-  // record a recency touch — hot paths that want one call Touch(handle).
-  static bool TryPinHandle(const ResourceHandle& handle) {
-    uint64_t cur = handle->pin_state.load(std::memory_order_acquire);
-    while (true) {
-      if (cur & buffer_detail::kDeadFlag) return false;
-      if (handle->pin_state.compare_exchange_weak(
-              cur, cur + 1, std::memory_order_acq_rel,
-              std::memory_order_acquire)) {
-        return true;
-      }
-    }
-  }
-
-  // Lock-free unpin. Safe after the registration is gone: the handle keeps
-  // the entry alive and the count bits are independent of the dead flag.
-  static void UnpinHandle(const ResourceHandle& handle) {
-    const uint64_t prev =
-        handle->pin_state.fetch_sub(1, std::memory_order_release);
-    PAYG_ASSERT_MSG((prev & buffer_detail::kPinCountMask) != 0,
-                    "unpin without pin");
-    (void)prev;
+  // True once the resource has been evicted or unregistered: it can never
+  // be pinned again.
+  static bool IsDead(const ResourceHandle& handle) {
+    return (handle->pin_state.load(std::memory_order_acquire) &
+            buffer_detail::kDeadFlag) != 0;
   }
 
   // Global memory budget in bytes; 0 = unlimited. Triggers reactive
@@ -220,44 +170,25 @@ class ResourceManager {
     std::unordered_map<ResourceId, ResourceHandle> map GUARDED_BY(mu);
   };
 
-  ResourceHandle Find(ResourceId id) const {
-    const TableStripe& stripe = table_stripes_[id % kTableStripes];
-    MutexLock lock(stripe.mu);
-    auto it = stripe.map.find(id);
-    return it == stripe.map.end() ? nullptr : it->second;
-  }
-  void EraseFromTable(ResourceId id) {
-    TableStripe& stripe = table_stripes_[id % kTableStripes];
-    MutexLock lock(stripe.mu);
-    stripe.map.erase(id);
-  }
-
-  // Publishes a fully-populated entry (label fields set by the caller):
-  // assigns the id and the first stamp, inserts into the table stripe, and
-  // runs reactive eviction if the new bytes push the total over budget.
-  ResourceId RegisterInternal(ResourceHandle entry, uint32_t initial_pins,
-                              ResourceHandle* out_handle);
   // Drops a removed entry's accounting: table slot, bytes, count, gauges.
   // The caller has already won the dead flag.
   void Forget(const Entry& e);
   // The one victim collector. Walks the table stripes, ranks the unpinned,
   // swappable entries of `pool` by descending t/w (w = 1 inside a paged
   // pool, so plain LRU there, §5) and CASes them dead until the pool level
-  // (paged pool) or the total (general pool) is at most `target`.
-  // `proactive` only labels the eviction counter (sweeper vs. budget).
-  void EvictLocked(PoolId pool, uint64_t target, bool proactive,
-                   std::vector<EvictCallback>* callbacks) REQUIRES(mu_);
+  // (paged pool) or the total (general pool) is at most `target`; then
+  // drops the victims' payloads in victim order. Returns the number of
+  // victims. `proactive` only labels the eviction counter (sweeper vs.
+  // budget).
+  size_t EvictLocked(PoolId pool, uint64_t target, bool proactive)
+      REQUIRES(mu_);
   // Over budget: shrinks the paged pools to their lower limits, then evicts
-  // general resources until the total fits, and runs the callbacks on the
-  // calling thread after releasing mu_.
+  // general resources until the total fits.
   void ReactiveEvict();
   // Proactive pass: every paged pool over its upper limit, down to its
-  // lower limit.
-  void SweepLocked(std::vector<EvictCallback>* callbacks) REQUIRES(mu_);
-  // Runs a sweep's callbacks outside mu_ and records the sweep (DESIGN.md
-  // §6: only sweeps that evicted).
-  void FinishSweep(std::chrono::steady_clock::time_point start,
-                   const std::vector<EvictCallback>& callbacks);
+  // lower limit. Records the sweep (DESIGN.md §6: only sweeps that
+  // evicted).
+  void SweepLocked() REQUIRES(mu_);
   void BackgroundSweeper();
   // Pushes total/pool byte levels and the resource count into the registry
   // gauges ("rm.bytes.*", "rm.resources"). Gauges are statistics: written
@@ -297,45 +228,28 @@ class ResourceManager {
   obs::Gauge* m_resources_;
 };
 
-// RAII pin. Obtained via PinnedResource::TryPin; unpins on destruction.
-// Holds the resource's handle, so release is lock-free and remains safe
-// after the registration is gone.
+// RAII pin on a registered resource: ResourceManager::Register returns one,
+// TryPin takes another through a handle, and destruction unpins. Holds the
+// resource's handle, so release is lock-free and remains safe after the
+// registration is gone. The payload may be read only through a pin.
 class PinnedResource {
  public:
   PinnedResource() = default;
 
-  static PinnedResource TryPin(ResourceManager* rm, ResourceId id) {
-    PinnedResource p;
-    if (rm == nullptr) return p;
-    ResourceHandle h = rm->FindHandle(id);
-    if (h != nullptr && ResourceManager::TryPinHandle(h)) {
-      rm->Touch(h);  // pins count as recency, as they always have
-      p.handle_ = std::move(h);
-    }
-    return p;
-  }
-
-  // Lock-free variant for callers that already hold the handle.
+  // Lock-free pin: a CAS loop on the entry's pin word that fails iff the
+  // entry has been removed (evicted or unregistered). Does NOT record a
+  // recency touch — callers that want one call ResourceManager::Touch.
   static PinnedResource TryPin(ResourceHandle handle) {
-    PinnedResource p;
-    if (handle != nullptr && ResourceManager::TryPinHandle(handle)) {
-      p.handle_ = std::move(handle);
+    if (handle == nullptr) return PinnedResource();
+    uint64_t cur = handle->pin_state.load(std::memory_order_acquire);
+    while (true) {
+      if (cur & buffer_detail::kDeadFlag) return PinnedResource();
+      if (handle->pin_state.compare_exchange_weak(
+              cur, cur + 1, std::memory_order_acq_rel,
+              std::memory_order_acquire)) {
+        return PinnedResource(std::move(handle));
+      }
     }
-    return p;
-  }
-
-  // Adopts a pin that already exists (RegisterPinned's initial pin) without
-  // pinning again.
-  static PinnedResource Adopt(ResourceManager* rm, ResourceId id) {
-    PinnedResource p;
-    p.handle_ = rm->FindHandle(id);
-    PAYG_ASSERT(p.handle_ != nullptr);
-    return p;
-  }
-  static PinnedResource Adopt(ResourceHandle handle) {
-    PinnedResource p;
-    p.handle_ = std::move(handle);
-    return p;
   }
 
   PinnedResource(PinnedResource&& other) noexcept { *this = std::move(other); }
@@ -351,18 +265,30 @@ class PinnedResource {
   ~PinnedResource() { Release(); }
 
   bool valid() const { return handle_ != nullptr; }
-  ResourceId id() const {
-    return handle_ == nullptr ? kInvalidResourceId : handle_->id;
-  }
+  const ResourceHandle& handle() const { return handle_; }
+  // The registration's payload; stable while the pin is held.
+  void* payload() const { return handle_->payload.get(); }
 
+  // Unpins: one fetch_sub, safe after the registration is gone (the handle
+  // keeps the entry alive and the count bits are independent of the dead
+  // flag).
   void Release() {
-    if (handle_ != nullptr) {
-      ResourceManager::UnpinHandle(handle_);
-      handle_.reset();
-    }
+    if (handle_ == nullptr) return;
+    const uint64_t prev =
+        handle_->pin_state.fetch_sub(1, std::memory_order_release);
+    PAYG_ASSERT_MSG((prev & buffer_detail::kPinCountMask) != 0,
+                    "unpin without pin");
+    (void)prev;
+    handle_.reset();
   }
 
  private:
+  friend class ResourceManager;
+
+  // Adopts a pin that already exists (a registration's initial pin).
+  explicit PinnedResource(ResourceHandle pinned)
+      : handle_(std::move(pinned)) {}
+
   ResourceHandle handle_;
 };
 

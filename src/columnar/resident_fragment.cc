@@ -28,10 +28,10 @@ class ResidentReader : public FragmentReader {
   using Payload = FullyResidentFragment::Payload;
 
   ResidentReader(const FullyResidentFragment* frag, ExecContext* ctx,
-                 std::shared_ptr<const Payload> payload, PinnedResource pin)
+                 const Payload* payload, PinnedResource pin)
       : frag_(frag),
         ctx_(ctx),
-        payload_(std::move(payload)),
+        payload_(payload),
         pin_(std::move(pin)) {}
 
   Result<ValueId> GetVid(RowPos rpos) override {
@@ -148,7 +148,7 @@ class ResidentReader : public FragmentReader {
 
   const FullyResidentFragment* frag_;
   ExecContext* ctx_;
-  std::shared_ptr<const Payload> payload_;
+  const Payload* payload_;  // valid while pin_ is held
   PinnedResource pin_;
 };
 
@@ -324,8 +324,7 @@ FullyResidentFragment::LoadPayload() {
 void FullyResidentFragment::Unload() { payload_.Unload(); }
 
 uint64_t FullyResidentFragment::ResidentBytes() const {
-  std::shared_ptr<Payload> payload = payload_.resident();
-  return payload != nullptr ? payload->bytes : 0;
+  return payload_.resident_bytes();
 }
 
 Result<std::unique_ptr<FragmentReader>> FullyResidentFragment::NewReader(
@@ -334,11 +333,11 @@ Result<std::unique_ptr<FragmentReader>> FullyResidentFragment::NewReader(
     PAYG_RETURN_IF_ERROR(ctx->CheckDeadline());
   }
   PinnedResource pin;
-  PAYG_ASSIGN_OR_RETURN(std::shared_ptr<Payload> payload,
+  PAYG_ASSIGN_OR_RETURN(const Payload* payload,
                         payload_.Pin(&pin, [this] { return LoadPayload(); }));
   Bump(ctx, &QueryStats::pages_pinned);
   return std::unique_ptr<FragmentReader>(
-      new ResidentReader(this, ctx, std::move(payload), std::move(pin)));
+      new ResidentReader(this, ctx, payload, std::move(pin)));
 }
 
 }  // namespace payg

@@ -87,7 +87,7 @@ class FullyResidentFragment : public MainFragment {
                         std::string name)
       : storage_(storage),
         name_(std::move(name)),
-        payload_(rm, name_, Disposition::kMidTerm, PoolId::kGeneral) {}
+        payload_(rm, Disposition::kMidTerm, PoolId::kGeneral) {}
 
   // Reads the whole chain into a fresh payload.
   Result<std::shared_ptr<Payload>> LoadPayload();

@@ -16,6 +16,10 @@ namespace {
 
 constexpr uint32_t kMaxCacheShards = 256;
 
+// A shard's dead slots are reaped no more often than every this many
+// inserts, so a small shard does not rescan its map on every load.
+constexpr size_t kMinReapSlots = 16;
+
 uint32_t NormalizeShardCount(uint32_t requested) {
   const uint32_t clamped =
       std::clamp<uint32_t>(requested, 1, kMaxCacheShards);
@@ -24,12 +28,32 @@ uint32_t NormalizeShardCount(uint32_t requested) {
 
 }  // namespace
 
+// The registration's payload. Its destructor runs where the bytes go — on
+// an evicting thread under the resource manager's lock, in DropAll, or
+// wherever a superseded load drops its last reference — so it takes no
+// lock and knows nothing of the cache: it settles the page's accounting in
+// process-lifetime registry metrics only.
+struct PageCache::CachedPage {
+  CachedPage(uint32_t page_size, bool prefetched, obs::Counter* wasted)
+      : page(page_size), prefetched(prefetched), prefetch_wasted(wasted) {}
+  ~CachedPage() {
+    if (occupancy != nullptr) occupancy->Add(-1);
+    if (prefetched) prefetch_wasted->Inc();
+  }
+
+  Page page;
+  // Loaded by PrefetchRange and not yet served to any GetPage call. The
+  // first pin clears the flag (a prefetch hit); bytes that go with the
+  // flag still set were a wasted readahead. Written only under a pin.
+  bool prefetched;
+  obs::Counter* prefetch_wasted;
+  // The shard's "cache.shard<k>.pages" gauge, once the page holds a slot.
+  obs::Gauge* occupancy = nullptr;
+};
+
 PageCache::PageCache(PageFile* file, ResourceManager* rm, PoolId pool,
-                     std::string label, uint32_t shard_count)
-    : file_(file),
-      rm_(rm),
-      pool_(pool),
-      label_prefix_(std::make_shared<const std::string>(std::move(label))) {
+                     uint32_t shard_count)
+    : file_(file), rm_(rm), pool_(pool) {
   const uint32_t shards =
       shard_count == 0 ? DefaultCacheShards() : NormalizeShardCount(shard_count);
   shard_mask_ = shards - 1;
@@ -44,9 +68,9 @@ PageCache::PageCache(PageFile* file, ResourceManager* rm, PoolId pool,
   // Prefetch accounting invariant, at any quiesce point:
   //   issued == hits + wasted + inflight.
   // Every issued prefetch ends in exactly one bucket: its first GetPage
-  // touch (hit), or a failed read / superseded load / eviction or drop
-  // before any touch (wasted), or it is still loading (inflight, see
-  // prefetch_inflight_count()).
+  // touch (hit), or a failed read, or bytes that go untouched — evicted,
+  // dropped or superseded — (wasted, counted by CachedPage), or it is still
+  // loading (inflight, see prefetch_inflight_count()).
   m_hits_ = reg.counter("cache.hits");
   m_misses_ = reg.counter("cache.misses");
   m_pin_waits_ = reg.counter("cache.pin_waits");
@@ -71,6 +95,48 @@ PageCache::ShardLock::ShardLock(const PageCache& cache, const Shard& shard)
   cache.m_lock_wait_us_->Record(static_cast<uint64_t>(waited_us));
 }
 
+PinnedResource PageCache::PinLocked(Shard& shard, LogicalPageNo lpn,
+                                   ExecContext* ctx) {
+  auto it = shard.slots.find(lpn);
+  if (it == shard.slots.end()) return PinnedResource();
+  PinnedResource pin = PinnedResource::TryPin(it->second);
+  if (!pin.valid()) {
+    shard.slots.erase(it);  // evicted: the slot is dead
+    return pin;
+  }
+  rm_->Touch(pin.handle());
+  auto* cached = static_cast<CachedPage*>(pin.payload());
+  if (cached->prefetched) {
+    cached->prefetched = false;
+    m_prefetch_hits_->Inc();
+    Bump(ctx, &QueryStats::prefetch_hits);
+  }
+  return pin;
+}
+
+bool PageCache::LiveLocked(Shard& shard, LogicalPageNo lpn) {
+  auto it = shard.slots.find(lpn);
+  if (it == shard.slots.end()) return false;
+  if (!ResourceManager::IsDead(it->second)) return true;
+  shard.slots.erase(it);
+  return false;
+}
+
+void PageCache::InsertLocked(Shard& shard, LogicalPageNo lpn,
+                             const PinnedResource& pin) {
+  static_cast<CachedPage*>(pin.payload())->occupancy = shard.occupancy;
+  shard.occupancy->Add(1);
+  shard.slots.insert_or_assign(lpn, pin.handle());
+  if (shard.slots.size() < shard.reap_at) return;
+  // Amortized O(1) per insert: the map must double again before the next
+  // reap, so it never holds more than twice the live slots of the last
+  // reap (or kMinReapSlots).
+  std::erase_if(shard.slots, [](const auto& slot) {
+    return ResourceManager::IsDead(slot.second);
+  });
+  shard.reap_at = std::max(kMinReapSlots, 2 * shard.slots.size());
+}
+
 Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
   if (ctx != nullptr) {
     PAYG_RETURN_IF_ERROR(ctx->CheckDeadline());
@@ -89,86 +155,58 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
     // one page read) is where readahead turns latency into overlap. Explicit
     // loop (not a predicate lambda) so the analysis sees the guarded reads.
     while (shard.inflight.count(lpn) != 0) shard.inflight_cv.Wait(shard.mu);
-    auto it = shard.slots.find(lpn);
-    if (it != shard.slots.end()) {
-      PinnedResource pin = PinnedResource::TryPin(it->second.handle);
-      if (pin.valid()) {
-        rm_->Touch(it->second.handle);
-        if (it->second.prefetched) {
-          it->second.prefetched = false;
-          m_prefetch_hits_->Inc();
-          Bump(ctx, &QueryStats::prefetch_hits);
-        }
-        Bump(ctx, &QueryStats::pages_pinned);
-        if (ctx != nullptr) {
-          CountPageAccess(ctx, /*cold=*/false,
-                          MonotonicNanos() - access_start_ns);
-        }
-        m_hits_->Inc();
-        return PageRef(it->second.page, std::move(pin), lpn);
+    PinnedResource pin = PinLocked(shard, lpn, ctx);
+    if (pin.valid()) {
+      Bump(ctx, &QueryStats::pages_pinned);
+      if (ctx != nullptr) {
+        CountPageAccess(ctx, /*cold=*/false,
+                        MonotonicNanos() - access_start_ns);
       }
-      // The resource manager chose this page as a victim and its callback
-      // has not reached us yet; treat as a miss (the callback erases only
-      // its own generation, so reloading below is safe).
-      m_pin_waits_->Inc();
-      CountWastedLocked(shard, it->second);
-      shard.occupancy->Add(-1);
-      shard.slots.erase(it);
+      m_hits_->Inc();
+      const Page* page = &static_cast<CachedPage*>(pin.payload())->page;
+      return PageRef(std::move(pin), page, lpn);
     }
   }
 
   // Load outside the shard lock: the (possibly simulated-latency) read must
-  // not block concurrent eviction callbacks.
-  auto page = std::make_shared<Page>(file_->page_size());
-  PAYG_RETURN_IF_ERROR(file_->ReadPage(lpn, page.get(), ctx));
+  // not block other pages of the shard.
+  auto cached = std::make_shared<CachedPage>(
+      file_->page_size(), /*prefetched=*/false, m_prefetch_wasted_);
+  const Page* page = &cached->page;
+  PAYG_RETURN_IF_ERROR(file_->ReadPage(lpn, &cached->page, ctx));
   loads_.fetch_add(1, std::memory_order_relaxed);
   m_misses_->Inc();
   Bump(ctx, &QueryStats::pages_pinned);
 
-  const uint64_t gen = next_generation_.fetch_add(1);
-  ResourceHandle handle;
-  rm_->RegisterPinnedPage(
-      label_prefix_, lpn, file_->page_size(), Disposition::kPagedAttribute,
-      pool_, [this, lpn, gen] { EvictSlot(lpn, gen); }, &handle);
-  PinnedResource pin = PinnedResource::Adopt(handle);
-
+  PinnedResource pin = rm_->Register(file_->page_size(),
+                                     Disposition::kPagedAttribute, pool_,
+                                     std::move(cached));
   {
     ShardLock lock(*this, shard);
-    auto it = shard.slots.find(lpn);
-    if (it != shard.slots.end()) {
+    PinnedResource theirs = PinLocked(shard, lpn, ctx);
+    if (theirs.valid()) {
       // Another thread loaded the same page concurrently; keep theirs and
       // drop ours. Still a miss (we paid a physical read), but also a
       // pin-wait: the call contended with another loader.
-      PinnedResource theirs = PinnedResource::TryPin(it->second.handle);
-      if (theirs.valid()) {
-        rm_->Touch(it->second.handle);
-        if (it->second.prefetched) {
-          it->second.prefetched = false;
-          m_prefetch_hits_->Inc();
-          Bump(ctx, &QueryStats::prefetch_hits);
-        }
-        m_pin_waits_->Inc();
-        pin.Release();
-        rm_->Unregister(handle->id);
-        // Cold despite serving their bytes: this call paid a physical read
-        // (counted in pages_read), so the profile's cold count must match.
-        if (ctx != nullptr) {
-          CountPageAccess(ctx, /*cold=*/true,
-                          MonotonicNanos() - access_start_ns);
-        }
-        return PageRef(it->second.page, std::move(theirs), lpn);
+      m_pin_waits_->Inc();
+      rm_->Unregister(pin.handle());
+      pin.Release();
+      // Cold despite serving their bytes: this call paid a physical read
+      // (counted in pages_read), so the profile's cold count must match.
+      if (ctx != nullptr) {
+        CountPageAccess(ctx, /*cold=*/true,
+                        MonotonicNanos() - access_start_ns);
       }
-      CountWastedLocked(shard, it->second);
-      shard.occupancy->Add(-1);
-      shard.slots.erase(it);
+      const Page* their_page =
+          &static_cast<CachedPage*>(theirs.payload())->page;
+      return PageRef(std::move(theirs), their_page, lpn);
     }
-    shard.slots[lpn] = Slot{page, handle, gen, /*prefetched=*/false};
-    shard.occupancy->Add(1);
+    InsertLocked(shard, lpn, pin);
   }
   if (ctx != nullptr) {
     CountPageAccess(ctx, /*cold=*/true, MonotonicNanos() - access_start_ns);
   }
-  return PageRef(std::move(page), std::move(pin), lpn);
+  return PageRef(std::move(pin), page, lpn);
 }
 
 void PageCache::PrefetchRange(LogicalPageNo first, uint32_t count,
@@ -188,7 +226,7 @@ void PageCache::PrefetchRange(LogicalPageNo first, uint32_t count,
     const LogicalPageNo lpn = first + w;
     Shard& shard = ShardFor(lpn);
     ShardLock lock(*this, shard);
-    if (shard.slots.count(lpn) > 0 || shard.inflight.count(lpn) > 0) continue;
+    if (shard.inflight.count(lpn) > 0 || LiveLocked(shard, lpn)) continue;
     shard.inflight.insert(lpn);
     lpns.push_back(lpn);
   }
@@ -205,98 +243,68 @@ void PageCache::PrefetchRange(LogicalPageNo first, uint32_t count,
 void PageCache::DoBatchRead(const std::vector<LogicalPageNo>& lpns) {
   // One batched submission for the whole window. PublishPrefetched fires
   // per page from inside ReadPages as that page's bytes complete and
-  // verify; its in-flight erase is the teardown signal, so after the LAST
-  // publish this cache may already be gone — everything this frame touches
-  // afterwards is local, and ReadPages itself holds the PageFile alive
-  // (PageFile::inflight_batches_).
+  // verify, and takes this frame's reference to the page, so a page that
+  // is evicted or superseded right away counts as wasted before its
+  // in-flight entry goes. That erase is the teardown signal, so after the
+  // LAST publish this cache may already be gone — everything this frame
+  // touches afterwards is local, and ReadPages itself holds the PageFile
+  // alive (PageFile::inflight_batches_).
   const size_t n = lpns.size();
-  std::vector<std::shared_ptr<Page>> pages;
+  std::vector<std::shared_ptr<CachedPage>> pages;
   pages.reserve(n);
   std::vector<Page*> raw;
   raw.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    pages.push_back(std::make_shared<Page>(file_->page_size()));
-    raw.push_back(pages[i].get());
+    pages.push_back(std::make_shared<CachedPage>(
+        file_->page_size(), /*prefetched=*/true, m_prefetch_wasted_));
+    raw.push_back(&pages[i]->page);
   }
   std::vector<Status> statuses(n);
   file_->ReadPages(lpns.data(), raw.data(), statuses.data(), n,
                    /*ctx=*/nullptr, [&](size_t i) {
-                     PublishPrefetched(lpns[i], pages[i], statuses[i]);
+                     PublishPrefetched(lpns[i], std::move(pages[i]),
+                                       statuses[i]);
                    });
 }
 
 void PageCache::PublishPrefetched(LogicalPageNo lpn,
-                                  std::shared_ptr<Page> page,
+                                  std::shared_ptr<CachedPage> page,
                                   const Status& st) {
   // Erasing `lpn` from its shard's inflight set is the signal DropAll / the
   // destructor wait on before tearing the cache down, so it must be the
   // LAST access to `this` for this page — notify while still holding the
-  // shard lock, touch nothing of the cache afterwards.
+  // shard lock, touch nothing of the cache afterwards. The page's bytes go
+  // before that (a failed read, or a load superseded below), so their
+  // wasted count lands first.
   Shard& shard = ShardFor(lpn);
-  if (!st.ok()) {
-    ShardLock lock(*this, shard);
-    m_prefetch_wasted_->Inc();
-    shard.inflight.erase(lpn);
-    shard.inflight_cv.NotifyAll();
-    return;
-  }
-  loads_.fetch_add(1, std::memory_order_relaxed);
-
-  ResourceManager* rm = rm_;
-  const uint64_t gen = next_generation_.fetch_add(1);
-  ResourceHandle handle;
-  rm->RegisterPinnedPage(
-      label_prefix_, lpn, file_->page_size(), Disposition::kPagedAttribute,
-      pool_, [this, lpn, gen] { EvictSlot(lpn, gen); }, &handle);
-  PinnedResource pin = PinnedResource::Adopt(handle);
-
-  bool superseded = false;
-  {
-    ShardLock lock(*this, shard);
-    if (shard.slots.count(lpn) > 0) {
-      // A synchronous load slipped in (the slot was evicted and reloaded
-      // while we were reading). Keep theirs, discard ours.
-      superseded = true;
-      m_prefetch_wasted_->Inc();
-    } else {
-      shard.slots[lpn] = Slot{std::move(page), handle, gen,
-                              /*prefetched=*/true};
-      shard.occupancy->Add(1);
+  if (st.ok()) {
+    loads_.fetch_add(1, std::memory_order_relaxed);
+    PinnedResource pin = rm_->Register(file_->page_size(),
+                                       Disposition::kPagedAttribute, pool_,
+                                       std::move(page));
+    bool superseded;
+    {
+      ShardLock lock(*this, shard);
+      // A synchronous load may have slipped in (the slot was evicted and
+      // reloaded while we were reading): keep theirs, discard ours.
+      superseded = LiveLocked(shard, lpn);
+      if (!superseded) InsertLocked(shard, lpn, pin);
     }
+    if (superseded) rm_->Unregister(pin.handle());
+    // Prefetched pages sit in the cache unpinned, with the normal
+    // weighted-LRU disposition: readahead must never shield a page from
+    // the resource manager. A superseded load's bytes go with `pin`.
   }
-  // Prefetched pages sit in the cache unpinned, with the normal
-  // weighted-LRU disposition: readahead must never shield a page from the
-  // resource manager.
-  pin.Release();
-  if (superseded) rm->Unregister(handle->id);
-  {
-    ShardLock lock(*this, shard);
-    shard.inflight.erase(lpn);
-    shard.inflight_cv.NotifyAll();
-  }
-}
-
-void PageCache::CountWastedLocked(const Shard&, const Slot& slot) {
-  if (slot.prefetched) {
-    m_prefetch_wasted_->Inc();
-  }
-}
-
-void PageCache::EvictSlot(LogicalPageNo lpn, uint64_t generation) {
-  Shard& shard = ShardFor(lpn);
+  page.reset();  // a failed read's bytes
   ShardLock lock(*this, shard);
-  auto it = shard.slots.find(lpn);
-  if (it != shard.slots.end() && it->second.generation == generation) {
-    CountWastedLocked(shard, it->second);
-    shard.occupancy->Add(-1);
-    shard.slots.erase(it);
-  }
+  shard.inflight.erase(lpn);
+  shard.inflight_cv.NotifyAll();
 }
 
 bool PageCache::IsLoaded(LogicalPageNo lpn) const {
   Shard& shard = ShardFor(lpn);
   ShardLock lock(*this, shard);
-  return shard.slots.count(lpn) > 0;
+  return LiveLocked(shard, lpn);
 }
 
 void PageCache::WaitForPrefetchIdle() {
@@ -324,18 +332,16 @@ void PageCache::DropAll() {
   // wait releases the shard lock, so a task publishing to this — or any
   // other — shard can always make progress), then unregister its slots.
   // No two shard locks are ever held together, so a prefetch completing on
-  // another shard cannot deadlock against the drain.
+  // another shard cannot deadlock against the drain. Each page's bytes go
+  // with their last reference: here, or at the last outstanding PageRef.
   const uint32_t shards = shard_count();
   for (uint32_t k = 0; k < shards; ++k) {
     Shard& shard = shards_[k];
     ShardLock lock(*this, shard);
     while (!shard.inflight.empty()) shard.inflight_cv.Wait(shard.mu);
-    for (auto& [lpn, slot] : shard.slots) {
-      CountWastedLocked(shard, slot);
-      rm_->Unregister(slot.handle->id);
-    }
-    shard.occupancy->Add(-static_cast<int64_t>(shard.slots.size()));
+    for (const auto& [lpn, handle] : shard.slots) rm_->Unregister(handle);
     shard.slots.clear();
+    shard.reap_at = 0;
   }
 }
 
@@ -345,6 +351,9 @@ uint64_t PageCache::loaded_page_count() const {
   for (uint32_t k = 0; k < shards; ++k) {
     Shard& shard = shards_[k];
     ShardLock lock(*this, shard);
+    std::erase_if(shard.slots, [](const auto& slot) {
+      return ResourceManager::IsDead(slot.second);
+    });
     total += shard.slots.size();
   }
   return total;

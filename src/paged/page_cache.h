@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -19,49 +18,47 @@ namespace payg {
 // A pinned reference to a loaded page. While the pin is held the resource
 // manager will not evict the page (§3.1.2: the iterator "pins the page in
 // memory to make sure the page does not get evicted by the resource manager
-// when it is being read"). The shared_ptr keeps the bytes alive even across
-// an owner-initiated unload, so readers never observe freed memory.
+// when it is being read"). The page is the pinned registration's payload,
+// so the pin also keeps the bytes alive across an owner-initiated unload:
+// readers never observe freed memory.
 class PageRef {
  public:
   PageRef() = default;
-  PageRef(std::shared_ptr<Page> page, PinnedResource pin, LogicalPageNo lpn)
-      : page_(std::move(page)), pin_(std::move(pin)), lpn_(lpn) {}
+  PageRef(PinnedResource pin, const Page* page, LogicalPageNo lpn)
+      : pin_(std::move(pin)), page_(page), lpn_(lpn) {}
 
-  bool valid() const { return page_ != nullptr; }
+  bool valid() const { return pin_.valid(); }
   const Page& page() const { return *page_; }
   LogicalPageNo lpn() const { return lpn_; }
 
-  void Release() {
-    pin_.Release();
-    page_.reset();
-  }
+  void Release() { pin_.Release(); }
 
  private:
-  std::shared_ptr<Page> page_;
   PinnedResource pin_;
+  const Page* page_ = nullptr;  // the pinned payload's page
   LogicalPageNo lpn_ = kInvalidPageNo;
 };
 
 // Tracks which pages of one page chain are currently loaded, registering
-// each loaded page as an individual kPagedAttribute resource. Eviction by
-// the resource manager simply drops the page from this cache; the next
-// access reloads it from disk.
+// each loaded page as an individual kPagedAttribute resource that owns the
+// page's bytes. Eviction by the resource manager frees the bytes without
+// calling into the cache: the page's slot keeps the dead handle, counts as
+// absent, and is erased when next met; the next access reloads the page.
 //
 // Thread-safe and sharded: pages are distributed over PAYG_CACHE_SHARDS
 // independent shards by `lpn & mask`, each with its own mutex, slot map,
-// in-flight set and condvar, so hits, misses, prefetch publishes and
-// eviction callbacks on unrelated pages never contend. Hits additionally
-// pin through the resource manager's lock-free handle path, so the warm
-// loop takes exactly one (uncontended in the common case) shard mutex and
-// no process-wide lock. The eviction callback runs on the manager's
-// sweeper thread and touches only the victim's shard.
+// in-flight set and condvar, so hits, misses and prefetch publishes on
+// unrelated pages never contend. Hits additionally pin through the
+// resource manager's lock-free handle path, so the warm loop takes exactly
+// one (uncontended in the common case) shard mutex and no process-wide
+// lock.
 class PageCache {
  public:
   // `shard_count` == 0 uses the process default (DefaultCacheShards());
   // other values are rounded up to a power of two and clamped — tests use
   // 1 to force worst-case contention on a single shard.
   PageCache(PageFile* file, ResourceManager* rm, PoolId pool,
-            std::string label, uint32_t shard_count = 0);
+            uint32_t shard_count = 0);
 
   ~PageCache() { DropAll(); }
 
@@ -98,12 +95,13 @@ class PageCache {
   bool IsLoaded(LogicalPageNo lpn) const;
 
   // Unloads every cached page (structure unload). Outstanding PageRefs keep
-  // their bytes alive but the pages leave the accounting. Shards are
-  // drained one at a time — each shard's in-flight prefetches are waited
-  // out under that shard's lock only, so a prefetch publishing to another
-  // shard can never deadlock against the drain.
+  // their bytes alive but the pages leave the resource manager's
+  // accounting. Shards are drained one at a time — each shard's in-flight
+  // prefetches are waited out under that shard's lock only, so a prefetch
+  // publishing to another shard can never deadlock against the drain.
   void DropAll();
 
+  // Pages resident right now (slots whose registration is still live).
   uint64_t loaded_page_count() const;
   uint64_t load_count() const { return loads_; }
 
@@ -117,17 +115,9 @@ class PageCache {
   ResourceManager* resource_manager() const { return rm_; }
 
  private:
-  struct Slot {
-    std::shared_ptr<Page> page;
-    // Lock-free pin handle of the page's registration; handle->id is the
-    // resource id for Unregister.
-    ResourceHandle handle;
-    uint64_t generation = 0;
-    // Loaded by PrefetchRange and not yet served to any GetPage call. The
-    // first pin clears the flag (a prefetch hit); leaving the cache with the
-    // flag still set means the readahead was wasted.
-    bool prefetched = false;
-  };
+  // The payload of one page's registration: the page's bytes, owned by the
+  // resource manager's entry (defined in page_cache.cc).
+  struct CachedPage;
 
   struct Shard {
     // DESIGN.md §8: no path ever holds two shard mutexes — the aggregate
@@ -135,7 +125,12 @@ class PageCache {
     // at a time, which is what makes a prefetch publishing to another shard
     // deadlock-free against them.
     mutable Mutex mu;
-    std::unordered_map<LogicalPageNo, Slot> slots GUARDED_BY(mu);
+    // Lock-free pin handle of each page's registration. A handle the
+    // manager has evicted is dead: its slot counts as absent and is erased
+    // wherever it is met, and InsertLocked reaps the whole map whenever it
+    // has doubled since the last reap, so dead slots stay bounded.
+    std::unordered_map<LogicalPageNo, ResourceHandle> slots GUARDED_BY(mu);
+    size_t reap_at GUARDED_BY(mu) = 0;
     // Pages a background prefetch is currently loading. GetPage waits for
     // an in-flight load of its page instead of issuing a duplicate read,
     // which is what lets readahead actually hide latency. DropAll (and
@@ -144,8 +139,8 @@ class PageCache {
     std::unordered_set<LogicalPageNo> inflight GUARDED_BY(mu);
     CondVar inflight_cv;
     // "cache.shard<k>.pages" — resident pages in this shard, summed across
-    // cache instances. Atomic gauge: bumped under mu by convention but
-    // needs no guard.
+    // cache instances. Atomic gauge: raised when a page takes its slot,
+    // lowered by the page's payload when its bytes go.
     obs::Gauge* occupancy = nullptr;
   };
 
@@ -166,9 +161,18 @@ class PageCache {
     Mutex& mu_;
   };
 
-  // Eviction callback target: forgets the slot if it still belongs to the
-  // registration identified by `generation`.
-  void EvictSlot(LogicalPageNo lpn, uint64_t generation);
+  // The live slot of `lpn`, pinned (invalid if the page is absent). A dead
+  // slot met here is erased. Touches the page and settles a prefetch hit.
+  PinnedResource PinLocked(Shard& shard, LogicalPageNo lpn, ExecContext* ctx)
+      REQUIRES(shard.mu);
+
+  // True if `lpn` holds a live slot; a dead one met here is erased.
+  static bool LiveLocked(Shard& shard, LogicalPageNo lpn) REQUIRES(shard.mu);
+
+  // Gives `lpn` the slot of `pin`'s registration and reaps the shard's dead
+  // slots when the map has doubled since the last reap.
+  static void InsertLocked(Shard& shard, LogicalPageNo lpn,
+                           const PinnedResource& pin) REQUIRES(shard.mu);
 
   // Body of a prefetch task on the background I/O pool: one batched read
   // over `lpns` (all already marked in-flight), publishing per page.
@@ -178,23 +182,15 @@ class PageCache {
   // its shard (or counts it wasted on error / when superseded), then — as
   // the very LAST access to `this` for this page — erases the in-flight
   // entry and notifies waiters.
-  void PublishPrefetched(LogicalPageNo lpn, std::shared_ptr<Page> page,
+  void PublishPrefetched(LogicalPageNo lpn, std::shared_ptr<CachedPage> page,
                          const Status& st);
-
-  // Counts a slot of `shard` leaving the cache untouched after a prefetch.
-  void CountWastedLocked(const Shard& shard, const Slot& slot)
-      REQUIRES(shard.mu);
 
   PageFile* file_;
   ResourceManager* rm_;
   PoolId pool_;
-  // Every page of this chain registers as `*label_prefix_ + "#" + lpn`,
-  // kept unformatted so the load path never allocates a label string.
-  std::shared_ptr<const std::string> label_prefix_;
   std::unique_ptr<Shard[]> shards_;
   uint64_t shard_mask_ = 0;
   std::atomic<uint64_t> loads_{0};
-  std::atomic<uint64_t> next_generation_{1};
   obs::Counter* m_hits_;
   obs::Counter* m_misses_;
   obs::Counter* m_pin_waits_;

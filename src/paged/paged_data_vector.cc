@@ -216,10 +216,9 @@ Result<std::unique_ptr<PagedDataVector>> PagedDataVector::Build(
   dv->values_per_page_ = values_per_page;
   dv->data_pages_ = data_pages;
   dv->file_ = std::move(file);
-  dv->cache_ = std::make_unique<PageCache>(dv->file_.get(), rm, pool,
-                                           name + ".dv");
+  dv->cache_ = std::make_unique<PageCache>(dv->file_.get(), rm, pool);
   dv->summary_ = std::make_unique<LazyResource<PageSummary>>(
-      rm, name + ".dvsum", Disposition::kPagedAttribute, pool);
+      rm, Disposition::kPagedAttribute, pool);
   return dv;
 }
 
@@ -245,14 +244,13 @@ Result<std::unique_ptr<PagedDataVector>> PagedDataVector::Open(
   dv->values_per_page_ = parsed.values_per_page;
   dv->data_pages_ = file->page_count() - 1;
   dv->file_ = std::move(file);
-  dv->cache_ = std::make_unique<PageCache>(dv->file_.get(), rm, pool,
-                                           name + ".dv");
+  dv->cache_ = std::make_unique<PageCache>(dv->file_.get(), rm, pool);
   dv->summary_ = std::make_unique<LazyResource<PageSummary>>(
-      rm, name + ".dvsum", Disposition::kPagedAttribute, pool);
+      rm, Disposition::kPagedAttribute, pool);
   return dv;
 }
 
-Result<std::shared_ptr<PageSummary>> PagedDataVector::PinSummary(
+Result<const PageSummary*> PagedDataVector::PinSummary(
     PinnedResource* pin) {
   return summary_->Pin(pin, [this] { return LoadSummary(); });
 }

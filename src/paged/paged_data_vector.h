@@ -86,7 +86,7 @@ class PagedDataVector {
 
   // Loads (or returns) the per-page min/max summary (§3.3's alternative to
   // the inverted index), pinned for the caller. Loaded whole on first use.
-  Result<std::shared_ptr<PageSummary>> PinSummary(PinnedResource* pin);
+  Result<const PageSummary*> PinSummary(PinnedResource* pin);
 
   // Drops all resident pages and the summary (column unload).
   void Unload();
@@ -213,7 +213,7 @@ class PagedDataVectorIterator {
   ReadaheadWindow readahead_;  // advanced by sequential Reposition
   bool use_summary_ = true;
   bool summary_checked_ = false;
-  std::shared_ptr<PageSummary> summary_;
+  const PageSummary* summary_ = nullptr;  // valid while summary_pin_ is held
   PinnedResource summary_pin_;
 };
 

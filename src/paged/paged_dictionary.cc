@@ -188,10 +188,9 @@ Result<std::unique_ptr<PagedDictionary>> PagedDictionary::Build(
   dict->dict_size_ = sorted_values.size();
   dict->dict_page_count_ = helper_lpns.size();
   dict->file_ = std::move(file);
-  dict->cache_ =
-      std::make_unique<PageCache>(dict->file_.get(), rm, pool, name + ".dict");
+  dict->cache_ = std::make_unique<PageCache>(dict->file_.get(), rm, pool);
   dict->helpers_ = std::make_unique<LazyResource<Helpers>>(
-      rm, name + ".dicthlp", Disposition::kPagedAttribute, pool);
+      rm, Disposition::kPagedAttribute, pool);
   return dict;
 }
 
@@ -211,16 +210,15 @@ Result<std::unique_ptr<PagedDictionary>> PagedDictionary::Open(
   dict->name_ = name;
   dict->storage_ = storage;
   dict->file_ = std::move(file);
-  dict->cache_ =
-      std::make_unique<PageCache>(dict->file_.get(), rm, pool, name + ".dict");
+  dict->cache_ = std::make_unique<PageCache>(dict->file_.get(), rm, pool);
   dict->helpers_ = std::make_unique<LazyResource<Helpers>>(
-      rm, name + ".dicthlp", Disposition::kPagedAttribute, pool);
+      rm, Disposition::kPagedAttribute, pool);
   return dict;
 }
 
 PagedDictionary::~PagedDictionary() { Unload(); }
 
-Result<std::shared_ptr<PagedDictionary::Helpers>> PagedDictionary::PinHelpers(
+Result<const PagedDictionary::Helpers*> PagedDictionary::PinHelpers(
     PinnedResource* pin) {
   return helpers_->Pin(pin, [this] { return LoadHelpers(); });
 }
@@ -257,15 +255,14 @@ void PagedDictionary::Unload() {
 }
 
 bool PagedDictionary::helpers_loaded() const {
-  return helpers_->resident() != nullptr;
+  return helpers_->resident_bytes() != 0;
 }
 
 // ---------------------------------------------------------------------------
 // Iterator
 // ---------------------------------------------------------------------------
 
-Result<std::shared_ptr<PagedDictionary::Helpers>>
-PagedDictionaryIterator::helpers() {
+Result<const PagedDictionary::Helpers*> PagedDictionaryIterator::helpers() {
   if (helpers_cache_ == nullptr) {
     auto h = dict_->PinHelpers(&helpers_pin_);
     if (!h.ok()) return h.status();

@@ -83,7 +83,7 @@ class PagedDictionary {
 
   // Loads (or returns) the helper dictionaries, pinning them for the
   // caller. §3.2.3: the full helper chains are pre-loaded on first access.
-  Result<std::shared_ptr<Helpers>> PinHelpers(PinnedResource* pin);
+  Result<const Helpers*> PinHelpers(PinnedResource* pin);
   Result<std::shared_ptr<Helpers>> LoadHelpers() const;
 
   std::string name_;
@@ -141,7 +141,7 @@ class PagedDictionaryIterator {
   // Loads one overflow piece (handle-cached as well).
   Result<std::string> LoadOffpage(OffpageRef ref);
 
-  Result<std::shared_ptr<PagedDictionary::Helpers>> helpers();
+  Result<const PagedDictionary::Helpers*> helpers();
 
   // Shared search: returns the vid of the first value >= probe and whether
   // it is an exact match.
@@ -149,7 +149,8 @@ class PagedDictionaryIterator {
 
   PagedDictionary* dict_;
   ExecContext* ctx_ = nullptr;
-  std::shared_ptr<PagedDictionary::Helpers> helpers_cache_;
+  // Valid while helpers_pin_ is held.
+  const PagedDictionary::Helpers* helpers_cache_ = nullptr;
   PinnedResource helpers_pin_;
   std::map<uint64_t, PageView> handle_cache_;       // ordinal → pinned page
   std::map<LogicalPageNo, PageRef> offpage_cache_;  // pinned overflow pages

@@ -183,8 +183,7 @@ Result<std::unique_ptr<PagedInvertedIndex>> PagedInvertedIndex::Build(
   }
 
   idx->file_ = std::move(file);
-  idx->cache_ =
-      std::make_unique<PageCache>(idx->file_.get(), rm, pool, name + ".idx");
+  idx->cache_ = std::make_unique<PageCache>(idx->file_.get(), rm, pool);
   return idx;
 }
 
@@ -216,8 +215,7 @@ Result<std::unique_ptr<PagedInvertedIndex>> PagedInvertedIndex::Open(
   idx->v_first_ = fields[8];
   idx->v_page_ = fields[9];
   idx->file_ = std::move(file);
-  idx->cache_ =
-      std::make_unique<PageCache>(idx->file_.get(), rm, pool, name + ".idx");
+  idx->cache_ = std::make_unique<PageCache>(idx->file_.get(), rm, pool);
   return idx;
 }
 

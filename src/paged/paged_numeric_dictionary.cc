@@ -243,8 +243,8 @@ Result<std::unique_ptr<PagedNumericDictionary>> PagedNumericDictionary::Build(
     if (!r.ok()) return r.status();
     fences.push_back(f.fence);
   }
-  return Make(rm, pool, name, ValueArrayType(sorted), keys.size(),
-              g.values_per_page, std::move(fences), std::move(file));
+  return Make(rm, pool, ValueArrayType(sorted), keys.size(), g.values_per_page,
+              std::move(fences), std::move(file));
 }
 
 Result<std::unique_ptr<PagedNumericDictionary>> PagedNumericDictionary::Open(
@@ -292,13 +292,13 @@ Result<std::unique_ptr<PagedNumericDictionary>> PagedNumericDictionary::Open(
                               " pages, its fence names " +
                               std::to_string(pages));
   }
-  return Make(rm, pool, name, type, size, per_page, std::move(fences),
+  return Make(rm, pool, type, size, per_page, std::move(fences),
               std::move(file));
 }
 
 std::unique_ptr<PagedNumericDictionary> PagedNumericDictionary::Make(
-    ResourceManager* rm, PoolId pool, const std::string& name,
-    ValueType type, uint64_t size, uint64_t values_per_page,
+    ResourceManager* rm, PoolId pool, ValueType type, uint64_t size,
+    uint64_t values_per_page,
     std::vector<NumericDictFence> fences, std::unique_ptr<PageFile> file) {
   auto dict =
       std::unique_ptr<PagedNumericDictionary>(new PagedNumericDictionary());
@@ -307,8 +307,7 @@ std::unique_ptr<PagedNumericDictionary> PagedNumericDictionary::Make(
   dict->values_per_page_ = values_per_page;
   dict->fences_ = std::move(fences);
   dict->file_ = std::move(file);
-  dict->cache_ = std::make_unique<PageCache>(dict->file_.get(), rm, pool,
-                                             ChainName(name));
+  dict->cache_ = std::make_unique<PageCache>(dict->file_.get(), rm, pool);
   return dict;
 }
 

@@ -120,8 +120,8 @@ class PagedNumericDictionary {
   PagedNumericDictionary() = default;
 
   static std::unique_ptr<PagedNumericDictionary> Make(
-      ResourceManager* rm, PoolId pool, const std::string& name,
-      ValueType type, uint64_t size, uint64_t values_per_page,
+      ResourceManager* rm, PoolId pool, ValueType type, uint64_t size,
+      uint64_t values_per_page,
       std::vector<NumericDictFence> fences, std::unique_ptr<PageFile> file);
 
   ValueType type_ = ValueType::kInt64;

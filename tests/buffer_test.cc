@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,13 +28,45 @@ TEST(DispositionTest, WeightsAreOrdered) {
             DispositionWeight(Disposition::kNonSwappable));
 }
 
+// A payload that reports its release. Eviction drops a payload while the
+// test still holds the entry's handle, so a release seen then is an
+// eviction; an unregistered payload goes only with the handle. Observers
+// are declared before the manager, which releases what it still holds when
+// it is destroyed.
+class Probe {
+ public:
+  explicit Probe(std::function<void()> on_release)
+      : on_release_(std::move(on_release)) {}
+  ~Probe() {
+    if (on_release_) on_release_();
+  }
+
+ private:
+  std::function<void()> on_release_;
+};
+
+// Registers a resource, releases the pin Register returns, and hands back
+// the handle, so the resource is evictable from here on.
+ResourceHandle Add(ResourceManager& rm, uint64_t bytes,
+                   Disposition disposition, PoolId pool,
+                   std::function<void()> on_release = nullptr) {
+  PinnedResource pin = rm.Register(
+      bytes, disposition, pool, std::make_shared<Probe>(std::move(on_release)));
+  return pin.handle();
+}
+
+// A pin through the handle, with the recency touch a reader records.
+PinnedResource PinAndTouch(ResourceManager& rm, const ResourceHandle& h) {
+  PinnedResource pin = PinnedResource::TryPin(h);
+  if (pin.valid()) rm.Touch(h);
+  return pin;
+}
+
 TEST(ResourceManagerTest, TracksBytesPerPool) {
   ResourceManager rm;
-  rm.Register("a", 100, Disposition::kMidTerm, PoolId::kGeneral, nullptr);
-  rm.Register("b", 50, Disposition::kPagedAttribute, PoolId::kPagedPool,
-              nullptr);
-  rm.Register("c", 25, Disposition::kPagedAttribute, PoolId::kColdPagedPool,
-              nullptr);
+  Add(rm, 100, Disposition::kMidTerm, PoolId::kGeneral);
+  Add(rm, 50, Disposition::kPagedAttribute, PoolId::kPagedPool);
+  Add(rm, 25, Disposition::kPagedAttribute, PoolId::kColdPagedPool);
   EXPECT_EQ(rm.total_bytes(), 175u);
   EXPECT_EQ(rm.pool_bytes(PoolId::kGeneral), 100u);
   EXPECT_EQ(rm.pool_bytes(PoolId::kPagedPool), 50u);
@@ -41,22 +74,30 @@ TEST(ResourceManagerTest, TracksBytesPerPool) {
 }
 
 TEST(ResourceManagerTest, UnregisterReleasesBytes) {
+  std::atomic<int> released{0};
   ResourceManager rm;
-  ResourceId id =
-      rm.Register("a", 100, Disposition::kMidTerm, PoolId::kGeneral, nullptr);
-  EXPECT_TRUE(rm.Unregister(id));
+  ResourceHandle h = Add(rm, 100, Disposition::kMidTerm, PoolId::kGeneral,
+                         [&] { released++; });
+  EXPECT_TRUE(rm.Unregister(h));
   EXPECT_EQ(rm.total_bytes(), 0u);
-  EXPECT_FALSE(rm.Unregister(id));  // second time: already gone
+  EXPECT_FALSE(rm.Unregister(h));  // second time: already gone
+  EXPECT_TRUE(ResourceManager::IsDead(h));
+  EXPECT_FALSE(PinnedResource::TryPin(h).valid());
+  // The payload is left to the entry's last reference.
+  EXPECT_EQ(released.load(), 0);
+  h.reset();
+  EXPECT_EQ(released.load(), 1);
 }
 
 TEST(ResourceManagerTest, ReactiveEvictionEnforcesGlobalBudget) {
   EvictionCounters evictions;
-  ResourceManager rm;
   std::atomic<int> evicted{0};
+  ResourceManager rm;
   rm.SetGlobalBudget(250);
+  std::vector<ResourceHandle> handles;
   for (int i = 0; i < 5; ++i) {
-    rm.Register("r" + std::to_string(i), 100, Disposition::kMidTerm,
-                PoolId::kGeneral, [&] { evicted++; });
+    handles.push_back(Add(rm, 100, Disposition::kMidTerm, PoolId::kGeneral,
+                          [&] { evicted++; }));
   }
   // 5 x 100 bytes against a 250 budget: at least 3 evictions.
   EXPECT_LE(rm.total_bytes(), 250u);
@@ -65,86 +106,86 @@ TEST(ResourceManagerTest, ReactiveEvictionEnforcesGlobalBudget) {
 }
 
 TEST(ResourceManagerTest, LruPrefersOldUntouchedResources) {
-  ResourceManager rm;
   std::vector<int> evicted;
-  std::vector<ResourceId> ids;
+  ResourceManager rm;
+  std::vector<ResourceHandle> handles;
   for (int i = 0; i < 4; ++i) {
-    ids.push_back(rm.Register("r" + std::to_string(i), 100,
-                              Disposition::kMidTerm, PoolId::kGeneral,
-                              [&evicted, i] { evicted.push_back(i); }));
+    handles.push_back(Add(rm, 100, Disposition::kMidTerm, PoolId::kGeneral,
+                          [&evicted, i] { evicted.push_back(i); }));
   }
   // Touch 0 and 1 so 2 becomes the coldest.
-  rm.Touch(ids[0]);
-  rm.Touch(ids[1]);
+  rm.Touch(handles[0]);
+  rm.Touch(handles[1]);
   rm.SetGlobalBudget(350);  // forces exactly one eviction
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0], 2);
 }
 
 TEST(ResourceManagerTest, WeightedLruEvictsLowWeightFirst) {
-  ResourceManager rm;
   std::vector<std::string> evicted;
+  ResourceManager rm;
   // Same age, different dispositions: the temporary resource must go first
   // (t/w ordering with smaller w → larger score).
-  rm.Register("long", 100, Disposition::kLongTerm, PoolId::kGeneral,
-              [&] { evicted.push_back("long"); });
-  rm.Register("tmp", 100, Disposition::kTemporary, PoolId::kGeneral,
-              [&] { evicted.push_back("tmp"); });
+  Add(rm, 100, Disposition::kLongTerm, PoolId::kGeneral,
+      [&] { evicted.push_back("long"); });
+  Add(rm, 100, Disposition::kTemporary, PoolId::kGeneral,
+      [&] { evicted.push_back("tmp"); });
   rm.SetGlobalBudget(150);
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0], "tmp");
 }
 
 TEST(ResourceManagerTest, NonSwappableIsNeverEvicted) {
-  ResourceManager rm;
   std::atomic<int> evicted{0};
-  rm.Register("pinned-by-policy", 100, Disposition::kNonSwappable,
-              PoolId::kGeneral, [&] { evicted++; });
+  ResourceManager rm;
+  ResourceHandle h = Add(rm, 100, Disposition::kNonSwappable,
+                         PoolId::kGeneral, [&] { evicted++; });
   rm.SetGlobalBudget(10);
   EXPECT_EQ(evicted.load(), 0);
   EXPECT_EQ(rm.total_bytes(), 100u);  // budget is overrun rather than violated
+  EXPECT_TRUE(rm.Unregister(h));
 }
 
 TEST(ResourceManagerTest, PinnedResourcesSurviveEviction) {
-  ResourceManager rm;
   std::atomic<int> evicted{0};
-  ResourceId id = rm.Register("hot", 100, Disposition::kTemporary,
-                              PoolId::kGeneral, [&] { evicted++; });
-  ASSERT_TRUE(rm.Pin(id));
+  ResourceManager rm;
+  ResourceHandle h = Add(rm, 100, Disposition::kTemporary, PoolId::kGeneral,
+                         [&] { evicted++; });
+  PinnedResource pin = PinAndTouch(rm, h);
+  ASSERT_TRUE(pin.valid());
   rm.SetGlobalBudget(10);
   EXPECT_EQ(evicted.load(), 0);
-  rm.Unpin(id);
+  pin.Release();
   rm.SetGlobalBudget(10);  // re-trigger
   EXPECT_EQ(evicted.load(), 1);
+  // An owner learns of the eviction when its pin fails.
+  EXPECT_TRUE(ResourceManager::IsDead(h));
+  EXPECT_FALSE(PinnedResource::TryPin(h).valid());
 }
 
-TEST(ResourceManagerTest, PinFailsForUnknownResource) {
-  ResourceManager rm;
-  EXPECT_FALSE(rm.Pin(12345));
-  PinnedResource p = PinnedResource::TryPin(&rm, 12345);
-  EXPECT_FALSE(p.valid());
-}
-
-TEST(ResourceManagerTest, RegisterPinnedStartsPinned) {
-  ResourceManager rm;
+TEST(ResourceManagerTest, RegisterStartsPinned) {
   std::atomic<int> evicted{0};
-  ResourceId id = rm.RegisterPinned("page", 100, Disposition::kPagedAttribute,
-                                    PoolId::kPagedPool, [&] { evicted++; });
+  ResourceManager rm;
+  PinnedResource pin =
+      rm.Register(100, Disposition::kPagedAttribute, PoolId::kPagedPool,
+                  std::make_shared<Probe>([&] { evicted++; }));
+  ASSERT_TRUE(pin.valid());
   rm.SetPoolLimits(PoolId::kPagedPool, {0, 10});
   rm.SweepNow();
   EXPECT_EQ(evicted.load(), 0);  // pinned: sweep skips it
-  rm.Unpin(id);
+  pin.Release();
   rm.SweepNow();
   EXPECT_EQ(evicted.load(), 1);
 }
 
 TEST(ResourceManagerTest, ProactiveSweepShrinksToLowerLimit) {
   EvictionCounters evictions;
-  ResourceManager rm;
   std::atomic<int> evicted{0};
+  ResourceManager rm;
+  std::vector<ResourceHandle> handles;
   for (int i = 0; i < 15; ++i) {
-    rm.Register("pg" + std::to_string(i), 100, Disposition::kPagedAttribute,
-                PoolId::kPagedPool, [&] { evicted++; });
+    handles.push_back(Add(rm, 100, Disposition::kPagedAttribute,
+                          PoolId::kPagedPool, [&] { evicted++; }));
   }
   // Limits set after registration: whichever sweep runs first (this call or
   // the background sweeper's periodic wake) sees all 1500 bytes, so the
@@ -158,28 +199,30 @@ TEST(ResourceManagerTest, ProactiveSweepShrinksToLowerLimit) {
 }
 
 TEST(ResourceManagerTest, ProactiveSweepIgnoresPoolBelowUpperLimit) {
-  ResourceManager rm;
   std::atomic<int> evicted{0};
+  ResourceManager rm;
   rm.SetPoolLimits(PoolId::kPagedPool, {200, 1000});
+  std::vector<ResourceHandle> handles;
   for (int i = 0; i < 5; ++i) {
-    rm.Register("pg" + std::to_string(i), 100, Disposition::kPagedAttribute,
-                PoolId::kPagedPool, [&] { evicted++; });
+    handles.push_back(Add(rm, 100, Disposition::kPagedAttribute,
+                          PoolId::kPagedPool, [&] { evicted++; }));
   }
   rm.SweepNow();
   EXPECT_EQ(evicted.load(), 0);
   EXPECT_EQ(rm.pool_bytes(PoolId::kPagedPool), 500u);
+  for (const ResourceHandle& h : handles) EXPECT_TRUE(rm.Unregister(h));
 }
 
 TEST(ResourceManagerTest, PagedPoolEvictedInLruOrderIgnoringWeight) {
-  ResourceManager rm;
   std::vector<int> order;
-  std::vector<ResourceId> ids;
+  ResourceManager rm;
+  std::vector<ResourceHandle> handles;
   for (int i = 0; i < 4; ++i) {
-    ids.push_back(rm.Register("pg" + std::to_string(i), 100,
-                              Disposition::kPagedAttribute, PoolId::kPagedPool,
-                              [&order, i] { order.push_back(i); }));
+    handles.push_back(Add(rm, 100, Disposition::kPagedAttribute,
+                          PoolId::kPagedPool,
+                          [&order, i] { order.push_back(i); }));
   }
-  rm.Touch(ids[0]);  // 0 becomes most recent; LRU order 1,2,3,0
+  rm.Touch(handles[0]);  // 0 becomes most recent; LRU order 1,2,3,0
   rm.SetPoolLimits(PoolId::kPagedPool, {100, 150});
   rm.SweepNow();
   ASSERT_EQ(order.size(), 3u);
@@ -187,15 +230,16 @@ TEST(ResourceManagerTest, PagedPoolEvictedInLruOrderIgnoringWeight) {
 }
 
 TEST(ResourceManagerTest, ReactivePathDrainsPagedPoolBeforeColumns) {
-  ResourceManager rm;
   std::vector<std::string> order;
+  ResourceManager rm;
   rm.SetPoolLimits(PoolId::kPagedPool, {0, 0});  // no proactive limits
-  rm.Register("column", 100, Disposition::kMidTerm, PoolId::kGeneral,
-              [&] { order.push_back("column"); });
+  ResourceHandle column = Add(rm, 100, Disposition::kMidTerm, PoolId::kGeneral,
+                              [&] { order.push_back("column"); });
+  std::vector<ResourceHandle> pages;
   for (int i = 0; i < 3; ++i) {
-    rm.Register("page" + std::to_string(i), 100, Disposition::kPagedAttribute,
-                PoolId::kPagedPool,
-                [&, i] { order.push_back("page" + std::to_string(i)); });
+    pages.push_back(
+        Add(rm, 100, Disposition::kPagedAttribute, PoolId::kPagedPool,
+            [&, i] { order.push_back("page" + std::to_string(i)); }));
   }
   // Budget forces evicting 300 bytes; all pages must go before the column.
   rm.SetGlobalBudget(100);
@@ -204,19 +248,21 @@ TEST(ResourceManagerTest, ReactivePathDrainsPagedPoolBeforeColumns) {
   EXPECT_EQ(order[1].substr(0, 4), "page");
   EXPECT_EQ(order[2].substr(0, 4), "page");
   EXPECT_EQ(rm.total_bytes(), 100u);  // the column survived
+  EXPECT_TRUE(rm.Unregister(column));
 }
 
 TEST(ResourceManagerTest, BackgroundSweeperRunsAsynchronously) {
-  ResourceManager rm;
   std::atomic<int> evicted{0};
+  ResourceManager rm;
   rm.SetPoolLimits(PoolId::kPagedPool, {100, 300});
+  std::vector<ResourceHandle> handles;
   for (int i = 0; i < 10; ++i) {
-    rm.Register("pg" + std::to_string(i), 100, Disposition::kPagedAttribute,
-                PoolId::kPagedPool, [&] { evicted++; });
+    handles.push_back(Add(rm, 100, Disposition::kPagedAttribute,
+                          PoolId::kPagedPool, [&] { evicted++; }));
   }
-  // The background thread wakes within ~20ms; give it some slack. Wait for
-  // the callbacks, not the pool bytes: a sweep lowers the bytes under the
-  // manager's lock and runs its victims' callbacks only after releasing it.
+  // The background thread wakes within ~20ms; give it some slack. A sweep
+  // releases its victims' payloads before it releases the manager's lock,
+  // so once they are counted the pool bytes are down too.
   for (int i = 0; i < 100 && evicted.load() < 9; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -227,9 +273,9 @@ TEST(ResourceManagerTest, BackgroundSweeperRunsAsynchronously) {
 TEST(ResourceManagerTest, StatsSnapshotIsConsistent) {
   EvictionCounters evictions;
   ResourceManager rm;
-  rm.Register("a", 100, Disposition::kMidTerm, PoolId::kGeneral, nullptr);
-  rm.Register("b", 200, Disposition::kPagedAttribute, PoolId::kPagedPool,
-              nullptr);
+  ResourceHandle a = Add(rm, 100, Disposition::kMidTerm, PoolId::kGeneral);
+  ResourceHandle b =
+      Add(rm, 200, Disposition::kPagedAttribute, PoolId::kPagedPool);
   EXPECT_EQ(rm.total_bytes(), 300u);
   EXPECT_EQ(rm.resource_count(), 2u);
   EXPECT_EQ(rm.pool_bytes(PoolId::kGeneral), 100u);
@@ -242,21 +288,23 @@ TEST(ResourceManagerTest, StatsSnapshotIsConsistent) {
   EXPECT_EQ(rm.total_bytes(), 100u);
   EXPECT_EQ(evictions.bytes(), 200u);
   EXPECT_EQ(evictions.reactive(), 1u);
+  EXPECT_TRUE(ResourceManager::IsDead(b));
+  EXPECT_FALSE(ResourceManager::IsDead(a));
 }
 
 TEST(ResourceManagerTest, TouchRevivesEvictionOrder) {
-  ResourceManager rm;
   std::vector<int> order;
-  std::vector<ResourceId> ids;
+  ResourceManager rm;
+  std::vector<ResourceHandle> handles;
   for (int i = 0; i < 3; ++i) {
-    ids.push_back(rm.Register("pg" + std::to_string(i), 100,
-                              Disposition::kPagedAttribute, PoolId::kPagedPool,
-                              [&order, i] { order.push_back(i); }));
+    handles.push_back(Add(rm, 100, Disposition::kPagedAttribute,
+                          PoolId::kPagedPool,
+                          [&order, i] { order.push_back(i); }));
   }
   // Touch in reverse: LRU order becomes 2, 1, 0.
-  rm.Touch(ids[2]);
-  rm.Touch(ids[1]);
-  rm.Touch(ids[0]);
+  rm.Touch(handles[2]);
+  rm.Touch(handles[1]);
+  rm.Touch(handles[0]);
   rm.SetPoolLimits(PoolId::kPagedPool, {100, 200});
   rm.SweepNow();
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
@@ -264,7 +312,7 @@ TEST(ResourceManagerTest, TouchRevivesEvictionOrder) {
 
 // One resource of the reference model below.
 struct ModelEntry {
-  ResourceId id = kInvalidResourceId;
+  ResourceHandle handle;
   PoolId pool = PoolId::kGeneral;
   Disposition disposition = Disposition::kTemporary;
   uint64_t bytes = 0;
@@ -273,9 +321,10 @@ struct ModelEntry {
   bool live = true;
 };
 
-// Eviction callbacks in the order they ran, overall and per pool. A
-// proactive pass may run on the background sweeper instead of SweepNow's
-// caller, but each pool is still evicted by one pass on one thread.
+// Payload releases in the order they ran, overall and per pool. The test
+// holds every handle, so each release is an eviction. A proactive pass may
+// run on the background sweeper instead of SweepNow's caller, but each pool
+// is still evicted by one pass on one thread.
 class EvictionLog {
  public:
   void Record(PoolId pool, int index) {
@@ -328,9 +377,10 @@ TEST(ResourceManagerTest, VictimOrderMatchesReferenceModel) {
       SCOPED_TRACE("ops=" + std::to_string(ops) +
                    " seed=" + std::to_string(seed));
       Random rng(seed * 7919 + static_cast<uint64_t>(ops));
-      ResourceManager rm;
       EvictionLog log;
+      ResourceManager rm;
       std::vector<ModelEntry> model;
+      std::vector<std::vector<PinnedResource>> held;  // model[i]'s pins
       uint64_t clock = 1;  // the manager's clock starts at 1
 
       auto pick = [&](bool pinned_only) {
@@ -356,38 +406,41 @@ TEST(ResourceManagerTest, VictimOrderMatchesReferenceModel) {
           }
           if (rng.Uniform(20) == 0) e.disposition = Disposition::kNonSwappable;
           const int index = static_cast<int>(model.size());
-          EvictCallback on_evict = [&log, pool = e.pool, index] {
-            log.Record(pool, index);
-          };
+          PinnedResource pin = rm.Register(
+              e.bytes, e.disposition, e.pool,
+              std::make_shared<Probe>([&log, pool = e.pool, index] {
+                log.Record(pool, index);
+              }));
+          e.handle = pin.handle();
+          held.emplace_back();
           if (rng.Uniform(5) == 0) {
-            e.id = rm.RegisterPinned("m", e.bytes, e.disposition, e.pool,
-                                     on_evict);
+            held.back().push_back(std::move(pin));
             e.pins = 1;
-          } else {
-            e.id = rm.Register("m", e.bytes, e.disposition, e.pool, on_evict);
           }
           e.stamp = clock++;
           model.push_back(e);
         } else if (dice < 70) {
           const int i = pick(false);
           if (i < 0) continue;
-          rm.Touch(model[i].id);
+          rm.Touch(model[i].handle);
           model[i].stamp = clock++;
         } else if (dice < 82) {
           const int i = pick(false);
           if (i < 0) continue;
-          ASSERT_TRUE(rm.Pin(model[i].id));
+          PinnedResource pin = PinAndTouch(rm, model[i].handle);
+          ASSERT_TRUE(pin.valid());
+          held[i].push_back(std::move(pin));
           ++model[i].pins;
           model[i].stamp = clock++;
         } else if (dice < 94) {
           const int i = pick(true);
           if (i < 0) continue;
-          rm.Unpin(model[i].id);
+          held[i].pop_back();
           --model[i].pins;
         } else {
           const int i = pick(false);
           if (i < 0) continue;
-          ASSERT_TRUE(rm.Unregister(model[i].id));
+          ASSERT_TRUE(rm.Unregister(model[i].handle));
           model[i].live = false;
         }
       }
@@ -509,35 +562,21 @@ TEST(ResourceManagerTest, VictimOrderMatchesReferenceModel) {
 }
 
 TEST(ResourceManagerTest, ZeroBudgetMeansUnlimited) {
-  ResourceManager rm;
   std::atomic<int> evicted{0};
+  ResourceManager rm;
+  std::vector<ResourceHandle> handles;
   for (int i = 0; i < 20; ++i) {
-    rm.Register("r" + std::to_string(i), 1 << 20, Disposition::kTemporary,
-                PoolId::kGeneral, [&] { evicted++; });
+    handles.push_back(Add(rm, 1 << 20, Disposition::kTemporary,
+                          PoolId::kGeneral, [&] { evicted++; }));
   }
   EXPECT_EQ(evicted.load(), 0);
   EXPECT_EQ(rm.total_bytes(), 20u << 20);
 }
 
-TEST(ResourceManagerTest, EvictionCallbackRunsOutsideLock) {
-  // A callback that calls back into the manager must not deadlock.
-  ResourceManager rm;
-  std::atomic<bool> reentered{false};
-  rm.Register("outer", 100, Disposition::kTemporary, PoolId::kGeneral, [&] {
-    // Registration from inside an eviction callback.
-    rm.Register("inner", 1, Disposition::kTemporary, PoolId::kGeneral,
-                nullptr);
-    reentered = true;
-  });
-  rm.SetGlobalBudget(50);
-  EXPECT_TRUE(reentered.load());
-}
-
 TEST(PinnedResourceTest, MoveTransfersOwnership) {
   ResourceManager rm;
-  ResourceId id =
-      rm.Register("r", 10, Disposition::kMidTerm, PoolId::kGeneral, nullptr);
-  PinnedResource a = PinnedResource::TryPin(&rm, id);
+  ResourceHandle h = Add(rm, 10, Disposition::kMidTerm, PoolId::kGeneral);
+  PinnedResource a = PinnedResource::TryPin(h);
   ASSERT_TRUE(a.valid());
   PinnedResource b = std::move(a);
   EXPECT_FALSE(a.valid());  // NOLINT(bugprone-use-after-move)
@@ -545,17 +584,14 @@ TEST(PinnedResourceTest, MoveTransfersOwnership) {
   b.Release();
   EXPECT_FALSE(b.valid());
   // After release the resource must be evictable again.
-  std::atomic<int> evicted{0};
   rm.SetGlobalBudget(1);
   EXPECT_EQ(rm.total_bytes(), 0u);
-  (void)evicted;
 }
 
 TEST(PinnedResourceTest, SelfMoveKeepsPin) {
   ResourceManager rm;
-  ResourceId id =
-      rm.Register("r", 10, Disposition::kMidTerm, PoolId::kGeneral, nullptr);
-  PinnedResource a = PinnedResource::TryPin(&rm, id);
+  ResourceHandle h = Add(rm, 10, Disposition::kMidTerm, PoolId::kGeneral);
+  PinnedResource a = PinnedResource::TryPin(h);
   ASSERT_TRUE(a.valid());
   // A self-move must be a no-op: the old implementation released the pin
   // first and then "transferred" from the already-cleared object, silently
@@ -563,11 +599,9 @@ TEST(PinnedResourceTest, SelfMoveKeepsPin) {
   PinnedResource& alias = a;
   a = std::move(alias);
   EXPECT_TRUE(a.valid());
-  EXPECT_EQ(a.id(), id);
+  EXPECT_EQ(a.handle(), h);
   // The resource is still pinned: a tight budget cannot evict it.
-  std::atomic<int> evicted{0};
-  rm.Register("victim", 10, Disposition::kTemporary, PoolId::kGeneral,
-              [&] { evicted.fetch_add(1); });
+  Add(rm, 10, Disposition::kTemporary, PoolId::kGeneral);
   rm.SetGlobalBudget(5);
   EXPECT_EQ(rm.total_bytes(), 10u);  // only the pinned survivor remains
   a.Release();
@@ -577,72 +611,69 @@ TEST(PinnedResourceTest, SelfMoveKeepsPin) {
 
 TEST(ResourceManagerStressTest, ConcurrentPinTouchUnregister) {
   // N threads register/pin/touch/unregister against a tight budget while
-  // the sweeper evicts: every resource must be released exactly once
+  // the sweeper evicts: every resource must be removed exactly once
   // (registered = evicted + unregistered), byte accounting must return to
-  // zero, and no entry may be double-evicted.
+  // zero, and an evicted payload must be gone while a successfully
+  // unregistered one stays with its handle. The handles are held until the
+  // check, so a payload released before then was released by an eviction.
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 200;
+  struct Mine {
+    ResourceHandle handle;
+    std::shared_ptr<std::atomic<int>> released;
+    bool unregistered = false;
+  };
+  std::vector<std::vector<Mine>> mine(kThreads);
   ResourceManager rm;
   rm.SetGlobalBudget(64 * 100);  // roughly half the peak working set
   rm.SetPoolLimits(PoolId::kPagedPool,
                    ResourceManager::Limits{32 * 100, 48 * 100});
 
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 200;
-  std::atomic<uint64_t> evictions{0};
-  std::atomic<uint64_t> unregistered{0};
-  std::atomic<uint64_t> double_evictions{0};
-
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::vector<ResourceId> mine;
-      std::vector<std::shared_ptr<std::atomic<int>>> flags;
+    threads.emplace_back([&rm, &own = mine[t]] {
+      // False means the resource was already evicted.
+      auto unregister = [&](Mine& m) {
+        if (rm.Unregister(m.handle)) m.unregistered = true;
+      };
       for (int i = 0; i < kPerThread; ++i) {
-        auto flag = std::make_shared<std::atomic<int>>(0);
-        ResourceId id = rm.RegisterPinned(
-            "s" + std::to_string(t) + "_" + std::to_string(i), 100,
-            Disposition::kPagedAttribute, PoolId::kPagedPool, [flag, &evictions,
-                                                               &double_evictions] {
-              if (flag->fetch_add(1) != 0) double_evictions.fetch_add(1);
-              evictions.fetch_add(1);
-            });
-        mine.push_back(id);
-        flags.push_back(flag);
-        rm.Unpin(id);  // release the registration pin; now evictable
-        rm.Touch(id);
+        auto released = std::make_shared<std::atomic<int>>(0);
+        PinnedResource pin = rm.Register(
+            100, Disposition::kPagedAttribute, PoolId::kPagedPool,
+            std::make_shared<Probe>([released] { released->fetch_add(1); }));
+        own.push_back({pin.handle(), released});
+        pin.Release();  // release the registration pin; now evictable
+        rm.Touch(own.back().handle);
         // Re-pin and unpin a few of the survivors to stir the LRU.
-        if (i % 3 == 0 && rm.Pin(id)) {
-          rm.Touch(id);
-          rm.Unpin(id);
-        }
-        if (i % 7 == 0) {
-          // Voluntarily drop an older resource; false means it was already
-          // evicted, in which case its callback must have run instead.
-          size_t victim = mine.size() / 2;
-          if (rm.Unregister(mine[victim])) {
-            unregistered.fetch_add(1);
-            if (flags[victim]->fetch_add(1) != 0) double_evictions.fetch_add(1);
-          }
-        }
+        if (i % 3 == 0) PinAndTouch(rm, own.back().handle);
+        // Voluntarily drop an older resource.
+        if (i % 7 == 0) unregister(own[own.size() / 2]);
       }
       // Drop everything that is still registered.
-      for (size_t i = 0; i < mine.size(); ++i) {
-        if (rm.Unregister(mine[i])) {
-          unregistered.fetch_add(1);
-          if (flags[i]->fetch_add(1) != 0) double_evictions.fetch_add(1);
-        }
-      }
+      for (Mine& m : own) unregister(m);
     });
   }
   for (auto& th : threads) th.join();
-  rm.SweepNow();
+  rm.SweepNow();  // waits out a sweep the background thread may be running
 
-  EXPECT_EQ(double_evictions.load(), 0u);
-  EXPECT_EQ(evictions.load() + unregistered.load(),
+  uint64_t evicted = 0;
+  uint64_t unregistered = 0;
+  uint64_t wrong_release = 0;
+  for (const auto& own : mine) {
+    for (const Mine& m : own) {
+      (m.unregistered ? unregistered : evicted)++;
+      if (m.released->load() != (m.unregistered ? 0 : 1)) wrong_release++;
+    }
+  }
+  EXPECT_EQ(wrong_release, 0u);
+  EXPECT_EQ(evicted + unregistered,
             static_cast<uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(rm.total_bytes(), 0u);
   EXPECT_EQ(rm.pool_bytes(PoolId::kPagedPool), 0u);
   EXPECT_EQ(rm.resource_count(), 0u);
+  // The unregistered payloads go with their last handles.
+  mine.clear();
 }
 
 }  // namespace

@@ -82,7 +82,7 @@ TEST_F(CacheStressTest, ConcurrentReadersUnderEvictionPressure) {
   rm.SetGlobalBudget(12 * kPageSize);
   rm.SetPoolLimits(PoolId::kPagedPool,
                    {/*lower=*/6 * kPageSize, /*upper=*/10 * kPageSize});
-  PageCache cache(file_.get(), &rm, PoolId::kPagedPool, "stress");
+  PageCache cache(file_.get(), &rm, PoolId::kPagedPool);
   CacheCounters counters;
 
   constexpr int kThreads = 8;
@@ -161,7 +161,7 @@ TEST_P(CacheDropAllRaceTest, DropAllDoesNotDeadlockWithPrefetchPublish) {
   // to overlap the publish window.
   CreateFile(/*read_latency_us=*/200);
   ResourceManager rm;
-  PageCache cache(file_.get(), &rm, PoolId::kPagedPool, "droprace",
+  PageCache cache(file_.get(), &rm, PoolId::kPagedPool,
                   /*shard_count=*/GetParam());
   ASSERT_EQ(cache.shard_count(), GetParam());
   CacheCounters counters;

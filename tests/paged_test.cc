@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <functional>
 #include <limits>
 #include <optional>
+#include <thread>
 #include <type_traits>
 
+#include "buffer/lazy_resource.h"
 #include "buffer/resource_manager.h"
 #include "columnar/dictionary.h"
 #include "common/random.h"
@@ -163,6 +166,96 @@ TEST_F(PagedTest, PageCacheHitRatioHotVsCold) {
   }
   EXPECT_EQ(counters.misses(), 3u);
   EXPECT_EQ(counters.hits(), 8u);
+}
+
+// Regression for owners torn down while a victim pass is still releasing
+// what it chose. The paged pool's oldest entry is a gate whose payload
+// blocks in its destructor, so the pass parks after choosing every victim
+// and before releasing the rest. Meanwhile a PageCache and a LazyResource
+// whose objects the same pass chose are destroyed; releasing their payloads
+// afterwards must reach neither owner (ASan and TSan legs run this), and
+// the prefetch, eviction and occupancy accounting must still reconcile.
+TEST_F(PagedTest, OwnersTornDownMidSweepAreNeverReached) {
+  auto vids = RandomVids(100000, 1000, 60);
+  auto dv = PagedDataVector::Build(storage_.get(), rm_.get(),
+                                   PoolId::kPagedPool, "dv_gate", vids);
+  ASSERT_TRUE(dv.ok());
+  CacheCounters cache_counters;
+  EvictionCounters evictions;
+  auto& reg = obs::MetricsRegistry::Global();
+  auto occupancy = [&] {
+    int64_t pages = 0;
+    for (uint32_t k = 0; k < DefaultCacheShards(); ++k) {
+      pages += reg.gauge("cache.shard" + std::to_string(k) + ".pages")->value();
+    }
+    return pages;
+  };
+  const int64_t occupancy_before = occupancy();
+
+  class Gate {
+   public:
+    Gate(std::atomic<bool>* parked, std::atomic<bool>* open)
+        : parked_(parked), open_(open) {}
+    ~Gate() {
+      parked_->store(true);
+      while (!open_->load()) std::this_thread::yield();
+    }
+
+   private:
+    std::atomic<bool>* parked_;
+    std::atomic<bool>* open_;
+  };
+  std::atomic<bool> parked{false};
+  std::atomic<bool> open{false};
+  rm_->Register(1, Disposition::kPagedAttribute, PoolId::kPagedPool,
+                std::make_shared<Gate>(&parked, &open));
+
+  // Owner 1: a cache holding four read pages and two untouched prefetches.
+  auto cache = std::make_unique<PageCache>((*dv)->cache()->file(), rm_.get(),
+                                           PoolId::kPagedPool);
+  for (LogicalPageNo lpn = 1; lpn <= 4; ++lpn) {
+    ASSERT_TRUE(cache->GetPage(lpn).ok());
+  }
+  cache->PrefetchRange(5, 2);
+  cache->WaitForPrefetchIdle();
+  ASSERT_EQ(cache->loaded_page_count(), 6u);
+  // Owner 2: a whole-loaded object.
+  struct Blob {
+    std::vector<uint64_t> words = std::vector<uint64_t>(512);
+    uint64_t MemoryBytes() const { return words.size() * sizeof(uint64_t); }
+  };
+  auto lazy = std::make_unique<LazyResource<Blob>>(
+      rm_.get(), Disposition::kPagedAttribute, PoolId::kPagedPool);
+  {
+    PinnedResource pin;
+    ASSERT_TRUE(lazy->Pin(&pin, [] {
+                      return Result<std::shared_ptr<Blob>>(
+                          std::make_shared<Blob>());
+                    }).ok());
+  }
+  const uint64_t pool_bytes = rm_->pool_bytes(PoolId::kPagedPool);
+  ASSERT_EQ(pool_bytes, 1 + 6 * 4096 + Blob().MemoryBytes());
+
+  rm_->SetPoolLimits(PoolId::kPagedPool, {/*lower=*/0, /*upper=*/1});
+  std::thread sweep([&] { rm_->SweepNow(); });
+  while (!parked.load()) std::this_thread::yield();
+  // Every victim is chosen: the bytes have left the accounting and the
+  // cache's slots are dead, but their payloads are not released yet.
+  EXPECT_EQ(rm_->pool_bytes(PoolId::kPagedPool), 0u);
+  EXPECT_EQ(cache->loaded_page_count(), 0u);
+  EXPECT_EQ(lazy->resident_bytes(), 0u);
+  cache.reset();
+  lazy.reset();
+  open.store(true);
+  sweep.join();
+
+  EXPECT_EQ(evictions.proactive(), 8u);  // the gate, 6 pages, the blob
+  EXPECT_EQ(evictions.bytes(), pool_bytes);
+  EXPECT_EQ(cache_counters.prefetch_issued(), 2u);
+  EXPECT_EQ(cache_counters.prefetch_hits(), 0u);
+  EXPECT_EQ(cache_counters.prefetch_wasted(), 2u);
+  EXPECT_EQ(occupancy(), occupancy_before);
+  EXPECT_EQ(rm_->resource_count(), 0u);
 }
 
 TEST_F(PagedTest, DataVectorSearchMatchesScalar) {

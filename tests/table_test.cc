@@ -523,7 +523,9 @@ TEST_F(TableTest, ColumnStatsView) {
       EXPECT_TRUE(s.cold);
       cold_rows = s.main_rows;
     }
-    if (s.column == "id") EXPECT_TRUE(s.has_index);
+    if (s.column == "id") {
+      EXPECT_TRUE(s.has_index);
+    }
     EXPECT_GT(s.dict_size, 0u);
   }
   EXPECT_EQ(hot_rows, 50u);
