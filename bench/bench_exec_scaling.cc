@@ -20,7 +20,7 @@
 // README, "reading the scaling bench".
 //
 // Knobs: PAYG_SCALE_PAGES (256), PAYG_SCALE_HOT_OPS (total GetPage calls
-// per setting, 200000), PAYG_SCALE_COLD_OPS (4000), PAYG_LATENCY_US (50,
+// per setting, 200000), PAYG_SCALE_COLD_OPS (20000), PAYG_LATENCY_US (50,
 // cold phase only), PAYG_BENCH_JSON (output path).
 
 #include <atomic>
@@ -136,7 +136,7 @@ void JsonArray(std::ofstream& out, const char* key,
 int main() {
   const uint64_t pages = EnvU64("PAYG_SCALE_PAGES", 256);
   const uint64_t hot_ops = EnvU64("PAYG_SCALE_HOT_OPS", 200000);
-  const uint64_t cold_ops = EnvU64("PAYG_SCALE_COLD_OPS", 4000);
+  const uint64_t cold_ops = EnvU64("PAYG_SCALE_COLD_OPS", 20000);
   const uint32_t latency_us =
       static_cast<uint32_t>(EnvU64("PAYG_LATENCY_US", 50));
   const uint32_t page_size = 8 * 1024;

@@ -13,6 +13,7 @@
 namespace payg {
 
 class ExecContext;
+struct PageLoad;
 
 // Per-query stateful reader over a main fragment. Readers own the paging
 // state the paper attaches to iterators: pinned page handles, the
@@ -90,6 +91,14 @@ class MainFragment {
   Result<std::unique_ptr<FragmentReader>> NewReader() {
     return NewReader(nullptr);
   }
+
+  // Appends to *out the data-vector pages a reader needs to decode the
+  // vids of the main rows among `rows` (ascending), at most IoQueueDepth()
+  // of them: one I/O wave. Materialize loads every projected column's
+  // pages in one batch (PageCache::LoadBatch) before it reads them. A
+  // fully resident fragment has none to add.
+  virtual void AddRowPages(const std::vector<RowPos>& /*rows*/,
+                           std::vector<PageLoad>* /*out*/) {}
 
   // Drops all resident memory (column unload). Safe to call while no
   // readers are open.

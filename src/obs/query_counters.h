@@ -20,7 +20,7 @@
   X(index_lookups, 1)      /* FindRows served by an index */               \
   X(vector_scans, 1)       /* FindRows/search via vid scan */              \
   X(partitions_visited, 1) /* partitions the fan-out entered */            \
-  X(prefetch_issued, 1)    /* readahead loads this query asked for */      \
+  X(prefetch_issued, 1)    /* readahead + row-batch loads it asked for */  \
   X(prefetch_hits, 1)      /* pins served by a prefetched page */          \
   X(io_batches, 1)         /* batched read submissions issued */           \
   X(codec_native, 1)       /* kernels run on the compressed form */        \

@@ -114,12 +114,26 @@ PinnedResource PageCache::PinLocked(Shard& shard, LogicalPageNo lpn,
   return pin;
 }
 
-bool PageCache::LiveLocked(Shard& shard, LogicalPageNo lpn) {
+const ResourceHandle* PageCache::LiveLocked(Shard& shard, LogicalPageNo lpn) {
   auto it = shard.slots.find(lpn);
-  if (it == shard.slots.end()) return false;
-  if (!ResourceManager::IsDead(it->second)) return true;
+  if (it == shard.slots.end()) return nullptr;
+  if (!ResourceManager::IsDead(it->second)) return &it->second;
   shard.slots.erase(it);
-  return false;
+  return nullptr;
+}
+
+bool PageCache::MarkInflight(LogicalPageNo lpn, bool touch_resident) {
+  // Pages already resident or already loading drop out: that dedup is what
+  // lets GetPage wait on the in-flight entry instead of re-reading.
+  Shard& shard = ShardFor(lpn);
+  ShardLock lock(*this, shard);
+  if (shard.inflight.count(lpn) > 0) return false;
+  if (const ResourceHandle* live = LiveLocked(shard, lpn)) {
+    if (touch_resident) rm_->Touch(*live);
+    return false;
+  }
+  shard.inflight.insert(lpn);
+  return true;
 }
 
 void PageCache::InsertLocked(Shard& shard, LogicalPageNo lpn,
@@ -217,54 +231,73 @@ void PageCache::PrefetchRange(LogicalPageNo first, uint32_t count,
   if (first + count > limit) count = static_cast<uint32_t>(limit - first);
 
   // Mark the surviving pages in flight one shard at a time (never two shard
-  // locks at once); pages already resident or already loading drop out —
-  // that dedup is what lets GetPage wait on the in-flight entry instead of
-  // re-reading.
-  std::vector<LogicalPageNo> lpns;
-  lpns.reserve(count);
+  // locks at once).
+  std::vector<PageLoad> loads;
+  loads.reserve(count);
   for (uint32_t w = 0; w < count; ++w) {
-    const LogicalPageNo lpn = first + w;
-    Shard& shard = ShardFor(lpn);
-    ShardLock lock(*this, shard);
-    if (shard.inflight.count(lpn) > 0 || LiveLocked(shard, lpn)) continue;
-    shard.inflight.insert(lpn);
-    lpns.push_back(lpn);
+    if (MarkInflight(first + w, /*touch_resident=*/false)) {
+      loads.push_back(PageLoad{this, first + w});
+    }
   }
-  if (lpns.empty()) return;
+  if (loads.empty()) return;
 
-  m_prefetch_issued_->Add(lpns.size());
-  Bump(ctx, &QueryStats::prefetch_issued, lpns.size());
+  m_prefetch_issued_->Add(loads.size());
+  Bump(ctx, &QueryStats::prefetch_issued, loads.size());
   Bump(ctx, &QueryStats::io_batches);
   // Note: the task must not touch `ctx` — it may outlive the query.
   SharedIoPool()->Submit(
-      [this, lpns = std::move(lpns)] { DoBatchRead(lpns); });
+      [loads = std::move(loads)] { DoBatchRead(loads); });
 }
 
-void PageCache::DoBatchRead(const std::vector<LogicalPageNo>& lpns) {
-  // One batched submission for the whole window. PublishPrefetched fires
-  // per page from inside ReadPages as that page's bytes complete and
-  // verify, and takes this frame's reference to the page, so a page that
-  // is evicted or superseded right away counts as wasted before its
-  // in-flight entry goes. That erase is the teardown signal, so after the
-  // LAST publish this cache may already be gone — everything this frame
-  // touches afterwards is local, and ReadPages itself holds the PageFile
-  // alive (PageFile::inflight_batches_).
-  const size_t n = lpns.size();
+Status PageCache::LoadBatch(const std::vector<PageLoad>& pages,
+                            ExecContext* ctx) {
+  if (pages.empty()) return Status::OK();
+  if (ctx != nullptr) {
+    PAYG_RETURN_IF_ERROR(ctx->CheckDeadline());
+  }
+  std::vector<PageLoad> loads;
+  loads.reserve(pages.size());
+  for (const PageLoad& p : pages) {
+    if (!p.cache->MarkInflight(p.lpn, /*touch_resident=*/true)) continue;
+    p.cache->m_prefetch_issued_->Inc();
+    loads.push_back(p);
+  }
+  if (loads.empty()) return Status::OK();
+  Bump(ctx, &QueryStats::prefetch_issued, loads.size());
+  Bump(ctx, &QueryStats::io_batches);
+  DoBatchRead(loads);
+  return Status::OK();
+}
+
+void PageCache::DoBatchRead(const std::vector<PageLoad>& loads) {
+  // One batched submission for every page, whatever its chain.
+  // PublishPrefetched fires per page from inside ReadPages as that page's
+  // bytes complete and verify, and takes this frame's reference to the
+  // page, so a page that is evicted or superseded right away counts as
+  // wasted before its in-flight entry goes. That erase is a cache's
+  // teardown signal, so after the LAST publish of a cache's pages that
+  // cache may already be gone — once the read starts, nothing here reaches
+  // a cache except through its own pages' publishes, and ReadPages itself
+  // holds each PageFile alive (PageFile::inflight_batches_).
+  const size_t n = loads.size();
   std::vector<std::shared_ptr<CachedPage>> pages;
   pages.reserve(n);
-  std::vector<Page*> raw;
-  raw.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
+  std::vector<PageFile::PageRead> reads;
+  reads.reserve(n);
+  for (const PageLoad& load : loads) {
+    const PageCache& cache = *load.cache;
     pages.push_back(std::make_shared<CachedPage>(
-        file_->page_size(), /*prefetched=*/true, m_prefetch_wasted_));
-    raw.push_back(&pages[i]->page);
+        cache.file_->page_size(), /*prefetched=*/true,
+        cache.m_prefetch_wasted_));
+    reads.push_back(PageFile::PageRead{cache.file_, load.lpn,
+                                       &pages.back()->page});
   }
   std::vector<Status> statuses(n);
-  file_->ReadPages(lpns.data(), raw.data(), statuses.data(), n,
-                   /*ctx=*/nullptr, [&](size_t i) {
-                     PublishPrefetched(lpns[i], std::move(pages[i]),
-                                       statuses[i]);
-                   });
+  PageFile::ReadPages(reads.data(), statuses.data(), n, /*ctx=*/nullptr,
+                      [&](size_t i) {
+                        loads[i].cache->PublishPrefetched(
+                            loads[i].lpn, std::move(pages[i]), statuses[i]);
+                      });
 }
 
 void PageCache::PublishPrefetched(LogicalPageNo lpn,
@@ -287,7 +320,7 @@ void PageCache::PublishPrefetched(LogicalPageNo lpn,
       ShardLock lock(*this, shard);
       // A synchronous load may have slipped in (the slot was evicted and
       // reloaded while we were reading): keep theirs, discard ours.
-      superseded = LiveLocked(shard, lpn);
+      superseded = LiveLocked(shard, lpn) != nullptr;
       if (!superseded) InsertLocked(shard, lpn, pin);
     }
     if (superseded) rm_->Unregister(pin.handle());
@@ -304,7 +337,7 @@ void PageCache::PublishPrefetched(LogicalPageNo lpn,
 bool PageCache::IsLoaded(LogicalPageNo lpn) const {
   Shard& shard = ShardFor(lpn);
   ShardLock lock(*this, shard);
-  return LiveLocked(shard, lpn);
+  return LiveLocked(shard, lpn) != nullptr;
 }
 
 void PageCache::WaitForPrefetchIdle() {

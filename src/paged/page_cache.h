@@ -15,6 +15,15 @@
 
 namespace payg {
 
+class PageCache;
+
+// One page of a batched load (PageCache::LoadBatch): the cache that holds
+// it and its page number.
+struct PageLoad {
+  PageCache* cache = nullptr;
+  LogicalPageNo lpn = kInvalidPageNo;
+};
+
 // A pinned reference to a loaded page. While the pin is held the resource
 // manager will not evict the page (§3.1.2: the iterator "pins the page in
 // memory to make sure the page does not get evicted by the resource manager
@@ -85,6 +94,20 @@ class PageCache {
   // the cache only, because the background task may outlive the query.
   void PrefetchRange(LogicalPageNo first, uint32_t count,
                      ExecContext* ctx = nullptr);
+
+  // Blocking batched load of `pages`, which may belong to several caches:
+  // each page neither resident nor in flight is marked in flight exactly
+  // as PrefetchRange marks it, each resident one is touched (so loading
+  // the others cannot evict it before the caller pins it), and the marked
+  // pages of every chain are read in ONE PageFile submission on the
+  // calling thread, each published as its bytes land. The accounting is
+  // readahead's: `ctx` is charged the issue (one query.io_batches, one
+  // prefetch per marked page), the cache the read, and a page's first pin
+  // is a prefetch hit. A page whose read fails is dropped, so the GetPage
+  // that needs it reads it again and returns the error. Fails only when
+  // `ctx`'s deadline has passed, before issuing anything.
+  static Status LoadBatch(const std::vector<PageLoad>& pages,
+                          ExecContext* ctx = nullptr);
 
   // Blocks until no prefetch load is in flight (tests / benchmarks; new
   // prefetches may be issued while this returns). Waits shard by shard,
@@ -166,17 +189,27 @@ class PageCache {
   PinnedResource PinLocked(Shard& shard, LogicalPageNo lpn, ExecContext* ctx)
       REQUIRES(shard.mu);
 
-  // True if `lpn` holds a live slot; a dead one met here is erased.
-  static bool LiveLocked(Shard& shard, LogicalPageNo lpn) REQUIRES(shard.mu);
+  // The handle of `lpn`'s live slot, or null; a dead slot met here is
+  // erased.
+  static const ResourceHandle* LiveLocked(Shard& shard, LogicalPageNo lpn)
+      REQUIRES(shard.mu);
+
+  // Marks `lpn` in flight for a batched read unless it is resident or
+  // already loading. A resident page is touched when `touch_resident` is
+  // set: LoadBatch's caller pins it next, while readahead must not shield
+  // a page from the resource manager. True if marked.
+  bool MarkInflight(LogicalPageNo lpn, bool touch_resident);
 
   // Gives `lpn` the slot of `pin`'s registration and reaps the shard's dead
   // slots when the map has doubled since the last reap.
   static void InsertLocked(Shard& shard, LogicalPageNo lpn,
                            const PinnedResource& pin) REQUIRES(shard.mu);
 
-  // Body of a prefetch task on the background I/O pool: one batched read
-  // over `lpns` (all already marked in-flight), publishing per page.
-  void DoBatchRead(const std::vector<LogicalPageNo>& lpns);
+  // One batched read over `loads` (each already marked in flight by its
+  // cache, possibly several caches), publishing per page: the body of a
+  // PrefetchRange task on the background I/O pool and of LoadBatch on the
+  // caller's thread.
+  static void DoBatchRead(const std::vector<PageLoad>& loads);
 
   // Completion hook of the batched read: registers + inserts `page` into
   // its shard (or counts it wasted on error / when superseded), then — as

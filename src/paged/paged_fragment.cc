@@ -3,6 +3,7 @@
 #include "columnar/dictionary.h"
 #include "exec/exec_context.h"
 #include "storage/byte_stream.h"
+#include "storage/io_backend.h"
 
 namespace payg {
 
@@ -279,6 +280,22 @@ Status PagedFragment::RebuildIndexNow() {
                         PagedInvertedIndex::Build(storage_, rm_, pool_, name_,
                                                   vids, dict_size_));
   return Status::OK();
+}
+
+void PagedFragment::AddRowPages(const std::vector<RowPos>& rows,
+                                std::vector<PageLoad>* out) {
+  const uint32_t cap = IoQueueDepth();
+  uint32_t added = 0;
+  LogicalPageNo last = kInvalidPageNo;
+  for (RowPos r : rows) {
+    if (r >= row_count_) break;  // ascending: the rest are delta rows
+    const LogicalPageNo lpn = data_->PageOfRow(r);
+    if (lpn == last) continue;
+    if (added == cap) break;
+    out->push_back(PageLoad{data_->cache(), lpn});
+    last = lpn;
+    ++added;
+  }
 }
 
 Result<std::unique_ptr<FragmentReader>> PagedFragment::NewReader(

@@ -82,6 +82,8 @@ class PagedFragment : public MainFragment {
   Result<std::unique_ptr<FragmentReader>> NewReader(
       ExecContext* ctx) override;
   using MainFragment::NewReader;
+  void AddRowPages(const std::vector<RowPos>& rows,
+                   std::vector<PageLoad>* out) override;
   void Unload() override;
   uint64_t ResidentBytes() const override;
 

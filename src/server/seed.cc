@@ -16,7 +16,7 @@ Status SeedDemoTable(ColumnStore* store, const SeedSpec& spec) {
                          : (spec.rows >= 8 ? spec.rows / 8 : 1);
 
   TableSchema schema;
-  schema.name = "T";
+  schema.name = std::string("T");
   schema.columns.push_back({.name = "k",
                             .type = ValueType::kInt64,
                             .page_loadable = true});

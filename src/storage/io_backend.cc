@@ -48,20 +48,22 @@ class SyncIoBackend final : public IoBackend {
   const char* name() const override { return "sync"; }
   bool queue_depth_aware() const override { return false; }
 
-  void ReadBatch(int fd, uint32_t page_size, PageIoRequest* reqs, size_t n,
-                 uint32_t simulated_latency_us,
+  void ReadBatch(PageIoRequest* reqs, size_t n, uint32_t simulated_latency_us,
                  const PageIoDoneFn& done) override {
     size_t i = 0;
     while (i < n) {
       // Maximal run of contiguous pages starting at i (adjacent in the
-      // array AND adjacent on disk).
+      // array AND adjacent in one file).
       size_t run = 1;
       while (i + run < n && run < kMaxPagesPerVector &&
+             reqs[i + run].fd == reqs[i].fd &&
+             reqs[i + run].page_size == reqs[i].page_size &&
              reqs[i + run].lpn == reqs[i].lpn + run) {
         ++run;
       }
+      const size_t page_size = reqs[i].page_size;
       size_t got = 0;
-      Status st = ReadRun(fd, page_size, &reqs[i], run, &got);
+      Status st = ReadRun(&reqs[i], run, &got);
       for (size_t k = 0; k < run; ++k) {
         // One device round trip per page: synchronous semantics, the bytes
         // of page k "arrive" after k+1 round trips even though the preadv
@@ -73,8 +75,7 @@ class SyncIoBackend final : public IoBackend {
           reqs[i + k].status = Status::IOError(
               "short read at lpn " + std::to_string(reqs[i + k].lpn) +
               " (got " + std::to_string(got) + " of " +
-              std::to_string(run * static_cast<size_t>(page_size)) +
-              " run bytes)");
+              std::to_string(run * page_size) + " run bytes)");
         } else {
           reqs[i + k].status = st;
         }
@@ -85,17 +86,19 @@ class SyncIoBackend final : public IoBackend {
   }
 
  private:
-  // One vectored read for `run` contiguous pages; EINTR retried, faults
-  // injected via the test hook. `*got` is the total bytes read.
-  static Status ReadRun(int fd, uint32_t page_size, PageIoRequest* reqs,
-                        size_t run, size_t* got) {
+  // One vectored read for `run` contiguous pages of one file; EINTR
+  // retried, faults injected via the test hook. `*got` is the total bytes
+  // read.
+  static Status ReadRun(PageIoRequest* reqs, size_t run, size_t* got) {
+    const int fd = reqs[0].fd;
+    const size_t page_size = reqs[0].page_size;
     struct iovec iov[kMaxPagesPerVector];
     for (size_t k = 0; k < run; ++k) {
       iov[k].iov_base = reqs[k].buf;
       iov[k].iov_len = page_size;
     }
-    const off_t offset = static_cast<off_t>(reqs[0].lpn) * page_size;
-    const size_t want = run * static_cast<size_t>(page_size);
+    const off_t offset = static_cast<off_t>(reqs[0].lpn * page_size);
+    const size_t want = run * page_size;
     size_t nvec = run;  // live iovecs; shrinks as partial reads are re-aimed
     *got = 0;
     for (int attempt = 0; attempt < kMaxEintrRetries; ++attempt) {

@@ -9,12 +9,15 @@
 
 namespace payg {
 
-// One page of a batched read: where the bytes go and how that page fared.
-// The backend fills `status` as the page completes; verification of the
-// page contents (magic, checksum) stays with the caller — the backend only
-// moves bytes.
+// One page of a batched read: the file it comes from (fd and page size),
+// where the bytes go and how that page fared. One batch may mix pages of
+// several files. The backend fills `status` as the page completes;
+// verification of the page contents (magic, checksum) stays with the
+// caller — the backend only moves bytes.
 struct PageIoRequest {
-  LogicalPageNo lpn = kInvalidPageNo;
+  int fd = -1;
+  uint32_t page_size = 0;
+  LogicalPageNo lpn = kInvalidPageNo;  // offset = lpn * page_size
   uint8_t* buf = nullptr;  // page_size bytes, caller-owned
   Status status;
 };
@@ -44,15 +47,17 @@ class IoBackend {
   // is per submission wave, not per page).
   virtual bool queue_depth_aware() const = 0;
 
-  // Reads every request's page from `fd` (offset = lpn * page_size) into
-  // its buffer. Blocking: returns once every request carries a final
-  // status; `done` (may be empty) fires per page as it completes. A page
-  // failure (short read, I/O error) is reported in that page's status and
-  // never poisons the rest of the batch. `simulated_latency_us` is the
-  // modeled cost of one device round trip (see class comment for how each
-  // backend maps round trips onto a batch).
-  virtual void ReadBatch(int fd, uint32_t page_size, PageIoRequest* reqs,
-                         size_t n, uint32_t simulated_latency_us,
+  // Reads every request's page from its file into its buffer. Runs of
+  // pages adjacent in the array and on disk coalesce into one vectored
+  // read only within one file. Blocking: returns once every request
+  // carries a final status; `done` (may be empty) fires per page as it
+  // completes. A page failure (short read, I/O error) is reported in that
+  // page's status and never poisons the rest of the batch.
+  // `simulated_latency_us` is the modeled cost of one device round trip
+  // (see class comment for how each backend maps round trips onto a
+  // batch); a batch over several files passes the largest of theirs.
+  virtual void ReadBatch(PageIoRequest* reqs, size_t n,
+                         uint32_t simulated_latency_us,
                          const PageIoDoneFn& done) = 0;
 };
 

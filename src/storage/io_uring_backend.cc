@@ -158,11 +158,13 @@ Ring* ThreadRing() {
   return &ring;
 }
 
-// A contiguous span of requests served by one SQE. A run may be submitted
+// A contiguous span of requests of one file served by one SQE. A run may be
+// submitted
 // several times: transient errors (EINTR/EAGAIN) resubmit it whole, short
 // positive completions resubmit the unread remainder (`got` bytes already
 // landed, `nvec` iovecs re-aimed past them) — the same recovery the sync
-// backend's ReadRun loop performs.
+// backend's ReadRun loop performs. The run's file (fd, page size) is that
+// of its first request.
 struct Run {
   size_t first = 0;   // index into the request array
   size_t npages = 0;
@@ -177,29 +179,31 @@ class UringIoBackend final : public IoBackend {
   const char* name() const override { return "uring"; }
   bool queue_depth_aware() const override { return true; }
 
-  void ReadBatch(int fd, uint32_t page_size, PageIoRequest* reqs, size_t n,
-                 uint32_t simulated_latency_us,
+  void ReadBatch(PageIoRequest* reqs, size_t n, uint32_t simulated_latency_us,
                  const PageIoDoneFn& done) override {
     if (n == 0) return;
     Ring* ring = ThreadRing();
     if (ring == nullptr) {
-      FallbackSequential(fd, page_size, reqs, n, simulated_latency_us, done);
+      FallbackSequential(reqs, n, simulated_latency_us, done);
       return;
     }
 
-    // Carve the batch into contiguous runs; each run is one vectored SQE.
+    // Carve the batch into runs contiguous within one file; each run is one
+    // vectored SQE.
     std::vector<Run> runs;
     runs.reserve(n);
     std::vector<iovec> iov(n);  // flat, stable; run r owns [first, first+npages)
     for (size_t i = 0; i < n;) {
       size_t len = 1;
       while (i + len < n && len < kMaxPagesPerSqe &&
+             reqs[i + len].fd == reqs[i].fd &&
+             reqs[i + len].page_size == reqs[i].page_size &&
              reqs[i + len].lpn == reqs[i].lpn + len) {
         ++len;
       }
       for (size_t k = 0; k < len; ++k) {
         iov[i + k].iov_base = reqs[i + k].buf;
-        iov[i + k].iov_len = page_size;
+        iov[i + k].iov_len = reqs[i].page_size;
       }
       runs.push_back(Run{i, len, 0, static_cast<unsigned>(len), 0, 0});
       i += len;
@@ -222,10 +226,10 @@ class UringIoBackend final : public IoBackend {
         const size_t r = pending.front();
         pending.pop_front();
         const Run& run = runs[r];
+        const PageIoRequest& head = reqs[run.first];
         const uint64_t off =
-            static_cast<uint64_t>(reqs[run.first].lpn) * page_size +
-            run.got;
-        PushSqe(ring, fd, run, &iov[run.first], off, r);
+            static_cast<uint64_t>(head.lpn) * head.page_size + run.got;
+        PushSqe(ring, head.fd, run, &iov[run.first], off, r);
         ++to_submit;
       }
       // One simulated device round trip covers everything submitted in
@@ -236,8 +240,8 @@ class UringIoBackend final : public IoBackend {
       const bool submitted = Submit(ring, to_submit, &consumed);
       kernel_inflight += consumed;
       if (!submitted) {
-        AbortBatch(ring, reqs, page_size, &runs, &finalized,
-                   &kernel_inflight, &completed_pages, done,
+        AbortBatch(ring, reqs, &runs, &finalized, &kernel_inflight,
+                   &completed_pages, done,
                    std::string("io_uring_enter: ") + std::strerror(errno));
         return;
       }
@@ -250,8 +254,8 @@ class UringIoBackend final : public IoBackend {
         return;
       }
       if (!WaitForCompletion(ring)) {
-        AbortBatch(ring, reqs, page_size, &runs, &finalized,
-                   &kernel_inflight, &completed_pages, done,
+        AbortBatch(ring, reqs, &runs, &finalized, &kernel_inflight,
+                   &completed_pages, done,
                    std::string("io_uring_enter(wait): ") +
                        std::strerror(errno));
         return;
@@ -264,12 +268,13 @@ class UringIoBackend final : public IoBackend {
         const size_t r = static_cast<size_t>(cqe.user_data);
         Run& run = runs[r];
         --kernel_inflight;
-        const size_t want = run.npages * static_cast<size_t>(page_size);
+        const size_t want =
+            run.npages * static_cast<size_t>(reqs[run.first].page_size);
         if (cqe.res == -EINTR || cqe.res == -EAGAIN) {
           if (++run.retries <= kMaxRunRetries) {
             pending.push_back(r);  // transient: resubmit as-is
           } else {
-            FinishRun(reqs, page_size, run, run.got,
+            FinishRun(reqs, run, run.got,
                       Status::IOError(
                           std::string("io_uring read: persistent ") +
                           std::strerror(-cqe.res)),
@@ -277,7 +282,7 @@ class UringIoBackend final : public IoBackend {
             finalized[r] = 1;
           }
         } else if (cqe.res < 0) {
-          FinishRun(reqs, page_size, run, run.got,
+          FinishRun(reqs, run, run.got,
                     Status::IOError(std::string("io_uring read: ") +
                                     std::strerror(-cqe.res)),
                     &completed_pages, done);
@@ -287,7 +292,7 @@ class UringIoBackend final : public IoBackend {
           // EOF, or the run is complete. Pages past `got` (EOF case) get a
           // short-read status from FinishRun.
           run.got += static_cast<size_t>(cqe.res);
-          FinishRun(reqs, page_size, run, run.got, Status::OK(),
+          FinishRun(reqs, run, run.got, Status::OK(),
                     &completed_pages, done);
           finalized[r] = 1;
         } else if (++run.short_retries <= kMaxEintrRetries) {
@@ -295,11 +300,11 @@ class UringIoBackend final : public IoBackend {
           // have and resubmit the remainder, exactly like the sync
           // backend's ReadRun loop.
           run.got += static_cast<size_t>(cqe.res);
-          RebuildIov(reqs, page_size, &run, &iov[run.first]);
+          RebuildIov(reqs, &run, &iov[run.first]);
           pending.push_back(r);
         } else {
           run.got += static_cast<size_t>(cqe.res);
-          FinishRun(reqs, page_size, run, run.got,
+          FinishRun(reqs, run, run.got,
                     Status::IOError("io_uring read: persistent short read"),
                     &completed_pages, done);
           finalized[r] = 1;
@@ -329,8 +334,8 @@ class UringIoBackend final : public IoBackend {
 
   // Re-aims a run's iovecs past the `run->got` bytes already landed,
   // compacting the remainder into the front of the run's iov slots.
-  static void RebuildIov(PageIoRequest* reqs, uint32_t page_size, Run* run,
-                         iovec* iov) {
+  static void RebuildIov(PageIoRequest* reqs, Run* run, iovec* iov) {
+    const uint32_t page_size = reqs[run->first].page_size;
     size_t skip = run->got;
     unsigned nv = 0;
     for (size_t k = 0; k < run->npages; ++k) {
@@ -411,15 +416,15 @@ class UringIoBackend final : public IoBackend {
   // their real results — and only then fail whatever never completed. If
   // the drain itself cannot finish, tear the ring down so nothing stale
   // can ever reach a later batch.
-  static void AbortBatch(Ring* ring, PageIoRequest* reqs, uint32_t page_size,
+  static void AbortBatch(Ring* ring, PageIoRequest* reqs,
                          std::vector<Run>* runs, std::vector<char>* finalized,
                          size_t* kernel_inflight, size_t* completed_pages,
                          const PageIoDoneFn& done, const std::string& msg) {
     const unsigned kernel_head =
         __atomic_load_n(ring->sq_head, __ATOMIC_ACQUIRE);
     __atomic_store_n(ring->sq_tail, kernel_head, __ATOMIC_RELEASE);
-    if (!DrainInflight(ring, reqs, page_size, runs, finalized,
-                       kernel_inflight, completed_pages, done)) {
+    if (!DrainInflight(ring, reqs, runs, finalized, kernel_inflight,
+                       completed_pages, done)) {
       ring->Teardown();  // next batch on this thread re-inits from scratch
     }
     FailUnfinished(reqs, *runs, finalized, completed_pages, done, msg);
@@ -432,7 +437,7 @@ class UringIoBackend final : public IoBackend {
   // Returns false only if io_uring_enter fails hard or the retry cap is
   // exhausted with SQEs still in flight.
   static bool DrainInflight(Ring* ring, PageIoRequest* reqs,
-                            uint32_t page_size, std::vector<Run>* runs,
+                            std::vector<Run>* runs,
                             std::vector<char>* finalized,
                             size_t* kernel_inflight, size_t* completed_pages,
                             const PageIoDoneFn& done) {
@@ -447,10 +452,10 @@ class UringIoBackend final : public IoBackend {
         --*kernel_inflight;
         if (cqe.res >= 0) {
           run.got += static_cast<size_t>(cqe.res);
-          FinishRun(reqs, page_size, run, run.got, Status::OK(),
-                    completed_pages, done);
+          FinishRun(reqs, run, run.got, Status::OK(), completed_pages,
+                    done);
         } else {
-          FinishRun(reqs, page_size, run, run.got,
+          FinishRun(reqs, run, run.got,
                     Status::IOError(std::string("io_uring read: ") +
                                     std::strerror(-cqe.res)),
                     completed_pages, done);
@@ -474,14 +479,15 @@ class UringIoBackend final : public IoBackend {
   // Finalizes every page of one run from its completed byte count: pages
   // fully covered are OK, the rest surface a short-read error — a failed
   // run never poisons pages outside it.
-  static void FinishRun(PageIoRequest* reqs, uint32_t page_size,
-                        const Run& run, size_t got, const Status& st,
-                        size_t* completed_pages, const PageIoDoneFn& done) {
+  static void FinishRun(PageIoRequest* reqs, const Run& run, size_t got,
+                        const Status& st, size_t* completed_pages,
+                        const PageIoDoneFn& done) {
+    const size_t page_size = reqs[run.first].page_size;
     for (size_t k = 0; k < run.npages; ++k) {
       PageIoRequest& q = reqs[run.first + k];
       if (!st.ok()) {
         q.status = st;
-      } else if ((k + 1) * static_cast<size_t>(page_size) <= got) {
+      } else if ((k + 1) * page_size <= got) {
         q.status = Status::OK();
       } else {
         q.status = Status::IOError(
@@ -511,18 +517,18 @@ class UringIoBackend final : public IoBackend {
     }
   }
 
-  // Ring-less degradation: plain sequential preads with per-page round
-  // trips (mirrors the sync backend's cost model).
-  static void FallbackSequential(int fd, uint32_t page_size,
-                                 PageIoRequest* reqs, size_t n,
+  // Ring-less degradation: plain sequential preads, each from its own
+  // file, with per-page round trips (mirrors the sync backend's cost
+  // model).
+  static void FallbackSequential(PageIoRequest* reqs, size_t n,
                                  uint32_t simulated_latency_us,
                                  const PageIoDoneFn& done) {
     for (size_t i = 0; i < n; ++i) {
       ChargeSimulatedLatency(simulated_latency_us);
+      const size_t page_size = reqs[i].page_size;
       size_t got = 0;
-      Status st = PreadFull(fd, reqs[i].buf, page_size,
-                            static_cast<off_t>(reqs[i].lpn) * page_size,
-                            &got);
+      Status st = PreadFull(reqs[i].fd, reqs[i].buf, page_size,
+                            static_cast<off_t>(reqs[i].lpn * page_size), &got);
       if (st.ok() && got < page_size) {
         st = Status::IOError("short read at lpn " +
                              std::to_string(reqs[i].lpn));

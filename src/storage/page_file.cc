@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <thread>
@@ -168,46 +169,64 @@ Status PageFile::VerifyLoadedPage(LogicalPageNo lpn, Page* page,
   return Status::OK();
 }
 
-void PageFile::ReadPages(const LogicalPageNo* lpns, Page* const* pages,
-                         Status* statuses, size_t n, ExecContext* ctx,
-                         const PageIoDoneFn& done) const {
+void PageFile::ReadPages(const PageRead* reads, Status* statuses, size_t n,
+                         ExecContext* ctx, const PageIoDoneFn& done) {
   if (n == 0) return;
-  // Keep the file alive until every page of this batch is finalized: the
-  // destructor spins on this count (see ~PageFile).
-  inflight_batches_.fetch_add(1, std::memory_order_acq_rel);
-  struct BatchScope {
-    const std::atomic<uint64_t>* c;
-    ~BatchScope() {
-      const_cast<std::atomic<uint64_t>*>(c)->fetch_sub(
-          1, std::memory_order_acq_rel);
+  // Keep each file alive until every page of this batch is finalized: its
+  // destructor spins on this count (see ~PageFile). One count per file per
+  // batch, taken before any page can complete.
+  std::vector<const PageFile*> files;
+  for (size_t i = 0; i < n; ++i) {
+    if (std::find(files.begin(), files.end(), reads[i].file) != files.end()) {
+      continue;
     }
-  } scope{&inflight_batches_};
+    files.push_back(reads[i].file);
+    reads[i].file->inflight_batches_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  struct BatchScope {
+    const std::vector<const PageFile*>& files;
+    ~BatchScope() {
+      for (const PageFile* f : files) {
+        f->inflight_batches_.fetch_sub(1, std::memory_order_acq_rel);
+      }
+    }
+  } scope{files};
 
+  // The io.* metrics are process-wide, so any file's pointers do; they are
+  // copied now because a file may be torn down (up to its final count)
+  // once its last page completes.
+  const PageFile& first = *reads[0].file;
+  obs::Gauge* inflight = first.m_io_inflight_;
+  obs::Histogram* completion_latency_us = first.m_io_completion_latency_us_;
   obs::TraceSpan span("io", "batch_read", n);
-  m_io_batches_->Inc();
-  m_io_batch_pages_->Record(n);
-  m_io_inflight_->Add(static_cast<int64_t>(n));
+  first.m_io_batches_->Inc();
+  first.m_io_batch_pages_->Record(n);
+  inflight->Add(static_cast<int64_t>(n));
   Stopwatch timer;
 
   // Screen out-of-range pages up front so the backend only ever sees real
   // file offsets; they complete (with OutOfRange) immediately.
-  const uint64_t count = page_count_.load(std::memory_order_acquire);
   std::vector<PageIoRequest> reqs;
   reqs.reserve(n);
   std::vector<size_t> orig;  // backend index -> caller index
   orig.reserve(n);
+  uint32_t latency_us = 0;
   for (size_t i = 0; i < n; ++i) {
-    PAYG_ASSERT(pages[i]->size() == page_size_);
-    if (lpns[i] >= count) {
-      statuses[i] = Status::OutOfRange("page " + std::to_string(lpns[i]) +
-                                       " beyond end of chain " + path_);
-      m_io_inflight_->Add(-1);
+    const PageFile& file = *reads[i].file;
+    PAYG_ASSERT(reads[i].page->size() == file.page_size_);
+    if (reads[i].lpn >= file.page_count_.load(std::memory_order_acquire)) {
+      statuses[i] = Status::OutOfRange("page " + std::to_string(reads[i].lpn) +
+                                       " beyond end of chain " + file.path_);
+      inflight->Add(-1);
       if (done) done(i);
       continue;
     }
+    latency_us = std::max(latency_us, file.opts_.simulated_read_latency_us);
     PageIoRequest req;
-    req.lpn = lpns[i];
-    req.buf = pages[i]->raw();
+    req.fd = file.fd_;
+    req.page_size = file.page_size_;
+    req.lpn = reads[i].lpn;
+    req.buf = reads[i].page->raw();
     reqs.push_back(std::move(req));
     orig.push_back(i);
   }
@@ -218,15 +237,24 @@ void PageFile::ReadPages(const LogicalPageNo* lpns, Page* const* pages,
   auto finalize = [&](size_t j) {
     const size_t i = orig[j];
     Status st = std::move(reqs[j].status);
-    if (st.ok()) st = VerifyLoadedPage(lpns[i], pages[i], ctx);
+    if (st.ok()) {
+      st = reads[i].file->VerifyLoadedPage(reads[i].lpn, reads[i].page, ctx);
+    }
     statuses[i] = std::move(st);
-    m_io_completion_latency_us_->Record(
-        static_cast<uint64_t>(timer.ElapsedMicros()));
-    m_io_inflight_->Add(-1);
+    completion_latency_us->Record(static_cast<uint64_t>(timer.ElapsedMicros()));
+    inflight->Add(-1);
     if (done) done(i);
   };
-  CurrentIoBackend()->ReadBatch(fd_, page_size_, reqs.data(), reqs.size(),
-                                opts_.simulated_read_latency_us, finalize);
+  CurrentIoBackend()->ReadBatch(reqs.data(), reqs.size(), latency_us,
+                                finalize);
+}
+
+void PageFile::ReadPages(const LogicalPageNo* lpns, Page* const* pages,
+                         Status* statuses, size_t n, ExecContext* ctx,
+                         const PageIoDoneFn& done) const {
+  std::vector<PageRead> reads(n);
+  for (size_t i = 0; i < n; ++i) reads[i] = PageRead{this, lpns[i], pages[i]};
+  ReadPages(reads.data(), statuses, n, ctx, done);
 }
 
 }  // namespace payg

@@ -54,15 +54,32 @@ class PageFile {
   Status ReadPage(LogicalPageNo lpn, Page* page,
                   ExecContext* ctx = nullptr) const;
 
-  // Batched read: the n pages named by `lpns` are read through the current
-  // IoBackend as one submission (contiguous runs become vectored reads) and
-  // each page's final status lands in `statuses[i]`. `done(i)` — when given
-  // — fires on the calling thread as page i completes, after verification,
-  // with statuses[i] final; this is the completion-driven publish hook the
-  // page cache uses, so a page becomes visible when its bytes land rather
-  // than when the slowest page of the batch does. Blocking: by return every
-  // page has exactly one final status and one done() call. A bad page
-  // (out of range, short read, corruption) fails only itself.
+  // One page of a batched read: its chain, its number, and the page its
+  // bytes go to (sized to the chain's page size).
+  struct PageRead {
+    const PageFile* file = nullptr;
+    LogicalPageNo lpn = kInvalidPageNo;
+    Page* page = nullptr;
+  };
+
+  // Batched read, possibly across chains: the n pages of `reads` are read
+  // through the current IoBackend as one submission (pages contiguous in
+  // one file become vectored reads; a wave is charged the largest
+  // simulated latency among the files) and each page's final status lands
+  // in `statuses[i]`. `done(i)` — when given — fires on the calling thread
+  // as page i completes, after verification, with statuses[i] final; this
+  // is the completion-driven publish hook the page cache uses, so a page
+  // becomes visible when its bytes land rather than when the slowest page
+  // of the batch does. Blocking: by return every page has exactly one
+  // final status and one done() call. A bad page (out of range, short
+  // read, corruption) fails only itself. Every file stays alive until the
+  // call returns (see ~PageFile), but after its last page's done() the
+  // call touches nothing of it except that count.
+  static void ReadPages(const PageRead* reads, Status* statuses, size_t n,
+                        ExecContext* ctx = nullptr,
+                        const PageIoDoneFn& done = nullptr);
+
+  // The batched read above over pages of this chain only.
   void ReadPages(const LogicalPageNo* lpns, Page* const* pages,
                  Status* statuses, size_t n, ExecContext* ctx = nullptr,
                  const PageIoDoneFn& done = nullptr) const;
@@ -77,8 +94,9 @@ class PageFile {
   PageFile(std::string path, int fd, uint32_t page_size, uint64_t page_count,
            const StorageOptions& opts);
 
-  // Shared verification + accounting tail of both read paths: magic, page
-  // number, checksum (counting "io.checksum_fail"), then the read counters.
+  // Shared verification + accounting tail of the single-page and batched
+  // reads: magic, page number, checksum (counting "io.checksum_fail"),
+  // then the read counters.
   Status VerifyLoadedPage(LogicalPageNo lpn, Page* page,
                           ExecContext* ctx) const;
 
@@ -88,15 +106,17 @@ class PageFile {
   std::atomic<uint64_t> page_count_;
   StorageOptions opts_;
 
-  // Batched reads in flight. The destructor spins until this drains so a
-  // ReadPages still finalizing pages never touches a dead PageFile — owners
-  // destroy the cache (which drains its own waiters) before the file, and
-  // this closes the last window in between.
+  // Batched reads in flight that include this file. The destructor spins
+  // until this drains so a ReadPages still finalizing pages never touches a
+  // dead PageFile — owners destroy the cache (which drains its own waiters)
+  // before the file, and this closes the last window in between.
   mutable std::atomic<uint64_t> inflight_batches_{0};
 
   // Process-wide page traffic ("storage.read.*" / "storage.write.*") and
-  // the physical-IO latency histograms. Resolved once here so the read path
-  // pays no registry lookup.
+  // the physical-IO latency histograms ("storage.read.latency_us" covers
+  // single-page reads only; a batched page lands in
+  // "io.completion_latency_us"). Resolved once here so the read path pays
+  // no registry lookup.
   obs::Counter* m_pages_read_;
   obs::Counter* m_bytes_read_;
   obs::Counter* m_pages_written_;

@@ -1,6 +1,6 @@
 // Concurrency stress for the sharded PageCache + lock-free pin path: many
-// readers hammer GetPage/PrefetchRange on overlapping page ranges while the
-// resource manager applies constant eviction pressure. The suite is part of
+// readers hammer GetPage/PrefetchRange/LoadBatch on overlapping page ranges
+// while the resource manager applies constant eviction pressure. The suite is part of
 // the TSan and ASan+UBSan legs of scripts/check.sh and CI, where the
 // "TryPin/Unpin take no mutex" claim is actually checked.
 
@@ -9,6 +9,7 @@
 #include <atomic>
 #include <deque>
 #include <filesystem>
+#include <initializer_list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,31 +41,43 @@ class CacheStressTest : public ::testing::Test {
   }
 
   // A page chain of kPages pages; ReadPage verifies magic + checksum, and
-  // each returned page carries its logical page number in the header, so a
-  // reader can assert it got the bytes it asked for.
-  void CreateFile(uint32_t read_latency_us = 0) {
+  // each returned page carries its logical page number in the header and
+  // `tag` as its one payload byte, so a reader can assert it got the bytes
+  // it asked for, from the chain it asked.
+  std::unique_ptr<PageFile> MakeChain(const std::string& name, uint8_t tag,
+                                      uint32_t read_latency_us) {
     StorageOptions opts;
     opts.page_size = kPageSize;
     opts.simulated_read_latency_us = read_latency_us;
-    auto file = PageFile::Create(dir_ + "/chain", kPageSize, opts);
-    ASSERT_TRUE(file.ok()) << file.status().ToString();
-    file_ = std::move(*file);
+    auto file = PageFile::Create(dir_ + "/" + name, kPageSize, opts);
+    EXPECT_TRUE(file.ok()) << file.status().ToString();
+    if (!file.ok()) return nullptr;
     for (uint64_t i = 0; i < kPages; ++i) {
       Page page(kPageSize);
       page.header()->type = static_cast<uint16_t>(PageType::kDataVector);
-      auto lpn = file_->AppendPage(&page);
-      ASSERT_TRUE(lpn.ok());
-      ASSERT_EQ(*lpn, i);
+      page.payload()[0] = tag;
+      page.set_payload_size(1);
+      auto lpn = (*file)->AppendPage(&page);
+      EXPECT_TRUE(lpn.ok());
+      EXPECT_EQ(lpn.ok() ? *lpn : kInvalidPageNo, i);
     }
+    return std::move(*file);
+  }
+
+  void CreateFile(uint32_t read_latency_us = 0) {
+    file_ = MakeChain("chain", /*tag=*/1, read_latency_us);
+    ASSERT_NE(file_, nullptr);
   }
 
   // The prefetch invariant, checked at a full quiesce point (no concurrent
-  // issuance, WaitForPrefetchIdle done, cache emptied so no loaded-but-
+  // issuance, WaitForPrefetchIdle done, caches emptied so no loaded-but-
   // never-touched prefetched page is still waiting for its first touch to
   // pick a bucket): issued == hits + wasted + inflight, with inflight == 0.
-  void ExpectPrefetchInvariant(const PageCache& cache,
+  void ExpectPrefetchInvariant(std::initializer_list<const PageCache*> caches,
                                const CacheCounters& counters) {
-    EXPECT_EQ(cache.prefetch_inflight_count(), 0u);
+    for (const PageCache* cache : caches) {
+      EXPECT_EQ(cache->prefetch_inflight_count(), 0u);
+    }
     EXPECT_EQ(counters.prefetch_issued(),
               counters.prefetch_hits() + counters.prefetch_wasted());
   }
@@ -83,14 +96,19 @@ TEST_F(CacheStressTest, ConcurrentReadersUnderEvictionPressure) {
   rm.SetPoolLimits(PoolId::kPagedPool,
                    {/*lower=*/6 * kPageSize, /*upper=*/10 * kPageSize});
   PageCache cache(file_.get(), &rm, PoolId::kPagedPool);
+  // A second chain for the batch readers, whose batches span both caches.
+  std::unique_ptr<PageFile> file2 = MakeChain("chain2", /*tag=*/2, 0);
+  ASSERT_NE(file2, nullptr);
+  PageCache cache2(file2.get(), &rm, PoolId::kPagedPool);
   CacheCounters counters;
 
   constexpr int kThreads = 8;
+  constexpr int kBatchThreads = 2;
   constexpr int kItersPerThread = 1500;
   std::atomic<uint64_t> gets{0};
   std::atomic<int> failures{0};
   std::vector<std::thread> readers;
-  readers.reserve(kThreads);
+  readers.reserve(kThreads + kBatchThreads);
   for (int t = 0; t < kThreads; ++t) {
     readers.emplace_back([&, t] {
       Random rng(0x5eed + t);
@@ -125,11 +143,46 @@ TEST_F(CacheStressTest, ConcurrentReadersUnderEvictionPressure) {
       }
     });
   }
+  // Batch readers: what Materialize does for one row, over two chains —
+  // one blocking LoadBatch of a few pages of each cache, then a pin of
+  // every page. Their batches race the readers above, each other's marks
+  // and the evictions their own publishes cause.
+  for (int t = 0; t < kBatchThreads; ++t) {
+    readers.emplace_back([&, t] {
+      Random rng(0xba7c + t);
+      std::vector<PageLoad> pages;
+      for (int i = 0; i < kItersPerThread / 4; ++i) {
+        pages.clear();
+        const LogicalPageNo lpn = rng.Uniform(kPages);
+        const uint64_t width = rng.UniformRange(1, 3);
+        for (uint64_t w = 0; w < width; ++w) {
+          pages.push_back(PageLoad{&cache, (lpn + w) % kPages});
+          pages.push_back(PageLoad{&cache2, (lpn + 2 * w) % kPages});
+        }
+        if (!PageCache::LoadBatch(pages).ok()) failures.fetch_add(1);
+        for (const PageLoad& p : pages) {
+          auto ref = p.cache->GetPage(p.lpn);
+          if (!ref.ok()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          gets.fetch_add(1, std::memory_order_relaxed);
+          const uint8_t tag = p.cache == &cache ? 1 : 2;
+          if (ref->page().header()->logical_page_no != p.lpn ||
+              ref->page().payload()[0] != tag) {
+            failures.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
   for (auto& th : readers) th.join();
   EXPECT_EQ(failures.load(), 0);
 
   cache.WaitForPrefetchIdle();
+  cache2.WaitForPrefetchIdle();
   EXPECT_EQ(cache.prefetch_inflight_count(), 0u);
+  EXPECT_EQ(cache2.prefetch_inflight_count(), 0u);
   // Prefetched pages still resident and untouched have not picked a bucket
   // yet, so mid-run the equality is only a lower bound.
   EXPECT_GE(counters.prefetch_issued(),
@@ -142,9 +195,10 @@ TEST_F(CacheStressTest, ConcurrentReadersUnderEvictionPressure) {
   rm.SetPoolLimits(PoolId::kPagedPool, {/*lower=*/0, /*upper=*/0});
   rm.SetGlobalBudget(1);
   EXPECT_EQ(cache.loaded_page_count(), 0u);
+  EXPECT_EQ(cache2.loaded_page_count(), 0u);
   EXPECT_EQ(rm.resource_count(), 0u);
   EXPECT_EQ(rm.total_bytes(), 0u);
-  ExpectPrefetchInvariant(cache, counters);
+  ExpectPrefetchInvariant({&cache, &cache2}, counters);
 }
 
 // Regression for the sharded DropAll protocol: DropAll drains one shard at
@@ -183,7 +237,7 @@ TEST_P(CacheDropAllRaceTest, DropAllDoesNotDeadlockWithPrefetchPublish) {
 
   cache.WaitForPrefetchIdle();
   cache.DropAll();
-  ExpectPrefetchInvariant(cache, counters);
+  ExpectPrefetchInvariant({&cache}, counters);
   EXPECT_EQ(cache.loaded_page_count(), 0u);
   EXPECT_EQ(rm.resource_count(), 0u);
   EXPECT_EQ(rm.total_bytes(), 0u);

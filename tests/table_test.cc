@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <string>
 #include <string_view>
 
@@ -15,6 +17,7 @@
 #include "common/random.h"
 #include "counter_delta.h"
 #include "paged/fragment_factory.h"
+#include "paged/page_cache.h"
 #include "storage/io_backend.h"
 #include "table/table.h"
 #include "test_util.h"
@@ -997,6 +1000,121 @@ bool OracleMatches(const Predicate& p, const Value& v) {
       return std::string_view(v.AsString()).starts_with(p.prefix);
   }
   return false;
+}
+
+int FailEveryRead() { return EIO; }
+
+// Materialize loads a row's data-vector pages, one per column, in one batch
+// (PageCache::LoadBatch) before its column loop pins them.
+TEST_F(TableTest, MaterializeLoadsTheColumnsPagesInOneBatch) {
+  constexpr int kRows = 20000;
+  auto base = MakeOrders(false, kRows, "orders_b");
+  auto paged = MakeOrders(true, kRows, "orders_p");
+  ASSERT_TRUE(base->MergeAll().ok());
+  ASSERT_TRUE(paged->MergeAll().ok());
+  paged->UnloadAll();
+  const uint64_t k = OrdersSchema(true).columns.size();
+  const auto key = [](int id) { return OrderRow(id, 0, "", 0)[0]; };
+  const auto expect_same = [&](int id, const Result<QueryResult>& got) {
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    auto want = base->SelectByValue("id", key(id), {});
+    ASSERT_TRUE(want.ok());
+    ASSERT_EQ(got->rows.size(), 1u);
+    EXPECT_TRUE(got->rows == want->rows) << "row " << id;
+  };
+
+  // A point select on the cold table: the index lookup reads no data
+  // vector, so the batch holds exactly the k data-vector pages of the row,
+  // and the column loop pins each of them once.
+  {
+    CacheCounters counters;
+    ExecContext ctx;
+    expect_same(12345, paged->SelectByValue("id", key(12345), {}, &ctx));
+    EXPECT_EQ(ctx.stats.io_batches.load(), 1u);
+    EXPECT_EQ(ctx.stats.prefetch_issued.load(), k);
+    EXPECT_EQ(counters.prefetch_issued(), k);
+    EXPECT_EQ(counters.prefetch_hits(), k);
+    EXPECT_EQ(counters.prefetch_wasted(), 0u);
+  }
+  // The same select again finds every page resident and issues nothing.
+  {
+    CacheCounters counters;
+    ExecContext ctx;
+    expect_same(12345, paged->SelectByValue("id", key(12345), {}, &ctx));
+    EXPECT_EQ(ctx.stats.io_batches.load(), 0u);
+    EXPECT_EQ(counters.prefetch_issued(), 0u);
+  }
+  // 1000 contiguous rows across a data-page boundary of the key column:
+  // the batch takes at most IoQueueDepth() pages of each column. The count
+  // first warms the filter column, so the select's own search issues no
+  // readahead and every prefetch counted is the batch's.
+  {
+    const uint32_t saved_depth = IoQueueDepth();
+    const auto pages_of = [&](int col, RowPos first) {
+      std::vector<RowPos> rows(1000);
+      std::iota(rows.begin(), rows.end(), first);
+      std::vector<PageLoad> pages;
+      paged->hot()->main(col)->AddRowPages(rows, &pages);
+      return pages.size();
+    };
+    RowPos first = 0;
+    while (first + 1000 <= kRows && pages_of(0, first) < 2) first += 500;
+    ASSERT_LE(first + 1000, static_cast<RowPos>(kRows)) << "no page boundary";
+    SetIoQueueDepth(1);
+    for (uint64_t c = 0; c < k; ++c) {
+      EXPECT_LE(pages_of(static_cast<int>(c), first), 1u) << "column " << c;
+    }
+    const Value lo(static_cast<int64_t>(first)),
+        hi(static_cast<int64_t>(first + 999));
+    ASSERT_TRUE(
+        paged->CountWhere({Predicate::Between("aging_date", lo, hi)}).ok());
+    CacheCounters counters;
+    auto rows = paged->SelectRange("aging_date", lo, hi, {});
+    SetIoQueueDepth(saved_depth);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    auto want = base->SelectRange("aging_date", lo, hi, {});
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(rows->rows.size(), 1000u);
+    EXPECT_TRUE(rows->rows == want->rows);
+    EXPECT_GT(counters.prefetch_issued(), 0u);
+    EXPECT_LE(counters.prefetch_issued(), k * 1);
+  }
+  // Every read failing: the batch drops its pages, the column loop's own
+  // read returns the error, and nothing the query loaded stays registered.
+  // A select of the key column alone warms the lookup first, so the failing
+  // select gets as far as its batch.
+  {
+    paged->UnloadAll();
+    ASSERT_TRUE(paged->SelectByValue("id", key(777), {"id"}).ok());
+    const uint64_t resources = rm_->resource_count();
+    CacheCounters counters;
+    SetIoFaultHookForTest(&FailEveryRead);
+    auto failed = paged->SelectByValue("id", key(777), {});
+    SetIoFaultHookForTest(nullptr);
+    EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+    EXPECT_EQ(rm_->resource_count(), resources);
+    EXPECT_EQ(counters.prefetch_issued(), k - 1);
+    EXPECT_EQ(counters.prefetch_wasted(), k - 1);
+    expect_same(777, paged->SelectByValue("id", key(777), {}));
+  }
+  // A query past its deadline issues no batch; neither does the batch call
+  // itself, given the row's pages.
+  {
+    paged->UnloadAll();
+    CacheCounters counters;
+    ExecContext ctx;
+    ctx.deadline = ExecContext::Clock::now() - std::chrono::seconds(1);
+    auto late = paged->SelectByValue("id", key(5), {}, &ctx);
+    EXPECT_TRUE(late.status().IsDeadlineExceeded()) << late.status().ToString();
+    std::vector<PageLoad> pages;
+    for (uint64_t c = 0; c < k; ++c) {
+      paged->hot()->main(static_cast<int>(c))->AddRowPages({5}, &pages);
+    }
+    EXPECT_EQ(pages.size(), k);
+    EXPECT_TRUE(PageCache::LoadBatch(pages, &ctx).IsDeadlineExceeded());
+    EXPECT_EQ(ctx.stats.io_batches.load(), 0u);
+    EXPECT_EQ(counters.prefetch_issued(), 0u);
+  }
 }
 
 class OracleTest : public TableTest {
