@@ -130,15 +130,16 @@ inline VariantInstance BuildVariant(const BenchEnv& env,
 }
 
 // Prints the engine-side registry view of one run: page-cache behaviour,
-// physical read latency quantiles, and eviction work. Pair with
-// MetricsRegistry::ResetAll() at the start of the measured phase so the
-// numbers cover exactly that phase.
+// physical read latency quantiles and page reads (storage.read.pages), and
+// eviction work. Pair with MetricsRegistry::ResetAll() at the start of the
+// measured phase so the numbers cover exactly that phase.
 inline void PrintMetricsSnapshot(const std::string& tag) {
   auto& reg = obs::MetricsRegistry::Global();
   const uint64_t hits = reg.counter("cache.hits")->value();
   const uint64_t misses = reg.counter("cache.misses")->value();
   const uint64_t lookups = hits + misses;
   const auto read = reg.histogram("storage.read.latency_us")->snapshot();
+  const uint64_t reads = reg.counter("storage.read.pages")->value();
   const uint64_t evictions = reg.counter("rm.evictions.reactive")->value() +
                              reg.counter("rm.evictions.proactive")->value();
   const double evicted_mb =
@@ -153,7 +154,7 @@ inline void PrintMetricsSnapshot(const std::string& tag) {
                    : static_cast<double>(hits) / static_cast<double>(lookups),
       static_cast<unsigned long long>(hits),
       static_cast<unsigned long long>(misses), read.p50(), read.p95(),
-      read.p99(), static_cast<unsigned long long>(read.count),
+      read.p99(), static_cast<unsigned long long>(reads),
       static_cast<unsigned long long>(evictions), evicted_mb);
 }
 

@@ -57,6 +57,11 @@ cmake --build "$BUILD-tsan" -j --target buffer_test exec_test obs_test profile_t
 "$BUILD-tsan"/tests/paged_test \
   --gtest_filter='PagedTest.PageCacheHitRatioHotVsCold:PagedTest.DataVector*:PagedTest.*Sweep*' \
   --gtest_repeat=50
+# Concurrent misses of one page share its one read: repeated for the same
+# reason.
+"$BUILD-tsan"/tests/cache_stress_test \
+  --gtest_filter='Backends/CacheLoadPathTest.ConcurrentMissesOfOnePageShareOneRead/*' \
+  --gtest_repeat=50
 
 echo "== ASan+UBSan build: buffer + cache-stress + columnar + core + codec + crc32 + profile + server + table + exec + integration + paged + encoding + storage suites =="
 cmake -B "$BUILD-asan" -S . -DPAYG_SANITIZE=address+undefined >/dev/null

@@ -29,8 +29,8 @@ uint32_t NormalizeShardCount(uint32_t requested) {
 }  // namespace
 
 // The registration's payload. Its destructor runs where the bytes go — on
-// an evicting thread under the resource manager's lock, in DropAll, or
-// wherever a superseded load drops its last reference — so it takes no
+// an evicting thread under the resource manager's lock, at the last
+// reference after DropAll, or in Publish for a failed read — so it takes no
 // lock and knows nothing of the cache: it settles the page's accounting in
 // process-lifetime registry metrics only.
 struct PageCache::CachedPage {
@@ -59,21 +59,19 @@ PageCache::PageCache(PageFile* file, ResourceManager* rm, PoolId pool,
   shard_mask_ = shards - 1;
   shards_ = std::make_unique<Shard[]>(shards);
   auto& reg = obs::MetricsRegistry::Global();
-  // Every GetPage call is exactly one hit (served from a resident slot:
-  // successful pin, no I/O) or one miss (went through a physical load, even
-  // when a concurrent loader won and our page was thrown away). pin_waits
-  // counts the contention inside those calls: a resident slot whose pin
-  // raced eviction, or a duplicate concurrent load.
+  // Every successful GetPage call is exactly one hit (served from a
+  // resident slot, possibly after waiting for another load of the page) or
+  // one miss (this call read the page).
   //
-  // Prefetch accounting invariant, at any quiesce point:
+  // Prefetch accounting invariant, at any quiesce point (no GetPage call
+  // running, so every in-flight page is a prefetch):
   //   issued == hits + wasted + inflight.
   // Every issued prefetch ends in exactly one bucket: its first GetPage
-  // touch (hit), or a failed read, or bytes that go untouched — evicted,
-  // dropped or superseded — (wasted, counted by CachedPage), or it is still
-  // loading (inflight, see prefetch_inflight_count()).
+  // touch (hit), or a failed read, or bytes that go untouched — evicted or
+  // dropped — (wasted, counted by CachedPage), or it is still loading
+  // (inflight, see prefetch_inflight_count()).
   m_hits_ = reg.counter("cache.hits");
   m_misses_ = reg.counter("cache.misses");
-  m_pin_waits_ = reg.counter("cache.pin_waits");
   m_prefetch_issued_ = reg.counter("cache.prefetch_issued");
   m_prefetch_hits_ = reg.counter("cache.prefetch_hits");
   m_prefetch_wasted_ = reg.counter("cache.prefetch_wasted");
@@ -156,7 +154,7 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
     PAYG_RETURN_IF_ERROR(ctx->CheckDeadline());
   }
   // Cold/hit wait attribution for the query profile: the timestamp covers
-  // the whole call (shard lock, in-flight prefetch wait, physical read), so
+  // the whole call (shard lock, in-flight load wait, physical read), so
   // page_cold_us is exactly the time this query spent blocked on page
   // loads. Only taken when a query is attached — the no-context path stays
   // clock-free.
@@ -164,10 +162,11 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
   Shard& shard = ShardFor(lpn);
   {
     ShardLock lock(*this, shard);
-    // If a background prefetch of this very page is in flight, wait for it
-    // rather than paying a duplicate physical read — this wait (bounded by
-    // one page read) is where readahead turns latency into overlap. Explicit
-    // loop (not a predicate lambda) so the analysis sees the guarded reads.
+    // If a load of this very page is in flight (readahead, a row batch or
+    // another caller's miss), wait for it rather than paying a duplicate
+    // physical read — this wait (bounded by one page read) is where
+    // readahead turns latency into overlap. Explicit loop (not a predicate
+    // lambda) so the analysis sees the guarded reads.
     while (shard.inflight.count(lpn) != 0) shard.inflight_cv.Wait(shard.mu);
     PinnedResource pin = PinLocked(shard, lpn, ctx);
     if (pin.valid()) {
@@ -180,46 +179,23 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
       const Page* page = &static_cast<CachedPage*>(pin.payload())->page;
       return PageRef(std::move(pin), page, lpn);
     }
+    // A miss: from here on every other caller of the page waits for this
+    // call's read.
+    shard.inflight.insert(lpn);
   }
 
-  // Load outside the shard lock: the (possibly simulated-latency) read must
-  // not block other pages of the shard.
-  auto cached = std::make_shared<CachedPage>(
-      file_->page_size(), /*prefetched=*/false, m_prefetch_wasted_);
-  const Page* page = &cached->page;
-  PAYG_RETURN_IF_ERROR(file_->ReadPage(lpn, &cached->page, ctx));
-  loads_.fetch_add(1, std::memory_order_relaxed);
+  // Read outside the shard lock, so the (possibly simulated-latency) read
+  // does not block other pages of the shard. The publish hands over the
+  // registration's pin: the page cannot be evicted before it is returned.
+  const PageLoad load{this, lpn};
+  PinnedResource pin;
+  PAYG_RETURN_IF_ERROR(DoBatchRead(&load, 1, ctx, &pin));
   m_misses_->Inc();
   Bump(ctx, &QueryStats::pages_pinned);
-
-  PinnedResource pin = rm_->Register(file_->page_size(),
-                                     Disposition::kPagedAttribute, pool_,
-                                     std::move(cached));
-  {
-    ShardLock lock(*this, shard);
-    PinnedResource theirs = PinLocked(shard, lpn, ctx);
-    if (theirs.valid()) {
-      // Another thread loaded the same page concurrently; keep theirs and
-      // drop ours. Still a miss (we paid a physical read), but also a
-      // pin-wait: the call contended with another loader.
-      m_pin_waits_->Inc();
-      rm_->Unregister(pin.handle());
-      pin.Release();
-      // Cold despite serving their bytes: this call paid a physical read
-      // (counted in pages_read), so the profile's cold count must match.
-      if (ctx != nullptr) {
-        CountPageAccess(ctx, /*cold=*/true,
-                        MonotonicNanos() - access_start_ns);
-      }
-      const Page* their_page =
-          &static_cast<CachedPage*>(theirs.payload())->page;
-      return PageRef(std::move(theirs), their_page, lpn);
-    }
-    InsertLocked(shard, lpn, pin);
-  }
   if (ctx != nullptr) {
     CountPageAccess(ctx, /*cold=*/true, MonotonicNanos() - access_start_ns);
   }
+  const Page* page = &static_cast<CachedPage*>(pin.payload())->page;
   return PageRef(std::move(pin), page, lpn);
 }
 
@@ -245,8 +221,11 @@ void PageCache::PrefetchRange(LogicalPageNo first, uint32_t count,
   Bump(ctx, &QueryStats::prefetch_issued, loads.size());
   Bump(ctx, &QueryStats::io_batches);
   // Note: the task must not touch `ctx` — it may outlive the query.
-  SharedIoPool()->Submit(
-      [loads = std::move(loads)] { DoBatchRead(loads); });
+  SharedIoPool()->Submit([loads = std::move(loads)] {
+    // A page whose read fails is dropped; the GetPage that needs it reads
+    // it again. analyzer:allow(status-swallow)
+    (void)DoBatchRead(loads.data(), loads.size());
+  });
 }
 
 Status PageCache::LoadBatch(const std::vector<PageLoad>& pages,
@@ -265,71 +244,72 @@ Status PageCache::LoadBatch(const std::vector<PageLoad>& pages,
   if (loads.empty()) return Status::OK();
   Bump(ctx, &QueryStats::prefetch_issued, loads.size());
   Bump(ctx, &QueryStats::io_batches);
-  DoBatchRead(loads);
+  // A page whose read fails is dropped; the GetPage that needs it reads it
+  // again and returns the error. analyzer:allow(status-swallow)
+  (void)DoBatchRead(loads.data(), loads.size());
   return Status::OK();
 }
 
-void PageCache::DoBatchRead(const std::vector<PageLoad>& loads) {
-  // One batched submission for every page, whatever its chain.
-  // PublishPrefetched fires per page from inside ReadPages as that page's
-  // bytes complete and verify, and takes this frame's reference to the
-  // page, so a page that is evicted or superseded right away counts as
-  // wasted before its in-flight entry goes. That erase is a cache's
-  // teardown signal, so after the LAST publish of a cache's pages that
-  // cache may already be gone — once the read starts, nothing here reaches
-  // a cache except through its own pages' publishes, and ReadPages itself
-  // holds each PageFile alive (PageFile::inflight_batches_).
-  const size_t n = loads.size();
+Status PageCache::DoBatchRead(const PageLoad* loads, size_t n,
+                              ExecContext* ctx, PinnedResource* pins) {
+  // One batched submission for every page, whatever its chain. Publish
+  // fires per page from inside ReadPages as that page's bytes complete and
+  // verify, and takes this frame's reference to the page, so a failed
+  // prefetch counts as wasted before its in-flight entry goes. That erase
+  // is a cache's teardown signal, so after the LAST publish of a cache's
+  // pages that cache may already be gone — once the read starts, nothing
+  // here reaches a cache except through its own pages' publishes, and
+  // ReadPages itself holds each PageFile alive
+  // (PageFile::inflight_batches_).
   std::vector<std::shared_ptr<CachedPage>> pages;
   pages.reserve(n);
   std::vector<PageFile::PageRead> reads;
   reads.reserve(n);
-  for (const PageLoad& load : loads) {
-    const PageCache& cache = *load.cache;
+  for (size_t i = 0; i < n; ++i) {
+    const PageCache& cache = *loads[i].cache;
     pages.push_back(std::make_shared<CachedPage>(
-        cache.file_->page_size(), /*prefetched=*/true,
+        cache.file_->page_size(), /*prefetched=*/pins == nullptr,
         cache.m_prefetch_wasted_));
-    reads.push_back(PageFile::PageRead{cache.file_, load.lpn,
+    reads.push_back(PageFile::PageRead{cache.file_, loads[i].lpn,
                                        &pages.back()->page});
   }
   std::vector<Status> statuses(n);
-  PageFile::ReadPages(reads.data(), statuses.data(), n, /*ctx=*/nullptr,
-                      [&](size_t i) {
-                        loads[i].cache->PublishPrefetched(
-                            loads[i].lpn, std::move(pages[i]), statuses[i]);
-                      });
+  PageFile::ReadPages(reads.data(), statuses.data(), n, ctx, [&](size_t i) {
+    loads[i].cache->Publish(loads[i].lpn, std::move(pages[i]), statuses[i],
+                            pins != nullptr ? &pins[i] : nullptr);
+  });
+  for (const Status& st : statuses) {
+    if (!st.ok()) return st;
+  }
+  return Status::OK();
 }
 
-void PageCache::PublishPrefetched(LogicalPageNo lpn,
-                                  std::shared_ptr<CachedPage> page,
-                                  const Status& st) {
+void PageCache::Publish(LogicalPageNo lpn, std::shared_ptr<CachedPage> page,
+                        const Status& st, PinnedResource* keep) {
   // Erasing `lpn` from its shard's inflight set is the signal DropAll / the
   // destructor wait on before tearing the cache down, so it must be the
   // LAST access to `this` for this page — notify while still holding the
-  // shard lock, touch nothing of the cache afterwards. The page's bytes go
-  // before that (a failed read, or a load superseded below), so their
-  // wasted count lands first.
-  Shard& shard = ShardFor(lpn);
+  // shard lock, touch nothing of the cache afterwards. A failed read's
+  // bytes go before that, so its wasted count lands first.
+  PinnedResource pin;
   if (st.ok()) {
     loads_.fetch_add(1, std::memory_order_relaxed);
-    PinnedResource pin = rm_->Register(file_->page_size(),
-                                       Disposition::kPagedAttribute, pool_,
-                                       std::move(page));
-    bool superseded;
-    {
-      ShardLock lock(*this, shard);
-      // A synchronous load may have slipped in (the slot was evicted and
-      // reloaded while we were reading): keep theirs, discard ours.
-      superseded = LiveLocked(shard, lpn) != nullptr;
-      if (!superseded) InsertLocked(shard, lpn, pin);
-    }
-    if (superseded) rm_->Unregister(pin.handle());
-    // Prefetched pages sit in the cache unpinned, with the normal
-    // weighted-LRU disposition: readahead must never shield a page from
-    // the resource manager. A superseded load's bytes go with `pin`.
+    pin = rm_->Register(file_->page_size(), Disposition::kPagedAttribute,
+                        pool_, std::move(page));
   }
   page.reset();  // a failed read's bytes
+  Shard& shard = ShardFor(lpn);
   ShardLock lock(*this, shard);
+  // This call holds the page's in-flight mark, so the slot is free.
+  if (pin.valid()) InsertLocked(shard, lpn, pin);
+  // A demand load stays pinned for its caller. Prefetched pages sit in the
+  // cache unpinned, with the normal weighted-LRU disposition: readahead
+  // must never shield a page from the resource manager.
+  if (keep != nullptr) {
+    *keep = std::move(pin);
+  } else {
+    pin.Release();
+  }
   shard.inflight.erase(lpn);
   shard.inflight_cv.NotifyAll();
 }

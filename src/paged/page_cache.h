@@ -75,8 +75,12 @@ class PageCache {
   PageCache& operator=(const PageCache&) = delete;
 
   // Returns a pinned reference to page `lpn`, loading it if not resident.
-  // When `ctx` is given, the pin (and any disk read) is attributed to that
-  // query and its deadline is checked before touching the page.
+  // A miss marks the page in flight and reads it on the calling thread as a
+  // one-page batch (DoBatchRead), so every concurrent caller of the page
+  // waits for that one read, as it waits for readahead. When `ctx` is
+  // given, the pin and the miss's read (pages_read, bytes_read) are
+  // attributed to that query and its deadline is checked before touching
+  // the page.
   Result<PageRef> GetPage(LogicalPageNo lpn, ExecContext* ctx = nullptr);
 
   // Non-blocking batched readahead: one submission for `count` consecutive
@@ -109,8 +113,8 @@ class PageCache {
   static Status LoadBatch(const std::vector<PageLoad>& pages,
                           ExecContext* ctx = nullptr);
 
-  // Blocks until no prefetch load is in flight (tests / benchmarks; new
-  // prefetches may be issued while this returns). Waits shard by shard,
+  // Blocks until no load is in flight, prefetch or GetPage miss (tests /
+  // benchmarks; new loads may start while this returns). Waits shard by shard,
   // never holding two shard locks at once.
   void WaitForPrefetchIdle();
 
@@ -130,8 +134,9 @@ class PageCache {
 
   uint32_t shard_count() const { return static_cast<uint32_t>(shard_mask_) + 1; }
 
-  // Prefetches issued whose page has not landed yet (see the accounting
-  // invariant where the registry counters are resolved, page_cache.cc).
+  // Pages whose load has not landed yet: prefetches issued and GetPage
+  // misses still reading (see the accounting invariant where the registry
+  // counters are resolved, page_cache.cc).
   uint64_t prefetch_inflight_count() const;
 
   PageFile* file() const { return file_; }
@@ -154,11 +159,13 @@ class PageCache {
     // has doubled since the last reap, so dead slots stay bounded.
     std::unordered_map<LogicalPageNo, ResourceHandle> slots GUARDED_BY(mu);
     size_t reap_at GUARDED_BY(mu) = 0;
-    // Pages a background prefetch is currently loading. GetPage waits for
-    // an in-flight load of its page instead of issuing a duplicate read,
-    // which is what lets readahead actually hide latency. DropAll (and
-    // thus the destructor) drains this set per shard before clearing, so
-    // no task outlives the cache.
+    // Pages being loaded, by a PrefetchRange task, a LoadBatch or a GetPage
+    // miss. A page is marked only while it has no live slot, and only the
+    // holder of its mark fills its slot. GetPage waits for an in-flight
+    // load of its page instead of issuing a duplicate read, which is what
+    // lets readahead actually hide latency. DropAll (and thus the
+    // destructor) drains this set per shard before clearing, so no task
+    // outlives the cache.
     std::unordered_set<LogicalPageNo> inflight GUARDED_BY(mu);
     CondVar inflight_cv;
     // "cache.shard<k>.pages" — resident pages in this shard, summed across
@@ -205,18 +212,25 @@ class PageCache {
   static void InsertLocked(Shard& shard, LogicalPageNo lpn,
                            const PinnedResource& pin) REQUIRES(shard.mu);
 
-  // One batched read over `loads` (each already marked in flight by its
-  // cache, possibly several caches), publishing per page: the body of a
-  // PrefetchRange task on the background I/O pool and of LoadBatch on the
-  // caller's thread.
-  static void DoBatchRead(const std::vector<PageLoad>& loads);
+  // The one load path: one batched read over the n pages of `loads` (each
+  // already marked in flight by its cache, possibly several caches),
+  // publishing per page. It is the body of a PrefetchRange task on the
+  // background I/O pool, and of LoadBatch and a GetPage miss on the
+  // caller's thread. Without `pins` the pages are prefetched: loaded
+  // unpinned, first pin a prefetch hit, the read charged to the cache
+  // only. With `pins` (a GetPage miss) they are demand loads: `ctx` is
+  // charged the read and pins[i] keeps page i pinned. Returns OK, or the
+  // status of the first page whose read failed.
+  static Status DoBatchRead(const PageLoad* loads, size_t n,
+                            ExecContext* ctx = nullptr,
+                            PinnedResource* pins = nullptr);
 
   // Completion hook of the batched read: registers + inserts `page` into
-  // its shard (or counts it wasted on error / when superseded), then — as
-  // the very LAST access to `this` for this page — erases the in-flight
-  // entry and notifies waiters.
-  void PublishPrefetched(LogicalPageNo lpn, std::shared_ptr<CachedPage> page,
-                         const Status& st);
+  // its shard (a failed read's bytes just go), moves the registration's
+  // pin to `keep` when given, then — as the very LAST access to `this` for
+  // this page — erases the in-flight entry and notifies waiters.
+  void Publish(LogicalPageNo lpn, std::shared_ptr<CachedPage> page,
+               const Status& st, PinnedResource* keep);
 
   PageFile* file_;
   ResourceManager* rm_;
@@ -226,7 +240,6 @@ class PageCache {
   std::atomic<uint64_t> loads_{0};
   obs::Counter* m_hits_;
   obs::Counter* m_misses_;
-  obs::Counter* m_pin_waits_;
   obs::Counter* m_prefetch_issued_;
   obs::Counter* m_prefetch_hits_;
   obs::Counter* m_prefetch_wasted_;

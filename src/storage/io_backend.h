@@ -35,8 +35,9 @@ using PageIoDoneFn = std::function<void(size_t)>;
 // round trip per page, contiguous runs coalesced into one preadv syscall)
 // and a Linux io_uring backend (vectored multi-page SQEs submitted from one
 // submission queue, up to IoQueueDepth() in flight, one simulated device
-// round trip per submission wave). Backends are stateless singletons; all
-// per-batch state lives on the calling thread.
+// round trip per submission wave; a one-page batch is one plain pread).
+// Backends are stateless singletons; all per-batch state lives on the
+// calling thread.
 class IoBackend {
  public:
   virtual ~IoBackend() = default;
@@ -88,8 +89,8 @@ uint32_t IoQueueDepth();
 // batch; each submitter's ring is re-sized lazily.
 void SetIoQueueDepth(uint32_t depth);
 
-// EINTR-retrying full pread shared by the sync backend and the single-page
-// read path; consults the test fault hook before each syscall. On success
+// EINTR-retrying full pread: the uring backend's one-page and ring-less
+// reads; consults the test fault hook before each syscall. On success
 // `*got` is the byte count actually read (short only at end of file).
 Status PreadFull(int fd, uint8_t* buf, size_t len, off_t offset, size_t* got);
 

@@ -182,7 +182,10 @@ class UringIoBackend final : public IoBackend {
   void ReadBatch(PageIoRequest* reqs, size_t n, uint32_t simulated_latency_us,
                  const PageIoDoneFn& done) override {
     if (n == 0) return;
-    Ring* ring = ThreadRing();
+    // One page costs one round trip either way, and a plain pread is
+    // cheaper than entering the ring; a thread that reads only single
+    // pages never sets a ring up.
+    Ring* ring = n == 1 ? nullptr : ThreadRing();
     if (ring == nullptr) {
       FallbackSequential(reqs, n, simulated_latency_us, done);
       return;
@@ -517,9 +520,9 @@ class UringIoBackend final : public IoBackend {
     }
   }
 
-  // Ring-less degradation: plain sequential preads, each from its own
-  // file, with per-page round trips (mirrors the sync backend's cost
-  // model).
+  // A one-page batch, or a thread without a ring: plain sequential preads,
+  // each from its own file, with per-page round trips (mirrors the sync
+  // backend's cost model).
   static void FallbackSequential(PageIoRequest* reqs, size_t n,
                                  uint32_t simulated_latency_us,
                                  const PageIoDoneFn& done) {

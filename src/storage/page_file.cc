@@ -39,10 +39,8 @@ PageFile::PageFile(std::string path, int fd, uint32_t page_size,
   m_bytes_written_ = reg.counter("storage.write.bytes");
   m_read_latency_us_ = reg.histogram("storage.read.latency_us");
   m_write_latency_us_ = reg.histogram("storage.write.latency_us");
-  m_io_batches_ = reg.counter("io.batches_submitted");
   m_io_batch_pages_ = reg.histogram("io.batch_pages");
   m_io_inflight_ = reg.gauge("io.inflight");
-  m_io_completion_latency_us_ = reg.histogram("io.completion_latency_us");
   m_io_checksum_fail_ = reg.counter("io.checksum_fail");
 }
 
@@ -111,35 +109,16 @@ Status PageFile::WritePage(LogicalPageNo lpn, Page* page) {
   return Status::OK();
 }
 
-Status PageFile::ReadPage(LogicalPageNo lpn, Page* page,
-                          ExecContext* ctx) const {
-  PAYG_ASSERT(page->size() == page_size_);
-  if (lpn >= page_count_.load(std::memory_order_acquire)) {
-    return Status::OutOfRange("page " + std::to_string(lpn) +
-                              " beyond end of chain " + path_);
-  }
-  // The span and the latency histogram both cover the whole physical read,
-  // including the simulated device latency — that is the cost the paper's
-  // cold-read measurements are about.
-  obs::TraceSpan span("io", "page_read", lpn);
-  Stopwatch timer;
-  ChargeSimulatedLatency(opts_.simulated_read_latency_us);
-  off_t offset = static_cast<off_t>(lpn) * page_size_;
-  size_t got = 0;
-  Status s = PreadFull(fd_, page->raw(), page_size_, offset, &got);
-  if (!s.ok()) return s;
-  if (got < page_size_) {
-    return Status::IOError("short read at lpn " + std::to_string(lpn) +
-                           " in " + path_);
-  }
-  s = VerifyLoadedPage(lpn, page, ctx);
-  if (!s.ok()) return s;
-  m_read_latency_us_->Record(static_cast<uint64_t>(timer.ElapsedMicros()));
-  return Status::OK();
+Status PageFile::ReadPage(LogicalPageNo lpn, Page* page) const {
+  const PageRead read{this, lpn, page};
+  Status st;
+  ReadPages(&read, &st, 1);
+  return st;
 }
 
 Status PageFile::VerifyLoadedPage(LogicalPageNo lpn, Page* page,
-                                  ExecContext* ctx) const {
+                                  ExecContext* ctx,
+                                  const Stopwatch& submitted) const {
   if (page->header()->magic != PageHeader::kMagic) {
     return Status::Corruption("bad page magic at lpn " + std::to_string(lpn) +
                               " in " + path_);
@@ -164,6 +143,8 @@ Status PageFile::VerifyLoadedPage(LogicalPageNo lpn, Page* page,
   }
   m_pages_read_->Inc();
   m_bytes_read_->Add(page_size_);
+  m_read_latency_us_->Record(
+      static_cast<uint64_t>(submitted.ElapsedMicros()));
   Bump(ctx, &QueryStats::pages_read);
   Bump(ctx, &QueryStats::bytes_read, page_size_);
   return Status::OK();
@@ -197,9 +178,10 @@ void PageFile::ReadPages(const PageRead* reads, Status* statuses, size_t n,
   // once its last page completes.
   const PageFile& first = *reads[0].file;
   obs::Gauge* inflight = first.m_io_inflight_;
-  obs::Histogram* completion_latency_us = first.m_io_completion_latency_us_;
+  // The span and the latency samples cover the whole physical read,
+  // including the simulated device latency — that is the cost the paper's
+  // cold-read measurements are about.
   obs::TraceSpan span("io", "batch_read", n);
-  first.m_io_batches_->Inc();
   first.m_io_batch_pages_->Record(n);
   inflight->Add(static_cast<int64_t>(n));
   Stopwatch timer;
@@ -238,10 +220,10 @@ void PageFile::ReadPages(const PageRead* reads, Status* statuses, size_t n,
     const size_t i = orig[j];
     Status st = std::move(reqs[j].status);
     if (st.ok()) {
-      st = reads[i].file->VerifyLoadedPage(reads[i].lpn, reads[i].page, ctx);
+      st = reads[i].file->VerifyLoadedPage(reads[i].lpn, reads[i].page, ctx,
+                                           timer);
     }
     statuses[i] = std::move(st);
-    completion_latency_us->Record(static_cast<uint64_t>(timer.ElapsedMicros()));
     inflight->Add(-1);
     if (done) done(i);
   };

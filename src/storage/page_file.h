@@ -15,6 +15,7 @@
 namespace payg {
 
 class ExecContext;
+class Stopwatch;
 
 // A chain of fixed-size pages backed by one file. The logical page number of
 // a page is its index in the file (offset = lpn * page_size), which makes
@@ -48,11 +49,10 @@ class PageFile {
   // Writes `page` at an existing logical page number (rebuild paths).
   Status WritePage(LogicalPageNo lpn, Page* page);
 
-  // Reads the page at `lpn` into `page` (whose size must match), verifying
-  // magic and checksum, and applying the configured simulated read latency.
-  // When a query's ExecContext is given, the read is also attributed to it.
-  Status ReadPage(LogicalPageNo lpn, Page* page,
-                  ExecContext* ctx = nullptr) const;
+  // Reads the page at `lpn` into `page` (whose size must match) as a
+  // one-page ReadPages: the chain readers outside the page cache (meta
+  // pages, byte streams) use it.
+  Status ReadPage(LogicalPageNo lpn, Page* page) const;
 
   // One page of a batched read: its chain, its number, and the page its
   // bytes go to (sized to the chain's page size).
@@ -62,19 +62,22 @@ class PageFile {
     Page* page = nullptr;
   };
 
-  // Batched read, possibly across chains: the n pages of `reads` are read
-  // through the current IoBackend as one submission (pages contiguous in
-  // one file become vectored reads; a wave is charged the largest
-  // simulated latency among the files) and each page's final status lands
-  // in `statuses[i]`. `done(i)` — when given — fires on the calling thread
-  // as page i completes, after verification, with statuses[i] final; this
-  // is the completion-driven publish hook the page cache uses, so a page
-  // becomes visible when its bytes land rather than when the slowest page
-  // of the batch does. Blocking: by return every page has exactly one
-  // final status and one done() call. A bad page (out of range, short
-  // read, corruption) fails only itself. Every file stays alive until the
-  // call returns (see ~PageFile), but after its last page's done() the
-  // call touches nothing of it except that count.
+  // The one read path, batched and possibly across chains: the n pages of
+  // `reads` are read through the current IoBackend as one submission
+  // (pages contiguous in one file become vectored reads; a wave is charged
+  // the largest simulated latency among the files), each is verified
+  // (magic, page number, checksum), and its final status lands in
+  // `statuses[i]`. A verified page counts in "storage.read.*" and, when a
+  // query's ExecContext is given, in its pages_read and bytes_read.
+  // `done(i)` — when given — fires on the calling thread as page i
+  // completes, after verification, with statuses[i] final; this is the
+  // completion-driven publish hook the page cache uses, so a page becomes
+  // visible when its bytes land rather than when the slowest page of the
+  // batch does. Blocking: by return every page has exactly one final
+  // status and one done() call. A bad page (out of range, short read,
+  // corruption) fails only itself. Every file stays alive until the call
+  // returns (see ~PageFile), but after its last page's done() the call
+  // touches nothing of it except that count.
   static void ReadPages(const PageRead* reads, Status* statuses, size_t n,
                         ExecContext* ctx = nullptr,
                         const PageIoDoneFn& done = nullptr);
@@ -94,11 +97,11 @@ class PageFile {
   PageFile(std::string path, int fd, uint32_t page_size, uint64_t page_count,
            const StorageOptions& opts);
 
-  // Shared verification + accounting tail of the single-page and batched
-  // reads: magic, page number, checksum (counting "io.checksum_fail"),
-  // then the read counters.
-  Status VerifyLoadedPage(LogicalPageNo lpn, Page* page,
-                          ExecContext* ctx) const;
+  // Verification + accounting of one page a batch landed: magic, page
+  // number, checksum (counting "io.checksum_fail"), then the read counters
+  // and the time since `submitted` in "storage.read.latency_us".
+  Status VerifyLoadedPage(LogicalPageNo lpn, Page* page, ExecContext* ctx,
+                          const Stopwatch& submitted) const;
 
   std::string path_;
   int fd_;
@@ -113,10 +116,9 @@ class PageFile {
   mutable std::atomic<uint64_t> inflight_batches_{0};
 
   // Process-wide page traffic ("storage.read.*" / "storage.write.*") and
-  // the physical-IO latency histograms ("storage.read.latency_us" covers
-  // single-page reads only; a batched page lands in
-  // "io.completion_latency_us"). Resolved once here so the read path pays
-  // no registry lookup.
+  // the physical-IO latency histograms (one "storage.read.latency_us"
+  // sample per verified page). Resolved once here so the read path pays no
+  // registry lookup.
   obs::Counter* m_pages_read_;
   obs::Counter* m_bytes_read_;
   obs::Counter* m_pages_written_;
@@ -124,13 +126,10 @@ class PageFile {
   obs::Histogram* m_read_latency_us_;
   obs::Histogram* m_write_latency_us_;
 
-  // Batched-I/O observability ("io.*"): submissions, batch size
-  // distribution, pages currently in flight, per-page completion latency
-  // (submit -> verified), checksum failures.
-  obs::Counter* m_io_batches_;
+  // Batched-I/O observability ("io.*"): batch size distribution (one
+  // sample per submission), pages currently in flight, checksum failures.
   obs::Histogram* m_io_batch_pages_;
   obs::Gauge* m_io_inflight_;
-  obs::Histogram* m_io_completion_latency_us_;
   obs::Counter* m_io_checksum_fail_;
 };
 

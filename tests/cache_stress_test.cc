@@ -2,14 +2,19 @@
 // readers hammer GetPage/PrefetchRange/LoadBatch on overlapping page ranges
 // while the resource manager applies constant eviction pressure. The suite is part of
 // the TSan and ASan+UBSan legs of scripts/check.sh and CI, where the
-// "TryPin/Unpin take no mutex" claim is actually checked.
+// "TryPin/Unpin take no mutex" claim is actually checked. It also checks,
+// over both I/O backends, that a page has one load path: concurrent misses
+// of one page share one read, and a failed read reaches every caller.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <initializer_list>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,7 +22,10 @@
 #include "buffer/resource_manager.h"
 #include "common/random.h"
 #include "counter_delta.h"
+#include "obs/metrics.h"
 #include "paged/page_cache.h"
+#include "storage/byte_stream.h"
+#include "storage/io_backend.h"
 #include "storage/page_file.h"
 #include "test_util.h"
 
@@ -248,6 +256,166 @@ INSTANTIATE_TEST_SUITE_P(ShardExtremes, CacheDropAllRaceTest,
                          [](const ::testing::TestParamInfo<uint32_t>& info) {
                            return "Shards" + std::to_string(info.param);
                          });
+
+int AlwaysEio() { return EIO; }
+
+// The one load path of a page, over each I/O backend (uring skips where the
+// kernel lacks it): a GetPage miss is a one-page batch whose page is marked
+// in flight, so every concurrent caller of the page waits for that read.
+class CacheLoadPathTest : public CacheStressTest,
+                          public ::testing::WithParamInterface<const char*> {
+ protected:
+  static constexpr int kCallers = 8;
+
+  void SetUp() override {
+    CacheStressTest::SetUp();
+    if (std::strcmp(GetParam(), "uring") == 0 && !IoUringAvailable()) {
+      GTEST_SKIP() << "io_uring unavailable on this kernel";
+    }
+    saved_backend_ = CurrentIoBackend()->name();
+    ASSERT_TRUE(SetIoBackend(GetParam()).ok());
+  }
+
+  void TearDown() override {
+    SetIoFaultHookForTest(nullptr);
+    if (saved_backend_ != nullptr) {
+      EXPECT_TRUE(SetIoBackend(saved_backend_).ok());
+    }
+    CacheStressTest::TearDown();
+  }
+
+  // kCallers threads, released together, each GetPage `lpn` once; caller
+  // t's page lands in (*refs)[t], its failure in (*statuses)[t].
+  static void GetTogether(PageCache* cache, LogicalPageNo lpn,
+                          std::vector<PageRef>* refs,
+                          std::vector<Status>* statuses) {
+    refs->clear();
+    refs->resize(kCallers);
+    statuses->assign(kCallers, Status::OK());
+    std::latch start(kCallers);
+    std::vector<std::thread> callers;
+    callers.reserve(kCallers);
+    for (int t = 0; t < kCallers; ++t) {
+      callers.emplace_back([&, t] {
+        start.arrive_and_wait();
+        Result<PageRef> ref = cache->GetPage(lpn);
+        if (ref.ok()) {
+          (*refs)[t] = std::move(*ref);
+        } else {
+          (*statuses)[t] = ref.status();
+        }
+      });
+    }
+    for (auto& th : callers) th.join();
+  }
+
+  const char* saved_backend_ = nullptr;
+};
+
+TEST_P(CacheLoadPathTest, ConcurrentMissesOfOnePageShareOneRead) {
+  // The read sleeps, so callers released together find it in flight.
+  CreateFile(/*read_latency_us=*/20000);
+  ResourceManager rm;
+  PageCache cache(file_.get(), &rm, PoolId::kPagedPool);
+  CacheCounters counters;
+  CounterDelta pages_read("storage.read.pages");
+  constexpr LogicalPageNo kLpn = 7;
+
+  std::vector<PageRef> refs;
+  std::vector<Status> statuses;
+  GetTogether(&cache, kLpn, &refs, &statuses);
+
+  EXPECT_EQ(pages_read(), 1u);
+  EXPECT_EQ(cache.load_count(), 1u);
+  EXPECT_EQ(counters.misses(), 1u);
+  EXPECT_EQ(counters.hits(), kCallers - 1u);
+  for (int t = 0; t < kCallers; ++t) {
+    ASSERT_TRUE(statuses[t].ok()) << "caller " << t << ": "
+                                  << statuses[t].ToString();
+    ASSERT_TRUE(refs[t].valid()) << "caller " << t;
+    EXPECT_EQ(&refs[t].page(), &refs[0].page()) << "caller " << t;
+    EXPECT_EQ(refs[t].page().header()->logical_page_no, kLpn);
+  }
+}
+
+TEST_P(CacheLoadPathTest, FailedDemandReadReachesEveryCaller) {
+  CreateFile(/*read_latency_us=*/2000);
+  ResourceManager rm;
+  PageCache cache(file_.get(), &rm, PoolId::kPagedPool);
+  const uint64_t resources = rm.resource_count();
+  CacheCounters counters;
+  constexpr LogicalPageNo kLpn = 3;
+
+  // Every read fails: the loader gets the error, and each caller that
+  // waited on its in-flight entry then reads the page itself and fails too.
+  SetIoFaultHookForTest(&AlwaysEio);
+  std::vector<PageRef> refs;
+  std::vector<Status> statuses;
+  GetTogether(&cache, kLpn, &refs, &statuses);
+  SetIoFaultHookForTest(nullptr);
+
+  for (int t = 0; t < kCallers; ++t) {
+    EXPECT_TRUE(statuses[t].IsIOError()) << "caller " << t << ": "
+                                         << statuses[t].ToString();
+    EXPECT_FALSE(refs[t].valid()) << "caller " << t;
+  }
+  EXPECT_EQ(counters.hits() + counters.misses(), 0u);
+  EXPECT_EQ(cache.prefetch_inflight_count(), 0u);
+  EXPECT_EQ(rm.resource_count(), resources);
+  cache.DropAll();  // would wait forever on a stale in-flight entry
+
+  auto ref = cache.GetPage(kLpn);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  EXPECT_EQ(ref->page().header()->logical_page_no, kLpn);
+}
+
+TEST_P(CacheLoadPathTest, EveryPageReadRecordsOneLatencySample) {
+  CreateFile();
+  ResourceManager rm;
+  PageCache cache(file_.get(), &rm, PoolId::kPagedPool);
+  const obs::Histogram* latency =
+      obs::MetricsRegistry::Global().histogram("storage.read.latency_us");
+  const uint64_t samples_before = latency->count();
+  CounterDelta pages_read("storage.read.pages");
+  const auto expect_one_sample_per_page = [&](uint64_t pages,
+                                              const char* what) {
+    EXPECT_EQ(pages_read(), pages) << what;
+    EXPECT_EQ(latency->count() - samples_before, pages_read()) << what;
+  };
+
+  ASSERT_TRUE(cache.GetPage(0).ok());
+  expect_one_sample_per_page(1, "GetPage miss");
+  cache.PrefetchRange(1, 4);
+  cache.WaitForPrefetchIdle();
+  expect_one_sample_per_page(5, "PrefetchRange");
+  ASSERT_TRUE(PageCache::LoadBatch({PageLoad{&cache, 10},
+                                    PageLoad{&cache, 11},
+                                    PageLoad{&cache, 20}})
+                  .ok());
+  expect_one_sample_per_page(8, "LoadBatch");
+
+  // A byte stream of a few pages, read back outside the cache.
+  StorageOptions opts;
+  opts.page_size = kPageSize;
+  auto stream = PageFile::Create(dir_ + "/stream", kPageSize, opts);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  constexpr uint64_t kValues = 1500;  // 12000 bytes: three pages
+  ChainByteWriter writer(stream->get());
+  for (uint64_t v = 0; v < kValues; ++v) writer.PutU64(v);
+  ASSERT_TRUE(writer.Finish().ok());
+  const uint64_t stream_pages = (*stream)->page_count();
+  ASSERT_GE(stream_pages, 3u);
+  ChainByteReader reader(stream->get());
+  for (uint64_t v = 0; v < kValues; ++v) {
+    auto got = reader.GetU64();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, v);
+  }
+  expect_one_sample_per_page(8 + stream_pages, "ChainByteReader");
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, CacheLoadPathTest,
+                         ::testing::Values("sync", "uring"));
 
 }  // namespace
 }  // namespace payg

@@ -480,14 +480,14 @@ TEST(TraceTest, ChromeDumpIsValidJson) {
   tracer.Enable(256);
   {
     TraceSpan a("exec", "query", 1);
-    TraceSpan b("io", "page_read", 42);
+    TraceSpan b("io", "batch_read", 42);
   }
   tracer.Disable();
   std::string json = tracer.DumpChromeTrace();
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"page_read\""), std::string::npos);
+  EXPECT_NE(json.find("\"batch_read\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"io\""), std::string::npos);
 }
 

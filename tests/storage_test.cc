@@ -373,8 +373,8 @@ class IoBackendTest : public StorageTest,
 
 TEST_P(IoBackendTest, BatchRoundtripCallsDoneOncePerPage) {
   auto file = MakeChain("batch", 16);
-  auto* batches = obs::MetricsRegistry::Global().counter("io.batches_submitted");
-  const uint64_t batches_before = batches->value();
+  auto* batches = obs::MetricsRegistry::Global().histogram("io.batch_pages");
+  const uint64_t batches_before = batches->count();
 
   // Mixed contiguous + scattered lpns: exercises run coalescing and the
   // multi-run submission path.
@@ -399,7 +399,7 @@ TEST_P(IoBackendTest, BatchRoundtripCallsDoneOncePerPage) {
                           pages[i].payload_size()),
               expect);
   }
-  EXPECT_EQ(batches->value(), batches_before + 1);
+  EXPECT_EQ(batches->count(), batches_before + 1);
 }
 
 TEST_P(IoBackendTest, OutOfRangePageFailsAlone) {
