@@ -62,6 +62,11 @@ cmake --build "$BUILD-tsan" -j --target buffer_test exec_test obs_test profile_t
 "$BUILD-tsan"/tests/cache_stress_test \
   --gtest_filter='Backends/CacheLoadPathTest.ConcurrentMissesOfOnePageShareOneRead/*' \
   --gtest_repeat=50
+# Touch loads and stores an entry's stamp word while victim passes read it:
+# the stress test and the victim-order tests, repeated for the same reason.
+"$BUILD-tsan"/tests/buffer_test \
+  --gtest_filter='ResourceManagerStressTest.ConcurrentPinTouchUnregister:ResourceManagerTest.PagedPoolEvictedByAgeSizeAndTouches:ResourceManagerTest.LargerPageGoesFirstAtEqualAge:ResourceManagerTest.OftenTouchedPageOutlivesUntouchedOnes:ResourceManagerTest.SaturatedPageIsEvictedOnceNoLongerTouched:ResourceManagerTest.GeneralPoolIgnoresSizeAndTouches' \
+  --gtest_repeat=50
 
 echo "== ASan+UBSan build: buffer + cache-stress + columnar + core + codec + crc32 + profile + server + table + exec + integration + paged + encoding + storage suites =="
 cmake -B "$BUILD-asan" -S . -DPAYG_SANITIZE=address+undefined >/dev/null

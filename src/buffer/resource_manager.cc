@@ -10,6 +10,10 @@
 namespace payg {
 
 using buffer_detail::kDeadFlag;
+using buffer_detail::kTouchBits;
+using buffer_detail::kTouchCap;
+using buffer_detail::StampTick;
+using buffer_detail::StampTouches;
 
 namespace {
 
@@ -69,8 +73,9 @@ PinnedResource ResourceManager::Register(uint64_t bytes,
   entry->disposition = disposition;
   entry->pool = pool;
   entry->payload = std::move(payload);
-  entry->last_touch.store(clock_.fetch_add(1, std::memory_order_relaxed),
-                          std::memory_order_relaxed);
+  entry->last_touch.store(
+      clock_.fetch_add(1, std::memory_order_relaxed) << kTouchBits | 1,
+      std::memory_order_relaxed);
   entry->pin_state.store(1, std::memory_order_relaxed);  // the caller's pin
   PinnedResource pin(entry);
   const auto pool_idx = static_cast<int>(pool);
@@ -124,8 +129,12 @@ void ResourceManager::Forget(const Entry& e) {
 }
 
 void ResourceManager::Touch(const ResourceHandle& handle) {
-  handle->last_touch.store(clock_.fetch_add(1, std::memory_order_relaxed),
-                           std::memory_order_relaxed);
+  const uint64_t tick = clock_.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t touches =
+      StampTouches(handle->last_touch.load(std::memory_order_relaxed));
+  handle->last_touch.store(
+      tick << kTouchBits | std::min(touches + 1, kTouchCap),
+      std::memory_order_relaxed);
 }
 
 void ResourceManager::SetGlobalBudget(uint64_t bytes) {
@@ -149,8 +158,8 @@ size_t ResourceManager::EvictLocked(PoolId pool, uint64_t target,
   if (level.load(std::memory_order_relaxed) <= target) return 0;
 
   struct Candidate {
-    double score;  // t/w
-    uint64_t stamp;
+    double score;   // paged: t × bytes / n; general: t/w
+    uint64_t tick;  // of the latest touch
     ResourceHandle entry;
   };
   const uint64_t now = clock_.load(std::memory_order_relaxed);
@@ -165,16 +174,22 @@ size_t ResourceManager::EvictLocked(PoolId pool, uint64_t target,
       // A touch that landed after `now` was read is fresh, not the oldest
       // entry by unsigned wrap-around.
       const uint64_t stamp = e->last_touch.load(std::memory_order_relaxed);
-      const double t = static_cast<double>(now > stamp ? now - stamp : 0);
-      candidates.push_back(
-          {paged ? t : t / DispositionWeight(e->disposition), stamp, e});
+      const uint64_t tick = StampTick(stamp);
+      const double t = static_cast<double>(now > tick ? now - tick : 0);
+      // Inside a paged pool a page that is large and seldom touched goes
+      // first (GreedyDual-Size-Frequency's idea): n is at least 1, the
+      // registration's own count.
+      const double score =
+          paged ? t * static_cast<double>(e->bytes) /
+                      static_cast<double>(StampTouches(stamp))
+                : t / DispositionWeight(e->disposition);
+      candidates.push_back({score, tick, e});
     }
   }
-  // Equal scores go oldest first, so a paged pool evicts in stamp order.
+  // Equal scores go oldest first.
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
-              return a.score != b.score ? a.score > b.score
-                                        : a.stamp < b.stamp;
+              return a.score != b.score ? a.score > b.score : a.tick < b.tick;
             });
   std::vector<ResourceHandle> victims;
   for (Candidate& c : candidates) {

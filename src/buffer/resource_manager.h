@@ -26,14 +26,28 @@ namespace buffer_detail {
 inline constexpr uint64_t kDeadFlag = 1ull << 63;
 inline constexpr uint64_t kPinCountMask = kDeadFlag - 1;
 
+// Entry::last_touch packs two things into one word: the tick of the
+// manager's clock at the latest touch, above a small touch count n (the
+// registration and every Touch since, saturating at kTouchCap) in the low
+// kTouchBits. A paged victim pass ranks by age × bytes / n (DESIGN.md §8).
+inline constexpr int kTouchBits = 8;
+inline constexpr uint64_t kTouchCap = (uint64_t{1} << kTouchBits) - 1;
+inline constexpr uint64_t StampTick(uint64_t stamp) {
+  return stamp >> kTouchBits;
+}
+inline constexpr uint64_t StampTouches(uint64_t stamp) {
+  return stamp & kTouchCap;
+}
+
 // One registered resource. Shared ownership: the striped table holds one
 // reference, every outstanding pin handle holds another, so a pin can be
 // released (atomically, without any lock) even after the registration is
 // gone.
 //
 // Field protection: `pin_state` is the lock-free pin/liveness word and
-// `last_touch` the recency stamp (a unique tick of the manager's clock,
-// stored relaxed on every touch). Everything else is written once before
+// `last_touch` the recency stamp (a unique tick of the manager's clock and
+// the touch count, loaded and stored relaxed on every touch; a touch that
+// races another may lose one count). Everything else is written once before
 // the entry is published and read-only afterwards, except `payload`, which
 // an eviction resets after winning the dead flag against a zero pin count:
 // nothing reads a payload without holding a pin on it, so no reader can
@@ -71,8 +85,9 @@ class PinnedResource;
 //
 // Eviction:
 //  * Reactive: when total tracked bytes exceed the global budget, first
-//    shrink paged-attribute pools down to their lower limits (plain LRU,
-//    weight ignored), then evict general resources in descending t/w order.
+//    shrink paged-attribute pools down to their lower limits (descending
+//    t × bytes / n: age, size and touches since load; disposition weight
+//    ignored), then evict general resources in descending t/w order.
 //  * Proactive: a background sweeper shrinks any paged pool that exceeds its
 //    upper limit down to its lower limit, even when plenty of memory is
 //    available. It runs asynchronously and never blocks new loads.
@@ -86,7 +101,8 @@ class PinnedResource;
 //    word. An entry is removed by CAS-ing the word from 0 to the dead flag,
 //    so TryPin fails cleanly against a concurrently-chosen victim and a
 //    victim is never chosen while pinned.
-//  * Touch: one relaxed store of a fresh clock tick into the entry's stamp.
+//  * Touch: one relaxed load and one relaxed store of the entry's stamp
+//    (a fresh clock tick and the touch count plus one).
 //  * Register/Unregister: the id→entry table is striped; registration and
 //    voluntary release take one stripe mutex plus atomic byte counters —
 //    never the main mutex (unless registration pushes the budget over and
@@ -125,8 +141,8 @@ class ResourceManager {
   // (evicted). Takes only the entry's table stripe, never the main mutex.
   bool Unregister(const ResourceHandle& handle);
 
-  // Marks the resource recently used: stores a fresh clock tick into its
-  // stamp, taking no lock.
+  // Marks the resource recently used: stores a fresh clock tick and one
+  // more touch (up to kTouchCap) into its stamp, taking no lock.
   void Touch(const ResourceHandle& handle);
 
   // True once the resource has been evicted or unregistered: it can never
@@ -174,12 +190,12 @@ class ResourceManager {
   // The caller has already won the dead flag.
   void Forget(const Entry& e);
   // The one victim collector. Walks the table stripes, ranks the unpinned,
-  // swappable entries of `pool` by descending t/w (w = 1 inside a paged
-  // pool, so plain LRU there, §5) and CASes them dead until the pool level
-  // (paged pool) or the total (general pool) is at most `target`; then
-  // drops the victims' payloads in victim order. Returns the number of
-  // victims. `proactive` only labels the eviction counter (sweeper vs.
-  // budget).
+  // swappable entries of `pool` by descending score — t × bytes / n inside
+  // a paged pool, t/w in the general pool (§5) — and CASes them dead until
+  // the pool level (paged pool) or the total (general pool) is at most
+  // `target`; then drops the victims' payloads in victim order. Returns
+  // the number of victims. `proactive` only labels the eviction counter
+  // (sweeper vs. budget).
   size_t EvictLocked(PoolId pool, uint64_t target, bool proactive)
       REQUIRES(mu_);
   // Over budget: shrinks the paged pools to their lower limits, then evicts

@@ -47,6 +47,10 @@ class FragmentReader {
 
   // --- value lookup (index if present, else full data-vector scan) ----------
   virtual Status FindRows(ValueId vid, std::vector<RowPos>* out) = 0;
+  // COUNT(*) of the rows FindRows would return. With an index it reads only
+  // the directory (§3.3: the span of `vid` is the difference of two
+  // entries), never a posting; without one it is the FindRows scan.
+  virtual Result<uint64_t> CountRows(ValueId vid) = 0;
 
   // --- dictionary ----------------------------------------------------------
   virtual Result<Value> GetValueForVid(ValueId vid) = 0;

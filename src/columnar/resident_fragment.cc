@@ -115,6 +115,17 @@ class ResidentReader : public FragmentReader {
     return Status::OK();
   }
 
+  Result<uint64_t> CountRows(ValueId vid) override {
+    if (vid >= frag_->dict_size_) return Status::OutOfRange("value id");
+    if (frag_->has_index_) {
+      Bump(ctx_, &QueryStats::index_lookups);
+      return static_cast<uint64_t>(payload_->index.Lookup(vid).size());
+    }
+    std::vector<RowPos> rows;
+    PAYG_RETURN_IF_ERROR(FindRows(vid, &rows));
+    return static_cast<uint64_t>(rows.size());
+  }
+
   Result<Value> GetValueForVid(ValueId vid) override {
     if (vid >= frag_->dict_size_) return Status::OutOfRange("value id");
     return payload_->dict.GetValue(vid);

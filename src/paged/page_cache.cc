@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/env.h"
+#include "common/small_array.h"
 #include "common/stopwatch.h"
 #include "exec/exec_context.h"
 #include "exec/io_pool.h"
@@ -261,25 +262,23 @@ Status PageCache::DoBatchRead(const PageLoad* loads, size_t n,
   // here reaches a cache except through its own pages' publishes, and
   // ReadPages itself holds each PageFile alive
   // (PageFile::inflight_batches_).
-  std::vector<std::shared_ptr<CachedPage>> pages;
-  pages.reserve(n);
-  std::vector<PageFile::PageRead> reads;
-  reads.reserve(n);
+  constexpr size_t kInline = PageFile::kInlineBatchPages;
+  SmallArray<std::shared_ptr<CachedPage>, kInline> pages(n);
+  SmallArray<PageFile::PageRead, kInline> reads(n);
   for (size_t i = 0; i < n; ++i) {
     const PageCache& cache = *loads[i].cache;
-    pages.push_back(std::make_shared<CachedPage>(
-        cache.file_->page_size(), /*prefetched=*/pins == nullptr,
-        cache.m_prefetch_wasted_));
-    reads.push_back(PageFile::PageRead{cache.file_, loads[i].lpn,
-                                       &pages.back()->page});
+    pages[i] = std::make_shared<CachedPage>(cache.file_->page_size(),
+                                            /*prefetched=*/pins == nullptr,
+                                            cache.m_prefetch_wasted_);
+    reads[i] = PageFile::PageRead{cache.file_, loads[i].lpn, &pages[i]->page};
   }
-  std::vector<Status> statuses(n);
+  SmallArray<Status, kInline> statuses(n);
   PageFile::ReadPages(reads.data(), statuses.data(), n, ctx, [&](size_t i) {
     loads[i].cache->Publish(loads[i].lpn, std::move(pages[i]), statuses[i],
                             pins != nullptr ? &pins[i] : nullptr);
   });
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
+  for (size_t i = 0; i < n; ++i) {
+    if (!statuses[i].ok()) return statuses[i];
   }
   return Status::OK();
 }

@@ -57,23 +57,19 @@ class PagedReader : public FragmentReader {
   }
 
   Status FindRows(ValueId vid, std::vector<RowPos>* out) override {
-    if (vid >= frag_->dict_size_) return Status::OutOfRange("value id");
-    // §8: under the deferred regime this may rebuild the index now.
-    PAYG_RETURN_IF_ERROR(frag_->MaybeRebuildIndex());
-    if (idx_it_ == nullptr) {
-      PagedInvertedIndex* index = frag_->index();
-      if (index != nullptr) {
-        idx_it_ = std::make_unique<PagedIndexIterator>(index, ctx_);
-      }
-    }
-    if (idx_it_ != nullptr) {
-      // Alg. 5: use the paged inverted index when it exists.
-      Bump(ctx_, &QueryStats::index_lookups);
-      return idx_it_->Lookup(vid, out);
-    }
+    PAYG_ASSIGN_OR_RETURN(PagedIndexIterator* index, PointLookup(vid));
+    // Alg. 5: use the paged inverted index when it exists.
+    if (index != nullptr) return index->Lookup(vid, out);
     // Alg. 1: sequential scan of the paged data vector.
-    Bump(ctx_, &QueryStats::vector_scans);
     return dv_it_.FindByValueId(vid, out);
+  }
+
+  Result<uint64_t> CountRows(ValueId vid) override {
+    PAYG_ASSIGN_OR_RETURN(PagedIndexIterator* index, PointLookup(vid));
+    if (index != nullptr) return index->CountPostings(vid);
+    std::vector<RowPos> rows;
+    PAYG_RETURN_IF_ERROR(dv_it_.FindByValueId(vid, &rows));
+    return static_cast<uint64_t>(rows.size());
   }
 
   Result<Value> GetValueForVid(ValueId vid) override {
@@ -113,6 +109,23 @@ class PagedReader : public FragmentReader {
   }
 
  private:
+  // One point lookup of `vid` (FindRows or CountRows): counts toward the
+  // deferred rebuild (§8), which may build the index now, and returns the
+  // index cursor, or null when the lookup scans the data vector.
+  Result<PagedIndexIterator*> PointLookup(ValueId vid) {
+    if (vid >= frag_->dict_size_) return Status::OutOfRange("value id");
+    PAYG_RETURN_IF_ERROR(frag_->MaybeRebuildIndex());
+    if (idx_it_ == nullptr) {
+      PagedInvertedIndex* index = frag_->index();
+      if (index != nullptr) {
+        idx_it_ = std::make_unique<PagedIndexIterator>(index, ctx_);
+      }
+    }
+    Bump(ctx_, idx_it_ != nullptr ? &QueryStats::index_lookups
+                                  : &QueryStats::vector_scans);
+    return idx_it_.get();
+  }
+
   PagedFragment* frag_;
   ExecContext* ctx_;
   PagedDataVectorIterator dv_it_;

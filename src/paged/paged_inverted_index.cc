@@ -312,6 +312,14 @@ Result<RowPos> PagedIndexIterator::GetFirstRowPos(ValueId vid) {
   return GetNextRowPos();
 }
 
+Result<uint64_t> PagedIndexIterator::CountPostings(ValueId vid) {
+  if (vid >= index_->dict_size_) return Status::OutOfRange("value id");
+  if (index_->unique_) return uint64_t{1};
+  PAYG_ASSIGN_OR_RETURN(const uint64_t first, ReadDirEntry(vid));
+  PAYG_ASSIGN_OR_RETURN(const uint64_t end, ReadDirEntry(vid + 1));
+  return end - first;
+}
+
 Result<RowPos> PagedIndexIterator::GetNextRowPos() {
   PAYG_ASSERT_MSG(HasNext(), "getNextRowPos past the end");
   return ReadPosting(cursor_++);

@@ -95,6 +95,11 @@ class PagedIndexIterator {
   // Convenience: all row positions for `vid`.
   Status Lookup(ValueId vid, std::vector<RowPos>* out);
 
+  // Number of postings of `vid` without reading any: 1 in a unique index,
+  // else the difference of directory entries vid + 1 and vid (usually one
+  // directory page).
+  Result<uint64_t> CountPostings(ValueId vid);
+
   uint64_t pages_touched() const { return pages_touched_; }
 
   // Pages to prefetch ahead of the posting cursor when a long postinglist

@@ -49,7 +49,7 @@ class SyncIoBackend final : public IoBackend {
   bool queue_depth_aware() const override { return false; }
 
   void ReadBatch(PageIoRequest* reqs, size_t n, uint32_t simulated_latency_us,
-                 const PageIoDoneFn& done) override {
+                 PageIoDoneFn done) override {
     size_t i = 0;
     while (i < n) {
       // Maximal run of contiguous pages starting at i (adjacent in the

@@ -1,8 +1,9 @@
 #ifndef PAYG_STORAGE_IO_BACKEND_H_
 #define PAYG_STORAGE_IO_BACKEND_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 
 #include "common/status.h"
 #include "storage/page.h"
@@ -28,7 +29,29 @@ struct PageIoRequest {
 // what makes completion-driven cache publish possible: a waiter on page k
 // wakes when page k's read lands, not when the slowest page of the batch
 // does.
-using PageIoDoneFn = std::function<void(size_t)>;
+//
+// A non-owning reference to the caller's callable (two words, never an
+// allocation): it is valid for the read call it is passed to, so pass a
+// lambda or a named callable straight into the call; never keep one.
+class PageIoDoneFn {
+ public:
+  PageIoDoneFn() = default;
+  PageIoDoneFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+  template <typename F, typename = std::enable_if_t<
+                            !std::is_same_v<std::decay_t<F>, PageIoDoneFn> &&
+                            std::is_invocable_v<const F&, size_t>>>
+  PageIoDoneFn(const F& fn)  // NOLINT(google-explicit-constructor)
+      : fn_(&fn), call_([](const void* fn, size_t i) {
+          (*static_cast<const F*>(fn))(i);
+        }) {}
+
+  explicit operator bool() const { return call_ != nullptr; }
+  void operator()(size_t i) const { call_(fn_, i); }
+
+ private:
+  const void* fn_ = nullptr;
+  void (*call_)(const void*, size_t) = nullptr;
+};
 
 // Strategy for turning a batch of page reads into device traffic. Two
 // implementations exist: the portable synchronous pread path (one device
@@ -59,7 +82,7 @@ class IoBackend {
   // batch); a batch over several files passes the largest of theirs.
   virtual void ReadBatch(PageIoRequest* reqs, size_t n,
                          uint32_t simulated_latency_us,
-                         const PageIoDoneFn& done) = 0;
+                         PageIoDoneFn done) = 0;
 };
 
 // The process-wide backend reads are routed through. Selected on first use

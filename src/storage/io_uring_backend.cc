@@ -180,7 +180,7 @@ class UringIoBackend final : public IoBackend {
   bool queue_depth_aware() const override { return true; }
 
   void ReadBatch(PageIoRequest* reqs, size_t n, uint32_t simulated_latency_us,
-                 const PageIoDoneFn& done) override {
+                 PageIoDoneFn done) override {
     if (n == 0) return;
     // One page costs one round trip either way, and a plain pread is
     // cheaper than entering the ring; a thread that reads only single
@@ -422,7 +422,7 @@ class UringIoBackend final : public IoBackend {
   static void AbortBatch(Ring* ring, PageIoRequest* reqs,
                          std::vector<Run>* runs, std::vector<char>* finalized,
                          size_t* kernel_inflight, size_t* completed_pages,
-                         const PageIoDoneFn& done, const std::string& msg) {
+                         PageIoDoneFn done, const std::string& msg) {
     const unsigned kernel_head =
         __atomic_load_n(ring->sq_head, __ATOMIC_ACQUIRE);
     __atomic_store_n(ring->sq_tail, kernel_head, __ATOMIC_RELEASE);
@@ -443,7 +443,7 @@ class UringIoBackend final : public IoBackend {
                             std::vector<Run>* runs,
                             std::vector<char>* finalized,
                             size_t* kernel_inflight, size_t* completed_pages,
-                            const PageIoDoneFn& done) {
+                            PageIoDoneFn done) {
     int transient = 0;
     while (*kernel_inflight > 0) {
       unsigned head = __atomic_load_n(ring->cq_head, __ATOMIC_ACQUIRE);
@@ -484,7 +484,7 @@ class UringIoBackend final : public IoBackend {
   // run never poisons pages outside it.
   static void FinishRun(PageIoRequest* reqs, const Run& run, size_t got,
                         const Status& st, size_t* completed_pages,
-                        const PageIoDoneFn& done) {
+                        PageIoDoneFn done) {
     const size_t page_size = reqs[run.first].page_size;
     for (size_t k = 0; k < run.npages; ++k) {
       PageIoRequest& q = reqs[run.first + k];
@@ -507,7 +507,7 @@ class UringIoBackend final : public IoBackend {
   // so the caller always sees exactly one final status per page.
   static void FailUnfinished(PageIoRequest* reqs, const std::vector<Run>& runs,
                              std::vector<char>* finalized,
-                             size_t* completed_pages, const PageIoDoneFn& done,
+                             size_t* completed_pages, PageIoDoneFn done,
                              const std::string& msg) {
     for (size_t r = 0; r < runs.size(); ++r) {
       if ((*finalized)[r]) continue;
@@ -525,7 +525,7 @@ class UringIoBackend final : public IoBackend {
   // backend's cost model).
   static void FallbackSequential(PageIoRequest* reqs, size_t n,
                                  uint32_t simulated_latency_us,
-                                 const PageIoDoneFn& done) {
+                                 PageIoDoneFn done) {
     for (size_t i = 0; i < n; ++i) {
       ChargeSimulatedLatency(simulated_latency_us);
       const size_t page_size = reqs[i].page_size;

@@ -8,8 +8,8 @@
 #include <cerrno>
 #include <cstring>
 #include <thread>
-#include <vector>
 
+#include "common/small_array.h"
 #include "common/stopwatch.h"
 #include "exec/exec_context.h"
 #include "obs/trace.h"
@@ -151,27 +151,30 @@ Status PageFile::VerifyLoadedPage(LogicalPageNo lpn, Page* page,
 }
 
 void PageFile::ReadPages(const PageRead* reads, Status* statuses, size_t n,
-                         ExecContext* ctx, const PageIoDoneFn& done) {
+                         ExecContext* ctx, PageIoDoneFn done) {
   if (n == 0) return;
   // Keep each file alive until every page of this batch is finalized: its
   // destructor spins on this count (see ~PageFile). One count per file per
   // batch, taken before any page can complete.
-  std::vector<const PageFile*> files;
+  SmallArray<const PageFile*, kInlineBatchPages> files(n);
+  size_t nfiles = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (std::find(files.begin(), files.end(), reads[i].file) != files.end()) {
+    if (std::find(files.data(), files.data() + nfiles, reads[i].file) !=
+        files.data() + nfiles) {
       continue;
     }
-    files.push_back(reads[i].file);
+    files[nfiles++] = reads[i].file;
     reads[i].file->inflight_batches_.fetch_add(1, std::memory_order_acq_rel);
   }
   struct BatchScope {
-    const std::vector<const PageFile*>& files;
+    const PageFile* const* files;
+    size_t n;
     ~BatchScope() {
-      for (const PageFile* f : files) {
-        f->inflight_batches_.fetch_sub(1, std::memory_order_acq_rel);
+      for (size_t k = 0; k < n; ++k) {
+        files[k]->inflight_batches_.fetch_sub(1, std::memory_order_acq_rel);
       }
     }
-  } scope{files};
+  } scope{files.data(), nfiles};
 
   // The io.* metrics are process-wide, so any file's pointers do; they are
   // copied now because a file may be torn down (up to its final count)
@@ -188,10 +191,9 @@ void PageFile::ReadPages(const PageRead* reads, Status* statuses, size_t n,
 
   // Screen out-of-range pages up front so the backend only ever sees real
   // file offsets; they complete (with OutOfRange) immediately.
-  std::vector<PageIoRequest> reqs;
-  reqs.reserve(n);
-  std::vector<size_t> orig;  // backend index -> caller index
-  orig.reserve(n);
+  SmallArray<PageIoRequest, kInlineBatchPages> reqs(n);
+  SmallArray<size_t, kInlineBatchPages> orig(n);  // backend -> caller index
+  size_t nreqs = 0;
   uint32_t latency_us = 0;
   for (size_t i = 0; i < n; ++i) {
     const PageFile& file = *reads[i].file;
@@ -204,15 +206,14 @@ void PageFile::ReadPages(const PageRead* reads, Status* statuses, size_t n,
       continue;
     }
     latency_us = std::max(latency_us, file.opts_.simulated_read_latency_us);
-    PageIoRequest req;
+    PageIoRequest& req = reqs[nreqs];
     req.fd = file.fd_;
     req.page_size = file.page_size_;
     req.lpn = reads[i].lpn;
     req.buf = reads[i].page->raw();
-    reqs.push_back(std::move(req));
-    orig.push_back(i);
+    orig[nreqs++] = i;
   }
-  if (reqs.empty()) return;
+  if (nreqs == 0) return;
 
   // The backend moves bytes; verification and accounting happen here, per
   // page, before the caller's completion hook sees it.
@@ -227,14 +228,13 @@ void PageFile::ReadPages(const PageRead* reads, Status* statuses, size_t n,
     inflight->Add(-1);
     if (done) done(i);
   };
-  CurrentIoBackend()->ReadBatch(reqs.data(), reqs.size(), latency_us,
-                                finalize);
+  CurrentIoBackend()->ReadBatch(reqs.data(), nreqs, latency_us, finalize);
 }
 
 void PageFile::ReadPages(const LogicalPageNo* lpns, Page* const* pages,
                          Status* statuses, size_t n, ExecContext* ctx,
-                         const PageIoDoneFn& done) const {
-  std::vector<PageRead> reads(n);
+                         PageIoDoneFn done) const {
+  SmallArray<PageRead, kInlineBatchPages> reads(n);
   for (size_t i = 0; i < n; ++i) reads[i] = PageRead{this, lpns[i], pages[i]};
   ReadPages(reads.data(), statuses, n, ctx, done);
 }

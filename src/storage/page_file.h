@@ -78,14 +78,20 @@ class PageFile {
   // corruption) fails only itself. Every file stays alive until the call
   // returns (see ~PageFile), but after its last page's done() the call
   // touches nothing of it except that count.
+  // A batch of up to kInlineBatchPages pages allocates nothing for its own
+  // bookkeeping.
   static void ReadPages(const PageRead* reads, Status* statuses, size_t n,
                         ExecContext* ctx = nullptr,
-                        const PageIoDoneFn& done = nullptr);
+                        PageIoDoneFn done = nullptr);
 
   // The batched read above over pages of this chain only.
   void ReadPages(const LogicalPageNo* lpns, Page* const* pages,
                  Status* statuses, size_t n, ExecContext* ctx = nullptr,
-                 const PageIoDoneFn& done = nullptr) const;
+                 PageIoDoneFn done = nullptr) const;
+
+  // Batches up to this many pages keep their per-page bookkeeping on the
+  // stack: a demand miss is a batch of one, a row's batch is one wave.
+  static constexpr size_t kInlineBatchPages = 8;
 
   // Number of pages currently in the chain.
   uint64_t page_count() const { return page_count_; }

@@ -190,6 +190,19 @@ Status Narrow(Partition* part, const Predicate& pred, int col,
   return Status::OK();
 }
 
+// The delta rows matching `pred`: equality keeps the hash/postings lookup,
+// the other ops test each distinct delta value once.
+void SearchDelta(DeltaFragment* delta, const Predicate& pred,
+                 ExecContext* ctx, std::vector<RowPos>* out) {
+  if (pred.op == Predicate::Op::kEq) {
+    delta->FindRows(pred.value, out);
+  } else {
+    delta->FindRowsMatching(
+        [&pred](const Value& v) { return EvalPredicate(pred, v); }, out);
+  }
+  Bump(ctx, &QueryStats::rows_scanned, delta->row_count());
+}
+
 // The visible rows of `part` matching every conjunct (`cols` holds their
 // checked column indices), ascending. conjuncts[0] drives: compiled
 // through the dictionary and searched on the main fragment, looked up or
@@ -215,18 +228,9 @@ Status MatchPartition(Partition* part, const std::vector<Predicate>& conjuncts,
                                  part->main(cols[0])->dict_size(), first));
     PAYG_RETURN_IF_ERROR(SearchMain(reader.get(), driver, base, &rows));
   }
-  // The delta: equality keeps the hash/postings lookup, the other ops test
-  // each distinct delta value once.
   DeltaFragment* delta = part->delta(cols[0]);
   std::vector<RowPos> delta_rows;
-  if (first.op == Predicate::Op::kEq) {
-    delta->FindRows(first.value, &delta_rows);
-  } else {
-    delta->FindRowsMatching(
-        [&first](const Value& v) { return EvalPredicate(first, v); },
-        &delta_rows);
-  }
-  Bump(ctx, &QueryStats::rows_scanned, delta->row_count());
+  SearchDelta(delta, first, ctx, &delta_rows);
   for (RowPos r : delta_rows) rows.push_back(base + r);
   rows.erase(std::remove_if(rows.begin(), rows.end(),
                             [part](RowPos r) { return !part->IsVisible(r); }),
@@ -259,6 +263,28 @@ Status MatchPartition(Partition* part, const std::vector<Predicate>& conjuncts,
   }
   *out = std::move(rows);
   return Status::OK();
+}
+
+// COUNT(*) of one equality on a partition with no deleted row, so no
+// visibility test is due: the main rows come from the reader's CountRows,
+// which reads only the index directory when the column has an index, and
+// the delta rows from the same lookup MatchPartition makes.
+Result<uint64_t> CountEqual(Partition* part, const Predicate& pred, int col,
+                            ExecContext* ctx) {
+  uint64_t count = 0;
+  MainFragment* main = part->main(col);
+  if (main != nullptr && part->main_row_count() > 0) {
+    PAYG_ASSIGN_OR_RETURN(auto reader, main->NewReader(ctx));
+    PAYG_ASSIGN_OR_RETURN(
+        VidPredicate vp,
+        CompilePredicate(reader.get(), main->dict_size(), pred));
+    if (vp.kind == VidPredicate::Kind::kEq) {
+      PAYG_ASSIGN_OR_RETURN(count, reader->CountRows(vp.lo));
+    }
+  }
+  std::vector<RowPos> delta_rows;
+  SearchDelta(part->delta(col), pred, ctx, &delta_rows);
+  return count + delta_rows.size();
 }
 
 // Calls fn(i, as(value)) with column `col`'s value of rows[i], in order.
@@ -528,11 +554,18 @@ Result<Table::SinkOutput> Table::Run(const std::vector<Predicate>& conjuncts,
   PAYG_RETURN_IF_ERROR(executor_->ForEach(ctx, n, [&](size_t i) -> Status {
     Partition* part = partitions_[i].get();
     Bump(ctx, &QueryStats::partitions_visited);
+    SinkOutput& out = partials[i];
+    if (sink.kind == Sink::Kind::kCount && conjuncts.size() == 1 &&
+        conjuncts[0].op == Predicate::Op::kEq &&
+        part->visible_row_count() == part->row_count()) {
+      PAYG_ASSIGN_OR_RETURN(out.count,
+                            CountEqual(part, conjuncts[0], cols[0], ctx));
+      return Status::OK();
+    }
     std::vector<RowPos> rows;
     std::vector<std::vector<uint32_t>> row_values;
     PAYG_RETURN_IF_ERROR(MatchPartition(part, conjuncts, cols, ctx, &rows,
                                         per_probe ? &row_values : nullptr));
-    SinkOutput& out = partials[i];
     switch (sink.kind) {
       case Sink::Kind::kRows:
         return Materialize(part, rows, sink.cols, ctx, &out.rows);

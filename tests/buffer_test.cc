@@ -213,20 +213,112 @@ TEST(ResourceManagerTest, ProactiveSweepIgnoresPoolBelowUpperLimit) {
   for (const ResourceHandle& h : handles) EXPECT_TRUE(rm.Unregister(h));
 }
 
-TEST(ResourceManagerTest, PagedPoolEvictedInLruOrderIgnoringWeight) {
+TEST(ResourceManagerTest, PagedPoolEvictedByAgeSizeAndTouches) {
   std::vector<int> order;
   ResourceManager rm;
   std::vector<ResourceHandle> handles;
+  // Registered at ticks 1..4, each with one touch (its registration).
+  const uint64_t bytes[] = {100, 100, 50, 100};
   for (int i = 0; i < 4; ++i) {
-    handles.push_back(Add(rm, 100, Disposition::kPagedAttribute,
+    handles.push_back(Add(rm, bytes[i], Disposition::kPagedAttribute,
                           PoolId::kPagedPool,
                           [&order, i] { order.push_back(i); }));
   }
-  rm.Touch(handles[0]);  // 0 becomes most recent; LRU order 1,2,3,0
+  rm.Touch(handles[0]);  // tick 5, two touches
+  // The sweep reads the clock at 6; t × bytes / n is 0: 1×100/2, 1: 5×100,
+  // 2: 4×50, 3: 3×100. Plain LRU would take 1, 2, 3.
   rm.SetPoolLimits(PoolId::kPagedPool, {100, 150});
   rm.SweepNow();
   ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+}
+
+// Each pass below evicts through the budget: a registration over it
+// shrinks the paged pool to its lower limit while the new page is still
+// pinned, so no sweeper timing is involved.
+TEST(ResourceManagerTest, LargerPageGoesFirstAtEqualAge) {
+  std::vector<std::string> evicted;
+  ResourceManager rm;
+  rm.SetPoolLimits(PoolId::kPagedPool, {40 << 10, 0});
+  rm.SetGlobalBudget(40 << 10);
+  ResourceHandle small = Add(rm, 8 << 10, Disposition::kPagedAttribute,
+                             PoolId::kPagedPool,
+                             [&] { evicted.push_back("8K"); });
+  // One tick younger, four times the bytes.
+  ResourceHandle large = Add(rm, 32 << 10, Disposition::kPagedAttribute,
+                             PoolId::kPagedPool,
+                             [&] { evicted.push_back("32K"); });
+  ASSERT_TRUE(evicted.empty());
+  Add(rm, 8 << 10, Disposition::kPagedAttribute, PoolId::kPagedPool);
+  EXPECT_EQ(evicted, (std::vector<std::string>{"32K"}));
+  EXPECT_FALSE(ResourceManager::IsDead(small));
+}
+
+TEST(ResourceManagerTest, OftenTouchedPageOutlivesUntouchedOnes) {
+  std::vector<std::string> evicted;
+  ResourceManager rm;
+  rm.SetPoolLimits(PoolId::kPagedPool, {300, 0});
+  rm.SetGlobalBudget(300);
+  ResourceHandle older = Add(rm, 100, Disposition::kPagedAttribute,
+                             PoolId::kPagedPool,
+                             [&] { evicted.push_back("older"); });
+  ResourceHandle hot = Add(rm, 100, Disposition::kPagedAttribute,
+                           PoolId::kPagedPool,
+                           [&] { evicted.push_back("hot"); });
+  for (int i = 0; i < 7; ++i) rm.Touch(hot);
+  // Loaded after the hot page's last touch, so LRU would evict the hot
+  // page before this one.
+  ResourceHandle younger = Add(rm, 100, Disposition::kPagedAttribute,
+                               PoolId::kPagedPool,
+                               [&] { evicted.push_back("younger"); });
+  ASSERT_TRUE(evicted.empty());
+  // Two more pages push two out: the older and the younger untouched page.
+  Add(rm, 100, Disposition::kPagedAttribute, PoolId::kPagedPool);
+  Add(rm, 100, Disposition::kPagedAttribute, PoolId::kPagedPool);
+  EXPECT_EQ(evicted, (std::vector<std::string>{"older", "younger"}));
+  EXPECT_FALSE(ResourceManager::IsDead(hot));
+}
+
+TEST(ResourceManagerTest, SaturatedPageIsEvictedOnceNoLongerTouched) {
+  constexpr uint64_t kCap = buffer_detail::kTouchCap;
+  bool hot_evicted = false;
+  ResourceManager rm;
+  rm.SetPoolLimits(PoolId::kPagedPool, {200, 0});
+  rm.SetGlobalBudget(200);
+  ResourceHandle hot = Add(rm, 100, Disposition::kPagedAttribute,
+                           PoolId::kPagedPool, [&] { hot_evicted = true; });
+  for (uint64_t i = 0; i < 4 * kCap; ++i) rm.Touch(hot);
+  EXPECT_EQ(buffer_detail::StampTouches(hot->last_touch.load()), kCap);
+  // Each pass loads one page touched once and evicts one page. The hot
+  // page's score grows by 100 / kCap per pass while the oldest other page
+  // scores 200, so it goes within 2 × kCap + 1 passes, and it survives the
+  // first ones.
+  std::vector<ResourceHandle> pages;
+  uint64_t passes = 0;
+  while (!hot_evicted && passes <= 2 * kCap + 1) {
+    pages.push_back(
+        Add(rm, 100, Disposition::kPagedAttribute, PoolId::kPagedPool));
+    ++passes;
+    if (passes == 2) EXPECT_FALSE(hot_evicted);
+  }
+  EXPECT_TRUE(hot_evicted);
+  EXPECT_LE(passes, 2 * kCap + 1);
+  EXPECT_GE(passes, 2 * kCap - 1);
+}
+
+TEST(ResourceManagerTest, GeneralPoolIgnoresSizeAndTouches) {
+  std::vector<std::string> evicted;
+  ResourceManager rm;
+  ResourceHandle touched = Add(rm, 100, Disposition::kMidTerm,
+                               PoolId::kGeneral,
+                               [&] { evicted.push_back("touched"); });
+  for (int i = 0; i < 5; ++i) rm.Touch(touched);
+  // Younger, larger and touched once: t/w still takes the older one.
+  ResourceHandle large = Add(rm, 400, Disposition::kMidTerm, PoolId::kGeneral,
+                             [&] { evicted.push_back("large"); });
+  rm.SetGlobalBudget(450);
+  EXPECT_EQ(evicted, (std::vector<std::string>{"touched"}));
+  EXPECT_EQ(rm.total_bytes(), 400u);
 }
 
 TEST(ResourceManagerTest, ReactivePathDrainsPagedPoolBeforeColumns) {
@@ -316,9 +408,15 @@ struct ModelEntry {
   PoolId pool = PoolId::kGeneral;
   Disposition disposition = Disposition::kTemporary;
   uint64_t bytes = 0;
-  uint64_t stamp = 0;
+  uint64_t stamp = 0;    // tick of the latest touch
+  uint64_t touches = 1;  // since the registration, up to kTouchCap
   int pins = 0;
   bool live = true;
+
+  void Touch(uint64_t tick) {
+    stamp = tick;
+    touches = std::min(touches + 1, buffer_detail::kTouchCap);
+  }
 };
 
 // Payload releases in the order they ran, overall and per pool. The test
@@ -359,11 +457,12 @@ class EvictionLog {
 // Seeded sequences of registrations, touches, pins, unpins and unregisters,
 // then a budget cut and a sweep, against a brute-force model of the §5
 // victim order. The model replays the manager's clock (one tick per
-// registration, touch and successful pin) and evicts paged pools oldest
-// stamp first down to their lower limits, then the general pool by
-// descending t/w. t/w ties may go either way, so the general victims are
-// compared by score, and general resources share one size so a tie cannot
-// change how many go.
+// registration, touch and successful pin) and each resource's touch count,
+// and evicts paged pools by descending t × bytes / n (ties oldest first)
+// down to their lower limits, then the general pool by descending t/w.
+// t/w ties may go either way, so the general victims are compared by
+// score, and general resources share one size so a tie cannot change how
+// many go.
 TEST(ResourceManagerTest, VictimOrderMatchesReferenceModel) {
   constexpr PoolId kPools[] = {PoolId::kGeneral, PoolId::kPagedPool,
                                PoolId::kColdPagedPool};
@@ -423,7 +522,7 @@ TEST(ResourceManagerTest, VictimOrderMatchesReferenceModel) {
           const int i = pick(false);
           if (i < 0) continue;
           rm.Touch(model[i].handle);
-          model[i].stamp = clock++;
+          model[i].Touch(clock++);
         } else if (dice < 82) {
           const int i = pick(false);
           if (i < 0) continue;
@@ -431,7 +530,7 @@ TEST(ResourceManagerTest, VictimOrderMatchesReferenceModel) {
           ASSERT_TRUE(pin.valid());
           held[i].push_back(std::move(pin));
           ++model[i].pins;
-          model[i].stamp = clock++;
+          model[i].Touch(clock++);
         } else if (dice < 94) {
           const int i = pick(true);
           if (i < 0) continue;
@@ -467,12 +566,18 @@ TEST(ResourceManagerTest, VictimOrderMatchesReferenceModel) {
         }
         return out;
       };
-      // Plain LRU inside a paged pool, down to `target`.
+      const uint64_t now = clock;
+      // Age × size / touches inside a paged pool, down to `target`.
+      auto paged_score = [&](const ModelEntry& e) {
+        return static_cast<double>(now - e.stamp) *
+               static_cast<double>(e.bytes) / static_cast<double>(e.touches);
+      };
       auto evict_paged = [&](std::vector<ModelEntry>* m, PoolId pool,
                              uint64_t target, std::vector<int>* victims) {
         std::vector<int> c = candidates(*m, pool);
         std::sort(c.begin(), c.end(), [&](int a, int b) {
-          return (*m)[a].stamp < (*m)[b].stamp;
+          const double sa = paged_score((*m)[a]), sb = paged_score((*m)[b]);
+          return sa != sb ? sa > sb : (*m)[a].stamp < (*m)[b].stamp;
         });
         for (int i : c) {
           if (pool_bytes(*m, pool) <= target) break;
@@ -480,7 +585,6 @@ TEST(ResourceManagerTest, VictimOrderMatchesReferenceModel) {
           victims->push_back(i);
         }
       };
-      const uint64_t now = clock;
       auto score = [&](int i) {
         return static_cast<double>(now - model[i].stamp) /
                DispositionWeight(model[i].disposition);
@@ -616,13 +720,18 @@ TEST(ResourceManagerStressTest, ConcurrentPinTouchUnregister) {
   // zero, and an evicted payload must be gone while a successfully
   // unregistered one stays with its handle. The handles are held until the
   // check, so a payload released before then was released by an eviction.
+  // Each resource is touched by its own thread only, while victim passes
+  // read its stamp: the tick there never goes backwards and the touch
+  // count stays in [1, kTouchCap].
   constexpr int kThreads = 8;
   constexpr int kPerThread = 200;
   struct Mine {
     ResourceHandle handle;
     std::shared_ptr<std::atomic<int>> released;
     bool unregistered = false;
+    uint64_t tick = 0;  // of the latest touch seen
   };
+  std::atomic<uint64_t> bad_stamps{0};
   std::vector<std::vector<Mine>> mine(kThreads);
   ResourceManager rm;
   rm.SetGlobalBudget(64 * 100);  // roughly half the peak working set
@@ -632,10 +741,19 @@ TEST(ResourceManagerStressTest, ConcurrentPinTouchUnregister) {
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&rm, &own = mine[t]] {
+    threads.emplace_back([&rm, &bad_stamps, &own = mine[t]] {
       // False means the resource was already evicted.
       auto unregister = [&](Mine& m) {
         if (rm.Unregister(m.handle)) m.unregistered = true;
+      };
+      auto check_stamp = [&](Mine& m) {
+        const uint64_t stamp = m.handle->last_touch.load();
+        const uint64_t touches = buffer_detail::StampTouches(stamp);
+        if (buffer_detail::StampTick(stamp) < m.tick || touches == 0 ||
+            touches > buffer_detail::kTouchCap) {
+          bad_stamps.fetch_add(1);
+        }
+        m.tick = buffer_detail::StampTick(stamp);
       };
       for (int i = 0; i < kPerThread; ++i) {
         auto released = std::make_shared<std::atomic<int>>(0);
@@ -643,10 +761,21 @@ TEST(ResourceManagerStressTest, ConcurrentPinTouchUnregister) {
             100, Disposition::kPagedAttribute, PoolId::kPagedPool,
             std::make_shared<Probe>([released] { released->fetch_add(1); }));
         own.push_back({pin.handle(), released});
+        check_stamp(own.back());
         pin.Release();  // release the registration pin; now evictable
         rm.Touch(own.back().handle);
-        // Re-pin and unpin a few of the survivors to stir the LRU.
+        check_stamp(own.back());
+        // Re-pin and unpin a few of the survivors to stir the victim order;
+        // every fourth one is touched past the count's cap.
         if (i % 3 == 0) PinAndTouch(rm, own.back().handle);
+        if (i % 4 == 0) {
+          Mine& older = own[own.size() / 3];
+          for (uint64_t k = 0; k <= buffer_detail::kTouchCap; ++k) {
+            rm.Touch(older.handle);
+            check_stamp(older);
+          }
+        }
+        check_stamp(own.back());
         // Voluntarily drop an older resource.
         if (i % 7 == 0) unregister(own[own.size() / 2]);
       }
@@ -667,6 +796,7 @@ TEST(ResourceManagerStressTest, ConcurrentPinTouchUnregister) {
     }
   }
   EXPECT_EQ(wrong_release, 0u);
+  EXPECT_EQ(bad_stamps.load(), 0u);
   EXPECT_EQ(evicted + unregistered,
             static_cast<uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(rm.total_bytes(), 0u);

@@ -1117,6 +1117,146 @@ TEST_F(TableTest, MaterializeLoadsTheColumnsPagesInOneBatch) {
   }
 }
 
+// COUNT(*) WHERE c = v equals the size of RowIdsByValue's answer on every
+// kind of column — resident and paged; unique, non-unique, eager and
+// deferred indexes; no index — over main and delta rows and a cold
+// partition, with and without deleted rows. Without a deleted row the
+// count reads the index directory only; with one it matches rows.
+TEST_F(TableTest, CountByValueMatchesRowIdsOracle) {
+  TableSchema schema;
+  schema.name = "counts";
+  schema.columns = {
+      {"uniq_r", ValueType::kInt64, false, true, true},
+      {"idx_r", ValueType::kInt64, false, true, false},
+      {"scan_r", ValueType::kString, false, false, false},
+      {"uniq_p", ValueType::kInt64, true, true, true},
+      {"idx_p", ValueType::kString, true, true, false},
+      {.name = "lazy_p",
+       .type = ValueType::kInt64,
+       .page_loadable = true,
+       .with_index = true,
+       .primary_key = false,
+       .defer_index = true},
+      {"scan_p", ValueType::kDouble, true, false, false},
+  };
+  schema.temperature_column = 0;
+  Table table(schema, storage_.get(), rm_.get());
+  Random rng(20261);
+  int64_t next_row = 0;
+  std::vector<std::vector<Value>> inserted;
+  auto insert = [&](int rows) {
+    for (int i = 0; i < rows; ++i, ++next_row) {
+      char s[16];
+      std::snprintf(s, sizeof(s), "v%03d", static_cast<int>(rng.Uniform(53)));
+      std::vector<Value> row = {
+          Value(next_row),
+          Value(static_cast<int64_t>(rng.Uniform(37))),
+          Value("s" + std::to_string(rng.Uniform(11))),
+          Value(next_row * 3),
+          Value(std::string(s)),
+          Value(static_cast<int64_t>(rng.Uniform(29))),
+          Value(static_cast<double>(rng.Uniform(13)) * 0.5)};
+      ASSERT_TRUE(table.Insert(row).ok());
+      inserted.push_back(std::move(row));
+    }
+  };
+  // Every column's values of a few inserted rows, plus one value no row
+  // holds.
+  auto check_all = [&](const std::string& phase) {
+    table.UnloadAll();
+    const std::vector<Value> absent = {
+        Value(int64_t{-1}), Value(int64_t{-1}), Value(std::string("none")),
+        Value(int64_t{-1}), Value(std::string("none")), Value(int64_t{-1}),
+        Value(-1.0)};
+    for (size_t c = 0; c < schema.columns.size(); ++c) {
+      std::vector<Value> probes = {absent[c]};
+      for (int k = 0; k < 12; ++k) {
+        probes.push_back(inserted[rng.Uniform(inserted.size())][c]);
+      }
+      for (const Value& v : probes) {
+        const std::string& col = schema.columns[c].name;
+        SCOPED_TRACE(phase + " " + col + " = " + v.ToString());
+        auto count = table.CountByValue(col, v);
+        auto ids = table.RowIdsByValue(col, v);
+        ASSERT_TRUE(count.ok()) << count.status().ToString();
+        ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+        EXPECT_EQ(*count, ids->size());
+      }
+    }
+  };
+
+  insert(3000);
+  ASSERT_TRUE(table.MergeAll().ok());
+  ASSERT_TRUE(table.AddColdPartition().ok());
+  ASSERT_TRUE(table.AgeRows(Value(int64_t{499})).ok());
+  ASSERT_TRUE(table.MergeAll().ok());  // compacts the aged rows away
+  insert(300);                         // delta rows beside both mains
+  ASSERT_EQ(table.row_count(), table.visible_row_count());
+  check_all("no deleted row");
+
+  for (RowPos r = 7; r < table.hot()->row_count(); r += 97) {
+    ASSERT_TRUE(table.hot()->MarkDeleted(r).ok());
+  }
+  ASSERT_TRUE(table.partition(1)->MarkDeleted(3).ok());
+  ASSERT_LT(table.visible_row_count(), table.row_count());
+  check_all("deleted rows");
+}
+
+// A count on a cold, indexed paged column reads the directory entries of
+// its value and no posting, and is one index lookup; the postings load
+// only when a query needs the rows. An I/O error on the directory page
+// fails the count.
+TEST_F(TableTest, ColdIndexedCountReadsNoPostingPage) {
+  TableSchema schema;
+  schema.name = "dircount";
+  schema.columns = {{"k", ValueType::kInt64, true, true, true},
+                    {"v", ValueType::kInt64, true, true, false}};
+  Table table(schema, storage_.get(), rm_.get());
+  constexpr int kRows = 20000;  // ~2,900 postings per value: several pages
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(
+        table.Insert({Value(int64_t{i}), Value(int64_t{i % 7})}).ok());
+  }
+  ASSERT_TRUE(table.MergeAll().ok());
+  const Value three(int64_t{3});
+  const uint64_t want = kRows / 7 + (3 < kRows % 7 ? 1 : 0);
+
+  table.UnloadAll();
+  {
+    CounterDelta reads("storage.read.pages");
+    ExecContext ctx;
+    auto count = table.CountByValue("v", three, &ctx);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    EXPECT_EQ(*count, want);
+    EXPECT_EQ(ctx.stats.index_lookups.load(), 1u);
+    EXPECT_EQ(ctx.stats.rows_scanned.load(), 0u);
+    // The dictionary page and the directory page.
+    EXPECT_LE(reads(), 2u);
+  }
+  {
+    // Dictionary and directory are resident now: what the row lookup
+    // reads are the postings the count left on disk.
+    CounterDelta reads("storage.read.pages");
+    auto ids = table.RowIdsByValue("v", three);
+    ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+    EXPECT_EQ(ids->size(), want);
+    EXPECT_GE(reads(), 1u);
+  }
+
+  // Warm the dictionary through a range count (no index involved), then
+  // fail every read: the directory page is the count's only read.
+  table.UnloadAll();
+  ASSERT_TRUE(
+      table.CountWhere({Predicate::Between("v", three, three)}).ok());
+  SetIoFaultHookForTest(&FailEveryRead);
+  auto failed = table.CountByValue("v", three);
+  SetIoFaultHookForTest(nullptr);
+  EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+  auto count = table.CountByValue("v", three);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(*count, want);
+}
+
 class OracleTest : public TableTest {
  protected:
   // Visible rows of every partition in (partition, row) order.
