@@ -941,6 +941,9 @@ TEST_F(PagedTest, InvertedIndexUniqueHasNoDirectory) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(vids[*r], v);
     EXPECT_FALSE(it.HasNext());
+    auto count = it.CountPostings(v);
+    ASSERT_TRUE(count.ok());
+    EXPECT_EQ(*count, 1u);
   }
 }
 
@@ -981,6 +984,16 @@ TEST_F(PagedTest, InvertedIndexDirectorySpillsToDirectoryPages) {
     }
     EXPECT_EQ(rows, expect) << "vid " << v;
   }
+  // The directory alone gives every value's count, values without a row
+  // included, across the mixed page and the directory pages.
+  std::vector<uint64_t> histogram(20000);
+  for (ValueId v : vids) ++histogram[v];
+  for (ValueId v = 0; v < 20000; ++v) {
+    auto count = it.CountPostings(v);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    ASSERT_EQ(*count, histogram[v]) << "vid " << v;
+  }
+  EXPECT_TRUE(it.CountPostings(20000).status().IsOutOfRange());
 }
 
 TEST_F(PagedTest, InvertedIndexReopen) {
